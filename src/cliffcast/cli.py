@@ -107,11 +107,15 @@ def cmd_stats(args) -> int:
             raise ValidationError(
                 "exact n=5 sweeps 24^5 combinations; pass --allow-long to run it"
             )
-        stats = compiler.mean_np_exact(args.n)
-    else:
-        if args.samples is None:
-            raise ValidationError("need --exact or --samples N")
-        stats = compiler.mean_np_sampled(args.n, args.samples, args.seed)
+    elif args.samples is None:
+        raise ValidationError("need --exact or --samples N")
+    try:
+        if args.exact:
+            stats = compiler.mean_np_exact(args.n)
+        else:
+            stats = compiler.mean_np_sampled(args.n, args.samples, args.seed)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
     payload = {
         "n": stats.n,
         "mean_np": stats.mean_np,
@@ -244,7 +248,10 @@ class NumericalError(Exception):
 
 
 def cmd_allxy(args) -> int:
-    p1 = sim.simulate_allxy(over_ratio=args.over, phase_rad=args.phase)
+    try:
+        p1 = sim.simulate_allxy(over_ratio=args.over, phase_rad=args.phase)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
     ideal = sim.allxy_ideal()
     rows = [(i + 1, float(p1[i]), float(ideal[i])) for i in range(len(p1))]
     _write_text(args.output, _csv(rows, header=["id", "p1", "ideal_p1"]))
@@ -268,11 +275,10 @@ def cmd_swap(args) -> int:
             t1_a_ns=math.inf if args.t1a_us is None else args.t1a_us * 1000.0,
             t1_b_ns=math.inf if args.t1b_us is None else args.t1b_us * 1000.0,
         )
+        t, p1a, p1b = sim.exchange_swap(
+            params, np.linspace(0.0, args.t_max_us * 1000.0, args.points))
     except ValueError as exc:
         raise ValidationError(str(exc))
-    t_max = args.t_max_us * 1000.0
-    grid = np.linspace(0.0, t_max, args.points)
-    t, p1a, p1b = sim.exchange_swap(params, grid, dt_ns=args.dt_ns)
     rows = [
         (float(ti), float(a), float(b), float(a + b))
         for ti, a, b in zip(t, p1a, p1b)
@@ -365,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1b-us", type=float, default=None)
     p.add_argument("--t-max-us", type=float, default=30.0)
     p.add_argument("--points", type=int, default=301)
-    p.add_argument("--dt-ns", type=float, default=1.0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_swap)
 

@@ -25,6 +25,7 @@ derived here by exhaustive search and frozen below.
 from __future__ import annotations
 
 import enum
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,19 +80,29 @@ _LABELS = {
 }
 _BY_LABEL = {v: k for k, v in _LABELS.items()}
 
-_SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
 _I2 = np.eye(2, dtype=complex)
 
+# Azimuth of each rotation axis in the equatorial plane.
+_AZIMUTH = {"x": 0.0, "y": math.pi / 2}
 
-def rotation_unitary(axis: str, angle: float) -> np.ndarray:
-    """exp(-1j*angle*sigma_axis/2) for axis 'x' or 'y'; identity for axis 'i'."""
+
+def rotation_unitary(axis: str, angle: float, phase: float = 0.0) -> np.ndarray:
+    """exp(-1j*angle*sigma/2) about the equatorial axis
+    sigma = cos(a)*sigma_x + sin(a)*sigma_y, with a the azimuth of axis 'x'
+    (0) or 'y' (pi/2) plus phase (a drive phase error); identity for axis
+    'i' or a zero angle.
+
+    Built entry by entry from math scalars: the simulator calls this once
+    per pulse.
+    """
     if axis == "i" or angle == 0.0:
         return _I2.copy()
-    return np.cos(angle / 2) * _I2 - 1j * np.sin(angle / 2) * _SIGMA[axis]
+    azimuth = _AZIMUTH[axis] + phase
+    c = math.cos(angle / 2)
+    s = math.sin(angle / 2)
+    sx = s * math.cos(azimuth)
+    sy = s * math.sin(azimuth)
+    return np.array([[c, complex(-sy, -sx)], [complex(sy, -sx), c]])
 
 
 def pulse_unitary(p: Pulse) -> np.ndarray:
@@ -224,11 +235,6 @@ def _build_canonical() -> list[np.ndarray]:
 CANONICAL_UNITARIES: list[np.ndarray] = _build_canonical()
 
 
-def clifford_unitary(c: int) -> np.ndarray:
-    _check_id(c)
-    return CANONICAL_UNITARIES[c - 1].copy()
-
-
 def _check_id(c: int) -> None:
     if not 1 <= c <= 24:
         raise ValueError(f"Clifford id must be in 1..24, got {c}")
@@ -340,8 +346,3 @@ def derive_inverted_masks() -> dict[int, tuple[int, ...]]:
 def pulse_clifford_map() -> dict[Pulse, int]:
     """Clifford id implemented by each single pulse."""
     return {p: clifford_of_pulses([p]) for p in Pulse}
-
-
-def random_clifford_ids(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform ids in 1..24."""
-    return rng.integers(1, 25, size=size)

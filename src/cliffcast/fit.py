@@ -68,16 +68,17 @@ class PopCalib:
     s_prime: float
 
 
-def _param_stderr(res, n_points: int) -> np.ndarray:
-    """1-sigma parameter errors from the least-squares Jacobian."""
+def _param_stderr(res) -> tuple[np.ndarray, np.ndarray]:
+    """1-sigma parameter errors and the parameter covariance from the
+    least-squares Jacobian (all nan when the Jacobian is singular)."""
     m, n = res.jac.shape
     dof = max(m - n, 1)
     variance = float(res.fun @ res.fun) / dof
     try:
         cov = np.linalg.inv(res.jac.T @ res.jac) * variance
-        return np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        return np.full(n, np.nan)
+        cov = np.full((n, n), np.nan)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
 
 def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
@@ -134,7 +135,7 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
     if not res.success:
         raise FitError(f"exponential fit failed: {res.message}")
     a, p, b = (float(v) for v in res.x)
-    err = _param_stderr(res, m.size)
+    err, _ = _param_stderr(res)
     rms = float(np.sqrt(np.mean((a * p**m + b - y) ** 2)))
     return ExpFit(a, p, b, (float(err[0]), float(err[1]), float(err[2])), rms)
 
@@ -168,7 +169,8 @@ def leakage_model(m, kappa: float, t21_ns: float, np_mean: float, tp_ns: float):
     kappa * t21 * (1 - (1 - r)**m) with the per-round loss fraction
     r = np_mean * tp / t21, which must be below 1.  For small r it tends to
     the continuum curve kappa * t21 * (1 - exp(-m * r)), so kappa and t21
-    keep their meaning.
+    keep their meaning.  Without relaxation (t21 = inf, r = 0) the
+    population grows linearly, kappa * np_mean * tp * m.
     """
     if min(kappa, t21_ns, np_mean, tp_ns) < 0 or t21_ns == 0:
         raise ValueError("parameters must be positive (kappa may be 0)")
@@ -176,6 +178,8 @@ def leakage_model(m, kappa: float, t21_ns: float, np_mean: float, tp_ns: float):
     if r >= 1.0:
         raise ValueError("np_mean * tp_ns must be shorter than t21_ns")
     m = np.asarray(m, dtype=float)
+    if r == 0.0:
+        return kappa * np_mean * tp_ns * m
     return kappa * t21_ns * -np.expm1(m * math.log1p(-r))
 
 
@@ -234,12 +238,13 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     loss = -math.expm1(-rate)  # per-round loss fraction r = 1 - exp(-lam)
     t21 = np_mean * tp_ns / loss
     kappa = plateau / t21
-    err = _param_stderr(res, m.size)
-    # error propagation: kappa = plateau * r / (np*tp), t21 = np*tp / r,
-    # dr/dlam = exp(-lam)
-    kappa_err = math.hypot(err[0] * loss, err[1] * plateau * math.exp(-rate)) / (
-        np_mean * tp_ns)
-    t21_err = np_mean * tp_ns * math.exp(-rate) * err[1] / loss**2
+    _, cov = _param_stderr(res)
+    # Propagate the full covariance (plateau and lam are correlated) through
+    # kappa = plateau * r / (np*tp) and t21 = np*tp / r, with dr/dlam = exp(-lam).
+    dt = np_mean * tp_ns
+    grad = np.array([[loss / dt, plateau * math.exp(-rate) / dt],
+                     [0.0, -dt * math.exp(-rate) / loss**2]])
+    kappa_err, t21_err = np.sqrt(np.maximum(np.diag(grad @ cov @ grad.T), 0.0))
     return LeakageFit(kappa, t21, np_mean, tp_ns, (float(kappa_err), float(t21_err)))
 
 

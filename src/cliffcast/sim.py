@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import compiler
-from .clifford import Pulse, minimal_decomposition, recovery_clifford
+from .clifford import Pulse, minimal_decomposition, recovery_clifford, rotation_unitary
 from .compiler import (
     SCHEME_COMPILED,
     SCHEME_FIVE,
@@ -43,10 +43,6 @@ RB_SCHEMES = (
     SCHEME_FIVE_SYMMETRIC,
     SCHEME_COMPILED,
 )
-
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 GROUND = np.array([[1, 0], [0, 0]], dtype=complex)
 EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -94,16 +90,6 @@ class RBResult:
     rng_seed: int
 
 
-def _axis_unitary(azimuth: float, angle: float) -> np.ndarray:
-    """Rotation by angle about the equatorial axis at the given azimuth
-    (0 = x, pi/2 = y)."""
-    sigma = math.cos(azimuth) * _SX + math.sin(azimuth) * _SY
-    return math.cos(angle / 2) * _I2 - 1j * math.sin(angle / 2) * sigma
-
-
-_AZIMUTH = {"x": 0.0, "y": math.pi / 2}
-
-
 def apply_pulse(state: np.ndarray, p: Pulse, angle_scale: float = 1.0,
                 phase_rad: float = 0.0) -> np.ndarray:
     """Conjugate the state by the pulse rotation with a scaled angle.
@@ -115,7 +101,7 @@ def apply_pulse(state: np.ndarray, p: Pulse, angle_scale: float = 1.0,
         return state.copy()
     if angle_scale < 0:
         raise ValueError("angle_scale must be >= 0")
-    u = _axis_unitary(_AZIMUTH[p.axis] + phase_rad, p.angle * angle_scale)
+    u = rotation_unitary(p.axis, p.angle * angle_scale, phase_rad)
     return u @ state @ u.conj().T
 
 
@@ -160,17 +146,24 @@ def _minimal_round_slots(c: int) -> tuple:
 
 
 @lru_cache(maxsize=200_000)
-def _round_slots_cached(combo: tuple, scheme: str, parity: int) -> tuple:
+def _round_slots_cached(combo: tuple, scheme: str, parity: int, n_idle: int) -> tuple:
     if scheme == SCHEME_MINIMAL:
         if len(combo) != 1:
             raise ValueError("minimal scheme is single-qubit")
-        return _minimal_round_slots(combo[0])
-    sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
-    return _schedule_slots(sched)
+        slots = _minimal_round_slots(combo[0])
+    else:
+        sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
+        slots = _schedule_slots(sched)
+    if n_idle:
+        idle = (False,) * n_idle
+        slots = tuple(None if s is None else (s[0], s[1] + idle) for s in slots)
+    return slots
 
 
-def _round_slots(combo, scheme: str, round_index: int) -> tuple:
-    return _round_slots_cached(tuple(combo), scheme, round_index % 2)
+def _round_slots(combo, scheme: str, round_index: int, n_idle: int) -> tuple:
+    """Slot program of one round; n_idle never-routed qubits are appended
+    to every mask."""
+    return _round_slots_cached(tuple(combo), scheme, round_index % 2, n_idle)
 
 
 def _simulate_slots(slots, models, states):
@@ -199,26 +192,23 @@ def _seed_stderr(total: np.ndarray, total_sq: np.ndarray, n_seeds: int) -> np.nd
     return np.sqrt(np.maximum(var, 0.0) / n_seeds)
 
 
-def run_rb(models, scheme: str, m_values, n_seeds: int, rng_seed: int) -> RBResult:
-    """Randomized benchmarking with per-qubit independent Clifford sequences.
+def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
+               rng_seed: int) -> RBResult:
+    """The benchmarking loop behind run_rb and run_idle_crossdrive.
 
-    For every seed and sequence length m, each qubit gets m uniform Cliffords
-    plus its own recovery Clifford; rounds are compiled with the chosen
-    scheme (the symmetric five-primitive scheme alternates parity with the
-    round index) and simulated slot by slot.  Returns seed-averaged ground
-    and excited populations per qubit.
+    The first n_driven qubits run independent random sequences as in
+    run_rb; the remaining ones are never routed, so they feel every pulse
+    only through their cross_ratio.
     """
-    models = list(models)
-    n = len(models)
     if scheme not in RB_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == SCHEME_MINIMAL and n != 1:
-        raise ValueError("minimal scheme runs single-qubit benchmarking only")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     m_values = tuple(int(m) for m in m_values)
     if any(m < 1 for m in m_values):
         raise ValueError("sequence lengths must be >= 1")
+    n = len(models)
+    n_idle = n - n_driven
 
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
@@ -226,12 +216,12 @@ def run_rb(models, scheme: str, m_values, n_seeds: int, rng_seed: int) -> RBResu
     round_count = 0
     for rng in _spawn_rngs(rng_seed, n_seeds):
         for im, m in enumerate(m_values):
-            seqs = rng.integers(1, 25, size=(n, m))
-            combos = [tuple(int(seqs[q, k]) for q in range(n)) for k in range(m)]
-            combos.append(tuple(recovery_clifford(seqs[q]) for q in range(n)))
+            seqs = rng.integers(1, 25, size=(n_driven, m))
+            combos = [tuple(int(seqs[q, k]) for q in range(n_driven)) for k in range(m)]
+            combos.append(tuple(recovery_clifford(seqs[q]) for q in range(n_driven)))
             states = [GROUND.copy() for _ in range(n)]
             for k, combo in enumerate(combos):
-                slots = _round_slots(combo, scheme, k)
+                slots = _round_slots(combo, scheme, k, n_idle)
                 _simulate_slots(slots, models, states)
                 slot_count += len(slots)
                 round_count += 1
@@ -255,6 +245,21 @@ def run_rb(models, scheme: str, m_values, n_seeds: int, rng_seed: int) -> RBResu
     )
 
 
+def run_rb(models, scheme: str, m_values, n_seeds: int, rng_seed: int) -> RBResult:
+    """Randomized benchmarking with per-qubit independent Clifford sequences.
+
+    For every seed and sequence length m, each qubit gets m uniform Cliffords
+    plus its own recovery Clifford; rounds are compiled with the chosen
+    scheme (the symmetric five-primitive scheme alternates parity with the
+    round index) and simulated slot by slot.  Returns seed-averaged ground
+    and excited populations per qubit.
+    """
+    models = list(models)
+    if scheme == SCHEME_MINIMAL and len(models) != 1:
+        raise ValueError("minimal scheme runs single-qubit benchmarking only")
+    return _benchmark(models, len(models), scheme, m_values, n_seeds, rng_seed)
+
+
 def run_idle_crossdrive(models, scheme: str, m_values, n_seeds: int,
                         rng_seed: int) -> RBResult:
     """Cross-driving of an undriven qubit during single-qubit benchmarking.
@@ -267,46 +272,11 @@ def run_idle_crossdrive(models, scheme: str, m_values, n_seeds: int,
     models = list(models)
     if len(models) != 2:
         raise ValueError("expected exactly (driven, idle) models")
-    if scheme not in RB_SCHEMES or scheme in (SCHEME_SEQUENTIAL, SCHEME_COMPILED):
+    if scheme in (SCHEME_SEQUENTIAL, SCHEME_COMPILED):
         raise ValueError(
             "idle cross-drive runs use the minimal or five-primitive schemes"
         )
-    m_values = tuple(int(m) for m in m_values)
-    p0_sum = np.zeros((2, len(m_values)))
-    p0_sumsq = np.zeros((2, len(m_values)))
-    slot_count = 0
-    round_count = 0
-    for rng in _spawn_rngs(rng_seed, n_seeds):
-        for im, m in enumerate(m_values):
-            seq = rng.integers(1, 25, size=m)
-            cliffords = [int(c) for c in seq] + [recovery_clifford(seq)]
-            states = [GROUND.copy(), GROUND.copy()]
-            for k, c in enumerate(cliffords):
-                slots = _round_slots((c,), scheme, k)
-                widened = [
-                    None if s is None else (s[0], (s[1][0], False)) for s in slots
-                ]
-                _simulate_slots(widened, models, states)
-                slot_count += len(slots)
-                round_count += 1
-            for q in range(2):
-                val = states[q][0, 0].real
-                p0_sum[q, im] += val
-                p0_sumsq[q, im] += val * val
-    p0 = p0_sum / n_seeds
-    p0_err = _seed_stderr(p0_sum, p0_sumsq, n_seeds)
-    curves = [
-        RBCurve(m_values=m_values, p0=p0[q].copy(), p1=1.0 - p0[q], seeds=n_seeds,
-                p0_stderr=p0_err[q].copy())
-        for q in range(2)
-    ]
-    return RBResult(
-        scheme=scheme,
-        curves=curves,
-        mean_slots_per_round=slot_count / round_count,
-        n_seeds=n_seeds,
-        rng_seed=rng_seed,
-    )
+    return _benchmark(models, 1, scheme, m_values, n_seeds, rng_seed)
 
 
 # --- diagnostic sequences -------------------------------------------------
@@ -424,58 +394,45 @@ class ExchangeParams:
         return math.pi / self.j_rad_per_ns
 
 
-def _damp_ops(dt: float, t1: float) -> tuple[np.ndarray, np.ndarray] | None:
-    if math.isinf(t1):
-        return None
-    gamma = 1.0 - math.exp(-dt / t1)
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return k0, k1
-
-
-def exchange_swap(params: ExchangeParams, t_grid_ns, dt_ns: float = 1.0):
+def exchange_swap(params: ExchangeParams, t_grid_ns):
     """Excitation swapping between two coupled qubits, starting from
     (excited, ground).
 
-    The flip-flop coupling J(sigma+ sigma- + sigma- sigma+) is integrated
-    exactly on the single-excitation block in steps of at most dt_ns, with
-    independent amplitude damping per qubit interleaved (Trotterized).
-    Returns (t_grid_ns, p1_a, p1_b).
+    Amplitude damping only moves population from the single-excitation
+    block {|10>, |01>} down to |00>, so the two excited populations are
+    |psi_a|^2 and |psi_b|^2 for psi(t) = exp(-iHt)|10> under the
+    non-Hermitian block Hamiltonian
+        H = J (flip-flop) - (i/2) diag(1/T1a, 1/T1b).
+    With tau = tr(H)/2 and w^2 = J^2 - ((1/T1a - 1/T1b)/4)^2, the traceless
+    part squares to (H - tau)^2 = w^2, which gives the exact propagator
+        exp(-iHt) = exp(-i tau t) [cos(wt) I - i t sinc(wt) (H - tau)]
+    with sinc(x) = sin(x)/x.  It needs no eigenvectors, so the exceptional
+    point w = 0 is an ordinary input; for w^2 < 0 (damping outweighs
+    coupling) cos and sinc become cosh and sinh(x)/x, whose growth is
+    moved into the decay envelope so that long times cannot overflow.
+    Returns (t_grid_ns, p1_a, p1_b) with the grid sorted.
     """
-    if dt_ns <= 0 or dt_ns > 1.0:
-        raise ValueError("dt_ns must be in (0, 1] for an accurate split")
-    t_grid = np.asarray(sorted(float(t) for t in t_grid_ns))
-    if t_grid.size == 0 or t_grid[0] < 0:
+    t = np.asarray(sorted(float(x) for x in t_grid_ns))
+    if t.size == 0 or t[0] < 0:
         raise ValueError("t_grid_ns must be non-empty and non-negative")
 
     j = params.j_rad_per_ns
-    c, s = math.cos(j * dt_ns), math.sin(j * dt_ns)
-    u = np.eye(4, dtype=complex)
-    u[1, 1] = c
-    u[2, 2] = c
-    u[1, 2] = -1j * s
-    u[2, 1] = -1j * s
-
-    damp_a = _damp_ops(dt_ns, params.t1_a_ns)
-    damp_b = _damp_ops(dt_ns, params.t1_b_ns)
-    kraus_a = None if damp_a is None else [np.kron(k, _I2) for k in damp_a]
-    kraus_b = None if damp_b is None else [np.kron(_I2, k) for k in damp_b]
-
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[2, 2] = 1.0  # |1>_a |0>_b
-
-    p1_a = np.empty(t_grid.size)
-    p1_b = np.empty(t_grid.size)
-    t_now = 0.0
-    idx = 0
-    while idx < t_grid.size:
-        while t_now + dt_ns / 2 < t_grid[idx]:
-            rho = u @ rho @ u.conj().T
-            for ops in (kraus_a, kraus_b):
-                if ops is not None:
-                    rho = sum(k @ rho @ k.conj().T for k in ops)
-            t_now += dt_ns
-        p1_a[idx] = (rho[2, 2] + rho[3, 3]).real
-        p1_b[idx] = (rho[1, 1] + rho[3, 3]).real
-        idx += 1
-    return t_grid, p1_a, p1_b
+    gamma_a, gamma_b = 1.0 / params.t1_a_ns, 1.0 / params.t1_b_ns
+    delta = (gamma_a - gamma_b) / 4
+    w2 = j * j - delta * delta
+    w = math.sqrt(abs(w2))
+    wt = w * t
+    rate = (gamma_a + gamma_b) / 4  # |exp(-i tau t)| = exp(-rate t)
+    if w2 >= 0:
+        cos_wt = np.cos(wt)
+        t_sinc = t * np.sinc(wt / math.pi)
+    else:  # rate >= w: cosh(wt) and sinh(wt)/w, each scaled by exp(-wt)
+        rate -= w
+        cos_wt = (1.0 + np.exp(-2.0 * wt)) / 2.0
+        t_sinc = t * np.divide(-np.expm1(-2.0 * wt), 2.0 * wt,
+                               out=np.ones_like(wt), where=wt > 0)
+    envelope = np.exp(-rate * t)
+    # psi = exp(-i tau t) [cos(wt) - i t sinc(wt) (H - tau)] (1, 0)
+    psi_a = envelope * (cos_wt - delta * t_sinc)
+    psi_b = envelope * j * t_sinc  # up to the phase -i
+    return t, psi_a**2, psi_b**2

@@ -12,6 +12,10 @@ tuples without any cliffcast code: its own rotation matrices, group
 closure, coverage of every pulse train and surjection counts.
 
 iterate_rate_equation iterates the leakage balance round by round.
+
+lindblad_exchange propagates the full two-qubit density matrix under the
+Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
+with scipy's matrix exponential, taking plain floats and no cliffcast code.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 
 from cliffcast.clifford import compose, pulse_clifford_map
 from cliffcast.decomp import enumerate_decompositions
@@ -76,6 +81,33 @@ def iterate_rate_equation(m: int, kappa: float, t21: float, np_mean: float,
     for _ in range(m):
         p2 = p2 + dt * kappa - (dt / t21) * p2
     return p2
+
+
+def lindblad_exchange(j_over_2pi_khz: float, t1_a_ns: float, t1_b_ns: float,
+                      t_ns: float) -> tuple[float, float]:
+    """Excited populations (p1_a, p1_b) at t_ns, starting from |10>.
+
+    The 4x4 density matrix is vectorized row by row, vec(A rho B) =
+    kron(A, B^T) vec(rho), and propagated by expm of the 16x16 generator
+    L = -i[H, .] + sum_k D[sqrt(1/T1_k) sigma-_k], with
+    H = J (sigma+_a sigma-_b + sigma-_a sigma+_b) and J in rad/ns.
+    t1 values may be math.inf.
+    """
+    j = 2 * math.pi * j_over_2pi_khz * 1e-6
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+    eye2 = np.eye(2)
+    lower_a, lower_b = np.kron(lower, eye2), np.kron(eye2, lower)
+    h = j * (lower_a.conj().T @ lower_b + lower_b.conj().T @ lower_a)
+    eye4 = np.eye(4)
+    gen = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
+    for t1, op in ((t1_a_ns, lower_a), (t1_b_ns, lower_b)):
+        c = math.sqrt(1.0 / t1) * op
+        cdc = c.conj().T @ c
+        gen += np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye4) - 0.5 * np.kron(eye4, cdc.T)
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[2, 2] = 1.0  # index 2*a + b: qubit a excited, b ground
+    rho = (expm(gen * t_ns) @ rho0.ravel()).reshape(4, 4)
+    return (rho[2, 2] + rho[3, 3]).real, (rho[1, 1] + rho[3, 3]).real
 
 
 # --- exact pulse-count census ---------------------------------------------

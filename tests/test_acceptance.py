@@ -267,8 +267,8 @@ def test_criterion_08a_closed_form_vs_iteration():
     ok = worst < 1e-6
     report("8a", "closed form vs iterated balance", ok,
            f"max |difference| = {worst:.2e} over m<=800 at t21=10us "
-           "(reference tolerance 1e-6; the per-round iteration differs from "
-           "the continuum curve by its m*r^2/2 discretization term)")
+           "(reference tolerance 1e-6; the closed form is the exact m-fold "
+           "solution of the per-round balance, so only rounding remains)")
 
 
 def test_criterion_08b_leakage_fit_roundtrip():

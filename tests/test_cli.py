@@ -191,6 +191,19 @@ def test_swap_csv(capsys):
     assert all(abs(t - 1.0) < 1e-9 for t in totals)
 
 
+@pytest.mark.parametrize("args", [
+    ["stats", "--n", "0", "--exact"],
+    ["stats", "--n", "3", "--samples", "10"],
+    ["swap", "--j-khz", "36", "--points", "0"],
+    ["allxy", "--over", "-1"],
+])
+def test_rejected_library_input_is_validation_error(args, capsys):
+    assert run_cli(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_leakfit_roundtrip(tmp_path, capsys):
     from cliffcast.fit import leakage_model
 

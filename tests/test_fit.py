@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from cliffcast.fit import (
     FitError,
@@ -135,6 +136,43 @@ def test_fit_leakage_flat_zero():
     lf = fit_leakage(m, np.zeros(9), 1.875, 20.0)
     assert lf.kappa == 0.0
     assert lf.unidentifiable
+
+
+def test_unidentifiable_leakage_fit_evaluates_to_zero():
+    lf = fit_leakage(range(1, 10), np.zeros(9), 1.875, 20.0)
+    assert np.array_equal(lf([1, 2]), [0.0, 0.0])
+
+
+def test_leakage_model_without_relaxation_grows_linearly():
+    kappa, np_mean, tp = 4.1e-6, 1.875, 20.0
+    for m in (1, 10, 800):
+        iterated = iterate_rate_equation(m, kappa, math.inf, np_mean, tp)
+        assert leakage_model(m, kappa, math.inf, np_mean, tp) == pytest.approx(
+            iterated, rel=1e-12)
+
+
+@pytest.mark.parametrize("t21", [5_000.0, 20_000.0])
+def test_fit_leakage_stderr_matches_direct_fit(t21):
+    """kappa and T21 errors equal those of a fit made directly in (kappa,
+    T21) on the same noisy data, which sees the plateau-rate correlation."""
+    np_mean, tp, kappa = 1.875, 20.0, 1.0e-6
+    m = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800], dtype=float)
+    clean = leakage_model(m, kappa, t21, np_mean, tp)
+    rng = np.random.default_rng(31)
+    p2 = clean + rng.normal(0.0, 1e-4 * clean.max(), m.size)
+    lf = fit_leakage(m, p2, np_mean, tp)
+
+    scale = np.array([1e-6, 1e4])  # fit in units of order one
+
+    def residuals(x):
+        return leakage_model(m, x[0] * scale[0], x[1] * scale[1], np_mean, tp) - p2
+
+    res = least_squares(residuals, [lf.kappa / scale[0], lf.t21_ns / scale[1]],
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    variance = float(res.fun @ res.fun) / (m.size - 2)
+    cov = np.linalg.inv(res.jac.T @ res.jac) * variance
+    direct = np.sqrt(np.diag(cov)) * scale
+    assert lf.stderr == pytest.approx(tuple(direct), rel=1e-3)
 
 
 def test_extract_populations_pure_states():

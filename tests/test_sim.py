@@ -23,6 +23,7 @@ from cliffcast.sim import (
     simulate_allxy,
     simulate_amp_calibration,
 )
+from oracles import lindblad_exchange
 
 
 def assert_valid_state(rho, tol=1e-9):
@@ -215,12 +216,40 @@ def test_exchange_decay_constant_between_t1s():
     assert 7_000.0 < tau < 14_000.0
 
 
+# J/2pi in kHz at which J equals |1/T1a - 1/T1b| / 4 for T1 = 7 and 14 us:
+# the exceptional point, where the decaying block Hamiltonian has one
+# eigenvector only.
+_EXCEPTIONAL_KHZ = (1 / 7_000.0 - 1 / 14_000.0) / 4 / (2 * math.pi) * 1e6
+
+EXCHANGE_CASES = {
+    "lossless": ((36.0, math.inf, math.inf), np.linspace(0.0, 20_000.0, 41)),
+    "uncoupled": ((0.0, 7_000.0, 14_000.0), np.linspace(0.0, 30_000.0, 61)),
+    "damped": ((36.0, 7_000.0, 14_000.0), np.linspace(0.0, 30_000.0, 61)),
+    "exceptional": ((_EXCEPTIONAL_KHZ, 7_000.0, 14_000.0),
+                    np.linspace(0.0, 30_000.0, 61)),
+    "overdamped": ((36.0, 10.0, math.inf), np.linspace(0.0, 30_000.0, 61)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXCHANGE_CASES))
+def test_exchange_matches_lindblad_oracle(case):
+    (khz, t1a, t1b), grid = EXCHANGE_CASES[case]
+    params = ExchangeParams(khz, t1a, t1b)
+    grid = np.append(grid, params.swap_return_ns) if khz > 0 else grid
+    t, p1a, p1b = exchange_swap(params, grid)
+    expected = np.array([lindblad_exchange(khz, t1a, t1b, ti) for ti in t])
+    assert np.max(np.abs(p1a - expected[:, 0])) < 1e-12
+    assert np.max(np.abs(p1b - expected[:, 1])) < 1e-12
+
+
 def test_exchange_validation():
     with pytest.raises(ValueError):
         ExchangeParams(j_over_2pi_khz=-1.0)
     params = ExchangeParams(j_over_2pi_khz=36.0)
     with pytest.raises(ValueError):
-        exchange_swap(params, [0.0], dt_ns=5.0)
+        exchange_swap(params, [])
+    with pytest.raises(ValueError):
+        exchange_swap(params, [0.0, -1.0])
 
 
 def test_interleaved_idle_fidelity_scale():
