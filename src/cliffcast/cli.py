@@ -96,7 +96,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.exact:
         if args.n > 5:
             raise ValidationError(
@@ -122,7 +122,7 @@ def cmd_stats(args) -> int:
         "stderr": stats.stderr,
         "mode": stats.mode,
         "samples": stats.samples,
-        "runtime_s": round(time.time() - t0, 3),
+        "runtime_s": round(time.perf_counter() - t0, 3),
     }
     if args.csv:
         text = _csv(
@@ -168,13 +168,18 @@ def _load_rb_config(path: str) -> dict:
         if unknown:
             raise ValidationError(f"unknown qubit keys: {sorted(unknown)}")
     if (not isinstance(cfg["m_values"], list) or not cfg["m_values"]
-            or not all(isinstance(m, int) and m >= 1 for m in cfg["m_values"])):
+            or not all(_is_int(m) and m >= 1 for m in cfg["m_values"])):
         raise ValidationError("m_values must be a list of integers >= 1")
-    if not isinstance(cfg["n_seeds"], int) or cfg["n_seeds"] < 1:
+    if not _is_int(cfg["n_seeds"]) or cfg["n_seeds"] < 1:
         raise ValidationError("n_seeds must be a positive integer")
-    if not isinstance(cfg["rng_seed"], int):
+    if not _is_int(cfg["rng_seed"]):
         raise ValidationError("rng_seed must be an integer")
     return cfg
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _qubit_model(entry: dict) -> QubitModel:
@@ -196,18 +201,20 @@ def cmd_rb(args) -> int:
     result = sim.run_rb(
         models, cfg["scheme"], cfg["m_values"], cfg["n_seeds"], cfg["rng_seed"]
     )
-    rows = []
-    for q, curve in enumerate(result.curves):
-        for m, p0, p1 in zip(curve.m_values, curve.p0, curve.p1):
-            rows.append((m, q, float(p0), float(p1)))
-    csv_text = _csv(rows, header=["m", "qubit", "p0", "p1"])
-    _write_text(cfg.get("csv_path", args.output), csv_text)
-
     summary: dict = {
         "scheme": result.scheme,
         "n_seeds": result.n_seeds,
         "rng_seed": result.rng_seed,
         "mean_slots_per_round": result.mean_slots_per_round,
+        # Counted per run, so the same config prints the same bytes in any
+        # process: a round whose channel the run already used is a hit, its
+        # first use a miss (what the round cache builds in a fresh process).
+        "work": {
+            "rounds": result.rounds,
+            "slots": result.slots,
+            "round_cache": {"hits": result.rounds - result.distinct_rounds,
+                            "misses": result.distinct_rounds},
+        },
         "qubits": [],
     }
     for q, (curve, model) in enumerate(zip(result.curves, models)):
@@ -238,6 +245,14 @@ def cmd_rb(args) -> int:
             except (fit.FitError, ValueError) as exc:
                 raise NumericalError(str(exc))
         summary["qubits"].append(entry)
+
+    # Every fit has succeeded: only now is anything written.
+    rows = []
+    for q, curve in enumerate(result.curves):
+        for m, p0, p1 in zip(curve.m_values, curve.p0, curve.p1):
+            rows.append((m, q, float(p0), float(p1)))
+    csv_text = _csv(rows, header=["m", "qubit", "p0", "p1"])
+    _write_text(cfg.get("csv_path", args.output), csv_text)
     summary_text = json.dumps(summary, indent=2) + "\n"
     _write_text(cfg.get("summary_path", None), summary_text)
     return EXIT_OK

@@ -281,6 +281,7 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _COMPOSE_TABLE, _INVERSE_TABLE = _build_tables()
+_COMPOSE_ROWS = _COMPOSE_TABLE.tolist()  # plain ints for the per-element loop
 
 
 def compose(a: int, b: int) -> int:
@@ -303,7 +304,8 @@ def recovery_clifford(sequence) -> int:
     """
     acc = 1
     for c in sequence:
-        acc = compose(acc, c)
+        _check_id(c)
+        acc = _COMPOSE_ROWS[acc][c]
     return inverse(acc)
 
 

@@ -3,6 +3,9 @@
 All fitters are deterministic: fixed closed-form initialization followed by
 a deterministic least-squares refinement, so identical data always yields
 identical parameters.
+
+scipy is imported inside the two least-squares fitters, so importing the
+package (and the commands that never fit) does not pay for it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class FitError(RuntimeError):
@@ -117,6 +119,8 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
     if a0 == 0.0:
         a0 = 1e-3
 
+    from scipy.optimize import least_squares
+
     weights = 1.0 / y_err if y_err is not None else np.ones_like(y)
 
     def residuals(params):
@@ -218,6 +222,8 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
         rate0 = max(-float(slope), 1e-9)
     else:
         rate0 = 1.0 / max(float(m[-1]), 1.0)
+
+    from scipy.optimize import least_squares
 
     def residuals(params):
         plateau, rate = params

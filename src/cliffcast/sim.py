@@ -10,6 +10,12 @@ qubit receives the same rotation axis scaled by its cross-driving ratio
 (stray drive through imperfect isolation).  Slots in which nothing fires
 (identity slots, empty five-primitive slots) pass time only.
 
+Benchmarking never propagates density matrices slot by slot: since the
+qubits are uncoupled and every slot is a fixed linear channel, each round
+is one cached 4x4 Pauli-transfer matrix per qubit, applied to the qubit's
+Pauli vector (1, x, y, z).  The matrices are built from apply_pulse and
+relax, so those two functions stay the only definition of the physics.
+
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
 could be evaluated concurrently; averaging accumulates in seed order to
@@ -31,7 +37,6 @@ from .compiler import (
     SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
     SCHEME_SEQUENTIAL,
-    Schedule,
 )
 
 SCHEME_MINIMAL = "minimal"
@@ -83,11 +88,24 @@ class RBCurve:
 
 @dataclass
 class RBResult:
+    """Benchmarking curves with the work that produced them.
+
+    rounds and slots count every simulated round and time slot;
+    distinct_rounds counts the different round channels the run used,
+    which is how many a round cache that starts empty builds.
+    """
+
     scheme: str
     curves: list[RBCurve]
-    mean_slots_per_round: float
     n_seeds: int
     rng_seed: int
+    rounds: int
+    slots: int
+    distinct_rounds: int
+
+    @property
+    def mean_slots_per_round(self) -> float:
+        return self.slots / self.rounds
 
 
 def apply_pulse(state: np.ndarray, p: Pulse, angle_scale: float = 1.0,
@@ -125,58 +143,89 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
     return out
 
 
-# --- slot programs --------------------------------------------------------
-# A slot program is a list with one entry per time slot: None for an empty
-# slot, else (pulse, mask) with mask a tuple of bools per qubit.
+# --- benchmarking channels ------------------------------------------------
+# A qubit's state is its Pauli vector (1, x, y, z), rho = (I + xX + yY + zZ)/2,
+# so p0 = (1 + z)/2.  Every slot acts on it as a fixed real 4x4
+# Pauli-transfer matrix R[i, j] = tr(P_i L(P_j))/2, built once by pushing the
+# four Pauli matrices through apply_pulse and relax, and a round acts as the
+# product of its slots' matrices.
+
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+_GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
 
 
-def _schedule_slots(sched: Schedule) -> tuple:
-    slots: list = [None] * sched.n_slots
-    for ev in sched.events:
-        slots[ev.slot] = (ev.pulse, ev.mask)
-    return tuple(slots)
+def _transfer_matrix(pulse: Pulse | None, scale: float, model: QubitModel) -> np.ndarray:
+    """One slot on one qubit: the pulse at the given scale (None for an
+    empty slot), then relaxation for the slot duration."""
+    images = []
+    for p in _PAULIS:
+        if pulse is not None and scale != 0.0:
+            p = apply_pulse(p, pulse, scale)
+        images.append(relax(p, model.slot_ns, model.t1_ns))
+    return np.einsum("iab,jba->ij", _PAULIS, images).real / 2
 
 
-def _minimal_round_slots(c: int) -> tuple:
-    """Single-qubit minimal-set round: the identity Clifford occupies one
-    empty slot (its I pulse), other Cliffords one slot per pulse."""
-    if c == 1:
-        return (None,)
-    return tuple((p, (True,)) for p in minimal_decomposition(c))
+@lru_cache(maxsize=64)
+def _slot_channels(models: tuple) -> dict:
+    """The transfer matrices of one slot on every qubit.  An empty slot
+    (key None) has shape (n_qubits, 4, 4); a pulse has shape
+    (2, n_qubits, 4, 4), index 0 for a qubit that is not routed (stray
+    drive at its cross_ratio) and 1 for a routed one (its over_ratio)."""
+    per_model = {
+        m: {pulse: [_transfer_matrix(pulse, m.cross_ratio, m),
+                    _transfer_matrix(pulse, m.over_ratio, m)] for pulse in Pulse}
+        for m in set(models)
+    }
+    table = {None: np.array([_transfer_matrix(None, 0.0, m) for m in models])}
+    for pulse in Pulse:
+        table[pulse] = np.stack([per_model[m][pulse] for m in models], axis=1)
+    for channels in table.values():
+        channels.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=200_000)
-def _round_slots_cached(combo: tuple, scheme: str, parity: int, n_idle: int) -> tuple:
+def _round_events(combo: tuple, scheme: str, parity: int) -> list:
+    """One entry per time slot of a round: None when nothing fires, else
+    (pulse, mask) with one bool per driven qubit."""
     if scheme == SCHEME_MINIMAL:
         if len(combo) != 1:
             raise ValueError("minimal scheme is single-qubit")
-        slots = _minimal_round_slots(combo[0])
-    else:
-        sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
-        slots = _schedule_slots(sched)
-    if n_idle:
-        idle = (False,) * n_idle
-        slots = tuple(None if s is None else (s[0], s[1] + idle) for s in slots)
+        # The identity Clifford occupies one empty slot (its I pulse).
+        if combo[0] == 1:
+            return [None]
+        return [(p, (True,)) for p in minimal_decomposition(combo[0])]
+    sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
+    slots: list = [None] * sched.n_slots
+    for ev in sched.events:
+        slots[ev.slot] = (ev.pulse, ev.mask)
     return slots
 
 
-def _round_slots(combo, scheme: str, round_index: int, n_idle: int) -> tuple:
-    """Slot program of one round; n_idle never-routed qubits are appended
-    to every mask."""
-    return _round_slots_cached(tuple(combo), scheme, round_index % 2, n_idle)
-
-
-def _simulate_slots(slots, models, states):
+@lru_cache(maxsize=200_000)
+def _round_channel(combo: tuple, scheme: str, parity: int,
+                   models: tuple) -> tuple[np.ndarray, int]:
+    """Transfer matrices of one round, shape (n_qubits, 4, 4), and its slot
+    count.  Qubits past the combination's length are never routed."""
+    slots = _round_events(combo, scheme, parity)
+    table = _slot_channels(models)
+    qubits = np.arange(len(models))
+    routed = np.zeros(len(models), dtype=np.intp)
+    out = np.tile(np.eye(4), (len(models), 1, 1))
     for entry in slots:
-        if entry is not None:
+        if entry is None:
+            channels = table[None]
+        else:
             pulse, mask = entry
-            for q, model in enumerate(models):
-                scale = model.over_ratio if mask[q] else model.cross_ratio
-                if scale != 0.0:
-                    states[q] = apply_pulse(states[q], pulse, scale)
-        for q, model in enumerate(models):
-            states[q] = relax(states[q], model.slot_ns, model.t1_ns)
-    return states
+            routed[:len(mask)] = mask
+            channels = table[pulse][routed, qubits]
+        out = channels @ out
+    out.flags.writeable = False
+    return out, len(slots)
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
@@ -198,7 +247,8 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
 
     The first n_driven qubits run independent random sequences as in
     run_rb; the remaining ones are never routed, so they feel every pulse
-    only through their cross_ratio.
+    only through their cross_ratio.  Each round applies its cached
+    transfer matrices to the stacked Pauli vectors of all qubits.
     """
     if scheme not in RB_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -207,28 +257,35 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     m_values = tuple(int(m) for m in m_values)
     if any(m < 1 for m in m_values):
         raise ValueError("sequence lengths must be >= 1")
+    models = tuple(models)
     n = len(models)
-    n_idle = n - n_driven
+    # Only the symmetric five-primitive scheme alternates with the round
+    # index; the other schemes share one channel per combination.
+    parities = (0, 1) if scheme == SCHEME_FIVE_SYMMETRIC else (0, 0)
+    ground = np.repeat(_GROUND_VECTOR[None], n, axis=0)
 
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
     slot_count = 0
     round_count = 0
+    used = {}  # (combo, parity) -> (channel, n_slots) of the rounds this run met
     for rng in _spawn_rngs(rng_seed, n_seeds):
         for im, m in enumerate(m_values):
-            seqs = rng.integers(1, 25, size=(n_driven, m))
-            combos = [tuple(int(seqs[q, k]) for q in range(n_driven)) for k in range(m)]
-            combos.append(tuple(recovery_clifford(seqs[q]) for q in range(n_driven)))
-            states = [GROUND.copy() for _ in range(n)]
+            seqs = rng.integers(1, 25, size=(n_driven, m)).tolist()
+            combos = list(zip(*seqs))
+            combos.append(tuple(recovery_clifford(seq) for seq in seqs))
+            states = ground  # (n_qubits, 4, 1): one Pauli column per qubit
             for k, combo in enumerate(combos):
-                slots = _round_slots(combo, scheme, k, n_idle)
-                _simulate_slots(slots, models, states)
-                slot_count += len(slots)
-                round_count += 1
-            for q in range(n):
-                val = states[q][0, 0].real
-                p0_sum[q, im] += val
-                p0_sumsq[q, im] += val * val
+                parity = parities[k & 1]
+                step = used.get((combo, parity))
+                if step is None:
+                    step = used[combo, parity] = _round_channel(combo, scheme, parity, models)
+                states = step[0] @ states
+                slot_count += step[1]
+            round_count += len(combos)
+            val = (1.0 + states[:, 3, 0]) / 2
+            p0_sum[:, im] += val
+            p0_sumsq[:, im] += val * val
     p0 = p0_sum / n_seeds
     p0_err = _seed_stderr(p0_sum, p0_sumsq, n_seeds)
     curves = [
@@ -239,9 +296,11 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     return RBResult(
         scheme=scheme,
         curves=curves,
-        mean_slots_per_round=slot_count / round_count,
         n_seeds=n_seeds,
         rng_seed=rng_seed,
+        rounds=round_count,
+        slots=slot_count,
+        distinct_rounds=len(used),
     )
 
 
@@ -251,8 +310,9 @@ def run_rb(models, scheme: str, m_values, n_seeds: int, rng_seed: int) -> RBResu
     For every seed and sequence length m, each qubit gets m uniform Cliffords
     plus its own recovery Clifford; rounds are compiled with the chosen
     scheme (the symmetric five-primitive scheme alternates parity with the
-    round index) and simulated slot by slot.  Returns seed-averaged ground
-    and excited populations per qubit.
+    round index), and each round applies its cached per-qubit transfer
+    matrix.  Returns seed-averaged ground and excited populations per
+    qubit, with the rounds and slots simulated.
     """
     models = list(models)
     if scheme == SCHEME_MINIMAL and len(models) != 1:

@@ -16,6 +16,12 @@ iterate_rate_equation iterates the leakage balance round by round.
 lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
 with scipy's matrix exponential, taking plain floats and no cliffcast code.
+
+slot_by_slot_benchmark is randomized benchmarking as the model states it:
+one 2x2 density matrix per qubit, every pulse and its stray copies as
+rotations, Kraus amplitude damping after every slot.  It takes schedules,
+decompositions and recovery Cliffords from cliffcast but no code of
+cliffcast.sim.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from cliffcast.clifford import compose, pulse_clifford_map
+from cliffcast import compiler
+from cliffcast.clifford import (
+    compose,
+    minimal_decomposition,
+    pulse_clifford_map,
+    recovery_clifford,
+)
 from cliffcast.decomp import enumerate_decompositions
 
 
@@ -118,12 +130,18 @@ def lindblad_exchange(j_over_2pi_khz: float, t1_a_ns: float, t1_b_ns: float,
 # surjection counts.
 
 
+_SIGMA = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+          "y": np.array([[0, -1j], [1j, 0]], dtype=complex)}
+
+
+def _axis_rotation(axis: str, theta: float) -> np.ndarray:
+    """exp(-i theta sigma_axis / 2)."""
+    return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _SIGMA[axis]
+
+
 def _rotation(axis: str, quarter_turns: int) -> np.ndarray:
     """exp(-i theta sigma_axis / 2) with theta = quarter_turns * pi / 2."""
-    sigma = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
-             "y": np.array([[0, -1j], [1j, 0]], dtype=complex)}[axis]
-    theta = quarter_turns * math.pi / 2
-    return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * sigma
+    return _axis_rotation(axis, quarter_turns * math.pi / 2)
 
 
 # X180, Y180, X90, X-90, Y90, Y-90
@@ -225,3 +243,66 @@ def exact_census(n: int) -> Fraction:
         total += sum(c * v for c, v in enumerate(row)) * tuples
     assert count == 24**n
     return Fraction(total, count)
+
+
+# --- slot-by-slot benchmarking ----------------------------------------------
+
+
+def _damp(rho: np.ndarray, dt: float, t1: float) -> np.ndarray:
+    """Amplitude damping by its Kraus operators."""
+    if math.isinf(t1):
+        return rho
+    decay = math.exp(-dt / t1)
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(decay)]])
+    k1 = np.array([[0.0, math.sqrt(1.0 - decay)], [0.0, 0.0]])
+    return k0 @ rho @ k0.T + k1 @ rho @ k1.T
+
+
+def _round_slots(combo: tuple, scheme: str, parity: int) -> list:
+    """One entry per time slot: None, or (pulse, mask) over the driven qubits.
+    In the single-qubit minimal scheme the identity waits one empty slot."""
+    if scheme == "minimal":
+        (c,) = combo
+        return [None] if c == 1 else [(p, (True,)) for p in minimal_decomposition(c)]
+    sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
+    slots = [None] * sched.n_slots
+    for ev in sched.events:
+        slots[ev.slot] = (ev.pulse, ev.mask)
+    return slots
+
+
+def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
+                           n_seeds: int, rng_seed: int) -> tuple[np.ndarray, float]:
+    """Seed-averaged ground populations, shape (n_qubits, len(m_values)),
+    and the mean slots per round.
+
+    Each seed draws from its own Philox stream, spawned from rng_seed, one
+    (n_driven, m) block of Clifford ids per length; the recovery round
+    comes last.  A routed qubit rotates by its over_ratio, every other
+    qubit (the never-routed ones past n_driven too) by its cross_ratio.
+    """
+    n = len(models)
+    p0 = np.zeros((n, len(m_values)))
+    slots = rounds = 0
+    ground = np.array([[1, 0], [0, 0]], dtype=complex)
+    for child in np.random.SeedSequence(rng_seed).spawn(n_seeds):
+        rng = np.random.Generator(np.random.Philox(child))
+        for im, m in enumerate(m_values):
+            seqs = rng.integers(1, 25, size=(n_driven, m))
+            combos = [tuple(int(c) for c in seqs[:, k]) for k in range(m)]
+            combos.append(tuple(recovery_clifford(row) for row in seqs))
+            rhos = [ground] * n
+            for k, combo in enumerate(combos):
+                for entry in _round_slots(combo, scheme, k % 2):
+                    for q, model in enumerate(models):
+                        if entry is not None and entry[0].axis != "i":
+                            pulse, mask = entry
+                            routed = q < n_driven and mask[q]
+                            scale = model.over_ratio if routed else model.cross_ratio
+                            u = _axis_rotation(pulse.axis, pulse.angle * scale)
+                            rhos[q] = u @ rhos[q] @ u.conj().T
+                        rhos[q] = _damp(rhos[q], model.slot_ns, model.t1_ns)
+                    slots += 1
+                rounds += 1
+            p0[:, im] += [rho[0, 0].real for rho in rhos]
+    return p0 / n_seeds, slots / rounds

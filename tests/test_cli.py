@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,9 +121,19 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     assert len(lines) == 1 + len(cfg["m_values"])
     assert b"\r" not in csv_first
 
-    # identical config and seed must reproduce byte-identical outputs
+    work = summary["work"]
+    assert work["rounds"] == 4 * sum(m + 1 for m in cfg["m_values"])
+    assert work["slots"] == round(summary["mean_slots_per_round"] * work["rounds"])
+    cache = work["round_cache"]
+    assert cache["hits"] + cache["misses"] == work["rounds"]
+    assert 0 < cache["misses"] <= 24
+
+    # identical config and seed must reproduce byte-identical outputs, the
+    # work counters included, although the round cache is now warm
+    summary_first = (tmp_path / "rb.json").read_bytes()
     assert run_cli(["rb", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "rb.csv").read_bytes() == csv_first
+    assert (tmp_path / "rb.json").read_bytes() == summary_first
 
 
 def test_rb_noiseless_all_ground(tmp_path):
@@ -147,6 +160,48 @@ def test_rb_unknown_key_rejected(tmp_path, capsys):
                                     "rng_seed": 0, "bogus": 1}))
     assert run_cli(["rb", "--config", str(cfg_path)]) == 3
     assert "bogus" in capsys.readouterr().err
+
+
+def test_rb_fit_failure_writes_nothing(tmp_path, capsys):
+    """A decay fit that fails (exit 4) leaves no CSV and no summary."""
+    cfg = {
+        "qubits": [{"t1_ns": 10000.0, "cross_ratio": 0.0076}, {"t1_ns": 10000.0}],
+        "scheme": "compiled",
+        "m_values": [1, 2, 4, 8],
+        "n_seeds": 1,
+        "rng_seed": 21,
+        "csv_path": str(tmp_path / "rb.csv"),
+        "summary_path": str(tmp_path / "rb.json"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "rb.csv").exists()
+    assert not (tmp_path / "rb.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m_values", [1, True, 4]),
+    ("n_seeds", True),
+    ("rng_seed", False),
+])
+def test_rb_boolean_rejected(tmp_path, capsys, key, value):
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv")}
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rb.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    """scipy is loaded by the fitters only; compile and stats never pay for it."""
+    code = "import sys, cliffcast.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_rb_bad_scheme_rejected(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcast import fit
+from cliffcast import fit, sim
 from cliffcast.clifford import Pulse
 from cliffcast.sim import (
     ALLXY_SEQUENCE,
@@ -23,7 +23,7 @@ from cliffcast.sim import (
     simulate_allxy,
     simulate_amp_calibration,
 )
-from oracles import lindblad_exchange
+from oracles import lindblad_exchange, slot_by_slot_benchmark
 
 
 def assert_valid_state(rho, tol=1e-9):
@@ -125,6 +125,57 @@ def test_rb_seed_changes_curve():
 def test_minimal_scheme_single_qubit_only():
     with pytest.raises(ValueError):
         run_rb([QubitModel(), QubitModel()], "minimal", [4], 1, 0)
+
+
+# Every model feature the transfer matrices must carry: relaxation and its
+# absence, stray drive on unrouted qubits, over- and under-driving, and a
+# slot length other than the default.
+_LOSSY = QubitModel(t1_ns=6_000.0, cross_ratio=0.02, over_ratio=1.03)
+_LOSSLESS = QubitModel(cross_ratio=0.015, over_ratio=0.96)
+_SLOW = QubitModel(t1_ns=12_000.0, slot_ns=30.0, cross_ratio=0.0076)
+
+CHANNEL_CASES = {
+    "minimal": (run_rb, "minimal", [_LOSSY]),
+    "sequential": (run_rb, "sequential", [_LOSSY, _LOSSLESS]),
+    "five-primitives": (run_rb, "five-primitives", [_LOSSLESS, _SLOW]),
+    "five-primitives-symmetric": (run_rb, "five-primitives-symmetric",
+                                  [_LOSSY, _SLOW]),
+    "compiled": (run_rb, "compiled", [_LOSSY, _LOSSLESS, _SLOW]),
+    "idle-minimal": (run_idle_crossdrive, "minimal", [_LOSSY, _SLOW]),
+    "idle-five-primitives-symmetric": (run_idle_crossdrive,
+                                       "five-primitives-symmetric",
+                                       [_LOSSLESS, _LOSSY]),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANNEL_CASES))
+def test_channel_benchmark_matches_slot_by_slot_oracle(case):
+    run, scheme, models = CHANNEL_CASES[case]
+    m_values = (1, 2, 5, 17, 60)
+    res = run(models, scheme, m_values, n_seeds=3, rng_seed=41)
+    n_driven = 1 if run is run_idle_crossdrive else len(models)
+    p0, slots_per_round = slot_by_slot_benchmark(models, n_driven, scheme, m_values,
+                                                 3, 41)
+    got = np.array([c.p0 for c in res.curves])
+    assert np.max(np.abs(got - p0)) < 1e-12
+    assert res.mean_slots_per_round == slots_per_round
+    assert res.rounds == 3 * sum(m + 1 for m in m_values)
+
+
+def test_work_counters_match_a_fresh_round_cache():
+    """distinct_rounds is what the round cache builds when it starts empty."""
+    models = [_LOSSY, _LOSSLESS]
+    sim._round_channel.cache_clear()
+    res = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
+                 rng_seed=5)
+    info = sim._round_channel.cache_info()
+    assert (info.hits, info.misses) == (0, res.distinct_rounds)
+    assert res.rounds == 2 * (2 + 5 + 17 + 65)
+    assert res.slots == 5 * res.rounds
+    again = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
+                   rng_seed=5)
+    assert sim._round_channel.cache_info().hits == res.distinct_rounds
+    assert again.distinct_rounds == res.distinct_rounds
 
 
 def test_idle_crossdrive_zero_ratio_stays_ground():
