@@ -19,8 +19,10 @@ errors, 3 config/validation errors, 4 numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -44,12 +46,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as f:
-            f.write(text)
+def _write_outputs(*outputs: tuple[str | None, str]) -> None:
+    """Write (path, text) pairs, a path of None or "-" meaning stdout.  Files
+    go to temporary siblings, renamed over their targets once all are
+    complete, so a failed write leaves none of them; stdout comes last."""
+    files = [(path, f"{path}.{os.getpid()}-{i}.tmp", text)
+             for i, (path, text) in enumerate(outputs) if path not in (None, "-")]
+    try:
+        for path, tmp, text in files:
+            with open(tmp, "w", newline="") as f:
+                f.write(text)
+        for path, tmp, _ in files:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for _, tmp, _ in files:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ValidationError(f"cannot write {path}: {exc.strerror}")
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _csv(rows, header) -> str:
@@ -91,23 +107,13 @@ def cmd_compile(args) -> int:
             raise ValidationError(f"Clifford ids must be in 1..24, got {c}")
     schedule = compiler.compile_scheme(combo, args.scheme, round_parity=args.parity)
     _verify_schedule(schedule, combo)
-    _write_text(args.output, schedule.to_json())
+    _write_outputs((args.output, schedule.to_json()))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     t0 = time.perf_counter()
-    if args.exact:
-        if args.n > 5:
-            raise ValidationError(
-                f"exact census for n={args.n} needs 24^{args.n} combinations; "
-                "use --samples instead"
-            )
-        if args.n == 5 and not args.allow_long:
-            raise ValidationError(
-                "exact n=5 sweeps 24^5 combinations; pass --allow-long to run it"
-            )
-    elif args.samples is None:
+    if not args.exact and args.samples is None:
         raise ValidationError("need --exact or --samples N")
     try:
         if args.exact:
@@ -132,7 +138,7 @@ def cmd_stats(args) -> int:
         )
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    _write_text(args.output, text)
+    _write_outputs((args.output, text))
     return EXIT_OK
 
 
@@ -167,19 +173,24 @@ def _load_rb_config(path: str) -> dict:
         unknown = set(q) - _QUBIT_KEYS
         if unknown:
             raise ValidationError(f"unknown qubit keys: {sorted(unknown)}")
+        for key, value in q.items():
+            if not (_is_number(value) or key == "t1_ns" and value in (None, "inf")):
+                raise ValidationError(f"qubit field {key} must be a number, "
+                                      f"got {value!r}")
     if (not isinstance(cfg["m_values"], list) or not cfg["m_values"]
-            or not all(_is_int(m) and m >= 1 for m in cfg["m_values"])):
+            or not all(_is_number(m, int) and m >= 1 for m in cfg["m_values"])):
         raise ValidationError("m_values must be a list of integers >= 1")
-    if not _is_int(cfg["n_seeds"]) or cfg["n_seeds"] < 1:
+    if not _is_number(cfg["n_seeds"], int) or cfg["n_seeds"] < 1:
         raise ValidationError("n_seeds must be a positive integer")
-    if not _is_int(cfg["rng_seed"]):
+    if not _is_number(cfg["rng_seed"], int):
         raise ValidationError("rng_seed must be an integer")
     return cfg
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; true and false are bools, which Python counts as ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value, types=(int, float)) -> bool:
+    """A JSON number of the given types; true and false are bools, which
+    Python counts as ints."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _qubit_model(entry: dict) -> QubitModel:
@@ -252,9 +263,9 @@ def cmd_rb(args) -> int:
         for m, p0, p1 in zip(curve.m_values, curve.p0, curve.p1):
             rows.append((m, q, float(p0), float(p1)))
     csv_text = _csv(rows, header=["m", "qubit", "p0", "p1"])
-    _write_text(cfg.get("csv_path", args.output), csv_text)
     summary_text = json.dumps(summary, indent=2) + "\n"
-    _write_text(cfg.get("summary_path", None), summary_text)
+    _write_outputs((cfg.get("csv_path", args.output), csv_text),
+                   (cfg.get("summary_path", None), summary_text))
     return EXIT_OK
 
 
@@ -269,7 +280,7 @@ def cmd_allxy(args) -> int:
         raise ValidationError(str(exc))
     ideal = sim.allxy_ideal()
     rows = [(i + 1, float(p1[i]), float(ideal[i])) for i in range(len(p1))]
-    _write_text(args.output, _csv(rows, header=["id", "p1", "ideal_p1"]))
+    _write_outputs((args.output, _csv(rows, header=["id", "p1", "ideal_p1"])))
     return EXIT_OK
 
 
@@ -279,7 +290,7 @@ def cmd_calib(args) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc))
     rows = [(int(n), float(p)) for n, p in zip(n_values, p1)]
-    _write_text(args.output, _csv(rows, header=["n", "p1"]))
+    _write_outputs((args.output, _csv(rows, header=["n", "p1"])))
     return EXIT_OK
 
 
@@ -298,11 +309,14 @@ def cmd_swap(args) -> int:
         (float(ti), float(a), float(b), float(a + b))
         for ti, a, b in zip(t, p1a, p1b)
     ]
-    _write_text(args.output, _csv(rows, header=["t_ns", "p1_a", "p1_b", "total"]))
+    text = _csv(rows, header=["t_ns", "p1_a", "p1_b", "total"])
+    _write_outputs((args.output, text))
     return EXIT_OK
 
 
 def cmd_leakfit(args) -> int:
+    if not (args.np_mean > 0 and args.tp_ns > 0):
+        raise ValidationError("--np-mean and --tp-ns must be positive")
     try:
         with open(args.input) as f:
             lines = [ln.strip() for ln in f if ln.strip()]
@@ -329,7 +343,7 @@ def cmd_leakfit(args) -> int:
         "t21_stderr": lfit.stderr[1],
         "unidentifiable": lfit.unidentifiable,
     }
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_outputs((args.output, json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
 
@@ -353,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="mean pulses per Clifford combination")
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--allow-long", action="store_true",
-                   help="permit the long exact n=5 sweep")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")

@@ -30,10 +30,12 @@ target set, and 5 otherwise, since a five-primitive round always realizes
 any combination, capping the search.  Probing tiers in ascending length
 tries short decompositions first and stops at the first hit; the length-4
 tier plays the role of a separate final pass for combinations that need a
-four-pulse sequence.  Costs are permutation invariant and monotone under
-taking sub-combinations (both verified as properties), so the exact census
-enumerates only sorted combinations, weighting each by its permutation
-multiplicity, and memoizes by target set.
+four-pulse sequence.  This one integer query prices every combination:
+`compile_optimal`, `min_broadcast_pulses` and both censuses call it.  A
+cost depends only on the set of distinct non-identity targets, so the
+exact census visits each such set once and weights it by the number of
+n-tuples that have exactly that set, with or without the identity
+(surjection counts), instead of enumerating the 24^n combinations.
 
 Identity accounting
 -------------------
@@ -51,7 +53,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -209,18 +211,17 @@ def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
 
 @lru_cache(maxsize=1)
 def _coverage_tables():
-    """Per length N in 1..4: the list of basis-index sequences together with
-    their subsequence-coverage bitmasks, plus the dominance-pruned mask set
-    used for fast cost queries.  Bit (c-1) marks non-identity Clifford c."""
+    """Per length N in 1..4: every basis-index sequence paired with its
+    subsequence-coverage bitmask, and the dominance-pruned tier of those
+    masks that cost queries probe, all plain ints.  Bit (c-1) marks
+    non-identity Clifford c."""
     basis_cliffords = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
     compose = _COMPOSE_TABLE
-    seqs: dict[int, list[tuple[int, ...]]] = {}
-    masks: dict[int, np.ndarray] = {}
-    pruned: dict[int, np.ndarray] = {}
+    covers: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    tiers: dict[int, list[int]] = {}
     for n in range(1, 5):
         subsets = [[k for k in range(n) if m >> k & 1] for m in range(1, 1 << n)]
-        seq_list = []
-        mask_list = []
+        covers[n] = []
         for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=n):
             bm = 0
             for idxs in subsets:
@@ -229,16 +230,12 @@ def _coverage_tables():
                     c = int(compose[c, basis_cliffords[seq[k]]])
                 if c != 1:
                     bm |= 1 << (c - 1)
-            seq_list.append(seq)
-            mask_list.append(bm)
-        seqs[n] = seq_list
-        masks[n] = np.array(mask_list, dtype=np.int64)
-        keep: list[int] = []
-        for bm in sorted(set(mask_list), key=lambda b: -bin(b).count("1")):
-            if not any((bm & k) == bm for k in keep):
-                keep.append(bm)
-        pruned[n] = np.array(keep, dtype=np.int64)
-    return seqs, masks, pruned
+            covers[n].append((seq, bm))
+        tiers[n] = []
+        for bm in sorted({bm for _, bm in covers[n]}, key=lambda b: -bin(b).count("1")):
+            if not any((bm & k) == bm for k in tiers[n]):
+                tiers[n].append(bm)
+    return covers, tiers
 
 
 def _target_mask(combo) -> int:
@@ -253,11 +250,11 @@ def _min_pulses_for_mask(mask: int) -> int:
     """Smallest broadcast length realizing every Clifford in the mask."""
     if mask == 0:
         return 0
-    _, _, pruned = _coverage_tables()
+    _, tiers = _coverage_tables()
     for n in range(1, 5):
-        tier = pruned[n]
-        if bool(np.any((tier & mask) == mask)):
-            return n
+        for t in tiers[n]:
+            if t & mask == mask:
+                return n
     return FIVE_PRIMITIVES_BOUND
 
 
@@ -300,19 +297,9 @@ def compile_optimal(combo) -> Schedule:
         return Schedule(n_qubits=n_qubits, scheme=SCHEME_COMPILED, events=[], n_slots=0)
     n_pulses = _min_pulses_for_mask(mask)
     if n_pulses >= FIVE_PRIMITIVES_BOUND:
-        sched = compile_five_primitives(combo, round_parity=0)
-        return Schedule(
-            n_qubits=n_qubits,
-            scheme=SCHEME_COMPILED,
-            events=sched.events,
-            n_slots=sched.n_slots,
-        )
-    seqs, masks, _ = _coverage_tables()
-    seq = None
-    for s, bm in zip(seqs[n_pulses], masks[n_pulses]):
-        if (bm & mask) == mask:
-            seq = s
-            break
+        return replace(compile_five_primitives(combo), scheme=SCHEME_COMPILED)
+    covers, _ = _coverage_tables()
+    seq = next((s for s, bm in covers[n_pulses] if bm & mask == mask), None)
     if seq is None:
         raise RuntimeError("tier promised coverage but no sequence found")
     basis_cliffords = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
@@ -347,38 +334,32 @@ def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
 # --- pulse-count census ---------------------------------------------------
 
 
-def _census_cost(mask: int, has_identity: bool, memo: dict[int, int]) -> int:
-    cost = memo.get(mask)
-    if cost is None:
-        cost = memo[mask] = _min_pulses_for_mask(mask)
-    if has_identity and cost == 0:
-        return 1
-    return cost
+def _surjections(n: int, k: int) -> int:
+    """Number of n-tuples whose set of distinct entries is a given k-set."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
 def mean_np_exact(n: int) -> NpStats:
     """Exact mean pulses per n-qubit Clifford combination over all 24^n.
 
-    Enumerates sorted combinations only and weights each by its permutation
-    multiplicity (the cost is permutation invariant); the accumulation is
-    exact integer arithmetic, so repeated runs agree bit for bit.
+    Counts by target set: each set S of distinct non-identity Cliffords
+    (|S| <= min(n, 23)) is costed once and weighted by the surj(n, |S|)
+    tuples made of exactly S plus the surj(n, |S|+1) that also contain the
+    identity.  The accumulation is exact integer arithmetic, so repeated
+    runs agree bit for bit.  The loop visits sum_{k<=n} C(23, k) sets, at
+    most 2^23.
     """
-    if not 1 <= n <= 5:
-        raise ValueError(
-            "exact census supported for 1 <= n <= 5 (24^n combinations); "
-            "use mean_np_sampled beyond that"
-        )
-    memo: dict[int, int] = {}
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bits = [1 << b for b in range(1, 24)]
     total = 0
-    count = 0
-    for combo in itertools.combinations_with_replacement(range(1, 25), n):
-        mult = math.factorial(n)
-        for _, group in itertools.groupby(combo):
-            mult //= math.factorial(sum(1 for _ in group))
-        cost = _census_cost(_target_mask(combo), combo[0] == 1, memo)
-        total += mult * cost
-        count += mult
-    assert count == 24**n
+    for k in range(min(n, 23) + 1):
+        weight = _surjections(n, k) + _surjections(n, k + 1)
+        # The empty set occurs only as the all-identity round: one slot.
+        cost = sum(_min_pulses_for_mask(sum(s)) or 1
+                   for s in itertools.combinations(bits, k))
+        total += weight * cost
+    count = 24**n
     return NpStats(n=n, mean_np=total / count, stderr=0.0, mode="exact", samples=count)
 
 
@@ -393,11 +374,9 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
         raise ValueError("need at least 100 samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.integers(1, 25, size=(samples, n))
-    memo: dict[int, int] = {}
-    costs = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        row = draws[i]
-        costs[i] = _census_cost(_target_mask(row), bool(np.any(row == 1)), memo)
+    # A mask of zero is the all-identity round, charged one slot.
+    costs = np.array([_min_pulses_for_mask(_target_mask(row)) or 1
+                      for row in draws.tolist()], dtype=np.float64)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(samples))
     return NpStats(n=n, mean_np=mean, stderr=stderr, mode="sampled", samples=samples)

@@ -209,6 +209,8 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
         raise ValueError("m_values and p2_values must be 1-d and equal length")
     if m.size < 4:
         raise ValueError("need at least 4 points to fit")
+    if not (np_mean > 0 and tp_ns > 0):
+        raise ValueError("np_mean and tp_ns must be positive")
 
     if np.allclose(p2, 0.0, atol=1e-15):
         return LeakageFit(0.0, math.inf, np_mean, tp_ns, (0.0, 0.0), True)

@@ -12,7 +12,6 @@ leakage closed form is the exact m-fold solution of the per-round balance,
 so it must match the iterated balance to the stated 1e-6."""
 
 import math
-import os
 import time
 
 import numpy as np
@@ -88,11 +87,7 @@ def test_criterion_01b_exact_census_n4():
     _check_exact_census("1b", 4, 3.874, max_s=1800)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CLIFFCAST_LONG"),
-    reason="opt-in long run: set CLIFFCAST_LONG=1",
-)
-def test_criterion_01c_exact_census_n5_long():
+def test_criterion_01c_exact_census_n5():
     _check_exact_census("1c", 5, 4.137)
 
 

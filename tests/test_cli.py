@@ -14,6 +14,7 @@ from cliffcast.clifford import (
     equal_up_to_phase,
     sequence_unitary,
 )
+from oracles import exact_census
 
 
 def run_cli(args):
@@ -74,13 +75,18 @@ def test_stats_exact_small(capsys):
     assert d["mean_np"] == 1.875
 
 
-def test_stats_exact_too_large_rejected(capsys):
-    assert run_cli(["stats", "--n", "6", "--exact"]) == 3
-    assert "24^6" in capsys.readouterr().err
+def test_stats_exact_n6_matches_oracle(capsys):
+    """The exact census has no qubit cap: n=6 runs and is exact."""
+    assert run_cli(["stats", "--n", "6", "--exact"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["mean_np"] == float(exact_census(6))
+    assert d["samples"] == 24**6
 
 
-def test_stats_exact_n5_needs_allow_long(capsys):
-    assert run_cli(["stats", "--n", "5", "--exact"]) == 3
+def test_stats_removed_long_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["stats", "--n", "5", "--exact", "--allow-long"])
+    assert exc.value.code == 2
 
 
 def test_stats_sampled(capsys):
@@ -138,7 +144,7 @@ def test_rb_roundtrip_and_determinism(tmp_path):
 
 def test_rb_noiseless_all_ground(tmp_path):
     cfg = {
-        "qubits": [{}, {}],
+        "qubits": [{}, {"t1_ns": "inf"}, {"t1_ns": None}],
         "scheme": "compiled",
         "m_values": [1, 8],
         "n_seeds": 2,
@@ -190,6 +196,44 @@ def test_rb_boolean_rejected(tmp_path, capsys, key, value):
     cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
            "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv")}
     cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rb.csv").exists()
+
+
+def test_rb_failed_write_leaves_no_outputs(tmp_path, capsys):
+    """A summary that cannot be written leaves no CSV either (exit 3)."""
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "missing" / "rb.json")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_rb_outputs_sharing_one_path_leave_no_temporaries(tmp_path):
+    """The summary is written last, as when each file was written in turn."""
+    out = str(tmp_path / "rb.out")
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": out, "summary_path": out}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rb.out"]
+    assert json.loads((tmp_path / "rb.out").read_text())["scheme"] == "minimal"
+
+
+@pytest.mark.parametrize("key", ["t1_ns", "slot_ns", "cross_ratio", "over_ratio"])
+@pytest.mark.parametrize("value", [True, False, "20"])
+def test_rb_qubit_field_must_be_number(tmp_path, capsys, key, value):
+    cfg = {"qubits": [{key: value}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv")}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["rb", "--config", str(cfg_path)]) == 3
@@ -279,6 +323,17 @@ def test_leakfit_missing_header(tmp_path, capsys):
     csv_path = tmp_path / "leak.csv"
     csv_path.write_text("1,0.1\n2,0.2\n")
     assert run_cli(["leakfit", "--input", str(csv_path)]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--np-mean", "--tp-ns"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_leakfit_nonpositive_rate_inputs_rejected(tmp_path, capsys, flag, value):
+    csv_path = tmp_path / "leak.csv"
+    csv_path.write_text("m,p2\n" + "".join(f"{m},{m * 1e-4}\n" for m in range(1, 9)))
+    assert run_cli(["leakfit", "--input", str(csv_path), flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_csv_floats_nine_significant_digits(capsys):

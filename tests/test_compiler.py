@@ -26,7 +26,7 @@ from cliffcast.compiler import (
     mean_np_sampled,
     min_broadcast_pulses,
 )
-from oracles import brute_force_min_pulses
+from oracles import brute_force_min_pulses, exact_census
 
 I2 = np.eye(2)
 
@@ -174,9 +174,14 @@ def test_mean_np_exact_small_n():
     assert mean_np_exact(3).mean_np == pytest.approx(3.521050, abs=5e-7)
 
 
-def test_mean_np_exact_rejects_large_n():
+def test_mean_np_exact_rejects_zero_qubits():
     with pytest.raises(ValueError):
-        mean_np_exact(6)
+        mean_np_exact(0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mean_np_exact_matches_oracle(n):
+    assert mean_np_exact(n).mean_np == float(exact_census(n))
 
 
 def test_mean_np_exact_deterministic():

@@ -131,6 +131,15 @@ def test_fit_leakage_roundtrip():
         assert not lf.unidentifiable
 
 
+@pytest.mark.parametrize("np_mean,tp", [(0.0, 20.0), (-1.875, 20.0), (1.875, 0.0),
+                                        (1.875, -20.0), (math.nan, 20.0)])
+def test_fit_leakage_rejects_nonpositive_round_length(np_mean, tp):
+    m = np.array([1, 5, 10, 25, 50, 100, 200, 400, 800], dtype=float)
+    p2 = leakage_model(m, 4.1e-6, 40_000.0, 1.875, 20.0)
+    with pytest.raises(ValueError, match="positive"):
+        fit_leakage(m, p2, np_mean, tp)
+
+
 def test_fit_leakage_flat_zero():
     m = np.arange(1, 10, dtype=float)
     lf = fit_leakage(m, np.zeros(9), 1.875, 20.0)
