@@ -25,7 +25,6 @@ from .compiler import (
 from .decomp import Decomposition, decomposition_census, enumerate_decompositions
 from .fit import (
     ExpFit,
-    FitError,
     LeakageFit,
     PopCalib,
     extract_populations,

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -105,21 +104,20 @@ def cmd_compile(args) -> int:
     for c in combo:
         if not 1 <= c <= 24:
             raise ValidationError(f"Clifford ids must be in 1..24, got {c}")
-    schedule = compiler.compile_scheme(combo, args.scheme, round_parity=args.parity)
+    schedule = compiler.compile_scheme(combo, args.scheme, round_parity=args.parity or 0)
     _verify_schedule(schedule, combo)
     _write_outputs((args.output, schedule.to_json()))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    t0 = time.perf_counter()
     if not args.exact and args.samples is None:
         raise ValidationError("need --exact or --samples N")
     try:
         if args.exact:
             stats = compiler.mean_np_exact(args.n)
         else:
-            stats = compiler.mean_np_sampled(args.n, args.samples, args.seed)
+            stats = compiler.mean_np_sampled(args.n, args.samples, args.seed or 0)
     except ValueError as exc:
         raise ValidationError(str(exc))
     payload = {
@@ -128,7 +126,6 @@ def cmd_stats(args) -> int:
         "stderr": stats.stderr,
         "mode": stats.mode,
         "samples": stats.samples,
-        "runtime_s": round(time.perf_counter() - t0, 3),
     }
     if args.csv:
         text = _csv(
@@ -237,12 +234,18 @@ def cmd_rb(args) -> int:
             try:
                 f = fit.fit_exp_offset(curve.m_values, curve.p0,
                                        y_err=curve.p0_stderr)
+                if "amplitude" in f.at_bound:
+                    raise NumericalError(
+                        f"qubit {q}: decay fit amplitude ended on its bound "
+                        f"({f.amplitude:g}), so these lengths do not determine the decay")
                 fc = fit.fidelity_from_decay(f.decay)
                 sigma_fc = f.stderr[1] / 2.0
                 entry.update(
                     decay=f.decay,
                     offset=f.offset,
                     amplitude=f.amplitude,
+                    residual_rms=f.residual_rms,
+                    at_bound=list(f.at_bound),
                     clifford_fidelity=fc,
                     clifford_fidelity_stderr=sigma_fc,
                 )
@@ -253,7 +256,7 @@ def cmd_rb(args) -> int:
                 entry["difference_sigma"] = (
                     abs(fc - prediction) / sigma_fc if sigma_fc > 0 else None
                 )
-            except (fit.FitError, ValueError) as exc:
+            except ValueError as exc:
                 raise NumericalError(str(exc))
         summary["qubits"].append(entry)
 
@@ -328,11 +331,13 @@ def cmd_leakfit(args) -> int:
         data = [tuple(float(x) for x in ln.split(",")[:2]) for ln in lines[1:]]
     except ValueError:
         raise ValidationError("input CSV rows must be numeric")
+    if any(not math.isfinite(x) for row in data for x in row) or any(r[0] < 0 for r in data):
+        raise ValidationError("input CSV values must be finite, with m >= 0")
     m = [row[0] for row in data]
     p2 = [row[1] for row in data]
     try:
         lfit = fit.fit_leakage(m, p2, np_mean=args.np_mean, tp_ns=args.tp_ns)
-    except (ValueError, fit.FitError) as exc:
+    except ValueError as exc:
         raise NumericalError(str(exc))
     payload = {
         "kappa": lfit.kappa,
@@ -359,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("combo", type=_parse_combo,
                    help="comma-separated Clifford ids, one per qubit (1..24)")
     p.add_argument("--scheme", choices=SCHEMES, default=compiler.SCHEME_COMPILED)
-    p.add_argument("--parity", type=int, choices=(0, 1), default=0,
-                   help="round parity for the symmetric five-primitive scheme")
+    p.add_argument("--parity", type=int, choices=(0, 1), default=None,
+                   help="round parity for the symmetric five-primitive scheme "
+                   "(default 0)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_compile)
 
@@ -368,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="sampling seed (default 0); not with --exact")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_stats)
@@ -411,9 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _conflicting_flags(args) -> str | None:
+    """Flags that parse but contradict each other, as a usage error."""
+    if args.command == "stats" and args.exact and (args.samples, args.seed) != (None, None):
+        return "stats --exact takes neither --samples nor --seed"
+    if (args.command == "compile" and args.parity is not None
+            and args.scheme != compiler.SCHEME_FIVE_SYMMETRIC):
+        return (f"compile --parity applies only to --scheme "
+                f"{compiler.SCHEME_FIVE_SYMMETRIC}")
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    conflict = _conflicting_flags(args)
+    if conflict:
+        parser.error(conflict)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -1,11 +1,13 @@
 """Analysis kernels: decay fits, fidelity relations, leakage, populations.
 
-All fitters are deterministic: fixed closed-form initialization followed by
-a deterministic least-squares refinement, so identical data always yields
-identical parameters.
-
-scipy is imported inside the two least-squares fitters, so importing the
-package (and the commands that never fit) does not pay for it.
+Both least-squares fitters use variable projection (separable least
+squares; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Each model
+is linear in all its parameters but one, so for every value of that one the
+linear parameters are solved in closed form inside their box, and the
+remaining 1-D cost is minimised on a fixed grid that is zoomed a fixed
+number of times.  The fits need only numpy, take a fixed number of steps,
+and always return the box-constrained optimum, so identical data always
+yields identical parameters and no fit fails for want of convergence.
 """
 
 from __future__ import annotations
@@ -17,19 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class FitError(RuntimeError):
-    """Raised when a fit cannot converge; carries solver diagnostics."""
-
-
 @dataclass
 class ExpFit:
-    """y = amplitude * decay**m + offset."""
+    """y = amplitude * decay**m + offset.
+
+    residual_rms is the unweighted RMS of the residuals; at_bound names the
+    parameters ("amplitude", "decay", "offset") that ended on a bound of
+    the fit's box.
+    """
 
     amplitude: float
     decay: float
     offset: float
     stderr: tuple[float, float, float]
     residual_rms: float
+    at_bound: tuple[str, ...] = ()
 
     def __call__(self, m):
         return self.amplitude * self.decay ** np.asarray(m, dtype=float) + self.offset
@@ -70,33 +74,120 @@ class PopCalib:
     s_prime: float
 
 
-def _param_stderr(res) -> tuple[np.ndarray, np.ndarray]:
-    """1-sigma parameter errors and the parameter covariance from the
-    least-squares Jacobian (all nan when the Jacobian is singular)."""
-    m, n = res.jac.shape
-    dof = max(m - n, 1)
-    variance = float(res.fun @ res.fun) / dof
-    try:
-        cov = np.linalg.inv(res.jac.T @ res.jac) * variance
-    except np.linalg.LinAlgError:
-        cov = np.full((n, n), np.nan)
-    return np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
+# The box of fit_exp_offset, and the bounds of fit_leakage's parameters
+# (its rate has no upper bound).
+_AMPLITUDE_BOUNDS = (-2.0, 2.0)
+_DECAY_BOUNDS = (1e-9, 1.0)
+_OFFSET_BOUNDS = (-1.0, 2.0)
+_PLATEAU_BOUNDS = (0.0, 1.0)
+_RATE_MIN = 1e-12
+
+# Points of the first 1-D grid and of each zoom; a zoom narrows the interval
+# around the best point 32-fold, so eight take it below 1e-12 of its start.
+_GRID_POINTS = 64
+_ZOOMS = 8
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _GRID_POINTS // 2 + 1)
 
 
-def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
-    """Least-squares fit of a single exponential with offset.
+def _minimise_profile(profile, grid: np.ndarray) -> tuple[float, list[float]]:
+    """Minimise a 1-D cost given at once for a sorted array of points.
 
-    Initialization: offset = last sample, amplitude = first - last, decay
-    from a log-linear regression of |y - offset|; then a bounded
-    deterministic least-squares refinement.  Exactly flat data short-
-    circuits to amplitude 0, decay 1.
+    profile(t) returns the costs at the points t and the linear parameters
+    solved for each, as a (parameters, points) array.  The best point is
+    kept and the interval between its neighbours re-gridded, _ZOOMS times,
+    so the cost never rises from one grid to the next.  Returns the best
+    point and its linear parameters.
     """
+    cost, linear = profile(grid)
+    for _ in range(_ZOOMS):
+        i = int(np.argmin(cost))
+        lo, t, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]
+        grid = np.concatenate([lo + (t - lo) * _ZOOM_STEPS[:-1], t + (hi - t) * _ZOOM_STEPS])
+        cost, linear = profile(grid)
+    i = int(np.argmin(cost))
+    return float(grid[i]), linear[:, i].tolist()
+
+
+def _curve(m_values, y_values) -> tuple[np.ndarray, np.ndarray]:
+    """A curve to fit as float arrays: 1-d, equal length, at least 4 points,
+    finite values at finite non-negative lengths."""
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
     if m.ndim != 1 or m.shape != y.shape:
-        raise ValueError("m_values and y_values must be 1-d and equal length")
+        raise ValueError("lengths and values must be 1-d and of equal length")
     if m.size < 4:
         raise ValueError("need at least 4 points to fit")
+    if not (np.all(np.isfinite(m) & (m >= 0)) and np.all(np.isfinite(y))):
+        raise ValueError("lengths must be finite and non-negative, values finite")
+    return m, y
+
+
+def _covariance(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Parameter covariance inv(J^T J) * |r|^2 / dof at a least-squares
+    optimum (all nan when J^T J is singular)."""
+    n_points, n_params = jac.shape
+    variance = float(resid @ resid) / max(n_points - n_params, 1)
+    try:
+        return np.linalg.inv(jac.T @ jac) * variance
+    except np.linalg.LinAlgError:
+        return np.full((n_params, n_params), np.nan)
+
+
+def _exp_profile(u, m, y, w2):
+    """Weighted cost of the best (amplitude, offset) in their box for each
+    u = -log(decay), with those two parameters.
+
+    With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
+    b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
+    expm1 so that the centring loses nothing near decay 1).  Any other
+    (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
+    The optimum in the box is the unconstrained one where that lies inside,
+    else the best of the four edges, each a 1-D problem solved by clipping.
+    """
+    x1 = np.expm1(-np.outer(u, m))
+    sw = w2.sum()
+    ybar = w2 @ y / sw
+    dy = y - ybar
+    x1bar = x1 @ w2 / sw
+    dx = x1 - x1bar[:, None]
+    sxx = dx**2 @ w2
+    sxy = dx @ (w2 * dy)
+    a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    cost_opt = (a_opt[:, None] * dx - dy) ** 2 @ w2
+    xbar = 1.0 + x1bar
+    b_opt = ybar - a_opt * xbar
+    # Candidates: the unconstrained optimum, then a on each bound, then b.
+    a_lo, a_hi = _AMPLITUDE_BOUNDS
+    b_lo, b_hi = _OFFSET_BOUNDS
+    b_edges = np.array([[b_lo], [b_hi]])
+    sx2 = sxx + sw * xbar**2
+    a_of_b = np.divide(sxy + sw * xbar * (ybar - b_edges), sx2,
+                       out=np.zeros((2, u.size)), where=sx2 > 0)
+    a = np.vstack([a_opt, np.full_like(a_opt, a_lo), np.full_like(a_opt, a_hi),
+                   np.clip(a_of_b, a_lo, a_hi)])
+    b = np.vstack([b_opt, np.clip(ybar - a[1:3] * xbar, b_lo, b_hi),
+                   np.broadcast_to(b_edges, a_of_b.shape)])
+    excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+        (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
+    excess[0] = np.where((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
+                         & (b_lo <= b_opt) & (b_opt <= b_hi), 0.0, np.inf)
+    best = np.argmin(excess, axis=0)
+    k = np.arange(u.size)
+    return cost_opt + excess[best, k], np.array([a[best, k], b[best, k]])
+
+
+def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
+    """Weighted least-squares fit of y = a * p**m + b in the box
+    a in [-2, 2], p in [1e-9, 1], b in [-1, 2].
+
+    For each u = -log p the weighted 2x2 problem for (a, b) is solved
+    exactly in its box, and u is found on a grid over [0, -log 1e-9]
+    zoomed around its best point.  The result is the box-constrained
+    optimum also where it lies on the box; at_bound names the parameters
+    that ended there.  Standard errors come from the analytic Jacobian at
+    the optimum.  Exactly flat data short-circuits to amplitude 0, decay 1.
+    """
+    m, y = _curve(m_values, y_values)
     if y_err is not None:
         y_err = np.asarray(y_err, dtype=float)
         if y_err.shape != y.shape:
@@ -104,44 +195,25 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
         y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
 
     if np.allclose(y, y[0], atol=1e-12):
-        return ExpFit(0.0, 1.0, float(np.mean(y)), (0.0, 0.0, 0.0), 0.0)
+        return ExpFit(0.0, 1.0, float(np.mean(y)), (0.0, 0.0, 0.0), 0.0, ("decay",))
 
-    b0 = float(y[-1])
-    a0 = float(y[0] - y[-1])
-    resid = np.abs(y - b0)
-    good = resid > 1e-12
-    if good.sum() >= 2:
-        slope = np.polyfit(m[good], np.log(resid[good]), 1)[0]
-        p0 = float(np.exp(np.clip(slope, -5.0, 0.0)))
-    else:
-        p0 = 0.99
-    p0 = min(max(p0, 1e-6), 1.0 - 1e-9)
-    if a0 == 0.0:
-        a0 = 1e-3
-
-    from scipy.optimize import least_squares
-
-    weights = 1.0 / y_err if y_err is not None else np.ones_like(y)
-
-    def residuals(params):
-        a, p, b = params
-        return (a * p**m + b - y) * weights
-
-    res = least_squares(
-        residuals,
-        x0=[a0, p0, b0],
-        bounds=([-2.0, 1e-9, -1.0], [2.0, 1.0, 2.0]),
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    if not res.success:
-        raise FitError(f"exponential fit failed: {res.message}")
-    a, p, b = (float(v) for v in res.x)
-    err, _ = _param_stderr(res)
-    rms = float(np.sqrt(np.mean((a * p**m + b - y) ** 2)))
-    return ExpFit(a, p, b, (float(err[0]), float(err[1]), float(err[2])), rms)
+    w = 1.0 / y_err if y_err is not None else np.ones_like(y)
+    w2 = w * w
+    u_max = -math.log(_DECAY_BOUNDS[0])
+    grid = np.concatenate([[0.0], np.geomspace(1e-6 / max(float(m.max()), 1.0), u_max,
+                                               _GRID_POINTS - 1)])
+    u, (a, b) = _minimise_profile(lambda t: _exp_profile(t, m, y, w2), grid)
+    p = math.exp(-u) if u < u_max else _DECAY_BOUNDS[0]
+    x = p**m
+    resid = a * x + b - y
+    jac = np.column_stack([x, a * m * p ** (m - 1.0), np.ones_like(m)]) * w[:, None]
+    err = np.sqrt(np.maximum(np.diag(_covariance(jac, resid * w)), 0.0))
+    at_bound = tuple(name for name, v, bounds in (("amplitude", a, _AMPLITUDE_BOUNDS),
+                                                  ("decay", p, _DECAY_BOUNDS),
+                                                  ("offset", b, _OFFSET_BOUNDS))
+                     if v in bounds)
+    return ExpFit(a, p, b, (float(err[0]), float(err[1]), float(err[2])),
+                  float(np.sqrt(np.mean(resid**2))), at_bound)
 
 
 def fidelity_from_decay(p: float) -> float:
@@ -195,58 +267,46 @@ def rate_step(p2_m: float, kappa: float, t21_ns: float, np_mean: float,
     return p2_m + dt * kappa - (dt / t21_ns) * p2_m
 
 
+def _leakage_profile(lam, m, p2):
+    """Cost of the best plateau in [0, 1] for each rate lam, with that
+    plateau (the 1-D least-squares solution, clipped)."""
+    z = -np.expm1(-np.outer(lam, m))
+    szz = (z * z).sum(axis=1)
+    plateau = np.clip(np.divide(z @ p2, szz, out=np.zeros_like(szz), where=szz > 0),
+                      *_PLATEAU_BOUNDS)
+    cost = ((plateau[:, None] * z - p2) ** 2).sum(axis=1)
+    return cost, plateau[None, :]
+
+
 def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit:
     """Fit the leakage saturation curve, returning rate and relaxation time.
 
-    Fits plateau * (1 - exp(-lam * m)), which is leakage_model with
-    exp(-lam) = 1 - np_mean * tp / t21 and plateau = kappa * t21.  Flat-zero
-    data yields kappa = 0 with the relaxation time flagged
-    unidentifiable.
+    Fits plateau * (1 - exp(-lam * m)) with plateau in [0, 1] and
+    lam >= 1e-12, which is leakage_model with exp(-lam) = 1 - np_mean * tp /
+    t21 and plateau = kappa * t21.  As in fit_exp_offset, the plateau is
+    solved in closed form for each lam and lam found on a zoomed grid.
+    Standard errors come from the analytic Jacobian at the optimum, with
+    the full (plateau, lam) covariance propagated to (kappa, t21).  Flat-zero
+    data yields kappa = 0 with the relaxation time flagged unidentifiable.
     """
-    m = np.asarray(m_values, dtype=float)
-    p2 = np.asarray(p2_values, dtype=float)
-    if m.ndim != 1 or m.shape != p2.shape:
-        raise ValueError("m_values and p2_values must be 1-d and equal length")
-    if m.size < 4:
-        raise ValueError("need at least 4 points to fit")
+    m, p2 = _curve(m_values, p2_values)
     if not (np_mean > 0 and tp_ns > 0):
         raise ValueError("np_mean and tp_ns must be positive")
 
     if np.allclose(p2, 0.0, atol=1e-15):
         return LeakageFit(0.0, math.inf, np_mean, tp_ns, (0.0, 0.0), True)
 
-    tail = float(np.mean(p2[-max(2, m.size // 4):]))
-    plateau0 = max(tail, float(np.max(p2)) * 0.5, 1e-12)
-    frac = 1.0 - p2 / plateau0
-    good = (frac > 1e-12) & (m > 0)
-    if good.sum() >= 2:
-        slope = np.polyfit(m[good], np.log(frac[good]), 1)[0]
-        rate0 = max(-float(slope), 1e-9)
-    else:
-        rate0 = 1.0 / max(float(m[-1]), 1.0)
-
-    from scipy.optimize import least_squares
-
-    def residuals(params):
-        plateau, rate = params
-        return plateau * (1.0 - np.exp(-rate * m)) - p2
-
-    res = least_squares(
-        residuals,
-        x0=[plateau0, rate0],
-        bounds=([0.0, 1e-12], [1.0, np.inf]),
-        method="trf",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    if not res.success:
-        raise FitError(f"leakage fit failed: {res.message}")
-    plateau, rate = (float(v) for v in res.x)
+    positive = m[m > 0]
+    # Beyond 50 / (shortest positive length) every 1 - exp(-lam * m) is 1 to
+    # double precision, so the cost no longer depends on lam.
+    lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
+    rate, (plateau,) = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
+                                         np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS))
     loss = -math.expm1(-rate)  # per-round loss fraction r = 1 - exp(-lam)
     t21 = np_mean * tp_ns / loss
     kappa = plateau / t21
-    _, cov = _param_stderr(res)
+    z = -np.expm1(-rate * m)
+    cov = _covariance(np.column_stack([z, plateau * m * np.exp(-rate * m)]), plateau * z - p2)
     # Propagate the full covariance (plateau and lam are correlated) through
     # kappa = plateau * r / (np*tp) and t21 = np*tp / r, with dr/dlam = exp(-lam).
     dt = np_mean * tp_ns

@@ -13,6 +13,12 @@ closure, coverage of every pulse train and surjection counts.
 
 iterate_rate_equation iterates the leakage balance round by round.
 
+least_squares_exp and least_squares_leakage are scipy's bounded
+trust-region least squares on the two fit models, written out without
+cliffcast code: the decay fit with the start, box and tolerances the package
+used before it fitted by variable projection, the leakage fit directly in
+(kappa, T21), so that its errors see the plateau-rate correlation.
+
 lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
 with scipy's matrix exponential, taking plain floats and no cliffcast code.
@@ -33,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import least_squares
 
 from cliffcast import compiler
 from cliffcast.clifford import (
@@ -93,6 +100,57 @@ def iterate_rate_equation(m: int, kappa: float, t21: float, np_mean: float,
     for _ in range(m):
         p2 = p2 + dt * kappa - (dt / t21) * p2
     return p2
+
+
+def least_squares_exp(m_values, y_values, weights, x0=None):
+    """scipy's fit of y = a * p**m + b in the box a in [-2, 2], p in [1e-9, 1],
+    b in [-1, 2], minimising sum((weights * residual)**2).
+
+    Starts from x0 = (a, p, b) if given, else from offset = last sample,
+    amplitude = first - last and the decay of a log-linear regression of
+    |y - offset|, each clipped into the box.  Returns scipy's result, whose
+    cost is half the sum and whose status is 0 when it stopped at its
+    evaluation limit.
+    """
+    m = np.asarray(m_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    if x0 is None:
+        b0 = float(y[-1])
+        a0 = float(y[0] - y[-1]) or 1e-3
+        resid = np.abs(y - b0)
+        good = resid > 1e-12
+        p0 = 0.99
+        if good.sum() >= 2:
+            slope = np.polyfit(m[good], np.log(resid[good]), 1)[0]
+            p0 = float(np.exp(np.clip(slope, -5.0, 0.0)))
+        x0 = (min(max(a0, -2.0), 2.0), min(max(p0, 1e-6), 1.0 - 1e-9),
+              min(max(b0, -1.0), 2.0))
+    return least_squares(lambda x: (x[0] * x[1] ** m + x[2] - y) * weights,
+                         x0=x0, bounds=([-2.0, 1e-9, -1.0], [2.0, 1.0, 2.0]),
+                         method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+
+
+def least_squares_leakage(m_values, p2_values, np_mean: float, tp_ns: float,
+                          kappa0: float, t21_0: float):
+    """scipy's fit of p2 = kappa * T21 * (1 - (1 - np_mean * tp / T21)**m)
+    made directly in (kappa, T21), from (kappa0, t21_0).
+
+    Returns (kappa, t21), their 1-sigma errors from scipy's Jacobian and the
+    sum of squared residuals.
+    """
+    m = np.asarray(m_values, dtype=float)
+    p2 = np.asarray(p2_values, dtype=float)
+    dt = np_mean * tp_ns
+
+    def residuals(x):
+        kappa, t21 = x[0] * kappa0, x[1] * t21_0
+        return kappa * t21 * (1.0 - (1.0 - dt / t21) ** m) - p2
+
+    res = least_squares(residuals, [1.0, 1.0], xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    cost = float(res.fun @ res.fun)
+    cov = np.linalg.inv(res.jac.T @ res.jac) * cost / (m.size - 2)
+    scale = np.array([kappa0, t21_0])
+    return tuple(res.x * scale), tuple(np.sqrt(np.diag(cov)) * scale), cost
 
 
 def lindblad_exchange(j_over_2pi_khz: float, t1_a_ns: float, t1_b_ns: float,

@@ -89,6 +89,50 @@ def test_stats_removed_long_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [["--samples", "100"], ["--seed", "5"],
+                                   ["--samples", "100", "--seed", "0"]])
+def test_stats_exact_with_sampling_flag_is_usage_error(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["stats", "--n", "2", "--exact", *extra])
+    assert exc.value.code == 2
+    assert "--exact takes neither" in capsys.readouterr().err
+
+
+def test_stats_output_is_deterministic(tmp_path):
+    """The data output carries no wall time, so repeated runs are identical."""
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"stats{i}.json"
+        assert run_cli(["stats", "--n", "4", "--exact", "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0])) == {"n", "mean_np", "stderr", "mode", "samples"}
+
+
+def test_stats_sampled_seed_defaults_to_zero(capsys):
+    assert run_cli(["stats", "--n", "3", "--samples", "500"]) == 0
+    unset = capsys.readouterr().out
+    assert run_cli(["stats", "--n", "3", "--samples", "500", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unset
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "five-primitives", "compiled"])
+def test_compile_parity_without_symmetric_scheme_is_usage_error(scheme, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["compile", "2,13", "--scheme", scheme, "--parity", "0"])
+    assert exc.value.code == 2
+    assert "--parity applies only to" in capsys.readouterr().err
+
+
+def test_compile_parity_selects_symmetric_schedule(capsys):
+    schedules = []
+    for parity in ([], ["--parity", "0"], ["--parity", "1"]):
+        assert run_cli(["compile", "2,13", "--scheme", "five-primitives-symmetric",
+                        *parity]) == 0
+        schedules.append(capsys.readouterr().out)
+    assert schedules[0] == schedules[1] != schedules[2]
+
+
 def test_stats_sampled(capsys):
     assert run_cli(["stats", "--n", "6", "--samples", "2000", "--seed", "7"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -122,6 +166,8 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     summary = json.loads((tmp_path / "rb.json").read_text())
     assert summary["qubits"][0]["clifford_fidelity"] < 1.0
     assert "t1_limit_fidelity" in summary["qubits"][0]
+    assert 0 < summary["qubits"][0]["residual_rms"] < 0.05
+    assert summary["qubits"][0]["at_bound"] == []
     lines = csv_first.decode().splitlines()
     assert lines[0] == "m,qubit,p0,p1"
     assert len(lines) == 1 + len(cfg["m_values"])
@@ -169,7 +215,9 @@ def test_rb_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_rb_fit_failure_writes_nothing(tmp_path, capsys):
-    """A decay fit that fails (exit 4) leaves no CSV and no summary."""
+    """A decay fit that fails (exit 4) leaves no CSV and no summary.  Here
+    the box holds qubit 1's amplitude at 2: unbounded, its optimum runs off
+    towards decay 1 with an ever larger amplitude."""
     cfg = {
         "qubits": [{"t1_ns": 10000.0, "cross_ratio": 0.0076}, {"t1_ns": 10000.0}],
         "scheme": "compiled",
@@ -182,7 +230,9 @@ def test_rb_fit_failure_writes_nothing(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["rb", "--config", str(cfg_path)]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "qubit 1: decay fit amplitude ended on its bound (2)" in err
     assert not (tmp_path / "rb.csv").exists()
     assert not (tmp_path / "rb.json").exists()
 
@@ -241,11 +291,30 @@ def test_rb_qubit_field_must_be_number(tmp_path, capsys, key, value):
     assert not (tmp_path / "rb.csv").exists()
 
 
-def test_import_does_not_load_scipy():
-    """scipy is loaded by the fitters only; compile and stats never pay for it."""
-    code = "import sys, cliffcast.cli; sys.exit('scipy' in sys.modules)"
+def test_import_does_not_load_scipy(tmp_path):
+    """No command loads scipy, the fitting ones included: it is a test-only
+    dependency."""
+    cfg = {"qubits": [{"t1_ns": 10000.0, "cross_ratio": 0.0076}, {"t1_ns": 10000.0}],
+           "scheme": "compiled", "m_values": [1, 4, 16, 64, 256], "n_seeds": 2,
+           "rng_seed": 7, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "leak.csv").write_text(
+        "m,p2\n" + "".join(f"{m},{2e-3 * (1 - math.exp(-m / 300))}\n"
+                           for m in range(0, 1001, 50)))
+    code = (
+        "import sys, cliffcast\n"
+        "assert 'scipy' not in sys.modules, 'import cliffcast'\n"
+        "from cliffcast.cli import main\n"
+        f"assert main(['rb', '--config', {str(tmp_path / 'cfg.json')!r}]) == 0\n"
+        f"assert main(['leakfit', '--input', {str(tmp_path / 'leak.csv')!r}, "
+        f"'-o', {str(tmp_path / 'leak.json')!r}]) == 0\n"
+        "sys.exit('scipy' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert json.loads((tmp_path / "rb.json").read_text())["qubits"][1]["decay"] < 1.0
+    assert json.loads((tmp_path / "leak.json").read_text())["t21_ns"] > 0
 
 
 def test_rb_bad_scheme_rejected(tmp_path):
@@ -317,6 +386,15 @@ def test_leakfit_roundtrip(tmp_path, capsys):
     d = json.loads(capsys.readouterr().out)
     assert d["kappa"] == pytest.approx(4.1e-6, rel=1e-3)
     assert d["t21_ns"] == pytest.approx(40_000.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("row", ["-25,1e-6", "25,nan", "inf,1e-6"])
+def test_leakfit_invalid_row_rejected(tmp_path, capsys, row):
+    csv_path = tmp_path / "leak.csv"
+    csv_path.write_text("m,p2\n" + "".join(f"{m},{m * 1e-6}\n" for m in range(0, 100, 25))
+                        + row + "\n")
+    assert run_cli(["leakfit", "--input", str(csv_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_leakfit_missing_header(tmp_path, capsys):

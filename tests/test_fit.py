@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
 
 from cliffcast.fit import (
-    FitError,
     PopCalib,
     extract_populations,
     fidelity_from_decay,
@@ -19,7 +17,30 @@ from cliffcast.fit import (
     signal_forward_model,
     t1_limit_fidelity,
 )
-from oracles import iterate_rate_equation
+from cliffcast.sim import QubitModel, run_rb
+from oracles import iterate_rate_equation, least_squares_exp, least_squares_leakage
+
+README_M = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800)
+README_QUBITS = (QubitModel(t1_ns=10000.0, cross_ratio=0.0076), QubitModel(t1_ns=10000.0))
+WIDE_QUBITS = (QubitModel(t1_ns=10000.0, cross_ratio=0.0076),) * 8
+WIDE_M = (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+def _weights(y_err):
+    """The fitter's weights: 1 / y_err, zero errors replaced by the largest."""
+    y_err = np.asarray(y_err, dtype=float)
+    return 1.0 / np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
+
+
+def _cost(params, m, y, weights):
+    a, p, b = params
+    return float(np.sum(((a * p ** np.asarray(m, dtype=float) + b - y) * weights) ** 2))
+
+
+def _stderr(res):
+    """scipy's 1-sigma errors: inv(J^T J) * |r|^2 / dof at its solution."""
+    dof = res.fun.size - res.x.size
+    return tuple(np.sqrt(np.diag(np.linalg.inv(res.jac.T @ res.jac) * 2 * res.cost / dof)))
 
 
 def test_exp_fit_noiseless_roundtrip():
@@ -54,6 +75,69 @@ def test_exp_fit_noisy_recovery_within_three_sigma():
 def test_exp_fit_requires_points():
     with pytest.raises(ValueError):
         fit_exp_offset([1, 2, 3], [1.0, 0.9, 0.8])
+
+
+@pytest.mark.parametrize("m,y", [([1, 2, 4, 8], [1.0, math.nan, 0.8, 0.7]),
+                                 ([1, 2, math.inf, 8], [1.0, 0.9, 0.8, 0.7]),
+                                 ([-8, 1, 2, 4], [1.0, 0.9, 0.8, 0.7])])
+@pytest.mark.parametrize("fitter", [fit_exp_offset,
+                                    lambda m, y: fit_leakage(m, y, 1.875, 20.0)])
+def test_fits_reject_invalid_curves(fitter, m, y):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        fitter(m, y)
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "compiled", "five-primitives-symmetric"])
+@pytest.mark.parametrize("rng_seed", [7, 11, 13])
+def test_exp_fit_matches_scipy_on_readme_curves(scheme, rng_seed):
+    """On the README benchmarking curves (30 seeds, weighted) the decay is
+    scipy's within 1e-9, the weighted cost no higher than scipy's, and the
+    standard errors those of scipy's Jacobian."""
+    for curve in run_rb(README_QUBITS, scheme, README_M, 30, rng_seed).curves:
+        w = _weights(curve.p0_stderr)
+        ref = least_squares_exp(curve.m_values, curve.p0, w)
+        assert ref.success
+        f = fit_exp_offset(curve.m_values, curve.p0, y_err=curve.p0_stderr)
+        assert f.at_bound == ()
+        assert f.decay == pytest.approx(ref.x[1], abs=1e-9)
+        assert (_cost((f.amplitude, f.decay, f.offset), curve.m_values, curve.p0, w)
+                <= ref.cost * 2 * (1 + 1e-10))
+        assert f.stderr == pytest.approx(_stderr(ref), rel=1e-3)
+
+
+def test_exp_fit_returns_the_box_optimum():
+    """Eight qubits, lengths 1..32, unweighted: several optima lie on the box
+    (offset -1, amplitude 2).  The fit returns them, as scipy does, and flags
+    the parameters that ended there."""
+    on_box = set()
+    for curve in run_rb(WIDE_QUBITS, "compiled", WIDE_M[:6], 1, 7).curves:
+        ones = np.ones(len(curve.m_values))
+        ref = least_squares_exp(curve.m_values, curve.p0, ones)
+        f = fit_exp_offset(curve.m_values, curve.p0)
+        assert (_cost((f.amplitude, f.decay, f.offset), curve.m_values, curve.p0, ones)
+                <= ref.cost * 2 * (1 + 1e-10))
+        assert 0 < f.decay < 1
+        assert ("amplitude" in f.at_bound) == (abs(f.amplitude) == 2.0)
+        assert ("offset" in f.at_bound) == (f.offset in (-1.0, 2.0))
+        on_box.update(f.at_bound)
+    assert on_box == {"amplitude", "offset"}
+
+
+def test_exp_fit_where_scipy_hits_its_evaluation_limit():
+    """A weighted 2-seed curve on which scipy stops at its evaluation limit
+    (the benchmark's recorded failure) now fits: scipy, started from the
+    result, finds no lower cost."""
+    curve = run_rb(WIDE_QUBITS, "compiled", WIDE_M, 2, 319).curves[3]
+    w = _weights(curve.p0_stderr)
+    stalled = least_squares_exp(curve.m_values, curve.p0, w)
+    assert stalled.status == 0
+    f = fit_exp_offset(curve.m_values, curve.p0, y_err=curve.p0_stderr)
+    assert f.at_bound == ()
+    cost = _cost((f.amplitude, f.decay, f.offset), curve.m_values, curve.p0, w)
+    assert cost < stalled.cost * 2
+    polished = least_squares_exp(curve.m_values, curve.p0, w,
+                                 x0=(f.amplitude, f.decay, f.offset))
+    assert cost <= polished.cost * 2 * (1 + 1e-10)
 
 
 def test_fidelity_from_decay_limits():
@@ -170,18 +254,24 @@ def test_fit_leakage_stderr_matches_direct_fit(t21):
     rng = np.random.default_rng(31)
     p2 = clean + rng.normal(0.0, 1e-4 * clean.max(), m.size)
     lf = fit_leakage(m, p2, np_mean, tp)
+    _, direct, _ = least_squares_leakage(m, p2, np_mean, tp, lf.kappa, lf.t21_ns)
+    assert lf.stderr == pytest.approx(direct, rel=1e-3)
 
-    scale = np.array([1e-6, 1e4])  # fit in units of order one
 
-    def residuals(x):
-        return leakage_model(m, x[0] * scale[0], x[1] * scale[1], np_mean, tp) - p2
-
-    res = least_squares(residuals, [lf.kappa / scale[0], lf.t21_ns / scale[1]],
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    variance = float(res.fun @ res.fun) / (m.size - 2)
-    cov = np.linalg.inv(res.jac.T @ res.jac) * variance
-    direct = np.sqrt(np.diag(cov)) * scale
-    assert lf.stderr == pytest.approx(tuple(direct), rel=1e-3)
+@pytest.mark.parametrize("kappa,t21,seed", [(1.0e-6, 5000.0, 31), (1.0e-6, 20000.0, 31),
+                                            (0.5e-6, 12000.0, 5), (2.0e-6, 8000.0, 6)])
+def test_fit_leakage_matches_scipy(kappa, t21, seed):
+    """kappa, T21 and their errors equal those of scipy's direct (kappa, T21)
+    fit, started from the truth, and the cost is no higher than scipy's."""
+    np_mean, tp = 1.875, 20.0
+    m = np.arange(0.0, 1001.0, 25.0)
+    clean = leakage_model(m, kappa, t21, np_mean, tp)
+    p2 = clean + np.random.default_rng(seed).normal(0.0, 1e-4 * clean.max(), m.size)
+    lf = fit_leakage(m, p2, np_mean, tp)
+    values, errors, cost = least_squares_leakage(m, p2, np_mean, tp, kappa, t21)
+    assert (lf.kappa, lf.t21_ns) == pytest.approx(values, rel=1e-3)
+    assert lf.stderr == pytest.approx(errors, rel=1e-3)
+    assert float(np.sum((lf(m) - p2) ** 2)) <= cost * (1 + 1e-10)
 
 
 def test_extract_populations_pure_states():
