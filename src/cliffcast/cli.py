@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import compiler, fit, sim
-from .compiler import SCHEMES, Schedule
+from .compiler import SCHEMES
 from .sim import RB_SCHEMES, QubitModel
 
 EXIT_OK = 0
@@ -86,26 +86,16 @@ def _parse_combo(text: str) -> tuple[int, ...]:
     return combo
 
 
-def _verify_schedule(schedule: Schedule, combo) -> None:
-    """Re-check every masked pulse product against its target before
-    anything is written."""
-    from .clifford import CANONICAL_UNITARIES, equal_up_to_phase, sequence_unitary
-
-    for q, c in enumerate(combo):
-        u = sequence_unitary(schedule.masked_pulses(q))
-        if not equal_up_to_phase(u, CANONICAL_UNITARIES[c - 1]):
-            raise RuntimeError(
-                f"schedule verification failed for qubit {q} (target {c})"
-            )
-
-
 def cmd_compile(args) -> int:
     combo = args.combo
     for c in combo:
         if not 1 <= c <= 24:
             raise ValidationError(f"Clifford ids must be in 1..24, got {c}")
     schedule = compiler.compile_scheme(combo, args.scheme, round_parity=args.parity or 0)
-    _verify_schedule(schedule, combo)
+    try:
+        schedule.verify(combo)
+    except ValueError as exc:
+        raise NumericalError(str(exc))
     _write_outputs((args.output, schedule.to_json()))
     return EXIT_OK
 
@@ -204,11 +194,11 @@ def cmd_rb(args) -> int:
     cfg = _load_rb_config(args.config)
     try:
         models = [_qubit_model(q) for q in cfg["qubits"]]
+        result = sim.run_rb(
+            models, cfg["scheme"], cfg["m_values"], cfg["n_seeds"], cfg["rng_seed"]
+        )
     except ValueError as exc:
         raise ValidationError(str(exc))
-    result = sim.run_rb(
-        models, cfg["scheme"], cfg["m_values"], cfg["n_seeds"], cfg["rng_seed"]
-    )
     summary: dict = {
         "scheme": result.scheme,
         "n_seeds": result.n_seeds,
@@ -318,8 +308,8 @@ def cmd_swap(args) -> int:
 
 
 def cmd_leakfit(args) -> int:
-    if not (args.np_mean > 0 and args.tp_ns > 0):
-        raise ValidationError("--np-mean and --tp-ns must be positive")
+    if not (0 < args.np_mean < math.inf and 0 < args.tp_ns < math.inf):
+        raise ValidationError("--np-mean and --tp-ns must be positive and finite")
     try:
         with open(args.input) as f:
             lines = [ln.strip() for ln in f if ln.strip()]

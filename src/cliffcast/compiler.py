@@ -24,13 +24,16 @@ Optimal search
 The optimum is computed against precomputed coverage tiers.  For every
 pulse sequence s of length N (1..4 over the six-rotation basis) the set of
 Cliffords realizable as a subsequence product of s is reduced to a bitmask;
-per length the masks are pruned to the dominance-maximal ones.  A Clifford
-combination then costs the smallest N whose tier contains a superset of its
-target set, and 5 otherwise, since a five-primitive round always realizes
-any combination, capping the search.  Probing tiers in ascending length
-tries short decompositions first and stops at the first hit; the length-4
-tier plays the role of a separate final pass for combinations that need a
-four-pulse sequence.  This one integer query prices every combination:
+per length the masks are pruned to the dominance-maximal ones.  The
+subsequence products come from `decomp.sequence_products`, the one walk
+over the basis sequences, and are kept beside each mask: a qubit's firing
+choice in `compile_optimal` is read from them, not searched again.  A
+Clifford combination then costs the smallest N whose tier contains a
+superset of its target set, and 5 otherwise, since a five-primitive round
+always realizes any combination, capping the search.  Probing tiers in
+ascending length tries short decompositions first and stops at the first
+hit; the length-4 tier plays the role of a separate final pass for
+combinations that need a four-pulse sequence.  This one integer query prices every combination:
 `compile_optimal`, `min_broadcast_pulses` and both censuses call it.  A
 cost depends only on the set of distinct non-identity targets, so the
 exact census visits each such set once and weights it by the number of
@@ -59,15 +62,16 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import (
+    CANONICAL_UNITARIES,
     FIVE_PRIMITIVES,
     FIVE_PRIMITIVES_INVERTED,
     Pulse,
+    equal_up_to_phase,
     five_primitive_mask,
     minimal_decomposition,
-    pulse_clifford_map,
+    sequence_unitary,
 )
-from .decomp import SEARCH_BASIS
-from .clifford import _COMPOSE_TABLE  # int8 composition table, ids 1..24
+from .decomp import SEARCH_BASIS, sequence_products
 
 SCHEME_SEQUENTIAL = "sequential"
 SCHEME_FIVE = "five-primitives"
@@ -108,6 +112,17 @@ class Schedule:
     def masked_pulses(self, qubit: int) -> list[Pulse]:
         """Pulses routed to the given qubit, in slot order."""
         return [ev.pulse for ev in self.events if ev.mask[qubit]]
+
+    def verify(self, combo) -> None:
+        """Raise ValueError unless every qubit's masked pulse stream equals
+        its target Clifford, checked against the canonical unitaries."""
+        combo = _check_combo(combo)
+        if len(combo) != self.n_qubits:
+            raise ValueError(f"combo has {len(combo)} targets for {self.n_qubits} qubits")
+        for q, c in enumerate(combo):
+            u = sequence_unitary(self.masked_pulses(q))
+            if not equal_up_to_phase(u, CANONICAL_UNITARIES[c - 1]):
+                raise ValueError(f"schedule verification failed for qubit {q} (target {c})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,28 +226,23 @@ def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
 
 @lru_cache(maxsize=1)
 def _coverage_tables():
-    """Per length N in 1..4: every basis-index sequence paired with its
-    subsequence-coverage bitmask, and the dominance-pruned tier of those
-    masks that cost queries probe, all plain ints.  Bit (c-1) marks
-    non-identity Clifford c."""
-    basis_cliffords = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
-    compose = _COMPOSE_TABLE
-    covers: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    """Per length N in 1..4: every basis-index sequence with its
+    subsequence-coverage bitmask and its firing products (from
+    decomp.sequence_products), and the dominance-pruned tier of those masks
+    that cost queries probe, all plain ints.  Bit (c-1) marks non-identity
+    Clifford c."""
+    covers: dict[int, list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = {}
     tiers: dict[int, list[int]] = {}
     for n in range(1, 5):
-        subsets = [[k for k in range(n) if m >> k & 1] for m in range(1, 1 << n)]
         covers[n] = []
-        for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=n):
+        for seq, prods in sequence_products(n):
             bm = 0
-            for idxs in subsets:
-                c = 1
-                for k in idxs:
-                    c = int(compose[c, basis_cliffords[seq[k]]])
+            for c in prods:
                 if c != 1:
                     bm |= 1 << (c - 1)
-            covers[n].append((seq, bm))
+            covers[n].append((seq, bm, prods))
         tiers[n] = []
-        for bm in sorted({bm for _, bm in covers[n]}, key=lambda b: -bin(b).count("1")):
+        for bm in sorted({bm for _, bm, _ in covers[n]}, key=lambda b: -bin(b).count("1")):
             if not any((bm & k) == bm for k in tiers[n]):
                 tiers[n].append(bm)
     return covers, tiers
@@ -267,21 +277,6 @@ def min_broadcast_pulses(combo) -> int:
     return _min_pulses_for_mask(_target_mask(_check_combo(combo)))
 
 
-def _first_subsequence(seq_cliffords: list[int], target: int) -> tuple[int, ...]:
-    """First index subset (binary counting, bit k = position k) whose ordered
-    product is the target Clifford."""
-    n = len(seq_cliffords)
-    compose = _COMPOSE_TABLE
-    for code in range(1, 1 << n):
-        c = 1
-        for k in range(n):
-            if code >> k & 1:
-                c = int(compose[c, seq_cliffords[k]])
-        if c == target:
-            return tuple(k for k in range(n) if code >> k & 1)
-    raise RuntimeError("covering sequence lost the target; tier tables corrupt")
-
-
 def compile_optimal(combo) -> Schedule:
     """Minimum-length broadcast schedule for one Clifford per qubit.
 
@@ -299,17 +294,16 @@ def compile_optimal(combo) -> Schedule:
     if n_pulses >= FIVE_PRIMITIVES_BOUND:
         return replace(compile_five_primitives(combo), scheme=SCHEME_COMPILED)
     covers, _ = _coverage_tables()
-    seq = next((s for s, bm in covers[n_pulses] if bm & mask == mask), None)
+    seq, prods = next(((s, p) for s, bm, p in covers[n_pulses] if bm & mask == mask),
+                      (None, None))
     if seq is None:
         raise RuntimeError("tier promised coverage but no sequence found")
-    basis_cliffords = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
-    seq_cliffords = [basis_cliffords[i] for i in seq]
-    fire: list[tuple[int, ...]] = []
-    for c in combo:
-        fire.append(() if c == 1 else _first_subsequence(seq_cliffords, c))
+    # Subset code k + 1 fires entry k: the first match is the first subset
+    # in binary counting whose product is the target.
+    fire = [0 if c == 1 else prods.index(c) + 1 for c in combo]
     events = []
     for slot in range(n_pulses):
-        ev_mask = tuple(slot in fire[q] for q in range(n_qubits))
+        ev_mask = tuple(bool(f >> slot & 1) for f in fire)
         if any(ev_mask):
             events.append(
                 PulseEvent(slot=slot, pulse=SEARCH_BASIS[seq[slot]], mask=ev_mask)
@@ -347,7 +341,9 @@ def mean_np_exact(n: int) -> NpStats:
     tuples made of exactly S plus the surj(n, |S|+1) that also contain the
     identity.  The accumulation is exact integer arithmetic, so repeated
     runs agree bit for bit.  The loop visits sum_{k<=n} C(23, k) sets, at
-    most 2^23.
+    most 2^23.  n is not capped, but the surjection weights are exact
+    integers of about n * log2(23) bits, so time and memory keep growing
+    with n even once every set is visited.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

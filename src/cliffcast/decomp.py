@@ -18,6 +18,12 @@ X90 followed by X-90, X180 followed by X180, and so on).  Such sequences
 are reducible and can never improve a broadcast schedule.  The identity
 Clifford is represented by the empty sequence (its dedicated I pulse is a
 scheduling convention handled by the compiler, not a search symbol).
+
+Optimal search
+--------------
+`sequence_products` is the one walk over the basis sequences: the Clifford
+fired by every subset of every train.  The decompositions, the compiler's
+coverage tiers and its per-qubit firing choices are all read from it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford import Pulse, clifford_of_pulses, compose, pulse_clifford_map
+from .clifford import _COMPOSE_ROWS, Pulse, clifford_of_pulses, pulse_clifford_map
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -53,46 +59,37 @@ class Decomposition:
         return len(self.pulses)
 
 
-@lru_cache(maxsize=1)
-def _basis_cliffords() -> tuple[int, ...]:
-    cmap = pulse_clifford_map()
-    return tuple(cmap[p] for p in SEARCH_BASIS)
-
-
-@lru_cache(maxsize=1)
-def _cancelling_pairs() -> frozenset[tuple[int, int]]:
-    """Index pairs (i, j) whose product is the identity up to phase."""
-    cliffs = _basis_cliffords()
-    pairs = set()
-    for i, a in enumerate(cliffs):
-        for j, b in enumerate(cliffs):
-            if compose(a, b) == 1:
-                pairs.add((i, j))
-    return frozenset(pairs)
-
-
-def _sequences(length: int):
-    """All non-cancelling index sequences of the given length."""
-    cancel = _cancelling_pairs()
+@lru_cache(maxsize=MAX_PULSES)
+def sequence_products(length: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every basis-index sequence of the given length, in itertools.product
+    order, paired with the Clifford fired by each non-empty subset of its
+    positions: entry code - 1 is the ordered product of the positions whose
+    bit is set in code (bit k = position k), so the last entry is the whole
+    train.  Each entry extends the entry without its top bit by the top
+    pulse, one table lookup apiece."""
+    basis = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
+    table = []
     for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=length):
-        if any((seq[i], seq[i + 1]) in cancel for i in range(length - 1)):
-            continue
-        yield seq
+        prods = [1] * (1 << length)
+        for code in range(1, 1 << length):
+            top = code.bit_length() - 1
+            prods[code] = _COMPOSE_ROWS[prods[code ^ (1 << top)]][basis[seq[top]]]
+        table.append((seq, tuple(prods[1:])))
+    return tuple(table)
 
 
 @lru_cache(maxsize=1)
 def _all_decompositions() -> dict[int, list[tuple[Pulse, ...]]]:
     """Lengths 0..MAX_PULSES, grouped by Clifford, ascending length then
-    lexicographic by basis order."""
-    cliffs = _basis_cliffords()
+    lexicographic by basis order.  A train is dropped when some adjacent
+    pair of its pulses (subset code 3 << i) fires the identity."""
     table: dict[int, list[tuple[Pulse, ...]]] = {c: [] for c in range(1, 25)}
     table[1].append(())
     for length in range(1, MAX_PULSES + 1):
-        for seq in _sequences(length):
-            c = 1
-            for i in seq:
-                c = compose(c, cliffs[i])
-            table[c].append(tuple(SEARCH_BASIS[i] for i in seq))
+        for seq, prods in sequence_products(length):
+            if any(prods[(3 << i) - 1] == 1 for i in range(length - 1)):
+                continue
+            table[prods[-1]].append(tuple(SEARCH_BASIS[i] for i in seq))
     return table
 
 

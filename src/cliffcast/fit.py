@@ -287,14 +287,16 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     solved in closed form for each lam and lam found on a zoomed grid.
     Standard errors come from the analytic Jacobian at the optimum, with
     the full (plateau, lam) covariance propagated to (kappa, t21).  Flat-zero
-    data yields kappa = 0 with the relaxation time flagged unidentifiable.
+    data, and any data whose best plateau is 0, yield kappa = 0 with the
+    relaxation time flagged unidentifiable.  Fewer than two distinct positive
+    lengths, or a round time that overflows the errors, raise ValueError.
     """
     m, p2 = _curve(m_values, p2_values)
-    if not (np_mean > 0 and tp_ns > 0):
-        raise ValueError("np_mean and tp_ns must be positive")
-
+    if not (0 < np_mean < math.inf and 0 < tp_ns < math.inf):
+        raise ValueError("np_mean and tp_ns must be positive and finite")
+    flat_zero = LeakageFit(0.0, math.inf, np_mean, tp_ns, (0.0, 0.0), True)
     if np.allclose(p2, 0.0, atol=1e-15):
-        return LeakageFit(0.0, math.inf, np_mean, tp_ns, (0.0, 0.0), True)
+        return flat_zero
 
     positive = m[m > 0]
     # Beyond 50 / (shortest positive length) every 1 - exp(-lam * m) is 1 to
@@ -302,6 +304,12 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
     rate, (plateau,) = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
                                          np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS))
+    if plateau == 0.0:
+        # Non-positive data: the best plateau is on its lower bound, where
+        # the rate no longer changes the curve and only kappa = 0 is known.
+        return flat_zero
+    if not positive.size or positive.min() == positive.max():
+        raise ValueError("need at least two distinct positive lengths to fit a rate")
     loss = -math.expm1(-rate)  # per-round loss fraction r = 1 - exp(-lam)
     t21 = np_mean * tp_ns / loss
     kappa = plateau / t21
@@ -312,7 +320,10 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     dt = np_mean * tp_ns
     grad = np.array([[loss / dt, plateau * math.exp(-rate) / dt],
                      [0.0, -dt * math.exp(-rate) / loss**2]])
-    kappa_err, t21_err = np.sqrt(np.maximum(np.diag(grad @ cov @ grad.T), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        kappa_err, t21_err = np.sqrt(np.maximum(np.diag(grad @ cov @ grad.T), 0.0))
+    if not np.all(np.isfinite([t21, kappa_err, t21_err])):
+        raise ValueError("the round time np_mean * tp_ns overflows the fit")
     return LeakageFit(kappa, t21, np_mean, tp_ns, (float(kappa_err), float(t21_err)))
 
 

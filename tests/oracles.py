@@ -11,6 +11,12 @@ exact_census computes the mean minimum pulse count over all 24^n Clifford
 tuples without any cliffcast code: its own rotation matrices, group
 closure, coverage of every pulse train and surjection counts.
 
+first_firing computes a compiled round from pulse unitaries alone: the
+first train of a given length (lexicographic over the search basis) whose
+subset products cover the targets, and for each qubit the first subset in
+binary counting whose product is its target.  It shares no table with the
+compiler.
+
 iterate_rate_equation iterates the leakage balance round by round.
 
 least_squares_exp and least_squares_leakage are scipy's bounded
@@ -43,12 +49,13 @@ from scipy.optimize import least_squares
 
 from cliffcast import compiler
 from cliffcast.clifford import (
+    clifford_of_pulses,
     compose,
     minimal_decomposition,
     pulse_clifford_map,
     recovery_clifford,
 )
-from cliffcast.decomp import enumerate_decompositions
+from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
 
 
 @lru_cache(maxsize=None)
@@ -90,6 +97,29 @@ def brute_force_min_pulses(combo) -> int:
             continue
         best = min(best, _merge_min(tuple(sorted(choice))))
     return best
+
+
+@lru_cache(maxsize=None)
+def _subset_cliffords(train: tuple) -> tuple[int, ...]:
+    """The Clifford of every non-empty subset of the train, subset code
+    order (bit k = pulse k), each from its pulses' unitaries."""
+    return tuple(clifford_of_pulses([p for k, p in enumerate(train) if code >> k & 1])
+                 for code in range(1, 1 << len(train)))
+
+
+def first_firing(combo, length: int):
+    """(train, fired slots per qubit) for the first train of the given
+    length that covers every non-identity target; identity qubits fire
+    nothing.  None when no train of that length covers them."""
+    targets = {c for c in combo if c != 1}
+    for train in itertools.product(SEARCH_BASIS, repeat=length):
+        cliffs = _subset_cliffords(train)
+        if targets <= set(cliffs):
+            fired = [() if c == 1 else
+                     tuple(k for k in range(length) if (cliffs.index(c) + 1) >> k & 1)
+                     for c in combo]
+            return train, fired
+    return None
 
 
 def iterate_rate_equation(m: int, kappa: float, t21: float, np_mean: float,

@@ -404,7 +404,7 @@ def test_leakfit_missing_header(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--np-mean", "--tp-ns"])
-@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_leakfit_nonpositive_rate_inputs_rejected(tmp_path, capsys, flag, value):
     csv_path = tmp_path / "leak.csv"
     csv_path.write_text("m,p2\n" + "".join(f"{m},{m * 1e-4}\n" for m in range(1, 9)))
@@ -412,6 +412,54 @@ def test_leakfit_nonpositive_rate_inputs_rejected(tmp_path, capsys, flag, value)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_rb_minimal_with_several_qubits_is_validation_error(tmp_path, capsys):
+    cfg = {"qubits": [{}, {}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "rb.json")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "single-qubit" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity tokens."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_leakfit_zero_plateau_is_flat_zero(tmp_path, capsys):
+    """Data whose best plateau is 0 get the flat-zero result, not a rate."""
+    csv_path = tmp_path / "leak.csv"
+    csv_path.write_text("m,p2\n0,0\n25,-1e-6\n50,-2e-6\n75,-1e-6\n100,-3e-6\n")
+    assert run_cli(["leakfit", "--input", str(csv_path)]) == 0
+    d = _strict_json(capsys.readouterr().out)
+    assert d["kappa"] == 0.0
+    assert d["t21_ns"] is None
+    assert d["unidentifiable"] is True
+    assert d["kappa_stderr"] == d["t21_stderr"] == 0.0
+
+
+@pytest.mark.parametrize("rows,flags", [
+    ("5,0.1\n5,0.2\n5,0.1\n5,0.3\n", []),  # one length: the rate is free
+    ("0,0\n1,0\n2,0.0078125\n0,0\n", ["--tp-ns", "1e308"]),  # overflowing round
+])
+def test_leakfit_undetermined_fit_is_numerical_failure(tmp_path, capsys, rows, flags):
+    """A fit whose errors would be NaN or whose T21 would overflow exits 4
+    and prints no JSON."""
+    csv_path = tmp_path / "leak.csv"
+    csv_path.write_text("m,p2\n" + rows)
+    assert run_cli(["leakfit", "--input", str(csv_path)] + flags) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
 
 
 def test_csv_floats_nine_significant_digits(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -26,7 +27,7 @@ from cliffcast.compiler import (
     mean_np_sampled,
     min_broadcast_pulses,
 )
-from oracles import brute_force_min_pulses, exact_census
+from oracles import brute_force_min_pulses, exact_census, first_firing
 
 I2 = np.eye(2)
 
@@ -246,3 +247,61 @@ def test_slot_indices_strictly_increasing():
             slots = [e.slot for e in sched.events]
             assert slots == sorted(set(slots))
             assert all(0 <= s < sched.n_slots for s in slots)
+
+
+# SHA-256 over compile_optimal(c).to_json() for the 24 one-qubit and 576
+# two-qubit combos, then 200 eight-qubit combos drawn from Philox seed 2015;
+# recorded before the coverage tables were derived from
+# decomp.sequence_products.
+COMPILE_OPTIMAL_DIGEST = "83cdd70357528840e63feb6c37d4ead51a0f6ab276392eb2173e65aa87b1439b"
+
+
+def test_compile_optimal_outputs_frozen():
+    from cliffcast.compiler import _coverage_tables
+
+    combos = [(a,) for a in range(1, 25)] + list(itertools.product(range(1, 25), repeat=2))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2015)))
+    combos += [tuple(r) for r in rng.integers(1, 25, size=(200, 8)).tolist()]
+    h = hashlib.sha256()
+    for combo in combos:
+        h.update(compile_optimal(combo).to_json().encode())
+    assert h.hexdigest() == COMPILE_OPTIMAL_DIGEST
+    _, tiers = _coverage_tables()
+    assert {n: len(t) for n, t in tiers.items()} == {1: 6, 2: 19, 3: 42, 4: 74}
+
+
+def test_compiled_firing_is_first_matching_subset():
+    """Each qubit fires the first subset, in binary counting, of the first
+    covering train whose product is its target, with the products taken
+    from unitaries (oracles.first_firing), not from the compose table."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(120):
+        combo = tuple(int(c) for c in rng.integers(1, 25, size=int(rng.integers(1, 6))))
+        sched = compile_optimal(combo)
+        if not 0 < sched.n_slots < 5:
+            continue
+        train, fired = first_firing(combo, sched.n_slots)
+        for ev in sched.events:
+            assert ev.pulse == train[ev.slot], combo
+        for q in range(len(combo)):
+            assert tuple(ev.slot for ev in sched.events if ev.mask[q]) == fired[q], combo
+        checked += 1
+    assert checked >= 60
+
+
+def test_schedule_verify_rejects_one_flipped_mask_bit():
+    from dataclasses import replace
+
+    for combo in [(2, 13), (5, 9, 17), (3, 3, 24, 11)]:
+        sched = compile_optimal(combo)
+        sched.verify(combo)
+        for i, ev in enumerate(sched.events):
+            for q in range(len(combo)):
+                mask = tuple(b != (k == q) for k, b in enumerate(ev.mask))
+                if not any(mask):
+                    continue
+                bad = replace(sched, events=sched.events[:i] + [replace(ev, mask=mask)]
+                              + sched.events[i + 1:])
+                with pytest.raises(ValueError, match=f"qubit {q}"):
+                    bad.verify(combo)

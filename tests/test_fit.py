@@ -216,7 +216,8 @@ def test_fit_leakage_roundtrip():
 
 
 @pytest.mark.parametrize("np_mean,tp", [(0.0, 20.0), (-1.875, 20.0), (1.875, 0.0),
-                                        (1.875, -20.0), (math.nan, 20.0)])
+                                        (1.875, -20.0), (math.nan, 20.0),
+                                        (math.inf, 20.0), (1.875, math.inf)])
 def test_fit_leakage_rejects_nonpositive_round_length(np_mean, tp):
     m = np.array([1, 5, 10, 25, 50, 100, 200, 400, 800], dtype=float)
     p2 = leakage_model(m, 4.1e-6, 40_000.0, 1.875, 20.0)
@@ -229,6 +230,19 @@ def test_fit_leakage_flat_zero():
     lf = fit_leakage(m, np.zeros(9), 1.875, 20.0)
     assert lf.kappa == 0.0
     assert lf.unidentifiable
+
+
+def test_fit_leakage_zero_plateau_is_flat_zero():
+    lf = fit_leakage([0, 25, 50, 75, 100], [0.0, -1e-6, -2e-6, -1e-6, -3e-6], 1.875, 20.0)
+    assert (lf.kappa, lf.t21_ns, lf.stderr, lf.unidentifiable) == (0.0, math.inf,
+                                                                   (0.0, 0.0), True)
+
+
+def test_fit_leakage_undetermined_fits_are_rejected():
+    with pytest.raises(ValueError, match="two distinct positive lengths"):
+        fit_leakage([0, 5, 5, 5], [0.0, 0.1, 0.2, 0.1], 1.875, 20.0)
+    with pytest.raises(ValueError, match="overflows"):
+        fit_leakage([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.2], 1.875, 1e308)
 
 
 def test_unidentifiable_leakage_fit_evaluates_to_zero():
