@@ -116,6 +116,8 @@ def cmd_stats(args) -> int:
         "stderr": stats.stderr,
         "mode": stats.mode,
         "samples": stats.samples,
+        # P(cost = c): the share of combinations charged c slots.
+        "distribution": {str(c): p for c, p in enumerate(stats.distribution, start=1)},
     }
     if args.csv:
         text = _csv(
@@ -162,7 +164,7 @@ def _load_rb_config(path: str) -> dict:
             raise ValidationError(f"unknown qubit keys: {sorted(unknown)}")
         for key, value in q.items():
             if not (_is_number(value) or key == "t1_ns" and value in (None, "inf")):
-                raise ValidationError(f"qubit field {key} must be a number, "
+                raise ValidationError(f"qubit field {key} must be a finite number, "
                                       f"got {value!r}")
     if (not isinstance(cfg["m_values"], list) or not cfg["m_values"]
             or not all(_is_number(m, int) and m >= 1 for m in cfg["m_values"])):
@@ -175,9 +177,11 @@ def _load_rb_config(path: str) -> dict:
 
 
 def _is_number(value, types=(int, float)) -> bool:
-    """A JSON number of the given types; true and false are bools, which
-    Python counts as ints."""
-    return isinstance(value, types) and not isinstance(value, bool)
+    """A finite JSON number of the given types; true and false are bools,
+    which Python counts as ints, and the NaN and Infinity tokens are not
+    numbers here."""
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _qubit_model(entry: dict) -> QubitModel:

@@ -67,14 +67,15 @@ class QubitModel:
     over_ratio: float = 1.0
 
     def __post_init__(self):
+        # Each check is false for NaN, so NaN is rejected with the field.
         if not self.t1_ns > 0:
             raise ValueError("t1_ns must be positive (math.inf allowed)")
-        if not self.slot_ns > 0:
-            raise ValueError("slot_ns must be positive")
+        if not 0 < self.slot_ns < math.inf:
+            raise ValueError("slot_ns must be positive and finite")
         if not 0.0 <= self.cross_ratio < 1.0:
             raise ValueError("cross_ratio must be in [0, 1)")
-        if self.over_ratio < 0:
-            raise ValueError("over_ratio must be >= 0")
+        if not 0 <= self.over_ratio < math.inf:
+            raise ValueError("over_ratio must be finite and >= 0")
 
 
 @dataclass
@@ -376,6 +377,9 @@ def simulate_allxy(over_ratio: float = 1.0, phase_rad: float = 0.0,
     over_ratio scales every non-identity rotation angle (amplitude error);
     phase_rad offsets the axis of y pulses (drive phase error).
     """
+    QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
+    if not math.isfinite(phase_rad):
+        raise ValueError("phase_rad must be finite")
     out = np.empty(len(ALLXY_SEQUENCE))
     for i, (first, second, _) in enumerate(ALLXY_SEQUENCE):
         state = GROUND.copy()
@@ -402,7 +406,8 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     at one half for every N; over-driving tilts the initial slope positive,
     under-driving negative.
     """
-    if over_ratio <= 0:
+    QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
+    if not over_ratio > 0:
         raise ValueError("over_ratio must be > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -439,8 +444,8 @@ class ExchangeParams:
     t1_b_ns: float = math.inf
 
     def __post_init__(self):
-        if self.j_over_2pi_khz < 0:
-            raise ValueError("coupling must be >= 0")
+        if not 0 <= self.j_over_2pi_khz < math.inf:
+            raise ValueError("j_over_2pi_khz must be finite and >= 0")
         if not (self.t1_a_ns > 0 and self.t1_b_ns > 0):
             raise ValueError("t1 values must be positive")
 
@@ -473,8 +478,8 @@ def exchange_swap(params: ExchangeParams, t_grid_ns):
     Returns (t_grid_ns, p1_a, p1_b) with the grid sorted.
     """
     t = np.asarray(sorted(float(x) for x in t_grid_ns))
-    if t.size == 0 or t[0] < 0:
-        raise ValueError("t_grid_ns must be non-empty and non-negative")
+    if t.size == 0 or not np.all(np.isfinite(t)) or t[0] < 0:
+        raise ValueError("t_grid_ns must be non-empty, finite and non-negative")
 
     j = params.j_rad_per_ns
     gamma_a, gamma_b = 1.0 / params.t1_a_ns, 1.0 / params.t1_b_ns

@@ -10,6 +10,8 @@ check of the optimal compiler, feasible for one or two qubits.
 exact_census computes the mean minimum pulse count over all 24^n Clifford
 tuples without any cliffcast code: its own rotation matrices, group
 closure, coverage of every pulse train and surjection counts.
+cost_distribution gives, from the same counts, the share of tuples at each
+cost.
 
 first_firing computes a compiled round from pulse unitaries alone: the
 first train of a given length (lexicographic over the search basis) whose
@@ -331,6 +333,18 @@ def exact_census(n: int) -> Fraction:
         total += sum(c * v for c, v in enumerate(row)) * tuples
     assert count == 24**n
     return Fraction(total, count)
+
+
+def cost_distribution(n: int) -> tuple[Fraction, ...]:
+    """P(cost = c) for c = 1..5 over all 24^n Clifford tuples; the
+    all-identity tuple is charged one slot, so it falls in c = 1."""
+    tuples_by_cost = [0] * 6
+    for k, row in enumerate(_census_cost_counts()):
+        tuples = _surjections(n, k) + _surjections(n, k + 1)
+        for c, sets in enumerate(row):
+            tuples_by_cost[c] += sets * tuples
+    assert tuples_by_cost[0] == 0
+    return tuple(Fraction(t, 24**n) for t in tuples_by_cost[1:])
 
 
 # --- slot-by-slot benchmarking ----------------------------------------------

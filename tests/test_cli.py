@@ -106,7 +106,22 @@ def test_stats_output_is_deterministic(tmp_path):
         assert run_cli(["stats", "--n", "4", "--exact", "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert set(json.loads(outputs[0])) == {"n", "mean_np", "stderr", "mode", "samples"}
+    assert set(json.loads(outputs[0])) == {"n", "mean_np", "stderr", "mode", "samples",
+                                           "distribution"}
+
+
+def test_stats_exact_n23_is_deterministic(tmp_path):
+    """From n = 23 on every target set occurs; the census is still exact."""
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"stats{i}.json"
+        assert run_cli(["stats", "--n", "23", "--exact", "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    d = json.loads(outputs[0])
+    assert d["mean_np"] == 4.999661069725701
+    assert list(d["distribution"]) == ["1", "2", "3", "4", "5"]
+    assert sum(d["distribution"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stats_sampled_seed_defaults_to_zero(capsys):
@@ -291,6 +306,18 @@ def test_rb_qubit_field_must_be_number(tmp_path, capsys, key, value):
     assert not (tmp_path / "rb.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["over_ratio", "cross_ratio", "slot_ns"])
+def test_rb_qubit_field_nan_is_validation_error(tmp_path, capsys, key):
+    cfg = {"qubits": [{key: math.nan}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert "NaN" in cfg_path.read_text()
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rb.csv").exists()
+
+
 def test_import_does_not_load_scipy(tmp_path):
     """No command loads scipy, the fitting ones included: it is a test-only
     dependency."""
@@ -364,6 +391,11 @@ def test_swap_csv(capsys):
     ["stats", "--n", "3", "--samples", "10"],
     ["swap", "--j-khz", "36", "--points", "0"],
     ["allxy", "--over", "-1"],
+    ["calib", "--over", "nan", "--n-max", "2"],
+    ["swap", "--j-khz", "nan", "--points", "2"],
+    ["swap", "--j-khz", "36", "--t-max-us", "nan", "--points", "2"],
+    ["allxy", "--phase", "inf"],
+    ["allxy", "--over", "nan"],
 ])
 def test_rejected_library_input_is_validation_error(args, capsys):
     assert run_cli(args) == 3

@@ -14,6 +14,7 @@ from cliffcast.clifford import (
     sequence_unitary,
 )
 from cliffcast.compiler import (
+    CENSUS_COUNTS,
     SCHEME_COMPILED,
     SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
@@ -26,8 +27,15 @@ from cliffcast.compiler import (
     mean_np_exact,
     mean_np_sampled,
     min_broadcast_pulses,
+    _coverage_tables,
 )
-from oracles import brute_force_min_pulses, exact_census, first_firing
+from oracles import (
+    _census_cost_counts,
+    brute_force_min_pulses,
+    cost_distribution,
+    exact_census,
+    first_firing,
+)
 
 I2 = np.eye(2)
 
@@ -180,9 +188,47 @@ def test_mean_np_exact_rejects_zero_qubits():
         mean_np_exact(0)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 11), 23, 50])
 def test_mean_np_exact_matches_oracle(n):
     assert mean_np_exact(n).mean_np == float(exact_census(n))
+
+
+def test_census_counts_rebuilt_from_tiers():
+    """The frozen table is the submask closure of the coverage tiers, each
+    set counted at the shortest length whose tier covers it, and equals
+    the oracle's counts over all 2^23 target sets."""
+    _, tiers = _coverage_tables()
+    counts = [[0] * 4 for _ in range(16)]
+    counts[0][0] = 1  # the all-identity round is charged one slot
+    seen = set()
+    for length in range(1, 5):
+        for tier_mask in tiers[length]:
+            sub = tier_mask
+            while sub:
+                if sub not in seen:
+                    seen.add(sub)
+                    counts[bin(sub).count("1")][length - 1] += 1
+                sub = (sub - 1) & tier_mask
+    assert len(seen) == 254_065
+    assert tuple(map(tuple, counts)) == CENSUS_COUNTS
+    oracle = _census_cost_counts()
+    assert tuple(row[1:5] for row in oracle[:16]) == CENSUS_COUNTS
+    assert all(row[1:5] == (0, 0, 0, 0) for row in oracle[16:])
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 23])
+def test_mean_np_exact_distribution_matches_oracle(n):
+    st_ = mean_np_exact(n)
+    assert st_.distribution == tuple(float(p) for p in cost_distribution(n))
+
+
+def test_mean_np_sampled_distribution_is_the_cost_histogram():
+    st_ = mean_np_sampled(3, 2_000, seed=5)
+    counts = [round(p * st_.samples) for p in st_.distribution]
+    assert st_.distribution == tuple(m / st_.samples for m in counts)
+    assert len(counts) == 5 and sum(counts) == st_.samples
+    mean = sum(c * n for c, n in enumerate(counts, start=1)) / st_.samples
+    assert mean == pytest.approx(st_.mean_np, abs=1e-12)
 
 
 def test_mean_np_exact_deterministic():

@@ -87,6 +87,10 @@ def test_qubit_model_validation():
         QubitModel(cross_ratio=1.5)
     with pytest.raises(ValueError):
         QubitModel(slot_ns=-1.0)
+    for bad in ({"over_ratio": math.nan}, {"over_ratio": math.inf},
+                {"slot_ns": math.nan}, {"slot_ns": math.inf}, {"t1_ns": math.nan}):
+        with pytest.raises(ValueError):
+            QubitModel(**bad)
 
 
 @pytest.mark.parametrize(
