@@ -119,16 +119,32 @@ def cmd_stats(args) -> int:
         # P(cost = c): the share of combinations charged c slots.
         "distribution": {str(c): p for c, p in enumerate(stats.distribution, start=1)},
     }
-    if args.csv:
-        text = _csv(
-            [(stats.n, float(stats.mean_np), float(stats.stderr), stats.mode,
-              stats.samples)],
-            header=["n", "mean_np", "stderr", "mode", "samples"],
-        )
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+    with _unlimited_int_digits():
+        if args.csv:
+            text = _csv(
+                [(stats.n, float(stats.mean_np), float(stats.stderr), stats.mode,
+                  stats.samples)],
+                header=["n", "mean_np", "stderr", "mode", "samples"],
+            )
+        else:
+            text = json.dumps(payload, indent=2) + "\n"
     _write_outputs((args.output, text))
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on converting long ints to text, which the
+    exact census count 24^n exceeds from n = 3116 on (4,301 digits), and
+    restore it afterwards.  Pythons without the limit have no setter."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 _CONFIG_KEYS = {"qubits", "scheme", "m_values", "n_seeds", "rng_seed",
@@ -216,6 +232,8 @@ def cmd_rb(args) -> int:
             "slots": result.slots,
             "round_cache": {"hits": result.rounds - result.distinct_rounds,
                             "misses": result.distinct_rounds},
+            # Distinct per-qubit slot signatures behind those rounds.
+            "qubit_channels": result.qubit_channels,
         },
         "qubits": [],
     }

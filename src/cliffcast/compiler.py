@@ -19,26 +19,34 @@ compiled
     The provably minimum number of events over all decomposition choices
     and pulse interleavings.
 
+Round plans
+-----------
+Every scheme first builds a round plan (`round_plan`): the pulse of each
+time slot, None where no qubit fires, and one fired-slot bitmask per qubit.
+`Schedule`s are built from the plan, and the simulator reads it directly,
+so a round has one representation.  The five-primitive bitmasks are read
+from the frozen mask tables.
+
 Optimal search
 --------------
-The optimum is computed against precomputed coverage tiers.  For every
+The optimum is computed against precomputed coverage tables.  For every
 pulse sequence s of length N (1..4 over the six-rotation basis) the set of
-Cliffords realizable as a subsequence product of s is reduced to a bitmask;
-per length the masks are pruned to the dominance-maximal ones.  The
-subsequence products come from `decomp.sequence_products`, the one walk
+Cliffords realizable as a subsequence product of s is reduced to a bitmask.
+The subsequence products come from `decomp.sequence_products`, the one walk
 over the basis sequences, and are kept beside each mask: a qubit's firing
-choice in `compile_optimal` is read from them, not searched again.  A
-Clifford combination then costs the smallest N whose tier contains a
-superset of its target set, and 5 otherwise, since a five-primitive round
-always realizes any combination, capping the search.  Probing tiers in
-ascending length tries short decompositions first and stops at the first
-hit; the length-4 tier plays the role of a separate final pass for
-combinations that need a four-pulse sequence.  This one integer query
-prices each combination for `compile_optimal`, `min_broadcast_pulses` and
-the sampled census.  A cost depends only on the set of distinct
-non-identity targets, so the exact census reads `CENSUS_COUNTS`, the number
-of sets of each size at each cost, and weights each size by surjection
-counts instead of enumerating the 24^n combinations or the sets.
+choice is read from them, not searched again.  `compile_optimal` keeps the
+masks of all lengths, in ascending length and then sequence order, as one
+int64 array of their complements; one vectorised test finds the first
+sequence that misses none of the targets, which is the shortest and, among
+those, the lexicographically first covering sequence.  If none does, the
+five-primitive round realizes any combination, so a combination costs at
+most 5.  Cost queries (`min_broadcast_pulses` and the sampled census) probe
+the per-length masks pruned to the dominance-maximal ones, in ascending
+length, and stop at the first superset of the target set.  A cost depends
+only on the set of distinct non-identity targets, so the exact census reads
+`CENSUS_COUNTS`, the number of sets of each size at each cost, and weights
+each size by surjection counts instead of enumerating the 24^n
+combinations or the sets.
 
 Identity accounting
 -------------------
@@ -55,19 +63,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
 from .clifford import (
     CANONICAL_UNITARIES,
+    FIVE_PRIMITIVE_MASKS,
+    FIVE_PRIMITIVE_MASKS_INVERTED,
     FIVE_PRIMITIVES,
     FIVE_PRIMITIVES_INVERTED,
+    MINIMAL_DECOMPOSITIONS,
     Pulse,
     equal_up_to_phase,
-    five_primitive_mask,
-    minimal_decomposition,
     sequence_unitary,
 )
 from .decomp import SEARCH_BASIS, sequence_products
@@ -171,13 +181,89 @@ class NpStats:
 
 
 def _check_combo(combo) -> tuple[int, ...]:
-    combo = tuple(int(c) for c in combo)
+    combo = tuple(map(int, combo))
     if not combo:
         raise ValueError("combo must contain at least one Clifford id")
-    for c in combo:
-        if not 1 <= c <= 24:
-            raise ValueError(f"Clifford id must be in 1..24, got {c}")
+    if min(combo) < 1 or max(combo) > 24:
+        bad = next(c for c in combo if not 1 <= c <= 24)
+        raise ValueError(f"Clifford id must be in 1..24, got {bad}")
     return combo
+
+
+# --- round plans ----------------------------------------------------------
+
+# Fired-slot bitmasks of the five-primitive rounds by Clifford id (entry 0
+# unused), read from the frozen mask tables: normal round, mirrored round.
+_FIVE_FIRES = tuple(
+    (0, *(sum(b << s for s, b in enumerate(table[c])) for c in range(1, 25)))
+    for table in (FIVE_PRIMITIVE_MASKS, FIVE_PRIMITIVE_MASKS_INVERTED)
+)
+
+
+def _emitted(train, fires) -> tuple:
+    """The train with None in each slot that no qubit fires."""
+    fired = reduce(or_, fires, 0)
+    return tuple([p if fired >> s & 1 else None for s, p in enumerate(train)])
+
+
+def _sequential_plan(combo) -> tuple:
+    pulses: list[Pulse] = []
+    fires = []
+    for c in combo:
+        fire = 0
+        if c != 1:
+            for p in MINIMAL_DECOMPOSITIONS[c]:
+                fire |= 1 << len(pulses)
+                pulses.append(p)
+        fires.append(fire)
+    return tuple(pulses), tuple(fires)
+
+
+def _five_plan(combo, parity: int) -> tuple:
+    table = _FIVE_FIRES[parity]
+    fires = tuple(table[c] for c in combo)
+    return _emitted(FIVE_PRIMITIVES_INVERTED if parity else FIVE_PRIMITIVES, fires), fires
+
+
+def _optimal_plan(combo) -> tuple:
+    """The first covering sequence of minimum length; each qubit fires the
+    first subset, in binary counting, whose product is its target (subset
+    code k + 1 fires entry k of the sequence's products).  Combinations no
+    sequence of four pulses covers take the normal five-primitive round."""
+    mask = _target_mask(combo)
+    if mask == 0:
+        return (), (0,) * len(combo)
+    uncovered, covers = _cover_index()
+    missed = uncovered & mask  # the targets each sequence cannot fire
+    first = int(missed.argmin())
+    if missed[first]:
+        return _five_plan(combo, 0)
+    seq, _, prods = covers[first]
+    fires = tuple(0 if c == 1 else prods.index(c) + 1 for c in combo)
+    return _emitted(map(SEARCH_BASIS.__getitem__, seq), fires), fires
+
+
+def round_plan(combo, scheme: str, parity: int = 0) -> tuple:
+    """(pulses, fires) of one round: the pulse of each time slot, None where
+    no qubit fires, and one fired-slot bitmask per qubit (bit s: slot s).
+    parity alternates only the symmetric five-primitive scheme."""
+    combo = _check_combo(combo)
+    if scheme == SCHEME_SEQUENTIAL:
+        return _sequential_plan(combo)
+    if scheme == SCHEME_FIVE:
+        return _five_plan(combo, 0)
+    if scheme == SCHEME_FIVE_SYMMETRIC:
+        return _five_plan(combo, parity % 2)
+    if scheme == SCHEME_COMPILED:
+        return _optimal_plan(combo)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _schedule(scheme: str, plan: tuple) -> Schedule:
+    pulses, fires = plan
+    events = [PulseEvent(slot=s, pulse=p, mask=tuple([f >> s & 1 == 1 for f in fires]))
+              for s, p in enumerate(pulses) if p is not None]
+    return Schedule(n_qubits=len(fires), scheme=scheme, events=events, n_slots=len(pulses))
 
 
 def compile_sequential(combo) -> Schedule:
@@ -185,18 +271,7 @@ def compile_sequential(combo) -> Schedule:
 
     Identity Cliffords emit no events (nothing is broadcast for them).
     """
-    combo = _check_combo(combo)
-    n = len(combo)
-    events = []
-    slot = 0
-    for q, c in enumerate(combo):
-        if c == 1:
-            continue
-        for p in minimal_decomposition(c):
-            mask = tuple(i == q for i in range(n))
-            events.append(PulseEvent(slot=slot, pulse=p, mask=mask))
-            slot += 1
-    return Schedule(n_qubits=n, scheme=SCHEME_SEQUENTIAL, events=events, n_slots=slot)
+    return _schedule(SCHEME_SEQUENTIAL, _sequential_plan(_check_combo(combo)))
 
 
 def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
@@ -209,16 +284,8 @@ def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
     combo = _check_combo(combo)
     if round_parity not in (0, 1):
         raise ValueError("round_parity must be 0 or 1")
-    inverted = bool(round_parity)
-    primitives = FIVE_PRIMITIVES_INVERTED if inverted else FIVE_PRIMITIVES
-    masks = [five_primitive_mask(c, inverted=inverted) for c in combo]
-    scheme = SCHEME_FIVE_SYMMETRIC if inverted else SCHEME_FIVE
-    events = []
-    for slot in range(5):
-        mask = tuple(bool(m[slot]) for m in masks)
-        if any(mask):
-            events.append(PulseEvent(slot=slot, pulse=primitives[slot], mask=mask))
-    return Schedule(n_qubits=len(combo), scheme=scheme, events=events, n_slots=5)
+    scheme = SCHEME_FIVE_SYMMETRIC if round_parity else SCHEME_FIVE
+    return _schedule(scheme, _five_plan(combo, round_parity))
 
 
 # --- coverage tiers for the optimal search -------------------------------
@@ -246,6 +313,17 @@ def _coverage_tables():
             if not any((bm & k) == bm for k in tiers[n]):
                 tiers[n].append(bm)
     return covers, tiers
+
+
+@lru_cache(maxsize=1)
+def _cover_index():
+    """Every cover (sequence, mask, products) in ascending length, then in
+    sequence order, and the complements of their masks as one int64 array.
+    The first sequence that misses no target is therefore the shortest
+    and, among those, the lexicographically first covering sequence."""
+    covers, _ = _coverage_tables()
+    entries = [entry for n in range(1, 5) for entry in covers[n]]
+    return ~np.array([bm for _, bm, _ in entries], dtype=np.int64), entries
 
 
 def _target_mask(combo) -> int:
@@ -285,32 +363,7 @@ def compile_optimal(combo) -> Schedule:
     in binary counting order.  Combinations that cannot be realized in four
     pulses fall back to the five-primitive round, which is then optimal.
     """
-    combo = _check_combo(combo)
-    n_qubits = len(combo)
-    mask = _target_mask(combo)
-    if mask == 0:
-        return Schedule(n_qubits=n_qubits, scheme=SCHEME_COMPILED, events=[], n_slots=0)
-    n_pulses = _min_pulses_for_mask(mask)
-    if n_pulses >= FIVE_PRIMITIVES_BOUND:
-        return replace(compile_five_primitives(combo), scheme=SCHEME_COMPILED)
-    covers, _ = _coverage_tables()
-    seq, prods = next(((s, p) for s, bm, p in covers[n_pulses] if bm & mask == mask),
-                      (None, None))
-    if seq is None:
-        raise RuntimeError("tier promised coverage but no sequence found")
-    # Subset code k + 1 fires entry k: the first match is the first subset
-    # in binary counting whose product is the target.
-    fire = [0 if c == 1 else prods.index(c) + 1 for c in combo]
-    events = []
-    for slot in range(n_pulses):
-        ev_mask = tuple(bool(f >> slot & 1) for f in fire)
-        if any(ev_mask):
-            events.append(
-                PulseEvent(slot=slot, pulse=SEARCH_BASIS[seq[slot]], mask=ev_mask)
-            )
-    return Schedule(
-        n_qubits=n_qubits, scheme=SCHEME_COMPILED, events=events, n_slots=n_pulses
-    )
+    return _schedule(SCHEME_COMPILED, _optimal_plan(_check_combo(combo)))
 
 
 def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:

@@ -10,11 +10,17 @@ qubit receives the same rotation axis scaled by its cross-driving ratio
 (stray drive through imperfect isolation).  Slots in which nothing fires
 (identity slots, empty five-primitive slots) pass time only.
 
-Benchmarking never propagates density matrices slot by slot: since the
-qubits are uncoupled and every slot is a fixed linear channel, each round
-is one cached 4x4 Pauli-transfer matrix per qubit, applied to the qubit's
-Pauli vector (1, x, y, z).  The matrices are built from apply_pulse and
-relax, so those two functions stay the only definition of the physics.
+Benchmarking never propagates density matrices slot by slot.  The qubits
+are uncoupled and every slot is a fixed linear channel, so a round acts on
+each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
+vector (1, x, y, z).  That matrix depends only on the qubit's model and its
+slot signature: the pulse of each slot of the round plan
+(compiler.round_plan) and the slots the qubit fires.  Each signature's
+matrix is built once, as a product of the model's slot matrices, and cached
+under plain ints; a round stacks its qubits' matrices and is memoized by
+combination.  An 8-qubit compiled run meets some hundreds of signatures,
+against 24^8 combinations.  The slot matrices are built from apply_pulse
+and relax, so those two functions stay the only definition of the physics.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -93,7 +99,8 @@ class RBResult:
 
     rounds and slots count every simulated round and time slot;
     distinct_rounds counts the different round channels the run used,
-    which is how many a round cache that starts empty builds.
+    which is how many a round cache that starts empty builds, and
+    qubit_channels the different per-qubit slot signatures behind them.
     """
 
     scheme: str
@@ -103,6 +110,7 @@ class RBResult:
     rounds: int
     slots: int
     distinct_rounds: int
+    qubit_channels: int
 
     @property
     def mean_slots_per_round(self) -> float:
@@ -171,62 +179,75 @@ def _transfer_matrix(pulse: Pulse | None, scale: float, model: QubitModel) -> np
     return np.einsum("iab,jba->ij", _PAULIS, images).real / 2
 
 
+# The slot code of each pulse: 0 for an empty slot, else its place in Pulse.
+_SLOT_PULSES = (None, *Pulse)
+
+
+class _SlotTable(dict):
+    """Slot matrices of one register, and the per-qubit round channels
+    built from them.
+
+    slots[k, code, routed] is one slot on a qubit of the k-th distinct
+    model: code 0 an empty slot, code i the i-th Pulse; routed 0 is the
+    stray drive at its cross_ratio, 1 its own over_ratio.  The qubits are
+    uncoupled, so a qubit's round channel depends only on its model and its
+    slot signature.  The table maps (kind, slot codes, fired-slot bitmask),
+    plain ints, to the row of that channel in `bank`; a missing key builds
+    the channel once, as the product of its slot matrices.
+    """
+
+    # Compared by identity: the round cache is keyed on the table.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, models: tuple):
+        super().__init__()
+        distinct: dict = {}
+        self.kinds = tuple(distinct.setdefault(m, len(distinct)) for m in models)
+        self.slots = np.array([[[_transfer_matrix(p, m.cross_ratio, m),
+                                 _transfer_matrix(p, m.over_ratio, m)]
+                                for p in _SLOT_PULSES] for m in distinct])
+        self.bank = np.empty((64, 4, 4))  # rows past len(self) are unused
+
+    def __missing__(self, key: tuple) -> int:
+        kind, codes, fire = key
+        slots = self.slots[kind]
+        out = np.eye(4)
+        for s, code in enumerate(codes):
+            out = slots[code, fire >> s & 1] @ out
+        row = self[key] = len(self)
+        if row == len(self.bank):
+            self.bank = np.concatenate([self.bank, np.empty_like(self.bank)])
+        self.bank[row] = out
+        return row
+
+
 @lru_cache(maxsize=64)
-def _slot_channels(models: tuple) -> dict:
-    """The transfer matrices of one slot on every qubit.  An empty slot
-    (key None) has shape (n_qubits, 4, 4); a pulse has shape
-    (2, n_qubits, 4, 4), index 0 for a qubit that is not routed (stray
-    drive at its cross_ratio) and 1 for a routed one (its over_ratio)."""
-    per_model = {
-        m: {pulse: [_transfer_matrix(pulse, m.cross_ratio, m),
-                    _transfer_matrix(pulse, m.over_ratio, m)] for pulse in Pulse}
-        for m in set(models)
-    }
-    table = {None: np.array([_transfer_matrix(None, 0.0, m) for m in models])}
-    for pulse in Pulse:
-        table[pulse] = np.stack([per_model[m][pulse] for m in models], axis=1)
-    for channels in table.values():
-        channels.flags.writeable = False
-    return table
-
-
-def _round_events(combo: tuple, scheme: str, parity: int) -> list:
-    """One entry per time slot of a round: None when nothing fires, else
-    (pulse, mask) with one bool per driven qubit."""
-    if scheme == SCHEME_MINIMAL:
-        if len(combo) != 1:
-            raise ValueError("minimal scheme is single-qubit")
-        # The identity Clifford occupies one empty slot (its I pulse).
-        if combo[0] == 1:
-            return [None]
-        return [(p, (True,)) for p in minimal_decomposition(combo[0])]
-    sched = compiler.compile_scheme(combo, scheme, round_parity=parity)
-    slots: list = [None] * sched.n_slots
-    for ev in sched.events:
-        slots[ev.slot] = (ev.pulse, ev.mask)
-    return slots
+def _slot_channels(models: tuple) -> _SlotTable:
+    """The slot table of a register, one per distinct tuple of models."""
+    return _SlotTable(models)
 
 
 @lru_cache(maxsize=200_000)
 def _round_channel(combo: tuple, scheme: str, parity: int,
-                   models: tuple) -> tuple[np.ndarray, int]:
-    """Transfer matrices of one round, shape (n_qubits, 4, 4), and its slot
-    count.  Qubits past the combination's length are never routed."""
-    slots = _round_events(combo, scheme, parity)
-    table = _slot_channels(models)
-    qubits = np.arange(len(models))
-    routed = np.zeros(len(models), dtype=np.intp)
-    out = np.tile(np.eye(4), (len(models), 1, 1))
-    for entry in slots:
-        if entry is None:
-            channels = table[None]
-        else:
-            pulse, mask = entry
-            routed[:len(mask)] = mask
-            channels = table[pulse][routed, qubits]
-        out = channels @ out
+                   table: _SlotTable) -> tuple[np.ndarray, int, tuple]:
+    """Transfer matrices of one round, shape (n_qubits, 4, 4), its slot
+    count and the table rows of its per-qubit channels.  Qubits past the
+    combination's length are never routed."""
+    if scheme == SCHEME_MINIMAL:
+        if len(combo) != 1:
+            raise ValueError("minimal scheme is single-qubit")
+        # The identity Clifford occupies one slot, its I pulse.
+        pulses = tuple(minimal_decomposition(combo[0]))
+        fires = ((1 << len(pulses)) - 1,)
+    else:
+        pulses, fires = compiler.round_plan(combo, scheme, parity)
+    codes = tuple(map(_SLOT_PULSES.index, pulses))
+    fires += (0,) * (len(table.kinds) - len(fires))
+    rows = tuple(map(table.__getitem__, zip(table.kinds, [codes] * len(fires), fires)))
+    out = table.bank.take(rows, axis=0)
     out.flags.writeable = False
-    return out, len(slots)
+    return out, len(pulses), rows
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
@@ -265,6 +286,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     parities = (0, 1) if scheme == SCHEME_FIVE_SYMMETRIC else (0, 0)
     ground = np.repeat(_GROUND_VECTOR[None], n, axis=0)
 
+    table = _slot_channels(models)
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
     slot_count = 0
@@ -280,7 +302,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
                 parity = parities[k & 1]
                 step = used.get((combo, parity))
                 if step is None:
-                    step = used[combo, parity] = _round_channel(combo, scheme, parity, models)
+                    step = used[combo, parity] = _round_channel(combo, scheme, parity, table)
                 states = step[0] @ states
                 slot_count += step[1]
             round_count += len(combos)
@@ -302,6 +324,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         rounds=round_count,
         slots=slot_count,
         distinct_rounds=len(used),
+        qubit_channels=len(set().union(*(step[2] for step in used.values()))),
     )
 
 

@@ -124,6 +124,27 @@ def test_stats_exact_n23_is_deterministic(tmp_path):
     assert sum(d["distribution"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length")
+def test_stats_exact_prints_counts_past_the_int_digit_limit(capsys):
+    """24^3116 has 4,301 digits, one more than Python converts by default;
+    stats prints it whole and leaves the limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(["stats", "--n", "3116", "--exact"]) == 0
+    text = capsys.readouterr().out
+    assert run_cli(["stats", "--n", "3116", "--exact", "--csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        d = json.loads(text)
+        assert d["samples"] == 24**3116 == int(row[4])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert d["mean_np"] == 5.0
+    assert len(row[4]) == 4301
+
+
 def test_stats_sampled_seed_defaults_to_zero(capsys):
     assert run_cli(["stats", "--n", "3", "--samples", "500"]) == 0
     unset = capsys.readouterr().out
@@ -194,6 +215,7 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     cache = work["round_cache"]
     assert cache["hits"] + cache["misses"] == work["rounds"]
     assert 0 < cache["misses"] <= 24
+    assert 0 < work["qubit_channels"] <= work["rounds"] * len(cfg["qubits"])
 
     # identical config and seed must reproduce byte-identical outputs, the
     # work counters included, although the round cache is now warm
@@ -201,6 +223,25 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     assert run_cli(["rb", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "rb.csv").read_bytes() == csv_first
     assert (tmp_path / "rb.json").read_bytes() == summary_first
+
+
+def test_rb_qubit_channels_counted_per_run(tmp_path):
+    """The per-qubit channel count does not depend on what earlier runs in
+    the process built: another seed in between leaves the bytes alone."""
+    def rb(rng_seed, name):
+        cfg = {"qubits": [{"t1_ns": 9000.0, "cross_ratio": 0.01}, {}, {"over_ratio": 1.02}],
+               "scheme": "compiled", "m_values": [1, 2, 4, 8, 16], "n_seeds": 2,
+               "rng_seed": rng_seed, "csv_path": str(tmp_path / f"{name}.csv"),
+               "summary_path": str(tmp_path / f"{name}.json")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 0
+        return (tmp_path / f"{name}.json").read_bytes()
+
+    first = rb(31, "a")
+    rb(32, "b")
+    assert rb(31, "c") == first
+    work = json.loads(first)["work"]
+    assert 0 < work["qubit_channels"] <= work["rounds"] * 3
 
 
 def test_rb_noiseless_all_ground(tmp_path):

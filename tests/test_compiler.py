@@ -27,6 +27,7 @@ from cliffcast.compiler import (
     mean_np_exact,
     mean_np_sampled,
     min_broadcast_pulses,
+    round_plan,
     _coverage_tables,
 )
 from oracles import (
@@ -314,6 +315,52 @@ def test_compile_optimal_outputs_frozen():
     assert h.hexdigest() == COMPILE_OPTIMAL_DIGEST
     _, tiers = _coverage_tables()
     assert {n: len(t) for n, t in tiers.items()} == {1: 6, 2: 19, 3: 42, 4: 74}
+
+
+# SHA-256 over to_json() of the fixed-round schedules for the 24 one-qubit
+# and 576 two-qubit combos, recorded before schedules were built from
+# compiler.round_plan.  With COMPILE_OPTIMAL_DIGEST they pin every scheme.
+SCHEDULE_DIGESTS = {
+    "sequential": "553967862eff35b7fa15c0373b754fe0ff9a2a99ebed0ec9ef76037c38e52190",
+    "five-primitives": "4f9ee6cdf98400818a8c21c9a1ef60091595077129ad274eae46397f17652a57",
+    "five-primitives-symmetric":
+        "918ce7fb1028f7661fbae328669587e529f16a4a2d345e6852d59eea7cc9f1a6",
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEDULE_DIGESTS))
+def test_fixed_round_schedules_frozen(scheme):
+    compile_one = {
+        "sequential": compile_sequential,
+        "five-primitives": lambda c: compile_five_primitives(c, round_parity=0),
+        "five-primitives-symmetric": lambda c: compile_five_primitives(c, round_parity=1),
+    }[scheme]
+    combos = [(a,) for a in range(1, 25)] + list(itertools.product(range(1, 25), repeat=2))
+    h = hashlib.sha256()
+    for combo in combos:
+        h.update(compile_one(combo).to_json().encode())
+    assert h.hexdigest() == SCHEDULE_DIGESTS[scheme]
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC,
+                                    SCHEME_COMPILED])
+def test_round_plan_matches_compile_scheme(scheme):
+    """The plan the simulator reads is the schedule, slot for slot: a pulse
+    where some qubit fires, None elsewhere, and each qubit's mask bits."""
+    rng = np.random.default_rng(9)
+    for k in range(60):
+        combo = tuple(int(c) for c in rng.integers(1, 25, size=int(rng.integers(1, 9))))
+        pulses, fires = round_plan(combo, scheme, k)
+        sched = compile_scheme(combo, scheme, round_parity=k)
+        events = {ev.slot: ev for ev in sched.events}
+        assert len(pulses) == sched.n_slots and len(fires) == len(combo)
+        for s, p in enumerate(pulses):
+            ev = events.get(s)
+            assert p == (ev and ev.pulse)
+            assert tuple(bool(f >> s & 1) for f in fires) == (ev.mask if ev else
+                                                              (False,) * len(combo))
+    with pytest.raises(ValueError):
+        round_plan((2,), "bogus")
 
 
 def test_compiled_firing_is_first_matching_subset():

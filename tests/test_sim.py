@@ -166,6 +166,38 @@ def test_channel_benchmark_matches_slot_by_slot_oracle(case):
     assert res.rounds == 3 * sum(m + 1 for m in m_values)
 
 
+# The surface-code register size, with every model feature on some qubit.
+_SEVENTEEN = [(_LOSSY, _LOSSLESS, _SLOW)[q % 3] for q in range(17)]
+
+
+@pytest.mark.parametrize("scheme", ["compiled", "five-primitives-symmetric"])
+def test_seventeen_qubits_match_slot_by_slot_oracle(scheme):
+    m_values = (1, 3, 9)
+    res = run_rb(_SEVENTEEN, scheme, m_values, n_seeds=2, rng_seed=17)
+    p0, slots_per_round = slot_by_slot_benchmark(_SEVENTEEN, 17, scheme, m_values, 2, 17)
+    got = np.array([c.p0 for c in res.curves])
+    assert np.max(np.abs(got - p0)) < 1e-12
+    assert res.mean_slots_per_round == slots_per_round
+
+
+def test_qubit_channel_cache_grows_by_signature_not_by_round():
+    """A second wide run on a fresh seed meets almost only new combinations,
+    but most of its per-qubit slot signatures are already built."""
+    models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
+    m_values = (1, 2, 4, 8, 16, 32, 64, 128)
+    sim._slot_channels.cache_clear()
+    first = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=11)
+    table = sim._slot_channels(tuple(models))
+    assert len(table) == first.qubit_channels
+    rounds_before = sim._round_channel.cache_info().misses
+    second = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=12)
+    new_rounds = sim._round_channel.cache_info().misses - rounds_before
+    new_signatures = len(table) - first.qubit_channels
+    assert new_rounds >= 0.95 * second.distinct_rounds
+    assert 0 < new_signatures < new_rounds / 2
+    assert second.qubit_channels <= second.distinct_rounds * len(models)
+
+
 def test_work_counters_match_a_fresh_round_cache():
     """distinct_rounds is what the round cache builds when it starts empty."""
     models = [_LOSSY, _LOSSLESS]
