@@ -343,6 +343,8 @@ def cmd_leakfit(args) -> int:
         data = [tuple(float(x) for x in ln.split(",")[:2]) for ln in lines[1:]]
     except ValueError:
         raise ValidationError("input CSV rows must be numeric")
+    if any(len(row) < 2 for row in data):
+        raise ValidationError("input CSV rows need two fields, m and p2")
     if any(not math.isfinite(x) for row in data for x in row) or any(r[0] < 0 for r in data):
         raise ValidationError("input CSV values must be finite, with m >= 0")
     m = [row[0] for row in data]

@@ -233,6 +233,7 @@ def _build_canonical() -> list[np.ndarray]:
 
 
 CANONICAL_UNITARIES: list[np.ndarray] = _build_canonical()
+_CANONICAL_CONJ = np.conj(CANONICAL_UNITARIES)
 
 
 def _check_id(c: int) -> None:
@@ -240,12 +241,17 @@ def _check_id(c: int) -> None:
         raise ValueError(f"Clifford id must be in 1..24, got {c}")
 
 
-def match_unitary(u: np.ndarray, tol: float = PHASE_TOL) -> int | None:
+def _overlaps(u: np.ndarray) -> np.ndarray:
+    """|tr(U_c^dag u)| against each canonical unitary c (last axis), for u
+    of shape (..., 2, 2); 2 means equal up to phase."""
+    return np.abs(np.einsum("cij,...ij->...c", _CANONICAL_CONJ, u))
+
+
+def match_unitary(u: np.ndarray) -> int | None:
     """Return the Clifford id whose unitary equals u up to phase, else None."""
-    for c in range(1, 25):
-        if equal_up_to_phase(u, CANONICAL_UNITARIES[c - 1], tol):
-            return c
-    return None
+    overlap = _overlaps(u)
+    c = int(overlap.argmax())
+    return c + 1 if abs(overlap[c] - 2.0) < PHASE_TOL else None
 
 
 def clifford_of_pulses(pulses) -> int:
@@ -261,22 +267,17 @@ def clifford_of_pulses(pulses) -> int:
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Compose and inverse tables (index 0 unused).  All 576 products
+    U_b @ U_a (a applied first) are matched in one overlap test; the
+    inverse of a is the b whose product with a is the identity."""
+    canon = np.array(CANONICAL_UNITARIES)
+    overlap = _overlaps(np.einsum("bij,ajk->abik", canon, canon))
+    if not np.all(np.abs(overlap.max(axis=-1) - 2.0) < PHASE_TOL):
+        raise RuntimeError("Clifford group not closed; table corrupt")
     compose = np.zeros((25, 25), dtype=np.int8)
-    for a in range(1, 25):
-        ua = CANONICAL_UNITARIES[a - 1]
-        for b in range(1, 25):
-            prod = CANONICAL_UNITARIES[b - 1] @ ua  # a applied first
-            c = match_unitary(prod)
-            if c is None:
-                raise RuntimeError("Clifford group not closed; table corrupt")
-            compose[a, b] = c
+    compose[1:, 1:] = overlap.argmax(axis=-1) + 1
     inverse = np.zeros(25, dtype=np.int8)
-    for a in range(1, 25):
-        inv = np.linalg.inv(CANONICAL_UNITARIES[a - 1])
-        c = match_unitary(inv)
-        if c is None:
-            raise RuntimeError("Clifford inverse missing; table corrupt")
-        inverse[a] = c
+    inverse[1:] = (compose[1:, 1:] == 1).argmax(axis=1) + 1
     return compose, inverse
 
 

@@ -29,24 +29,21 @@ from the frozen mask tables.
 
 Optimal search
 --------------
-The optimum is computed against precomputed coverage tables.  For every
-pulse sequence s of length N (1..4 over the six-rotation basis) the set of
-Cliffords realizable as a subsequence product of s is reduced to a bitmask.
-The subsequence products come from `decomp.sequence_products`, the one walk
-over the basis sequences, and are kept beside each mask: a qubit's firing
-choice is read from them, not searched again.  `compile_optimal` keeps the
-masks of all lengths, in ascending length and then sequence order, as one
-int64 array of their complements; one vectorised test finds the first
-sequence that misses none of the targets, which is the shortest and, among
-those, the lexicographically first covering sequence.  If none does, the
-five-primitive round realizes any combination, so a combination costs at
-most 5.  Cost queries (`min_broadcast_pulses` and the sampled census) probe
-the per-length masks pruned to the dominance-maximal ones, in ascending
-length, and stop at the first superset of the target set.  A cost depends
-only on the set of distinct non-identity targets, so the exact census reads
-`CENSUS_COUNTS`, the number of sets of each size at each cost, and weights
-each size by surjection counts instead of enumerating the 24^n
-combinations or the sets.
+One cover table answers every shortest-cover question.  It lists every
+pulse train of 1..4 basis pulses, in ascending length and then sequence
+order, with the Clifford fired by each subset of the train (from
+`decomp.sequence_products`, the one walk over the basis sequences) and the
+complement of its target mask, as one int64 array.  One vectorised query
+finds the first train that misses none of a round's targets: the shortest
+and, among those, the lexicographically first cover.  `compile_optimal`
+fires from that train, reading each qubit's firing choice from its
+products, and a round's cost (`min_broadcast_pulses`, the sampled census)
+is its length.  If no train covers the targets, the five-primitive round
+realizes any combination, so a combination costs at most 5.  A cost
+depends only on the set of distinct non-identity targets, so the exact
+census reads `CENSUS_COUNTS`, the number of sets of each size at each
+cost, and weights each size by surjection counts instead of enumerating
+the 24^n combinations or the sets.
 
 Identity accounting
 -------------------
@@ -233,12 +230,10 @@ def _optimal_plan(combo) -> tuple:
     mask = _target_mask(combo)
     if mask == 0:
         return (), (0,) * len(combo)
-    uncovered, covers = _cover_index()
-    missed = uncovered & mask  # the targets each sequence cannot fire
-    first = int(missed.argmin())
-    if missed[first]:
+    cover = _first_cover(mask)
+    if cover is None:
         return _five_plan(combo, 0)
-    seq, _, prods = covers[first]
+    seq, prods = cover
     fires = tuple(0 if c == 1 else prods.index(c) + 1 for c in combo)
     return _emitted(map(SEARCH_BASIS.__getitem__, seq), fires), fires
 
@@ -288,45 +283,20 @@ def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
     return _schedule(scheme, _five_plan(combo, round_parity))
 
 
-# --- coverage tiers for the optimal search -------------------------------
-
-
-@lru_cache(maxsize=1)
-def _coverage_tables():
-    """Per length N in 1..4: every basis-index sequence with its
-    subsequence-coverage bitmask and its firing products (from
-    decomp.sequence_products), and the dominance-pruned tier of those masks
-    that cost queries probe, all plain ints.  Bit (c-1) marks non-identity
-    Clifford c."""
-    covers: dict[int, list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = {}
-    tiers: dict[int, list[int]] = {}
-    for n in range(1, 5):
-        covers[n] = []
-        for seq, prods in sequence_products(n):
-            bm = 0
-            for c in prods:
-                if c != 1:
-                    bm |= 1 << (c - 1)
-            covers[n].append((seq, bm, prods))
-        tiers[n] = []
-        for bm in sorted({bm for _, bm, _ in covers[n]}, key=lambda b: -bin(b).count("1")):
-            if not any((bm & k) == bm for k in tiers[n]):
-                tiers[n].append(bm)
-    return covers, tiers
+# --- the cover table for the optimal search -------------------------------
 
 
 @lru_cache(maxsize=1)
 def _cover_index():
-    """Every cover (sequence, mask, products) in ascending length, then in
-    sequence order, and the complements of their masks as one int64 array.
-    The first sequence that misses no target is therefore the shortest
-    and, among those, the lexicographically first covering sequence."""
-    covers, _ = _coverage_tables()
-    entries = [entry for n in range(1, 5) for entry in covers[n]]
-    return ~np.array([bm for _, bm, _ in entries], dtype=np.int64), entries
+    """Every train of 1..4 basis pulses with its firing products (from
+    decomp.sequence_products), in ascending length and then sequence order,
+    and the complements of their target masks as one int64 array."""
+    trains = [train for n in range(1, 5) for train in sequence_products(n)]
+    return ~np.array([_target_mask(prods) for _, prods in trains], dtype=np.int64), trains
 
 
 def _target_mask(combo) -> int:
+    """Bit (c-1) marks non-identity Clifford c."""
     mask = 0
     for c in combo:
         if c != 1:
@@ -334,16 +304,23 @@ def _target_mask(combo) -> int:
     return mask
 
 
+def _first_cover(mask: int) -> tuple | None:
+    """The first train (sequence, products) that misses none of the targets
+    in the mask: the shortest and, among those, the lexicographically first
+    cover.  None when no train of four pulses covers the mask."""
+    uncovered, trains = _cover_index()
+    missed = uncovered & mask  # the targets each train cannot fire
+    first = int(missed.argmin())
+    return None if missed[first] else trains[first]
+
+
 def _min_pulses_for_mask(mask: int) -> int:
-    """Smallest broadcast length realizing every Clifford in the mask."""
+    """Length of the mask's first cover: 0 for no target, and 5 (the
+    five-primitive round) when no train of four pulses covers it."""
     if mask == 0:
         return 0
-    _, tiers = _coverage_tables()
-    for n in range(1, 5):
-        for t in tiers[n]:
-            if t & mask == mask:
-                return n
-    return FIVE_PRIMITIVES_BOUND
+    cover = _first_cover(mask)
+    return FIVE_PRIMITIVES_BOUND if cover is None else len(cover[0])
 
 
 def min_broadcast_pulses(combo) -> int:
@@ -367,24 +344,20 @@ def compile_optimal(combo) -> Schedule:
 
 
 def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
-    if scheme == SCHEME_SEQUENTIAL:
-        return compile_sequential(combo)
-    if scheme == SCHEME_FIVE:
-        return compile_five_primitives(combo, round_parity=0)
-    if scheme == SCHEME_FIVE_SYMMETRIC:
-        return compile_five_primitives(combo, round_parity=round_parity % 2)
+    """The round's schedule in the given scheme, labelled with that scheme;
+    round_parity alternates only the symmetric five-primitive scheme."""
     if scheme == SCHEME_COMPILED:
         return compile_optimal(combo)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _schedule(scheme, round_plan(combo, scheme, round_parity))
 
 
 # --- pulse-count census ---------------------------------------------------
 
 
 # CENSUS_COUNTS[k][c - 1]: how many k-sets of distinct non-identity Cliffords
-# cost c = 1..4 pulses (row 0: the all-identity round, charged one slot); any
-# other set costs 5, as no tier mask has over 15 bits.  The submask closure
-# of the _coverage_tables() tiers, frozen; tests/test_compiler.py rebuilds it.
+# have a first cover of c = 1..4 pulses (row 0: the all-identity round,
+# charged one slot); any other set costs 5, as no cover mask has over 15
+# bits.  Frozen; tests/test_compiler.py rebuilds it from the cover table.
 CENSUS_COUNTS: tuple[tuple[int, int, int, int], ...] = (
     (1, 0, 0, 0),
     (6, 13, 4, 0),

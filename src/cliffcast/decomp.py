@@ -23,7 +23,7 @@ Optimal search
 --------------
 `sequence_products` is the one walk over the basis sequences: the Clifford
 fired by every subset of every train.  The decompositions, the compiler's
-coverage tiers and its per-qubit firing choices are all read from it.
+cover table and its per-qubit firing choices are all read from it.
 """
 
 from __future__ import annotations

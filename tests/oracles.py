@@ -3,7 +3,7 @@
 brute_force_min_pulses implements the exhaustive merge search directly:
 every per-qubit decomposition choice is merged over every pulse
 interleaving (a pulse emitted for one qubit advances every qubit whose next
-pulse matches).  None of the production shortcuts (coverage tiers, bounds,
+pulse matches).  None of the production shortcuts (the cover table, bounds,
 phase splits, canonicalization) are used, so it is a genuinely independent
 check of the optimal compiler, feasible for one or two qubits.
 

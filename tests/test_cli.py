@@ -167,6 +167,7 @@ def test_compile_parity_selects_symmetric_schedule(capsys):
                         *parity]) == 0
         schedules.append(capsys.readouterr().out)
     assert schedules[0] == schedules[1] != schedules[2]
+    assert all(json.loads(text)["scheme"] == "five-primitives-symmetric" for text in schedules)
 
 
 def test_stats_sampled(capsys):
@@ -461,7 +462,7 @@ def test_leakfit_roundtrip(tmp_path, capsys):
     assert d["t21_ns"] == pytest.approx(40_000.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("row", ["-25,1e-6", "25,nan", "inf,1e-6"])
+@pytest.mark.parametrize("row", ["-25,1e-6", "25,nan", "inf,1e-6", "25"])
 def test_leakfit_invalid_row_rejected(tmp_path, capsys, row):
     csv_path = tmp_path / "leak.csv"
     csv_path.write_text("m,p2\n" + "".join(f"{m},{m * 1e-6}\n" for m in range(0, 100, 25))

@@ -180,7 +180,8 @@ def test_fuzz_simulations(command, over, phase, n_max, j, t1, t_max, points, out
 @given(header=st.sampled_from(["m,p2", "p2,m", ""]),
        rows=st.lists(st.tuples(st.integers(0, 800).map(str),
                                st.floats(-1e-4, 1e-2).map(repr)), max_size=9),
-       bad=st.one_of(st.none(), st.tuples(_number_text(-10, 800), _number_text(-1, 1))),
+       bad=st.one_of(st.none(), st.tuples(_number_text(-10, 800), _number_text(-1, 1)),
+                     st.tuples(_number_text(-10, 800))),
        np_mean=_flag("--np-mean", _number_text(-2, 4)),
        tp=_flag("--tp-ns", _number_text(-20, 40)),
        output=OUTPUTS)

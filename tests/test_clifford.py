@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,20 @@ def test_compose_order_convention():
 def test_clifford_of_pulses_examples():
     assert clifford_of_pulses([Pulse.I]) == 1
     assert clifford_of_pulses([Pulse.X90, Pulse.XM90]) == 1
+
+
+# SHA-256 over the bytes of the int8 compose (25 x 25) and inverse (25)
+# tables, recorded before the tables were built by one vectorised match.
+GROUP_TABLES_DIGEST = "45ad301f1f07c452b53ffc45ee79f4b8680abb53f8af98e01a363de355fe7ac4"
+
+
+def test_group_tables_frozen():
+    assert cl._COMPOSE_TABLE.shape == (25, 25) and cl._INVERSE_TABLE.shape == (25,)
+    h = hashlib.sha256()
+    for table in (cl._COMPOSE_TABLE, cl._INVERSE_TABLE):
+        assert table.dtype == np.int8
+        h.update(table.tobytes())
+    assert h.hexdigest() == GROUP_TABLES_DIGEST
 
 
 def test_inverse_matches_matrix_inversion():

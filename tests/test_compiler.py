@@ -28,7 +28,7 @@ from cliffcast.compiler import (
     mean_np_sampled,
     min_broadcast_pulses,
     round_plan,
-    _coverage_tables,
+    _cover_index,
 )
 from oracles import (
     _census_cost_counts,
@@ -194,11 +194,27 @@ def test_mean_np_exact_matches_oracle(n):
     assert mean_np_exact(n).mean_np == float(exact_census(n))
 
 
+def _length_tiers() -> dict[int, list[int]]:
+    """The cover table's target masks grouped by train length and pruned to
+    the dominance-maximal ones: a set's cost is the shortest length whose
+    tier holds a superset of it."""
+    uncovered, trains = _cover_index()
+    masks = {n: set() for n in range(1, 5)}
+    for complement, train in zip(uncovered.tolist(), trains):
+        masks[len(train[0])].add(~complement)
+    tiers = {n: [] for n in masks}
+    for n, found in masks.items():
+        for bm in sorted(found, key=lambda b: -bin(b).count("1")):
+            if not any(bm & k == bm for k in tiers[n]):
+                tiers[n].append(bm)
+    return tiers
+
+
 def test_census_counts_rebuilt_from_tiers():
-    """The frozen table is the submask closure of the coverage tiers, each
-    set counted at the shortest length whose tier covers it, and equals
-    the oracle's counts over all 2^23 target sets."""
-    _, tiers = _coverage_tables()
+    """The frozen table is the submask closure of the cover table's length
+    tiers, each set counted at the shortest length whose tier covers it,
+    and equals the oracle's counts over all 2^23 target sets."""
+    tiers = _length_tiers()
     counts = [[0] * 4 for _ in range(16)]
     counts[0][0] = 1  # the all-identity round is charged one slot
     seen = set()
@@ -244,6 +260,30 @@ def test_mean_np_sampled_matches_exact_at_n1():
     stats = mean_np_sampled(1, 20_000, seed=3)
     assert abs(stats.mean_np - 1.875) <= 3 * stats.stderr
     assert stats.mode == "sampled"
+
+
+# SHA-256 over repr((mean_np, stderr, distribution)) of
+# mean_np_sampled(n, 1_000, seed=2015 + n) for n = 1..10, recorded before
+# the cost query read the cover table.
+SAMPLED_CENSUS_DIGEST = "55369538e0caf90b7c644ca9edf29b8ee21aca11576159c2ff34ef1f330f8494"
+
+
+def test_mean_np_sampled_outputs_frozen():
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        st_ = mean_np_sampled(n, 1_000, seed=2015 + n)
+        h.update(repr((st_.mean_np, st_.stderr, st_.distribution)).encode())
+    assert h.hexdigest() == SAMPLED_CENSUS_DIGEST
+
+
+def test_min_broadcast_pulses_is_the_compiled_slot_count():
+    """The cost query and the compiled schedule read the same first cover:
+    all 600 one- and two-qubit combos and 2,000 eight-qubit Philox draws."""
+    combos = [(a,) for a in range(1, 25)] + list(itertools.product(range(1, 25), repeat=2))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2016)))
+    combos += [tuple(r) for r in rng.integers(1, 25, size=(2_000, 8)).tolist()]
+    for combo in combos:
+        assert min_broadcast_pulses(combo) == compile_optimal(combo).n_slots, combo
 
 
 def test_mean_np_sampled_deterministic():
@@ -304,8 +344,6 @@ COMPILE_OPTIMAL_DIGEST = "83cdd70357528840e63feb6c37d4ead51a0f6ab276392eb2173e65
 
 
 def test_compile_optimal_outputs_frozen():
-    from cliffcast.compiler import _coverage_tables
-
     combos = [(a,) for a in range(1, 25)] + list(itertools.product(range(1, 25), repeat=2))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2015)))
     combos += [tuple(r) for r in rng.integers(1, 25, size=(200, 8)).tolist()]
@@ -313,8 +351,7 @@ def test_compile_optimal_outputs_frozen():
     for combo in combos:
         h.update(compile_optimal(combo).to_json().encode())
     assert h.hexdigest() == COMPILE_OPTIMAL_DIGEST
-    _, tiers = _coverage_tables()
-    assert {n: len(t) for n, t in tiers.items()} == {1: 6, 2: 19, 3: 42, 4: 74}
+    assert {n: len(t) for n, t in _length_tiers().items()} == {1: 6, 2: 19, 3: 42, 4: 74}
 
 
 # SHA-256 over to_json() of the fixed-round schedules for the 24 one-qubit
