@@ -14,12 +14,17 @@ Times are nanoseconds throughout; the exchange coupling for `swap` is
 given as J/2pi in kHz.  CSV output: header row, comma separators, LF line
 endings, floats with 9 significant digits.  Exit codes: 0 success, 2 usage
 errors, 3 config/validation errors, 4 numerical failures.
+
+The argument parser is built once per process, on the first call of `main`
+(not at import), and reused: parsing makes a fresh namespace each call and
+no default is mutable, so repeated in-process calls behave as fresh ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -340,11 +345,11 @@ def cmd_leakfit(args) -> int:
     if not lines or not lines[0].lower().replace(" ", "").startswith("m,"):
         raise ValidationError("input CSV must start with an 'm,p2' header row")
     try:
-        data = [tuple(float(x) for x in ln.split(",")[:2]) for ln in lines[1:]]
+        data = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
     except ValueError:
         raise ValidationError("input CSV rows must be numeric")
-    if any(len(row) < 2 for row in data):
-        raise ValidationError("input CSV rows need two fields, m and p2")
+    if any(len(row) != 2 for row in data):
+        raise ValidationError("input CSV rows need exactly two fields, m and p2")
     if any(not math.isfinite(x) for row in data for x in row) or any(r[0] < 0 for r in data):
         raise ValidationError("input CSV values must be finite, with m >= 0")
     m = [row[0] for row in data]
@@ -366,6 +371,7 @@ def cmd_leakfit(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffcast",

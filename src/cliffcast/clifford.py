@@ -198,8 +198,8 @@ FIVE_PRIMITIVES_INVERTED: tuple[Pulse, ...] = (
     Pulse.XM90,
 )
 
-# Derived by derive_inverted_masks() (first matching subset in binary order,
-# bit 0 = first primitive) and frozen; a regression test regenerates them.
+# The first matching subset in binary order (bit 0 = first primitive), frozen;
+# tests/oracles.py::derive_inverted_masks regenerates them by subset search.
 FIVE_PRIMITIVE_MASKS_INVERTED: dict[int, tuple[int, ...]] = {
     1: (0, 0, 0, 0, 0),
     2: (1, 0, 0, 1, 1),
@@ -323,26 +323,6 @@ def five_primitive_mask(a: int, inverted: bool = False) -> tuple[int, ...]:
     _check_id(a)
     table = FIVE_PRIMITIVE_MASKS_INVERTED if inverted else FIVE_PRIMITIVE_MASKS
     return table[a]
-
-
-def derive_inverted_masks() -> dict[int, tuple[int, ...]]:
-    """Regenerate the inverted-round masks by exhaustive subset search.
-
-    For each Clifford the first matching subset in binary counting order
-    (bit 0 = first primitive) is chosen, which makes the table deterministic.
-    """
-    masks: dict[int, tuple[int, ...]] = {}
-    for c in range(1, 25):
-        target = CANONICAL_UNITARIES[c - 1]
-        for code in range(32):
-            bits = tuple((code >> i) & 1 for i in range(5))
-            fired = [p for p, b in zip(FIVE_PRIMITIVES_INVERTED, bits) if b]
-            if equal_up_to_phase(sequence_unitary(fired), target):
-                masks[c] = bits
-                break
-        else:
-            raise RuntimeError(f"no inverted-round subset found for Clifford {c}")
-    return masks
 
 
 @lru_cache(maxsize=1)

@@ -34,11 +34,14 @@ pulse train of 1..4 basis pulses, in ascending length and then sequence
 order, with the Clifford fired by each subset of the train (from
 `decomp.sequence_products`, the one walk over the basis sequences) and the
 complement of its target mask, as one int64 array.  One vectorised query
-finds the first train that misses none of a round's targets: the shortest
-and, among those, the lexicographically first cover.  `compile_optimal`
-fires from that train, reading each qubit's firing choice from its
-products, and a round's cost (`min_broadcast_pulses`, the sampled census)
-is its length.  If no train covers the targets, the five-primitive round
+(`_first_cover`) finds the first train that misses none of a round's
+targets: the shortest and, among those, the lexicographically first
+cover.  `compile_optimal` and `round_plan` fire from that train, reading
+each qubit's firing choice from its products.  A round's cost is that
+train's length; cost queries (`min_broadcast_pulses`, the sampled census)
+are batched (`_mask_costs`): each mask is tested against the table's 375
+distinct uncovered masks, each with the length of its first train, 64
+masks at a time.  If no train covers the targets, the five-primitive round
 realizes any combination, so a combination costs at most 5.  A cost
 depends only on the set of distinct non-identity targets, so the exact
 census reads `CENSUS_COUNTS`, the number of sets of each size at each
@@ -314,13 +317,34 @@ def _first_cover(mask: int) -> tuple | None:
     return None if missed[first] else trains[first]
 
 
-def _min_pulses_for_mask(mask: int) -> int:
-    """Length of the mask's first cover: 0 for no target, and 5 (the
-    five-primitive round) when no train of four pulses covers it."""
-    if mask == 0:
-        return 0
-    cover = _first_cover(mask)
-    return FIVE_PRIMITIVES_BOUND if cover is None else len(cover[0])
+@lru_cache(maxsize=1)
+def _cost_columns():
+    """The cover table's distinct uncovered masks, in order of their first
+    train, with that train's length (the shortest with that mask).  A last
+    column of 0, which every mask hits, prices the five-primitive round."""
+    uncovered, trains = _cover_index()
+    first: dict[int, int] = {}
+    for complement, (seq, _) in zip(uncovered.tolist(), trains):
+        first.setdefault(complement, len(seq))
+    return np.array([*first, 0]), np.array([*first.values(), FIVE_PRIMITIVES_BOUND])
+
+
+# Rows priced per step: a 64 x 376 int64 temporary is 192 KB.
+_COST_CHUNK = 64
+
+
+def _mask_costs(masks) -> np.ndarray:
+    """Length of each target mask's first cover: 0 for no target, and 5
+    (the five-primitive round) when no train of four pulses covers it."""
+    cols, lengths = _cost_columns()
+    masks = np.asarray(masks, dtype=np.int64)
+    costs = np.empty(len(masks), dtype=np.int64)
+    for start in range(0, len(masks), _COST_CHUNK):
+        chunk = slice(start, start + _COST_CHUNK)
+        # The first column that misses no target (a zero, the least value).
+        costs[chunk] = lengths[(masks[chunk, None] & cols).argmin(axis=1)]
+    costs[masks == 0] = 0
+    return costs
 
 
 def min_broadcast_pulses(combo) -> int:
@@ -329,7 +353,7 @@ def min_broadcast_pulses(combo) -> int:
     Identity targets fire nothing and cost nothing here; see mean_np_exact
     for the census accounting of the all-identity round.
     """
-    return _min_pulses_for_mask(_target_mask(_check_combo(combo)))
+    return int(_mask_costs([_target_mask(_check_combo(combo))])[0])
 
 
 def compile_optimal(combo) -> Schedule:
@@ -415,9 +439,12 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
         raise ValueError("need at least 100 samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.integers(1, 25, size=(samples, n))
+    # Each draw c becomes bit c - 1 in place, as in _target_mask, and bit 0
+    # (the identity) is cleared from each row's union.
+    draws -= 1
+    masks = np.bitwise_or.reduce(np.left_shift(1, draws, out=draws), axis=1) & ~1
     # A mask of zero is the all-identity round, charged one slot.
-    costs = np.array([_min_pulses_for_mask(_target_mask(row)) or 1
-                      for row in draws.tolist()], dtype=np.float64)
+    costs = np.maximum(_mask_costs(masks), 1).astype(np.float64)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(samples))
     counts = np.bincount(costs.astype(np.intp), minlength=FIVE_PRIMITIVES_BOUND + 1)[1:]

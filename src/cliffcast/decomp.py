@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford import _COMPOSE_ROWS, Pulse, clifford_of_pulses, pulse_clifford_map
+from .clifford import _COMPOSE_ROWS, Pulse, pulse_clifford_map
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -106,10 +106,3 @@ def decomposition_census() -> tuple[dict[int, int], float]:
     counts = {c: len(v) for c, v in table.items()}
     mean = sum(counts.values()) / 24.0
     return counts, mean
-
-
-def verify_decomposition(d: Decomposition) -> bool:
-    """Re-check a decomposition against the canonical unitaries."""
-    if not d.pulses:
-        return d.clifford == 1
-    return clifford_of_pulses(d.pulses) == d.clifford

@@ -19,6 +19,10 @@ subset products cover the targets, and for each qubit the first subset in
 binary counting whose product is its target.  It shares no table with the
 compiler.
 
+derive_inverted_masks regenerates the mirrored round's frozen firing
+masks by subset search over pulse unitaries; verify_decomposition
+re-checks one decomposition against the canonical unitaries.
+
 iterate_rate_equation iterates the leakage balance round by round.
 
 least_squares_exp and least_squares_leakage are scipy's bounded
@@ -51,11 +55,15 @@ from scipy.optimize import least_squares
 
 from cliffcast import compiler
 from cliffcast.clifford import (
+    CANONICAL_UNITARIES,
+    FIVE_PRIMITIVES_INVERTED,
     clifford_of_pulses,
     compose,
+    equal_up_to_phase,
     minimal_decomposition,
     pulse_clifford_map,
     recovery_clifford,
+    sequence_unitary,
 )
 from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
 
@@ -122,6 +130,33 @@ def first_firing(combo, length: int):
                      for c in combo]
             return train, fired
     return None
+
+
+def derive_inverted_masks() -> dict[int, tuple[int, ...]]:
+    """Regenerate the inverted-round masks by exhaustive subset search.
+
+    For each Clifford the first matching subset in binary counting order
+    (bit 0 = first primitive) is chosen, which makes the table deterministic.
+    """
+    masks: dict[int, tuple[int, ...]] = {}
+    for c in range(1, 25):
+        target = CANONICAL_UNITARIES[c - 1]
+        for code in range(32):
+            bits = tuple((code >> i) & 1 for i in range(5))
+            fired = [p for p, b in zip(FIVE_PRIMITIVES_INVERTED, bits) if b]
+            if equal_up_to_phase(sequence_unitary(fired), target):
+                masks[c] = bits
+                break
+        else:
+            raise RuntimeError(f"no inverted-round subset found for Clifford {c}")
+    return masks
+
+
+def verify_decomposition(d) -> bool:
+    """Re-check a decomposition against the canonical unitaries."""
+    if not d.pulses:
+        return d.clifford == 1
+    return clifford_of_pulses(d.pulses) == d.clifford
 
 
 def iterate_rate_equation(m: int, kappa: float, t21: float, np_mean: float,

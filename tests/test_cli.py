@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cliffcast.cli import main
+from cliffcast.cli import build_parser, main
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     Pulse,
@@ -63,6 +63,33 @@ def test_compile_malformed_ids_usage_error(capsys):
 
 def test_compile_out_of_range_id_validation_error(capsys):
     assert run_cli(["compile", "25", "--scheme", "compiled"]) == 3
+
+
+def _runs_in_process(capsys, runs, fresh):
+    """(exit code, stdout, stderr) of each argv, run one after another in
+    this process; fresh builds a new parser for each run."""
+    build_parser.cache_clear()
+    results = []
+    for argv in runs:
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys):
+    runs = [["compile", "2,13"], ["compile", "2,x"],
+            ["stats", "--n", "3", "--samples", "200", "--seed", "4"], ["compile", "2,13"]]
+    reused = _runs_in_process(capsys, runs, fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert reused == _runs_in_process(capsys, runs, fresh=True)
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert reused[0] == reused[3]
 
 
 def test_stats_exact_small(capsys):
@@ -462,7 +489,7 @@ def test_leakfit_roundtrip(tmp_path, capsys):
     assert d["t21_ns"] == pytest.approx(40_000.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("row", ["-25,1e-6", "25,nan", "inf,1e-6", "25"])
+@pytest.mark.parametrize("row", ["-25,1e-6", "25,nan", "inf,1e-6", "25", "25,1e-6,garbage"])
 def test_leakfit_invalid_row_rejected(tmp_path, capsys, row):
     csv_path = tmp_path / "leak.csv"
     csv_path.write_text("m,p2\n" + "".join(f"{m},{m * 1e-6}\n" for m in range(0, 100, 25))

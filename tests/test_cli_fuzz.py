@@ -4,7 +4,8 @@ Every subcommand is run in-process on arguments drawn from a mix of valid
 and invalid values.  Whatever the input, a run must end with a documented
 exit code (0, 2, 3 or 4), print no traceback, leave no temporary file, and
 write no output file unless it succeeds; `leakfit` must print strict JSON,
-without NaN or Infinity.
+without NaN or Infinity, and succeed only when every data row has exactly
+two fields.
 
 The draws are derandomized with a fixed example count, so the suite stays
 deterministic.  Sizes are bounded only to keep the run time to seconds, not
@@ -176,12 +177,18 @@ def test_fuzz_simulations(command, over, phase, n_max, j, t1, t_max, points, out
         _run(argv + _output_args(output), d)
 
 
+# A bad row: two fields of any text, or one or three plain numbers, so that
+# rows of the wrong length also meet a valid header and valid flags.
+FIELD = st.integers(0, 800).map(str)
+BAD_ROW = st.one_of(st.tuples(FIELD), st.tuples(FIELD, FIELD, FIELD),
+                    st.tuples(_number_text(-10, 800), _number_text(-1, 1)))
+
+
 @FUZZ
-@given(header=st.sampled_from(["m,p2", "p2,m", ""]),
+@given(header=st.sampled_from(["m,p2", "m,p2", "p2,m", ""]),
        rows=st.lists(st.tuples(st.integers(0, 800).map(str),
                                st.floats(-1e-4, 1e-2).map(repr)), max_size=9),
-       bad=st.one_of(st.none(), st.tuples(_number_text(-10, 800), _number_text(-1, 1)),
-                     st.tuples(_number_text(-10, 800))),
+       bad=st.one_of(st.none(), BAD_ROW),
        np_mean=_flag("--np-mean", _number_text(-2, 4)),
        tp=_flag("--tp-ns", _number_text(-20, 40)),
        output=OUTPUTS)
@@ -194,6 +201,7 @@ def test_fuzz_leakfit(header, rows, bad, np_mean, tp, output):
         code, stdout = _run(["leakfit", "--input", path] + np_mean + tp
                             + _output_args(output), d)
         if code == 0:
+            assert all(len(r) == 2 for r in rows), rows
             if output == "out":
                 with open(os.path.join(d, "out")) as f:
                     stdout = f.read()

@@ -29,6 +29,9 @@ from cliffcast.compiler import (
     min_broadcast_pulses,
     round_plan,
     _cover_index,
+    _first_cover,
+    _mask_costs,
+    _target_mask,
 )
 from oracles import (
     _census_cost_counts,
@@ -284,6 +287,33 @@ def test_min_broadcast_pulses_is_the_compiled_slot_count():
     combos += [tuple(r) for r in rng.integers(1, 25, size=(2_000, 8)).tolist()]
     for combo in combos:
         assert min_broadcast_pulses(combo) == compile_optimal(combo).n_slots, combo
+
+
+def _first_cover_cost(mask: int) -> int:
+    """The cost of one mask from one first-cover query: 0 for no target,
+    5 when no train of four pulses covers it."""
+    if mask == 0:
+        return 0
+    cover = _first_cover(mask)
+    return 5 if cover is None else len(cover[0])
+
+
+def test_batched_cost_query_is_the_first_cover_length():
+    """_mask_costs prices a batch as one first-cover query per mask would:
+    all 2,048 sets of at most three non-identity targets, 5,000 ten-qubit
+    Philox draws, and batches on each side of the 64-row chunk edges."""
+    small = [sum(1 << b for b in bits)
+             for k in range(4) for bits in itertools.combinations(range(1, 24), k)]
+    assert len(small) == 2_048
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2017)))
+    drawn = [_target_mask(row) for row in rng.integers(1, 25, size=(5_000, 10)).tolist()]
+    pool = [m for pair in zip(small, drawn) for m in pair]  # mask 0 first
+    batches = [small, drawn] + [pool[:size] for size in (0, 1, 63, 64, 65, 129)]
+    for masks in batches:
+        costs = _mask_costs(np.array(masks, dtype=np.int64))
+        assert costs.dtype == np.int64
+        assert costs.tolist() == [_first_cover_cost(m) for m in masks], len(masks)
+    assert {_first_cover_cost(m) for m in pool[:129]} == {0, 1, 2, 3, 4, 5}
 
 
 def test_mean_np_sampled_deterministic():

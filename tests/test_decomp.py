@@ -9,8 +9,8 @@ from cliffcast.decomp import (
     TOTAL_DECOMPOSITION_COUNT,
     decomposition_census,
     enumerate_decompositions,
-    verify_decomposition,
 )
+from oracles import verify_decomposition
 
 
 def test_identity_includes_empty():
