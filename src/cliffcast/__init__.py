@@ -14,10 +14,8 @@ from .compiler import (
     NpStats,
     PulseEvent,
     Schedule,
-    compile_five_primitives,
     compile_optimal,
     compile_scheme,
-    compile_sequential,
     mean_np_exact,
     mean_np_sampled,
     min_broadcast_pulses,

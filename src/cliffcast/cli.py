@@ -12,8 +12,13 @@ leakfit   fit the leakage saturation model to a CSV of (m, p2)
 
 Times are nanoseconds throughout; the exchange coupling for `swap` is
 given as J/2pi in kHz.  CSV output: header row, comma separators, LF line
-endings, floats with 9 significant digits.  Exit codes: 0 success, 2 usage
-errors, 3 config/validation errors, 4 numerical failures.
+endings, floats with 9 significant digits.
+
+Each command returns its outputs as (path, text) pairs; `main` alone
+writes them, all or none.  Exit codes: 0 success, 2 usage errors, 3 any
+ValueError (an input the library or the checks here reject, or an
+unwritable output), 4 only the numerical failures raised as NumericalError
+(schedule verification, the `rb` decay fits, the `leakfit` fit).
 
 The argument parser is built once per process, on the first call of `main`
 (not at import), and reused: parsing makes a fresh namespace each call and
@@ -34,15 +39,14 @@ import numpy as np
 
 from . import compiler, fit, sim
 from .compiler import SCHEMES
-from .sim import RB_SCHEMES, QubitModel
+from .sim import QubitModel
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 
-class ValidationError(Exception):
+class NumericalError(Exception):
     pass
 
 
@@ -50,7 +54,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _write_outputs(*outputs: tuple[str | None, str]) -> None:
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write (path, text) pairs, a path of None or "-" meaning stdout.  Files
     go to temporary siblings, renamed over their targets once all are
     complete, so a failed write leaves none of them; stdout comes last."""
@@ -66,7 +70,7 @@ def _write_outputs(*outputs: tuple[str | None, str]) -> None:
         for _, tmp, _ in files:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise ValidationError(f"cannot write {path}: {exc.strerror}")
+        raise ValueError(f"cannot write {path}: {exc.strerror}")
     for path, text in outputs:
         if path in (None, "-"):
             sys.stdout.write(text)
@@ -91,30 +95,22 @@ def _parse_combo(text: str) -> tuple[int, ...]:
     return combo
 
 
-def cmd_compile(args) -> int:
-    combo = args.combo
-    for c in combo:
-        if not 1 <= c <= 24:
-            raise ValidationError(f"Clifford ids must be in 1..24, got {c}")
-    schedule = compiler.compile_scheme(combo, args.scheme, round_parity=args.parity or 0)
+def cmd_compile(args) -> list:
+    schedule = compiler.compile_scheme(args.combo, args.scheme, round_parity=args.parity or 0)
     try:
-        schedule.verify(combo)
+        schedule.verify(args.combo)
     except ValueError as exc:
         raise NumericalError(str(exc))
-    _write_outputs((args.output, schedule.to_json()))
-    return EXIT_OK
+    return [(args.output, schedule.to_json())]
 
 
-def cmd_stats(args) -> int:
-    if not args.exact and args.samples is None:
-        raise ValidationError("need --exact or --samples N")
-    try:
-        if args.exact:
-            stats = compiler.mean_np_exact(args.n)
-        else:
-            stats = compiler.mean_np_sampled(args.n, args.samples, args.seed or 0)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+def cmd_stats(args) -> list:
+    if args.exact:
+        stats = compiler.mean_np_exact(args.n)
+    elif args.samples is None:
+        raise ValueError("need --exact or --samples N")
+    else:
+        stats = compiler.mean_np_sampled(args.n, args.samples, args.seed or 0)
     payload = {
         "n": stats.n,
         "mean_np": stats.mean_np,
@@ -133,8 +129,7 @@ def cmd_stats(args) -> int:
             )
         else:
             text = json.dumps(payload, indent=2) + "\n"
-    _write_outputs((args.output, text))
-    return EXIT_OK
+    return [(args.output, text)]
 
 
 @contextlib.contextmanager
@@ -158,42 +153,39 @@ _QUBIT_KEYS = {"t1_ns", "slot_ns", "cross_ratio", "over_ratio"}
 
 
 def _load_rb_config(path: str) -> dict:
+    """The config, checked for the JSON types that run_rb does not check."""
     try:
         with open(path) as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     missing = {"qubits", "scheme", "m_values", "n_seeds", "rng_seed"} - set(cfg)
     if missing:
-        raise ValidationError(f"missing config keys: {sorted(missing)}")
-    if cfg["scheme"] not in RB_SCHEMES:
-        raise ValidationError(
-            f"scheme must be one of {RB_SCHEMES}, got {cfg['scheme']!r}"
-        )
+        raise ValueError(f"missing config keys: {sorted(missing)}")
     if not isinstance(cfg["qubits"], list) or not cfg["qubits"]:
-        raise ValidationError("qubits must be a non-empty list")
+        raise ValueError("qubits must be a non-empty list")
     for q in cfg["qubits"]:
         if not isinstance(q, dict):
-            raise ValidationError("each qubit must be an object")
+            raise ValueError("each qubit must be an object")
         unknown = set(q) - _QUBIT_KEYS
         if unknown:
-            raise ValidationError(f"unknown qubit keys: {sorted(unknown)}")
+            raise ValueError(f"unknown qubit keys: {sorted(unknown)}")
         for key, value in q.items():
             if not (_is_number(value) or key == "t1_ns" and value in (None, "inf")):
-                raise ValidationError(f"qubit field {key} must be a finite number, "
-                                      f"got {value!r}")
+                raise ValueError(f"qubit field {key} must be a finite number, "
+                                 f"got {value!r}")
     if (not isinstance(cfg["m_values"], list) or not cfg["m_values"]
             or not all(_is_number(m, int) and m >= 1 for m in cfg["m_values"])):
-        raise ValidationError("m_values must be a list of integers >= 1")
+        raise ValueError("m_values must be a list of integers >= 1")
     if not _is_number(cfg["n_seeds"], int) or cfg["n_seeds"] < 1:
-        raise ValidationError("n_seeds must be a positive integer")
+        raise ValueError("n_seeds must be a positive integer")
     if not _is_number(cfg["rng_seed"], int):
-        raise ValidationError("rng_seed must be an integer")
+        raise ValueError("rng_seed must be an integer")
     return cfg
 
 
@@ -215,15 +207,11 @@ def _qubit_model(entry: dict) -> QubitModel:
     )
 
 
-def cmd_rb(args) -> int:
+def cmd_rb(args) -> list:
     cfg = _load_rb_config(args.config)
-    try:
-        models = [_qubit_model(q) for q in cfg["qubits"]]
-        result = sim.run_rb(
-            models, cfg["scheme"], cfg["m_values"], cfg["n_seeds"], cfg["rng_seed"]
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    models = [_qubit_model(q) for q in cfg["qubits"]]
+    result = sim.run_rb(models, cfg["scheme"], cfg["m_values"], cfg["n_seeds"],
+                        cfg["rng_seed"])
     summary: dict = {
         "scheme": result.scheme,
         "n_seeds": result.n_seeds,
@@ -277,81 +265,63 @@ def cmd_rb(args) -> int:
                 raise NumericalError(str(exc))
         summary["qubits"].append(entry)
 
-    # Every fit has succeeded: only now is anything written.
+    # Every fit has succeeded, so main may write both outputs.
     rows = []
     for q, curve in enumerate(result.curves):
         for m, p0, p1 in zip(curve.m_values, curve.p0, curve.p1):
             rows.append((m, q, float(p0), float(p1)))
     csv_text = _csv(rows, header=["m", "qubit", "p0", "p1"])
     summary_text = json.dumps(summary, indent=2) + "\n"
-    _write_outputs((cfg.get("csv_path", args.output), csv_text),
-                   (cfg.get("summary_path", None), summary_text))
-    return EXIT_OK
+    return [(cfg.get("csv_path", args.output), csv_text),
+            (cfg.get("summary_path", None), summary_text)]
 
 
-class NumericalError(Exception):
-    pass
-
-
-def cmd_allxy(args) -> int:
-    try:
-        p1 = sim.simulate_allxy(over_ratio=args.over, phase_rad=args.phase)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+def cmd_allxy(args) -> list:
+    p1 = sim.simulate_allxy(over_ratio=args.over, phase_rad=args.phase)
     ideal = sim.allxy_ideal()
     rows = [(i + 1, float(p1[i]), float(ideal[i])) for i in range(len(p1))]
-    _write_outputs((args.output, _csv(rows, header=["id", "p1", "ideal_p1"])))
-    return EXIT_OK
+    return [(args.output, _csv(rows, header=["id", "p1", "ideal_p1"]))]
 
 
-def cmd_calib(args) -> int:
-    try:
-        n_values, p1 = sim.simulate_amp_calibration(args.over, n_max=args.n_max)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+def cmd_calib(args) -> list:
+    n_values, p1 = sim.simulate_amp_calibration(args.over, n_max=args.n_max)
     rows = [(int(n), float(p)) for n, p in zip(n_values, p1)]
-    _write_outputs((args.output, _csv(rows, header=["n", "p1"])))
-    return EXIT_OK
+    return [(args.output, _csv(rows, header=["n", "p1"]))]
 
 
-def cmd_swap(args) -> int:
-    try:
-        params = sim.ExchangeParams(
-            j_over_2pi_khz=args.j_khz,
-            t1_a_ns=math.inf if args.t1a_us is None else args.t1a_us * 1000.0,
-            t1_b_ns=math.inf if args.t1b_us is None else args.t1b_us * 1000.0,
-        )
-        t, p1a, p1b = sim.exchange_swap(
-            params, np.linspace(0.0, args.t_max_us * 1000.0, args.points))
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+def cmd_swap(args) -> list:
+    params = sim.ExchangeParams(
+        j_over_2pi_khz=args.j_khz,
+        t1_a_ns=math.inf if args.t1a_us is None else args.t1a_us * 1000.0,
+        t1_b_ns=math.inf if args.t1b_us is None else args.t1b_us * 1000.0,
+    )
+    t, p1a, p1b = sim.exchange_swap(
+        params, np.linspace(0.0, args.t_max_us * 1000.0, args.points))
     rows = [
         (float(ti), float(a), float(b), float(a + b))
         for ti, a, b in zip(t, p1a, p1b)
     ]
-    text = _csv(rows, header=["t_ns", "p1_a", "p1_b", "total"])
-    _write_outputs((args.output, text))
-    return EXIT_OK
+    return [(args.output, _csv(rows, header=["t_ns", "p1_a", "p1_b", "total"]))]
 
 
-def cmd_leakfit(args) -> int:
+def cmd_leakfit(args) -> list:
     if not (0 < args.np_mean < math.inf and 0 < args.tp_ns < math.inf):
-        raise ValidationError("--np-mean and --tp-ns must be positive and finite")
+        raise ValueError("--np-mean and --tp-ns must be positive and finite")
     try:
         with open(args.input) as f:
             lines = [ln.strip() for ln in f if ln.strip()]
     except OSError as exc:
-        raise ValidationError(f"cannot read {args.input}: {exc}")
+        raise ValueError(f"cannot read {args.input}: {exc}")
     if not lines or not lines[0].lower().replace(" ", "").startswith("m,"):
-        raise ValidationError("input CSV must start with an 'm,p2' header row")
+        raise ValueError("input CSV must start with an 'm,p2' header row")
     try:
         data = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
     except ValueError:
-        raise ValidationError("input CSV rows must be numeric")
+        raise ValueError("input CSV rows must be numeric")
     if any(len(row) != 2 for row in data):
-        raise ValidationError("input CSV rows need exactly two fields, m and p2")
+        raise ValueError("input CSV rows need exactly two fields, m and p2")
     if any(not math.isfinite(x) for row in data for x in row) or any(r[0] < 0 for r in data):
-        raise ValidationError("input CSV values must be finite, with m >= 0")
+        raise ValueError("input CSV values must be finite, with m >= 0")
     m = [row[0] for row in data]
     p2 = [row[1] for row in data]
     try:
@@ -367,8 +337,7 @@ def cmd_leakfit(args) -> int:
         "t21_stderr": lfit.stderr[1],
         "unidentifiable": lfit.unidentifiable,
     }
-    _write_outputs((args.output, json.dumps(payload, indent=2) + "\n"))
-    return EXIT_OK
+    return [(args.output, json.dumps(payload, indent=2) + "\n")]
 
 
 @functools.lru_cache(maxsize=1)
@@ -456,13 +425,14 @@ def main(argv=None) -> int:
     if conflict:
         parser.error(conflict)
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        _write_outputs(args.func(args))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ never share a time slot.
 Schemes
 -------
 sequential
-    Each qubit's minimal decomposition in turn, one qubit per event.
+    Each qubit's minimal decomposition in turn, one qubit per event;
+    identity Cliffords emit nothing.
 five-primitives / five-primitives-symmetric
-    A fixed five-slot round; each Clifford fires a subset of the slots.
+    A fixed five-slot round; each Clifford fires a subset of the slots,
+    and a slot nobody fires emits no event but still takes its time.
     The symmetric variant alternates the normal round with its mirrored
     round on odd parities, which cancels most of the net drive seen by
     undriven qubits.
@@ -262,28 +264,6 @@ def _schedule(scheme: str, plan: tuple) -> Schedule:
     events = [PulseEvent(slot=s, pulse=p, mask=tuple([f >> s & 1 == 1 for f in fires]))
               for s, p in enumerate(pulses) if p is not None]
     return Schedule(n_qubits=len(fires), scheme=scheme, events=events, n_slots=len(pulses))
-
-
-def compile_sequential(combo) -> Schedule:
-    """One qubit after another, each via its minimal decomposition.
-
-    Identity Cliffords emit no events (nothing is broadcast for them).
-    """
-    return _schedule(SCHEME_SEQUENTIAL, _sequential_plan(_check_combo(combo)))
-
-
-def compile_five_primitives(combo, round_parity: int = 0) -> Schedule:
-    """One fixed five-slot round; each qubit fires its subset.
-
-    round_parity selects the normal (0) or mirrored (1) primitive list, the
-    alternation used by the symmetric scheme.  Slots nobody fires emit no
-    event but still occupy the round's fixed five-slot footprint.
-    """
-    combo = _check_combo(combo)
-    if round_parity not in (0, 1):
-        raise ValueError("round_parity must be 0 or 1")
-    scheme = SCHEME_FIVE_SYMMETRIC if round_parity else SCHEME_FIVE
-    return _schedule(scheme, _five_plan(combo, round_parity))
 
 
 # --- the cover table for the optimal search -------------------------------

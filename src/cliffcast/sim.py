@@ -273,7 +273,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     transfer matrices to the stacked Pauli vectors of all qubits.
     """
     if scheme not in RB_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"scheme must be one of {RB_SCHEMES}, got {scheme!r}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     m_values = tuple(int(m) for m in m_values)
@@ -427,24 +427,22 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     The qubit starts in the ground state, gets one X90 and then 2N X180
     pulses, all scaled by over_ratio.  On an ideally driven qubit P1 stays
     at one half for every N; over-driving tilts the initial slope positive,
-    under-driving negative.
+    under-driving negative.  The train for N is a prefix of the train for
+    N + 1, so one pass reads P1 after the X90 and after every second X180.
     """
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not over_ratio > 0:
         raise ValueError("over_ratio must be > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    n_values = np.arange(n_max + 1)
     p1 = np.empty(n_max + 1)
-    for n in n_values:
-        state = GROUND.copy()
-        state = apply_pulse(state, Pulse.X90, over_ratio)
-        state = relax(state, slot_ns, t1_ns)
-        for _ in range(2 * int(n)):
-            state = apply_pulse(state, Pulse.X180, over_ratio)
-            state = relax(state, slot_ns, t1_ns)
+    state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
+    p1[0] = state[1, 1].real
+    for n in range(1, n_max + 1):
+        for _ in range(2):
+            state = relax(apply_pulse(state, Pulse.X180, over_ratio), slot_ns, t1_ns)
         p1[n] = state[1, 1].real
-    return n_values, p1
+    return np.arange(n_max + 1), p1
 
 
 def initial_slope(p1: np.ndarray) -> float:

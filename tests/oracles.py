@@ -40,6 +40,11 @@ one 2x2 density matrix per qubit, every pulse and its stray copies as
 rotations, Kraus amplitude damping after every slot.  It takes schedules,
 decompositions and recovery Cliffords from cliffcast but no code of
 cliffcast.sim.
+
+allxy_staircase and amp_calibration rerun the diagnostic staircase and the
+amplitude-calibration curve from the same rotations and damping, with no
+code of cliffcast.sim: a drive phase error turns the y axis about z, and
+every calibration train restarts from the ground state.
 """
 
 from __future__ import annotations
@@ -256,7 +261,8 @@ def lindblad_exchange(j_over_2pi_khz: float, t1_a_ns: float, t1_b_ns: float,
 
 
 _SIGMA = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
-          "y": np.array([[0, -1j], [1j, 0]], dtype=complex)}
+          "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+          "z": np.array([[1, 0], [0, -1]], dtype=complex)}
 
 
 def _axis_rotation(axis: str, theta: float) -> np.ndarray:
@@ -443,3 +449,48 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
                 rounds += 1
             p0[:, im] += [rho[0, 0].real for rho in rhos]
     return p0 / n_seeds, slots / rounds
+
+
+# --- diagnostic sequences --------------------------------------------------
+
+# The staircase's 21 pulse pairs, first pulse first: X and Y are pi
+# rotations, x and y half-pi rotations, I the identity.
+ALLXY_PAIRS = "II XX YY XY YX Ix Iy xy yx xY yX Yy Xx xX Xx yY Yy IX IY xx yy".split()
+
+
+def _drive(label: str, over_ratio: float, phase_rad: float) -> np.ndarray:
+    """One drive pulse at over_ratio times its nominal angle; a y pulse's
+    axis is the y axis turned by phase_rad about z."""
+    theta = (math.pi if label.isupper() else math.pi / 2) * over_ratio
+    if label in "Xx":
+        return _axis_rotation("x", theta)
+    turn = _axis_rotation("z", phase_rad)
+    return turn @ _axis_rotation("y", theta) @ turn.conj().T
+
+
+def _excited_population(rotations, slot_ns: float, t1_ns: float) -> float:
+    """P1 at the end of a train from the ground state: one slot per entry,
+    its rotation (None for an idle slot) and then one slot of damping."""
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    for u in rotations:
+        if u is not None:
+            rho = u @ rho @ u.conj().T
+        rho = _damp(rho, slot_ns, t1_ns)
+    return rho[1, 1].real
+
+
+def allxy_staircase(over_ratio: float, phase_rad: float, t1_ns: float,
+                    slot_ns: float = 20.0) -> np.ndarray:
+    """P1 after each pair of the diagnostic staircase."""
+    return np.array([_excited_population(
+        [None if p == "I" else _drive(p, over_ratio, phase_rad) for p in pair],
+        slot_ns, t1_ns) for pair in ALLXY_PAIRS])
+
+
+def amp_calibration(over_ratio: float, n_max: int, t1_ns: float,
+                    slot_ns: float = 20.0) -> np.ndarray:
+    """P1 after one half-pi x pulse and 2N pi x pulses, for N = 0..n_max,
+    each train run on its own."""
+    x90, x180 = _drive("x", over_ratio, 0.0), _drive("X", over_ratio, 0.0)
+    return np.array([_excited_population([x90] + [x180] * (2 * n), slot_ns, t1_ns)
+                     for n in range(n_max + 1)])

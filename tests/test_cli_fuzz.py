@@ -8,12 +8,20 @@ without NaN or Infinity, and succeed only when every data row has exactly
 two fields.
 
 The draws are derandomized with a fixed example count, so the suite stays
-deterministic.  Sizes are bounded only to keep the run time to seconds, not
-because larger values are invalid: at most 8 qubits for `compile` and 3 in
-an `rb` config, sequence lengths up to 16 with at most 2 seeds, `--points`
-up to 50, `--n-max` up to 60, an exact `--n` up to 4 and up to 300 samples.
+deterministic.  Which cases they reach follows the test's source, so an
+edit can move them: each test counts the exit codes of its runs and then
+asserts that every code it is meant to reach came up a few times (and, for
+`leakfit`, that rows of the wrong length met a valid header and valid
+flags).  `leakfit` draws at least two data rows, and a valid header and
+no bad row more often than not, so that some of its fits run and succeed.
+
+Sizes are bounded only to keep the run time to seconds, not because larger
+values are invalid: at most 8 qubits for `compile` and 3 in an `rb`
+config, sequence lengths up to 16 with at most 2 seeds, `--points` up to
+50, `--n-max` up to 60, an exact `--n` up to 4 and up to 300 samples.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -33,6 +41,23 @@ EXIT_CODES = {0, 2, 3, 4}
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 WEIRD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e308", "x", ""]
+
+# Exit codes (and named cases) met by the runs of the test under way.
+REACHED = collections.Counter()
+
+
+def _reaching(*expected, at_least=3):
+    """Run the decorated property test, then assert that each expected exit
+    code or named case came up in at least `at_least` of its draws."""
+    def decorate(prop):
+        def test():
+            REACHED.clear()
+            prop()
+            short = {k: REACHED[k] for k in expected if REACHED[k] < at_least}
+            assert not short, (dict(REACHED), short)
+        test.__name__ = test.__qualname__ = prop.__name__
+        return test
+    return decorate
 
 
 def _number_text(lo, hi):
@@ -55,7 +80,8 @@ def _output_args(output):
 
 
 def _run(argv, workdir):
-    """Run the CLI on argv in workdir; return (exit code, stdout)."""
+    """Run the CLI on argv in workdir, counting its exit code in REACHED;
+    return (exit code, stdout, stderr)."""
     inputs = set(os.listdir(workdir))
     argv = [os.path.join(workdir, a) if a in ("out", "missing/out", ".") else a
             for a in argv]
@@ -66,15 +92,17 @@ def _run(argv, workdir):
         except SystemExit as exc:
             code = exc.code
     stderr = err.getvalue()
+    REACHED[code] += 1
     assert code in EXIT_CODES, (argv, code, stderr)
     assert "Traceback" not in stderr, (argv, stderr)
     left = set(os.listdir(workdir))
     assert not [f for f in left if f.endswith(".tmp")], (argv, left)
     if code != 0:
         assert left == inputs, (argv, code, left - inputs)
-    return code, out.getvalue()
+    return code, out.getvalue(), stderr
 
 
+@_reaching(0, 2, 3)
 @FUZZ
 @given(ids=st.lists(st.integers(1, 24), min_size=1, max_size=8),
        bad=st.sampled_from([None, None, "0", "25", "-3", "x", ""]),
@@ -89,6 +117,7 @@ def test_fuzz_compile(ids, bad, scheme, parity, output):
         _run(argv + _output_args(output), d)
 
 
+@_reaching(0, 2, 3)
 @FUZZ
 @given(n=st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"]),
        exact=st.booleans(),
@@ -134,6 +163,7 @@ def _mutate(cfg, target, value):
         owner[key] = value
 
 
+@_reaching(0, 3, 4)
 @settings(FUZZ, max_examples=200)
 @given(cfg=st.fixed_dictionaries(
            {"qubits": st.lists(QUBIT, min_size=1, max_size=3),
@@ -159,6 +189,7 @@ def test_fuzz_rb(cfg, mutation, text, output):
         _run(["rb", "--config", path] + _output_args(output), d)
 
 
+@_reaching(0, 2, 3)
 @FUZZ
 @given(command=st.sampled_from(["allxy", "calib", "swap"]),
        over=_number_text(-2, 3), phase=_number_text(-7, 7),
@@ -184,11 +215,12 @@ BAD_ROW = st.one_of(st.tuples(FIELD), st.tuples(FIELD, FIELD, FIELD),
                     st.tuples(_number_text(-10, 800), _number_text(-1, 1)))
 
 
-@FUZZ
-@given(header=st.sampled_from(["m,p2", "m,p2", "p2,m", ""]),
+@_reaching(0, 2, 3, 4, "wrong-length row")
+@settings(FUZZ, max_examples=200)
+@given(header=st.sampled_from(["m,p2", "m,p2", "m,p2", "p2,m", ""]),
        rows=st.lists(st.tuples(st.integers(0, 800).map(str),
-                               st.floats(-1e-4, 1e-2).map(repr)), max_size=9),
-       bad=st.one_of(st.none(), BAD_ROW),
+                               st.floats(-1e-4, 1e-2).map(repr)), min_size=2, max_size=9),
+       bad=st.one_of(st.none(), st.none(), BAD_ROW),
        np_mean=_flag("--np-mean", _number_text(-2, 4)),
        tp=_flag("--tp-ns", _number_text(-20, 40)),
        output=OUTPUTS)
@@ -198,8 +230,10 @@ def test_fuzz_leakfit(header, rows, bad, np_mean, tp, output):
         path = os.path.join(d, "leak.csv")
         with open(path, "w") as f:
             f.write("".join(f"{line}\n" for line in [header] + [",".join(r) for r in rows]))
-        code, stdout = _run(["leakfit", "--input", path] + np_mean + tp
-                            + _output_args(output), d)
+        code, stdout, stderr = _run(["leakfit", "--input", path] + np_mean + tp
+                                    + _output_args(output), d)
+        if "exactly two fields" in stderr:
+            REACHED["wrong-length row"] += 1
         if code == 0:
             assert all(len(r) == 2 for r in rows), rows
             if output == "out":
@@ -212,6 +246,7 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+@_reaching(0, 2)
 @FUZZ
 @given(argv=st.lists(st.sampled_from(["compile", "stats", "rb", "leakfit", "--bogus",
                                       "-o", "--n", "1", "--exact", "--config", "-h"]),

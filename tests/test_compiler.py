@@ -20,10 +20,8 @@ from cliffcast.compiler import (
     SCHEME_FIVE_SYMMETRIC,
     SCHEME_SEQUENTIAL,
     Schedule,
-    compile_five_primitives,
     compile_optimal,
     compile_scheme,
-    compile_sequential,
     mean_np_exact,
     mean_np_sampled,
     min_broadcast_pulses,
@@ -52,7 +50,7 @@ def assert_schedule_correct(schedule: Schedule, combo):
 
 
 def test_sequential_example():
-    sched = compile_sequential((2, 13))
+    sched = compile_scheme((2, 13), SCHEME_SEQUENTIAL)
     assert sched.n_pulses == 4
     labels = [(e.pulse.label, e.mask) for e in sched.events]
     assert labels == [
@@ -65,19 +63,19 @@ def test_sequential_example():
 
 
 def test_sequential_identities_emit_nothing():
-    sched = compile_sequential((1, 1))
+    sched = compile_scheme((1, 1), SCHEME_SEQUENTIAL)
     assert sched.n_pulses == 0
     assert sched.n_slots == 0
 
 
 def test_five_primitives_identity_round():
-    sched = compile_five_primitives((1,))
+    sched = compile_scheme((1,), SCHEME_FIVE)
     assert sched.n_pulses == 0
     assert sched.n_slots == 5
 
 
 def test_five_primitives_mask_example():
-    sched = compile_five_primitives((18,))
+    sched = compile_scheme((18,), SCHEME_FIVE)
     assert sched.n_slots == 5
     fired = [(e.slot, e.pulse.label) for e in sched.events]
     assert fired == [(0, "X90"), (1, "Y90"), (2, "X90")]
@@ -85,14 +83,14 @@ def test_five_primitives_mask_example():
 
 
 def test_five_primitives_inverted_round():
-    sched = compile_five_primitives((18,), round_parity=1)
+    sched = compile_scheme((18,), SCHEME_FIVE_SYMMETRIC, 1)
     assert sched.n_slots == 5
     assert_schedule_correct(sched, (18,))
 
 
 def test_symmetric_full_double_round_is_identity():
-    normal = compile_five_primitives((21,), round_parity=0)
-    inverted = compile_five_primitives((21,), round_parity=1)
+    normal = compile_scheme((21,), SCHEME_FIVE)
+    inverted = compile_scheme((21,), SCHEME_FIVE_SYMMETRIC, 1)
     # all masks on for Clifford 21 in the normal round; firing both rounds
     # fully must cancel
     pulses = [e.pulse for e in normal.events] + [e.pulse for e in inverted.events]
@@ -159,7 +157,7 @@ def test_compiled_never_beaten_by_other_schemes():
         n = int(rng.integers(1, 5))
         combo = tuple(int(c) for c in rng.integers(1, 25, size=n))
         n_opt = compile_optimal(combo).n_pulses
-        assert n_opt <= compile_sequential(combo).n_pulses
+        assert n_opt <= compile_scheme(combo, SCHEME_SEQUENTIAL).n_pulses
         assert n_opt <= 5
 
 
@@ -397,15 +395,11 @@ SCHEDULE_DIGESTS = {
 
 @pytest.mark.parametrize("scheme", list(SCHEDULE_DIGESTS))
 def test_fixed_round_schedules_frozen(scheme):
-    compile_one = {
-        "sequential": compile_sequential,
-        "five-primitives": lambda c: compile_five_primitives(c, round_parity=0),
-        "five-primitives-symmetric": lambda c: compile_five_primitives(c, round_parity=1),
-    }[scheme]
+    # Parity 1 selects the mirrored round, which only the symmetric scheme reads.
     combos = [(a,) for a in range(1, 25)] + list(itertools.product(range(1, 25), repeat=2))
     h = hashlib.sha256()
     for combo in combos:
-        h.update(compile_one(combo).to_json().encode())
+        h.update(compile_scheme(combo, scheme, round_parity=1).to_json().encode())
     assert h.hexdigest() == SCHEDULE_DIGESTS[scheme]
 
 

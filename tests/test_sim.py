@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,12 @@ from cliffcast.sim import (
     simulate_allxy,
     simulate_amp_calibration,
 )
-from oracles import lindblad_exchange, slot_by_slot_benchmark
+from oracles import (
+    allxy_staircase,
+    amp_calibration,
+    lindblad_exchange,
+    slot_by_slot_benchmark,
+)
 
 
 def assert_valid_state(rho, tol=1e-9):
@@ -271,6 +277,45 @@ def test_amp_calibration_slope_sign(ratio):
 def test_amp_calibration_guards():
     with pytest.raises(ValueError):
         simulate_amp_calibration(0.0)
+
+
+@pytest.mark.parametrize("t1_ns", [math.inf, 10_000.0, 800.0])
+@pytest.mark.parametrize("over_ratio, phase_rad",
+                         [(1.0, 0.0), (0.95, 0.0), (1.07, 0.2), (1.0, -0.3), (0.9, 2.5)])
+def test_allxy_matches_oracle(over_ratio, phase_rad, t1_ns):
+    p1 = simulate_allxy(over_ratio=over_ratio, phase_rad=phase_rad, t1_ns=t1_ns)
+    expected = allxy_staircase(over_ratio, phase_rad, t1_ns)
+    assert np.max(np.abs(p1 - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("t1_ns", [math.inf, 10_000.0, 800.0])
+@pytest.mark.parametrize("over_ratio", [0.97, 1.0, 1.01, 1.03, 1.5])
+def test_amp_calibration_matches_oracle(over_ratio, t1_ns):
+    n_values, p1 = simulate_amp_calibration(over_ratio, n_max=20, t1_ns=t1_ns)
+    assert n_values.tolist() == list(range(21))
+    assert np.max(np.abs(p1 - amp_calibration(over_ratio, 20, t1_ns))) < 1e-12
+
+
+def test_slot_length_reaches_both_diagnostics():
+    allxy = simulate_allxy(over_ratio=1.02, phase_rad=0.1, t1_ns=900.0, slot_ns=35.0)
+    assert np.max(np.abs(allxy - allxy_staircase(1.02, 0.1, 900.0, slot_ns=35.0))) < 1e-12
+    _, calib = simulate_amp_calibration(1.02, n_max=9, t1_ns=900.0, slot_ns=35.0)
+    assert np.max(np.abs(calib - amp_calibration(1.02, 9, 900.0, slot_ns=35.0))) < 1e-12
+
+
+# sha256 of the calibration curves (n as int64, then P1) over the grid below,
+# n_max 49, as the per-N train loop computed them before the one-pass loop.
+CALIBRATION_DIGEST = "8d9c7300cdf59a0a9f3321ce81b8e4c47a07d2fcfed57625c70298ef3af6b039"
+
+
+def test_amp_calibration_bytes_are_pinned():
+    h = hashlib.sha256()
+    for over_ratio in (0.97, 0.99, 1.0, 1.01, 1.03):
+        for t1_ns in (math.inf, 10_000.0, 800.0):
+            n_values, p1 = simulate_amp_calibration(over_ratio, n_max=49, t1_ns=t1_ns)
+            h.update(n_values.astype(np.int64).tobytes())
+            h.update(p1.tobytes())
+    assert h.hexdigest() == CALIBRATION_DIGEST
 
 
 def test_exchange_full_swap_and_return():
