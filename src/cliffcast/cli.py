@@ -231,7 +231,8 @@ def cmd_rb(args) -> list:
         "qubits": [],
     }
     for q, (curve, model) in enumerate(zip(result.curves, models)):
-        entry: dict = {"qubit": q}
+        # Seed scatter per length; the CSV keeps its four columns.
+        entry: dict = {"qubit": q, "p0_stderr": curve.p0_stderr.tolist()}
         if len(curve.m_values) < 4:
             entry["fit"] = None
             entry["note"] = "fewer than 4 sequence lengths; decay not fitted"

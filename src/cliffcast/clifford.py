@@ -297,17 +297,32 @@ def inverse(a: int) -> int:
     return int(_INVERSE_TABLE[a])
 
 
-def recovery_clifford(sequence) -> int:
+def recovery_clifford(sequence):
     """Clifford that inverts the cumulative effect of the sequence.
 
     Appending the result to the sequence yields the identity; the empty
-    sequence recovers with the identity Clifford (id 1).
+    sequence recovers with the identity Clifford (id 1).  A 1-d sequence
+    returns an int; a (k, m) array of k sequences returns their k
+    recoveries as an int64 array.  The product is reduced pairwise over the
+    compose table, each level halving the length, which is exact because
+    the group is associative.
     """
-    acc = 1
-    for c in sequence:
-        _check_id(c)
-        acc = _COMPOSE_ROWS[acc][c]
-    return inverse(acc)
+    acc = np.asarray(sequence)
+    if acc.ndim not in (1, 2):
+        raise ValueError("expected one sequence or a (k, m) array of sequences")
+    if acc.size:
+        if acc.dtype.kind not in "iu":
+            raise ValueError(f"Clifford ids must be integers, got {acc.dtype}")
+        if acc.min() < 1 or acc.max() > 24:
+            raise ValueError("Clifford ids must be in 1..24")
+    else:
+        acc = np.ones(acc.shape[:-1] + (1,), dtype=np.int64)
+    while acc.shape[-1] > 1:
+        m = acc.shape[-1]
+        pairs = _COMPOSE_TABLE[acc[..., 0:m - 1:2], acc[..., 1:m:2]]
+        acc = np.concatenate([pairs, acc[..., m - 1:]], axis=-1) if m & 1 else pairs
+    rec = _INVERSE_TABLE[acc[..., 0]].astype(np.int64)
+    return int(rec) if rec.ndim == 0 else rec
 
 
 def minimal_decomposition(a: int) -> list[Pulse]:

@@ -453,9 +453,12 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
 
 # --- diagnostic sequences --------------------------------------------------
 
-# The staircase's 21 pulse pairs, first pulse first: X and Y are pi
-# rotations, x and y half-pi rotations, I the identity.
-ALLXY_PAIRS = "II XX YY XY YX Ix Iy xy yx xY yX Yy Xx xX Xx yY Yy IX IY xx yy".split()
+# The standard 21-pair AllXY list, first pulse first: X and Y are pi
+# rotations, x and y half-pi rotations, I the identity.  A pair with one
+# pulse is written there with the idle slot second; the package runs the
+# idle slot first, which matters only under damping, so the oracle does too.
+_ALLXY_STANDARD = "II XX YY XY YX xI yI xy yx xY yX Xy Yx xX Xx yY Yy XI YI xx yy"
+ALLXY_PAIRS = [pair[::-1] if pair[1] == "I" else pair for pair in _ALLXY_STANDARD.split()]
 
 
 def _drive(label: str, over_ratio: float, phase_rad: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cliffcast import sim
 from cliffcast.cli import build_parser, main
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
@@ -251,6 +252,28 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     assert run_cli(["rb", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "rb.csv").read_bytes() == csv_first
     assert (tmp_path / "rb.json").read_bytes() == summary_first
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+def test_rb_summary_carries_seed_scatter_per_length(tmp_path, n_seeds):
+    """Each qubit entry of the summary carries the seed-scatter standard
+    error of p0 at every length, as run_rb gives it; the CSV keeps its
+    four columns."""
+    qubits = [{"t1_ns": 9000.0, "cross_ratio": 0.0076}, {"t1_ns": 12000.0}]
+    m_values = [1, 4, 16, 64, 256]
+    cfg = {"qubits": qubits, "scheme": "sequential", "m_values": m_values,
+           "n_seeds": n_seeds, "rng_seed": 3, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 0
+    summary = json.loads((tmp_path / "rb.json").read_text())
+    res = sim.run_rb([sim.QubitModel(**q) for q in qubits], "sequential", m_values,
+                     n_seeds, 3)
+    for entry, curve in zip(summary["qubits"], res.curves, strict=True):
+        assert entry["p0_stderr"] == curve.p0_stderr.tolist()
+        assert len(entry["p0_stderr"]) == len(m_values)
+        assert (max(entry["p0_stderr"]) > 0) == (n_seeds > 1)
+    assert (tmp_path / "rb.csv").read_text().splitlines()[0] == "m,qubit,p0,p1"
 
 
 def test_rb_qubit_channels_counted_per_run(tmp_path):

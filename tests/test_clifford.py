@@ -137,6 +137,31 @@ def test_recovery_returns_to_identity(seq):
     assert abs(abs(np.trace(u)) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 17, 800])
+def test_batched_recovery_matches_scalar_rows(m):
+    """A (k, m) array gives each row's recovery: the left-to-right fold of
+    compose, inverted, and the 1-d call on that row.  No columns recover
+    with the identity."""
+    seqs = np.random.default_rng(m).integers(1, 25, size=(6, m))
+    got = recovery_clifford(seqs)
+    assert got.shape == (6,) and got.dtype == np.int64
+    for row, rec in zip(seqs.tolist(), got.tolist()):
+        acc = 1
+        for c in row:
+            acc = compose(acc, c)
+        scalar = recovery_clifford(row)
+        assert type(scalar) is int and rec == scalar == inverse(acc)
+    if m == 0:
+        assert got.tolist() == [1] * 6
+
+
+@pytest.mark.parametrize("bad", [[0], [25, 3], [[1, 2], [3, 99]], [1.0, 2.0],
+                                 [[[1]]], 4])
+def test_recovery_rejects_bad_ids(bad):
+    with pytest.raises(ValueError):
+        recovery_clifford(bad)
+
+
 def test_minimal_decomposition_rows():
     assert minimal_decomposition(1) == [Pulse.I]
     assert minimal_decomposition(18) == [Pulse.X90, Pulse.Y90, Pulse.X90]

@@ -25,6 +25,7 @@ from cliffcast.sim import (
     simulate_amp_calibration,
 )
 from oracles import (
+    ALLXY_PAIRS,
     allxy_staircase,
     amp_calibration,
     lindblad_exchange,
@@ -158,6 +159,25 @@ CHANNEL_CASES = {
 }
 
 
+# (rounds, slots, distinct_rounds, qubit_channels) of each run below, as the
+# per-round loop counted them before the batched pass.
+WORK_COUNTS = {
+    "minimal": (270, 505, 24, 24),
+    "sequential": (270, 1006, 215, 430),
+    "five-primitives": (270, 1350, 215, 223),
+    "five-primitives-symmetric": (270, 1350, 242, 320),
+    "compiled": (270, 958, 270, 571),
+    "idle-minimal": (270, 505, 24, 48),
+    "idle-five-primitives-symmetric": (270, 1350, 48, 94),
+    "17-compiled": (32, 160, 32, 72),
+    "17-five-primitives-symmetric": (32, 160, 32, 139),
+}
+
+
+def _work(res):
+    return res.rounds, res.slots, res.distinct_rounds, res.qubit_channels
+
+
 @pytest.mark.parametrize("case", list(CHANNEL_CASES))
 def test_channel_benchmark_matches_slot_by_slot_oracle(case):
     run, scheme, models = CHANNEL_CASES[case]
@@ -170,6 +190,7 @@ def test_channel_benchmark_matches_slot_by_slot_oracle(case):
     assert np.max(np.abs(got - p0)) < 1e-12
     assert res.mean_slots_per_round == slots_per_round
     assert res.rounds == 3 * sum(m + 1 for m in m_values)
+    assert _work(res) == WORK_COUNTS[case]
 
 
 # The surface-code register size, with every model feature on some qubit.
@@ -184,11 +205,35 @@ def test_seventeen_qubits_match_slot_by_slot_oracle(scheme):
     got = np.array([c.p0 for c in res.curves])
     assert np.max(np.abs(got - p0)) < 1e-12
     assert res.mean_slots_per_round == slots_per_round
+    # 17 qubits take two 13-qubit words of the round code.
+    assert _work(res) == WORK_COUNTS[f"17-{scheme}"]
+
+
+def test_round_codes_do_not_wrap_at_the_word_boundary():
+    """Two 17-qubit rounds whose base-24 codes differ by exactly 2^63 stay
+    distinct: in one int64 word, doubled for the parity bit, both codes
+    would be 0."""
+    digits = [2**63 // 24**i % 24 for i in range(14)]
+    a = [d + 1 for d in digits] + [1] * 3
+    b = [1] * 17
+    firsts, inverse = sim._distinct_rounds(np.array([a, b, a, b]), np.zeros(4, np.int64))
+    assert sorted(firsts.tolist()) == [0, 1]
+    assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+
+
+def _assert_memo_holds_rows(combo, scheme, parity, table):
+    """A round memo entry is the round's table rows, one plain int per
+    qubit of the register, and its slot count; no channel array."""
+    rows, n_slots = sim._round_channel(combo, scheme, parity, table)
+    assert type(rows) is tuple and len(rows) == len(table.kinds)
+    assert all(type(r) is int and 0 <= r < len(table) for r in rows)
+    assert type(n_slots) is int and n_slots > 0
 
 
 def test_qubit_channel_cache_grows_by_signature_not_by_round():
     """A second wide run on a fresh seed meets almost only new combinations,
-    but most of its per-qubit slot signatures are already built."""
+    each looked up once in the rows memo, but most of its per-qubit slot
+    signatures are already built."""
     models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
     m_values = (1, 2, 4, 8, 16, 32, 64, 128)
     sim._slot_channels.cache_clear()
@@ -202,22 +247,28 @@ def test_qubit_channel_cache_grows_by_signature_not_by_round():
     assert new_rounds >= 0.95 * second.distinct_rounds
     assert 0 < new_signatures < new_rounds / 2
     assert second.qubit_channels <= second.distinct_rounds * len(models)
+    _assert_memo_holds_rows((2, 13, 1, 24, 5, 7, 9, 11), "compiled", 0, table)
 
 
 def test_work_counters_match_a_fresh_round_cache():
-    """distinct_rounds is what the round cache builds when it starts empty."""
+    """distinct_rounds is what the rows memo builds when it starts empty:
+    the pass looks up each distinct round once per run."""
     models = [_LOSSY, _LOSSLESS]
     sim._round_channel.cache_clear()
     res = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
                  rng_seed=5)
     info = sim._round_channel.cache_info()
     assert (info.hits, info.misses) == (0, res.distinct_rounds)
+    assert info.currsize == res.distinct_rounds
     assert res.rounds == 2 * (2 + 5 + 17 + 65)
     assert res.slots == 5 * res.rounds
     again = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
                    rng_seed=5)
     assert sim._round_channel.cache_info().hits == res.distinct_rounds
     assert again.distinct_rounds == res.distinct_rounds
+    table = sim._slot_channels(tuple(models))
+    for parity in (0, 1):
+        _assert_memo_holds_rows((3, 24), "five-primitives-symmetric", parity, table)
 
 
 def test_idle_crossdrive_zero_ratio_stays_ground():
@@ -243,6 +294,14 @@ def test_allxy_ideal_staircase():
     counts = {0.0: 5, 0.5: 12, 1.0: 4}
     values, freq = np.unique(ideal, return_counts=True)
     assert dict(zip(values.tolist(), freq.tolist())) == counts
+
+
+def test_allxy_pairs_are_the_standard_distinct_pairs():
+    labels = {Pulse.I: "I", Pulse.X180: "X", Pulse.Y180: "Y", Pulse.X90: "x",
+              Pulse.Y90: "y"}
+    pairs = [(first, second) for first, second, _ in ALLXY_SEQUENCE]
+    assert len(pairs) == 21 and len(set(pairs)) == 21
+    assert [labels[a] + labels[b] for a, b in pairs] == ALLXY_PAIRS
 
 
 def test_allxy_overrotation_signature():
