@@ -23,11 +23,15 @@ compiled
 
 Round plans
 -----------
-Every scheme first builds a round plan (`round_plan`): the pulse of each
-time slot, None where no qubit fires, and one fired-slot bitmask per qubit.
-`Schedule`s are built from the plan, and the simulator reads it directly,
-so a round has one representation.  The five-primitive bitmasks are read
-from the frozen mask tables.
+Every scheme plans its rounds in one batched call (`round_plans`): for a
+(k, n) array of Clifford ids it returns each round's slot codes (0 where no
+qubit fires, else 1 + the pulse's place in `Pulse`; see `SLOT_PULSES`),
+each qubit's fired slots as booleans and each round's slot count.  The
+simulator reads these arrays directly, `Schedule`s are built from one-row
+calls, and `round_plan` is the one-row call as (pulses, fired-slot
+bitmasks) tuples, so a round has one representation.  The five-primitive
+firings are read from the frozen mask tables, the sequential ones from the
+minimal decompositions.
 
 Optimal search
 --------------
@@ -35,20 +39,25 @@ One cover table answers every shortest-cover question.  It lists every
 pulse train of 1..4 basis pulses, in ascending length and then sequence
 order, with the Clifford fired by each subset of the train (from
 `decomp.sequence_products`, the one walk over the basis sequences) and the
-complement of its target mask, as one int64 array.  One vectorised query
-(`_first_cover`) finds the first train that misses none of a round's
-targets: the shortest and, among those, the lexicographically first
-cover.  `compile_optimal` and `round_plan` fire from that train, reading
-each qubit's firing choice from its products.  A round's cost is that
-train's length; cost queries (`min_broadcast_pulses`, the sampled census)
-are batched (`_mask_costs`): each mask is tested against the table's 375
-distinct uncovered masks, each with the length of its first train, 64
-masks at a time.  If no train covers the targets, the five-primitive round
-realizes any combination, so a combination costs at most 5.  A cost
-depends only on the set of distinct non-identity targets, so the exact
-census reads `CENSUS_COUNTS`, the number of sets of each size at each
-cost, and weights each size by surjection counts instead of enumerating
-the 24^n combinations or the sets.
+complement of its target mask, as one int64 array.  Its distinct
+uncovered masks, in order of their first train and without those an
+earlier one dominates (149 of 375), are the columns of one scan
+(`_first_columns`): each target mask is tested against them, 64 masks at
+a time, and its first column that misses no target belongs to its first
+cover, the shortest and, among those, the lexicographically first train
+that fires every target.  A first column of -1 stands for
+the all-identity round, which only mask 0 misses nothing of, and a last
+column of 0 for the five-primitive round, which realizes any
+combination, so a combination costs at most 5.  Cost queries
+(`min_broadcast_pulses`, the sampled census) read the column's train
+length.  Plan queries read the train: its slot codes, and each qubit's
+firing, the first subset in binary counting whose product is its target,
+from tables over every train and Clifford built once from the products.
+A cost depends only on the set of distinct
+non-identity targets, so the exact census reads `CENSUS_COUNTS`, the
+number of sets of each size at each cost, and weights each size by
+surjection counts instead of enumerating the 24^n combinations or the
+sets.
 
 Identity accounting
 -------------------
@@ -66,8 +75,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,76 +202,117 @@ def _check_combo(combo) -> tuple[int, ...]:
 
 # --- round plans ----------------------------------------------------------
 
-# Fired-slot bitmasks of the five-primitive rounds by Clifford id (entry 0
-# unused), read from the frozen mask tables: normal round, mirrored round.
-_FIVE_FIRES = tuple(
-    (0, *(sum(b << s for s, b in enumerate(table[c])) for c in range(1, 25)))
-    for table in (FIVE_PRIMITIVE_MASKS, FIVE_PRIMITIVE_MASKS_INVERTED)
-)
+# Slot codes: 0 for an empty slot, else 1 + the pulse's place in Pulse.
+SLOT_PULSES: tuple[Pulse | None, ...] = (None, *Pulse)
 
 
-def _emitted(train, fires) -> tuple:
-    """The train with None in each slot that no qubit fires."""
-    fired = reduce(or_, fires, 0)
-    return tuple([p if fired >> s & 1 else None for s, p in enumerate(train)])
+def _slot_codes(pulses) -> list[int]:
+    return [SLOT_PULSES.index(p) for p in pulses]
 
 
-def _sequential_plan(combo) -> tuple:
-    pulses: list[Pulse] = []
-    fires = []
-    for c in combo:
-        fire = 0
-        if c != 1:
-            for p in MINIMAL_DECOMPOSITIONS[c]:
-                fire |= 1 << len(pulses)
-                pulses.append(p)
-        fires.append(fire)
-    return tuple(pulses), tuple(fires)
+# The five-primitive rounds, normal and mirrored: the slot codes of each,
+# and the slots each Clifford id fires (row 0 unused), from the frozen
+# mask tables.
+_FIVE_CODES = np.array([_slot_codes(FIVE_PRIMITIVES), _slot_codes(FIVE_PRIMITIVES_INVERTED)])
+_FIVE_FIRED = np.array([[(0,) * FIVE_PRIMITIVES_BOUND, *map(table.__getitem__, range(1, 25))]
+                        for table in (FIVE_PRIMITIVE_MASKS, FIVE_PRIMITIVE_MASKS_INVERTED)],
+                       dtype=bool)
+
+# Each Clifford id's minimal decomposition as slot codes (row 0 unused),
+# padded with empty slots, and its length in a sequential round, where the
+# identity emits nothing.
+MINIMAL_SLOT_CODES = np.zeros((25, max(map(len, MINIMAL_DECOMPOSITIONS.values()))),
+                              dtype=np.int64)
+for _c, _pulses in MINIMAL_DECOMPOSITIONS.items():
+    MINIMAL_SLOT_CODES[_c, :len(_pulses)] = _slot_codes(_pulses)
+_SEQUENTIAL_LENGTHS = np.count_nonzero(MINIMAL_SLOT_CODES, axis=1) * (np.arange(25) > 1)
 
 
-def _five_plan(combo, parity: int) -> tuple:
-    table = _FIVE_FIRES[parity]
-    fires = tuple(table[c] for c in combo)
-    return _emitted(FIVE_PRIMITIVES_INVERTED if parity else FIVE_PRIMITIVES, fires), fires
+def _emitted(codes, fired):
+    """The slot codes with 0 in each slot that no qubit fires."""
+    return np.where(fired.any(axis=1), codes, 0)
 
 
-def _optimal_plan(combo) -> tuple:
-    """The first covering sequence of minimum length; each qubit fires the
-    first subset, in binary counting, whose product is its target (subset
-    code k + 1 fires entry k of the sequence's products).  Combinations no
-    sequence of four pulses covers take the normal five-primitive round."""
-    mask = _target_mask(combo)
-    if mask == 0:
-        return (), (0,) * len(combo)
-    cover = _first_cover(mask)
-    if cover is None:
-        return _five_plan(combo, 0)
-    seq, prods = cover
-    fires = tuple(0 if c == 1 else prods.index(c) + 1 for c in combo)
-    return _emitted(map(SEARCH_BASIS.__getitem__, seq), fires), fires
+def _sequential_plans(ids) -> tuple:
+    """Each qubit's minimal decomposition in turn."""
+    k, n = ids.shape
+    lengths = _SEQUENTIAL_LENGTHS[ids]
+    ends = np.cumsum(lengths, axis=1)
+    n_slots = ends[:, -1]
+    codes = np.zeros((k, n_slots.max(initial=0)), dtype=np.int64)
+    fired = np.zeros((k, n, codes.shape[1]), dtype=bool)
+    r, q, j = np.nonzero(np.arange(MINIMAL_SLOT_CODES.shape[1]) < lengths[..., None])
+    slot = ends[r, q] - lengths[r, q] + j
+    codes[r, slot] = MINIMAL_SLOT_CODES[ids[r, q], j]
+    fired[r, q, slot] = True
+    return codes, fired, n_slots
 
 
-def round_plan(combo, scheme: str, parity: int = 0) -> tuple:
-    """(pulses, fires) of one round: the pulse of each time slot, None where
-    no qubit fires, and one fired-slot bitmask per qubit (bit s: slot s).
-    parity alternates only the symmetric five-primitive scheme."""
-    combo = _check_combo(combo)
+def _five_plans(ids, parity) -> tuple:
+    fired = _FIVE_FIRED[parity[:, None], ids]
+    return (_emitted(_FIVE_CODES[parity], fired), fired,
+            np.full(len(ids), FIVE_PRIMITIVES_BOUND))
+
+
+def _compiled_plans(ids) -> tuple:
+    """The first cover of each round; each qubit fires the first subset, in
+    binary counting, whose product is its target.  Rounds no train of four
+    pulses covers take the normal five-primitive round."""
+    _, lengths, rows = _cost_columns()
+    fired_table, codes_table = _plan_tables()
+    columns = _first_columns(_target_masks(ids))
+    train = rows[columns]
+    fired = fired_table[train[:, None], ids]
+    return _emitted(codes_table[train], fired), fired, lengths[columns]
+
+
+def round_plans(ids, scheme: str, parity=0) -> tuple:
+    """(codes, fired, n_slots) of k rounds given as a (k, n) array of
+    Clifford ids: the code of each time slot (k, S), 0 where no qubit fires
+    (see SLOT_PULSES), each qubit's fired slots (k, n, S) and each round's
+    slot count (k,); slots past a round's count are padding, empty and
+    unfired.  parity, one int or one per round, alternates only the
+    symmetric five-primitive scheme."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError("ids must be a (rounds, qubits) array with at least one qubit")
+    if ids.size and not (ids.min() >= 1 and ids.max() <= 24):
+        raise ValueError("Clifford id must be in 1..24")
+    return _plans(ids, scheme, parity)
+
+
+def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
+    """round_plans of checked ids."""
     if scheme == SCHEME_SEQUENTIAL:
-        return _sequential_plan(combo)
+        return _sequential_plans(ids)
     if scheme == SCHEME_FIVE:
-        return _five_plan(combo, 0)
+        return _five_plans(ids, np.zeros(len(ids), dtype=np.int64))
     if scheme == SCHEME_FIVE_SYMMETRIC:
-        return _five_plan(combo, parity % 2)
+        return _five_plans(ids, np.broadcast_to(np.asarray(parity) % 2, len(ids)))
     if scheme == SCHEME_COMPILED:
-        return _optimal_plan(combo)
+        return _compiled_plans(ids)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _schedule(scheme: str, plan: tuple) -> Schedule:
-    pulses, fires = plan
-    events = [PulseEvent(slot=s, pulse=p, mask=tuple([f >> s & 1 == 1 for f in fires]))
-              for s, p in enumerate(pulses) if p is not None]
-    return Schedule(n_qubits=len(fires), scheme=scheme, events=events, n_slots=len(pulses))
+def round_plan(combo, scheme: str, parity: int = 0) -> tuple:
+    """(pulses, fires) of one round, the one-row round_plans: the pulse of
+    each time slot, None where no qubit fires, and one fired-slot bitmask
+    per qubit (bit s: slot s)."""
+    codes, fired, n_slots = _plans(np.array([_check_combo(combo)]), scheme, parity)
+    pulses = tuple(SLOT_PULSES[c] for c in codes[0, :n_slots[0]].tolist())
+    fires = tuple(sum(1 << s for s, on in enumerate(row) if on) for row in fired[0].tolist())
+    return pulses, fires
+
+
+def _schedule(combo, scheme: str, parity: int = 0) -> Schedule:
+    """The one-row round_plans as a schedule: an event for each slot that
+    some qubit fires, routed to the qubits that fire it."""
+    combo = _check_combo(combo)
+    codes, fired, n_slots = _plans(np.array([combo]), scheme, parity)
+    masks = fired[0].T.tolist()
+    events = [PulseEvent(slot=s, pulse=SLOT_PULSES[c], mask=tuple(masks[s]))
+              for s, c in enumerate(codes[0, :n_slots[0]].tolist()) if c]
+    return Schedule(n_qubits=len(combo), scheme=scheme, events=events, n_slots=int(n_slots[0]))
 
 
 # --- the cover table for the optimal search -------------------------------
@@ -287,44 +336,93 @@ def _target_mask(combo) -> int:
     return mask
 
 
-def _first_cover(mask: int) -> tuple | None:
-    """The first train (sequence, products) that misses none of the targets
-    in the mask: the shortest and, among those, the lexicographically first
-    cover.  None when no train of four pulses covers the mask."""
-    uncovered, trains = _cover_index()
-    missed = uncovered & mask  # the targets each train cannot fire
-    first = int(missed.argmin())
-    return None if missed[first] else trains[first]
+# Bit c - 1 of each non-identity Clifford id c, by id.
+_TARGET_BITS = np.array([0, 0, *(1 << (c - 1) for c in range(2, 25))])
+
+
+def _target_masks(ids) -> np.ndarray:
+    """_target_mask of each row of a (k, n) array of Clifford ids."""
+    return np.bitwise_or.reduce(_TARGET_BITS[ids], axis=1)
 
 
 @lru_cache(maxsize=1)
 def _cost_columns():
-    """The cover table's distinct uncovered masks, in order of their first
-    train, with that train's length (the shortest with that mask).  A last
-    column of 0, which every mask hits, prices the five-primitive round."""
+    """(columns, lengths, rows): the cover table's distinct uncovered masks,
+    in order of their first train, with that train's length (the shortest
+    with that mask) and its row of _plan_tables.  A first column of -1
+    misses a target of every mask but 0, the all-identity round (length 0,
+    the tables' last row), and a last column of 0, which every mask hits,
+    is the five-primitive round (length 5, the row after the trains).
+
+    A column whose targets an earlier column all covers (its uncovered mask
+    a superset of the earlier one's) is never the first that misses
+    nothing, so it is left out: 149 of the 375 masks stay."""
     uncovered, trains = _cover_index()
     first: dict[int, int] = {}
-    for complement, (seq, _) in zip(uncovered.tolist(), trains):
-        first.setdefault(complement, len(seq))
-    return np.array([*first, 0]), np.array([*first.values(), FIVE_PRIMITIVES_BOUND])
+    for t, complement in enumerate(uncovered.tolist()):
+        first.setdefault(complement, t)
+    kept = {-1: len(trains) + 1}  # uncovered mask -> row of _plan_tables
+    for complement, t in first.items():
+        if all(earlier & ~complement for earlier in kept):
+            kept[complement] = t
+    kept[0] = len(trains)
+    rows = np.array(list(kept.values()))
+    lengths = np.array([len(seq) for seq, _ in trains] + [FIVE_PRIMITIVES_BOUND, 0])
+    return np.array(list(kept)), lengths[rows], rows
 
 
-# Rows priced per step: a 64 x 376 int64 temporary is 192 KB.
+@lru_cache(maxsize=1)
+def _plan_tables():
+    """(fired, codes) of every cover-table train, then the normal
+    five-primitive round and the empty round.  fired[t, c] are the slots of
+    the first subset, in binary counting, of row t whose product is
+    Clifford c (none for the identity and where no subset fires c);
+    codes[t] are the row's slot codes, padded with empty slots."""
+    blocks = [sequence_products(n) for n in range(1, 5)]
+    trains = sum(map(len, blocks))
+    prods = np.zeros((trains, 15), dtype=np.int64)
+    codes = np.zeros((trains + 2, FIVE_PRIMITIVES_BOUND), dtype=np.int64)
+    basis = np.array(_slot_codes(SEARCH_BASIS))
+    start = 0
+    for n, block in enumerate(blocks, start=1):
+        seqs, products = zip(*block)
+        prods[start:start + len(block), :(1 << n) - 1] = products
+        codes[start:start + len(block), :n] = basis[np.array(seqs)]
+        start += len(block)
+    subsets = np.zeros((trains + 2, 25, 1), dtype=np.uint8)
+    t = np.arange(trains)
+    for k in reversed(range(15)):  # the first subset is written last
+        subsets[t, prods[:, k]] = k + 1
+    subsets[:, :2] = 0  # column 0 took the padding; the identity fires nothing
+    fired = np.unpackbits(subsets, axis=2, count=FIVE_PRIMITIVES_BOUND,
+                          bitorder="little").view(bool)
+    fired[trains] = _FIVE_FIRED[0]
+    codes[trains] = _FIVE_CODES[0]
+    return fired, codes
+
+
+# Rows scanned per step: a 64 x 151 int64 temporary is 77 KB.
 _COST_CHUNK = 64
+
+
+def _first_columns(masks) -> np.ndarray:
+    """Index of each target mask's first column of _cost_columns that
+    misses no target (a zero, the least value): the column of its first
+    cover, the first column for mask 0, or the last column when no train
+    of four pulses covers it."""
+    cols = _cost_columns()[0]
+    masks = np.asarray(masks, dtype=np.int64)
+    first = np.empty(len(masks), dtype=np.intp)
+    for start in range(0, len(masks), _COST_CHUNK):
+        chunk = slice(start, start + _COST_CHUNK)
+        first[chunk] = (masks[chunk, None] & cols).argmin(axis=1)
+    return first
 
 
 def _mask_costs(masks) -> np.ndarray:
     """Length of each target mask's first cover: 0 for no target, and 5
     (the five-primitive round) when no train of four pulses covers it."""
-    cols, lengths = _cost_columns()
-    masks = np.asarray(masks, dtype=np.int64)
-    costs = np.empty(len(masks), dtype=np.int64)
-    for start in range(0, len(masks), _COST_CHUNK):
-        chunk = slice(start, start + _COST_CHUNK)
-        # The first column that misses no target (a zero, the least value).
-        costs[chunk] = lengths[(masks[chunk, None] & cols).argmin(axis=1)]
-    costs[masks == 0] = 0
-    return costs
+    return _cost_columns()[1][_first_columns(masks)]
 
 
 def min_broadcast_pulses(combo) -> int:
@@ -344,7 +442,7 @@ def compile_optimal(combo) -> Schedule:
     in binary counting order.  Combinations that cannot be realized in four
     pulses fall back to the five-primitive round, which is then optimal.
     """
-    return _schedule(SCHEME_COMPILED, _optimal_plan(_check_combo(combo)))
+    return _schedule(combo, SCHEME_COMPILED)
 
 
 def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
@@ -352,7 +450,7 @@ def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
     round_parity alternates only the symmetric five-primitive scheme."""
     if scheme == SCHEME_COMPILED:
         return compile_optimal(combo)
-    return _schedule(scheme, round_plan(combo, scheme, round_parity))
+    return _schedule(combo, scheme, round_parity)
 
 
 # --- pulse-count census ---------------------------------------------------
@@ -419,8 +517,8 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
         raise ValueError("need at least 100 samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.integers(1, 25, size=(samples, n))
-    # Each draw c becomes bit c - 1 in place, as in _target_mask, and bit 0
-    # (the identity) is cleared from each row's union.
+    # The rows' _target_masks without a copy: each draw c becomes bit c - 1
+    # in place, and bit 0 (the identity) is cleared from each row's union.
     draws -= 1
     masks = np.bitwise_or.reduce(np.left_shift(1, draws, out=draws), axis=1) & ~1
     # A mask of zero is the all-identity round, charged one slot.

@@ -133,9 +133,10 @@ def _covariance(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
         return np.full((n_params, n_params), np.nan)
 
 
-def _exp_profile(u, m, y, w2):
-    """Weighted cost of the best (amplitude, offset) in their box for each
-    u = -log(decay), with those two parameters.
+def _exp_profile(m, y, w2):
+    """The profile of one weighted curve: a function that gives, for each
+    u = -log(decay), the cost of the best (amplitude, offset) in their box,
+    with those two parameters.
 
     With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
     b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
@@ -143,37 +144,44 @@ def _exp_profile(u, m, y, w2):
     (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
     The optimum in the box is the unconstrained one where that lies inside,
     else the best of the four edges, each a 1-D problem solved by clipping.
+    The sums over y alone are taken once per curve.
     """
-    x1 = np.expm1(-np.outer(u, m))
     sw = w2.sum()
     ybar = w2 @ y / sw
     dy = y - ybar
-    x1bar = x1 @ w2 / sw
-    dx = x1 - x1bar[:, None]
-    sxx = dx**2 @ w2
-    sxy = dx @ (w2 * dy)
-    a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
-    cost_opt = (a_opt[:, None] * dx - dy) ** 2 @ w2
-    xbar = 1.0 + x1bar
-    b_opt = ybar - a_opt * xbar
-    # Candidates: the unconstrained optimum, then a on each bound, then b.
+    w2dy = w2 * dy
     a_lo, a_hi = _AMPLITUDE_BOUNDS
     b_lo, b_hi = _OFFSET_BOUNDS
     b_edges = np.array([[b_lo], [b_hi]])
-    sx2 = sxx + sw * xbar**2
-    a_of_b = np.divide(sxy + sw * xbar * (ybar - b_edges), sx2,
-                       out=np.zeros((2, u.size)), where=sx2 > 0)
-    a = np.vstack([a_opt, np.full_like(a_opt, a_lo), np.full_like(a_opt, a_hi),
-                   np.clip(a_of_b, a_lo, a_hi)])
-    b = np.vstack([b_opt, np.clip(ybar - a[1:3] * xbar, b_lo, b_hi),
-                   np.broadcast_to(b_edges, a_of_b.shape)])
-    excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
-        (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
-    excess[0] = np.where((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
-                         & (b_lo <= b_opt) & (b_opt <= b_hi), 0.0, np.inf)
-    best = np.argmin(excess, axis=0)
-    k = np.arange(u.size)
-    return cost_opt + excess[best, k], np.array([a[best, k], b[best, k]])
+
+    def profile(u):
+        x1 = np.expm1(-np.outer(u, m))
+        x1bar = x1 @ w2 / sw
+        dx = x1 - x1bar[:, None]
+        sxx = dx**2 @ w2
+        sxy = dx @ w2dy
+        a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+        cost_opt = (a_opt[:, None] * dx - dy) ** 2 @ w2
+        xbar = 1.0 + x1bar
+        b_opt = ybar - a_opt * xbar
+        # Candidates: the unconstrained optimum, then a on each bound, then b.
+        a = np.empty((5, u.size))
+        b = np.empty((5, u.size))
+        a[0], a[1], a[2], a[3:] = a_opt, a_lo, a_hi, 0.0
+        sx2 = sxx + sw * xbar**2
+        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[3:], where=sx2 > 0)
+        np.clip(a[3:], a_lo, a_hi, out=a[3:])
+        b[0], b[3], b[4] = b_opt, b_lo, b_hi
+        np.clip(ybar - a[1:3] * xbar, b_lo, b_hi, out=b[1:3])
+        excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
+        excess[0] = np.where((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
+                             & (b_lo <= b_opt) & (b_opt <= b_hi), 0.0, np.inf)
+        best = np.argmin(excess, axis=0)
+        k = np.arange(u.size)
+        return cost_opt + excess[best, k], np.array([a[best, k], b[best, k]])
+
+    return profile
 
 
 def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
@@ -202,7 +210,7 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
     u_max = -math.log(_DECAY_BOUNDS[0])
     grid = np.concatenate([[0.0], np.geomspace(1e-6 / max(float(m.max()), 1.0), u_max,
                                                _GRID_POINTS - 1)])
-    u, (a, b) = _minimise_profile(lambda t: _exp_profile(t, m, y, w2), grid)
+    u, (a, b) = _minimise_profile(_exp_profile(m, y, w2), grid)
     p = math.exp(-u) if u < u_max else _DECAY_BOUNDS[0]
     x = p**m
     resid = a * x + b - y

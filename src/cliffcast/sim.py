@@ -15,10 +15,11 @@ are uncoupled and every slot is a fixed linear channel, so a round acts on
 each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
-(compiler.round_plan) and the slots the qubit fires.  Each signature's
+(compiler.round_plans) and the slots the qubit fires.  Each signature's
 matrix is built once, as a product of the model's slot matrices, and stored
-as one row of a bank under plain ints; a round is memoized by combination
-as its qubits' bank rows and its slot count.  An 8-qubit compiled run meets
+as one row of a bank under plain ints; a round is memoized by its integer
+code as its qubits' bank rows and its slot count, on the register's slot
+table, so the memo is freed with the table.  An 8-qubit compiled run meets
 some hundreds of signatures, against 24^8 combinations.  The slot matrices
 are built from apply_pulse and relax, so those two functions stay the only
 definition of the physics.  The benchmarking pass itself is described with
@@ -35,17 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
 from . import compiler
-from .clifford import Pulse, minimal_decomposition, recovery_clifford, rotation_unitary
+from .clifford import Pulse, recovery_clifford, rotation_unitary
 from .compiler import (
+    MINIMAL_SLOT_CODES,
     SCHEME_COMPILED,
     SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
     SCHEME_SEQUENTIAL,
+    SLOT_PULSES,
 )
 
 SCHEME_MINIMAL = "minimal"
@@ -166,14 +169,19 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 # sequence first, in the seeds' Philox order, with each block's recoveries
 # from one batched recovery_clifford call.  Each round gets an integer code,
 # and one lexsort of the codes finds the run's distinct rounds, each looked
-# up once in the rows memo (_round_channel: the round's per-qubit bank rows
-# and slot count, no matrices).  Each sequence then gathers its rounds'
-# (m + 1, n, 4, 4) channels from the bank, multiplies them pairwise in
-# log2(m) levels and applies the product to the ground state.  On the README
-# config (two qubits, lengths 1..800; 2-core Xeon VM, one BLAS thread,
-# median of 5 processes) run_rb takes 2.2-3.2 ms per scheme at one seed and
-# 54-58 ms at 30 seeds, against 6.0-6.2 ms and 150-170 ms for the per-round
-# loop this pass replaced.
+# up once in the slot table's round memo (_SlotTable.rounds: the round's
+# per-qubit bank rows and slot count, no matrices).  All the rounds the memo
+# lacks are planned in one compiler.round_plans call; one lexsort of their
+# packed per-qubit signatures finds the distinct ones, and the channels of
+# the new ones are built together, one stacked 4x4 product per slot.  Each
+# sequence then gathers its rounds' (m + 1, n, 4, 4) channels from the
+# bank, multiplies them pairwise in log2(m) levels and applies the product
+# to the ground state.  On eight qubits (compiled, lengths 1..128, two
+# seeds, nearly every round new; 2-core Xeon VM, one BLAS thread, median of
+# 40 fresh seeds in one process) run_rb takes about 4 ms.  On the README
+# config (two qubits, lengths 1..800; median of 5 processes) a 1-seed run
+# with an empty round memo takes 4.9-5.6 ms per scheme, and a 30-seed run
+# 52-60 ms.
 
 _PAULIS = (
     np.eye(2, dtype=complex),
@@ -195,73 +203,126 @@ def _transfer_matrix(pulse: Pulse | None, scale: float, model: QubitModel) -> np
     return np.einsum("iab,jba->ij", _PAULIS, images).real / 2
 
 
-# The slot code of each pulse: 0 for an empty slot, else its place in Pulse.
-_SLOT_PULSES = (None, *Pulse)
+def _minimal_plans(ids: np.ndarray) -> tuple:
+    """compiler.round_plans for the single-qubit minimal scheme: the qubit
+    runs its Clifford's minimal decomposition, the identity as one I pulse."""
+    codes = MINIMAL_SLOT_CODES[ids[:, 0]]
+    return codes, (codes > 0)[:, None, :], np.count_nonzero(codes, axis=1)
+
+
+# A qubit's slot signature packs each slot of its round as 1 + 2 * code +
+# fired, 5 bits a slot and 12 slots per int64 word, after its model's kind.
+_SIGNATURE_SLOTS = 12
+_SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
+
+# A table's round memo starts over once it holds this many rounds, which
+# bounds its memory in long runs on one register.
+_ROUND_MEMO_LIMIT = 200_000
+
+
+def _grow(array: np.ndarray, size: int) -> np.ndarray:
+    """The array, or a copy with room for at least size rows, doubling."""
+    if size <= len(array):
+        return array
+    grown = np.empty((max(size, 2 * len(array)), *array.shape[1:]), array.dtype)
+    grown[:len(array)] = array
+    return grown
 
 
 class _SlotTable(dict):
-    """Slot matrices of one register, and the per-qubit round channels
-    built from them.
+    """Slot matrices of one register, the per-qubit round channels built
+    from them, and the register's round memo.
 
     slots[k, code, routed] is one slot on a qubit of the k-th distinct
     model: code 0 an empty slot, code i the i-th Pulse; routed 0 is the
     stray drive at its cross_ratio, 1 its own over_ratio.  The qubits are
     uncoupled, so a qubit's round channel depends only on its model and its
-    slot signature.  The table maps (kind, slot codes, fired-slot bitmask),
-    plain ints, to the row of that channel in `bank`; a missing key builds
-    the channel once, as the product of its slot matrices.
+    slot signature.  The table maps each signature (the kind, then the
+    packed slot words, plain ints) to the row of its channel in `bank`.
+    memo[scheme, n_driven] maps a round's integer code (_distinct_rounds)
+    to its index in round_rows (its qubits' bank rows) and round_slots (its
+    slot count).  The memo lives and dies with its table.
     """
-
-    # Compared by identity: the round cache is keyed on the table.
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, models: tuple):
         super().__init__()
         distinct: dict = {}
-        self.kinds = tuple(distinct.setdefault(m, len(distinct)) for m in models)
+        self.kinds = np.array([distinct.setdefault(m, len(distinct)) for m in models])
         self.slots = np.array([[[_transfer_matrix(p, m.cross_ratio, m),
                                  _transfer_matrix(p, m.over_ratio, m)]
-                                for p in _SLOT_PULSES] for m in distinct])
+                                for p in SLOT_PULSES] for m in distinct])
         self.bank = np.empty((64, 4, 4))  # rows past len(self) are unused
+        self.memo: dict = {}
+        self.n_rounds = 0  # rows of round_rows and round_slots in use
+        self.round_rows = np.empty((64, len(models)), dtype=np.intp)
+        self.round_slots = np.empty(64, dtype=np.int64)
 
-    def __missing__(self, key: tuple) -> int:
-        kind, codes, fire = key
-        slots = self.slots[kind]
-        out = np.eye(4)
-        for s, code in enumerate(codes):
-            out = slots[code, fire >> s & 1] @ out
-        row = self[key] = len(self)
-        if row == len(self.bank):
-            self.bank = np.concatenate([self.bank, np.empty_like(self.bank)])
-        self.bank[row] = out
-        return row
+    def rounds(self, scheme: str, n_driven: int, ids: np.ndarray, parity: np.ndarray,
+               codes: list) -> np.ndarray:
+        """The memo index of each distinct round, given by its Clifford ids,
+        parity and code.  The rounds missing from the memo are planned in
+        one compiler.round_plans call and added."""
+        if self.n_rounds > _ROUND_MEMO_LIMIT:
+            self.memo.clear()
+            self.n_rounds = 0
+        memo = self.memo.setdefault((scheme, n_driven), {})
+        index = np.fromiter(map(memo.get, codes, repeat(-1)), np.intp, len(codes))
+        new = np.flatnonzero(index < 0)
+        if new.size:
+            plans = (_minimal_plans(ids[new]) if scheme == SCHEME_MINIMAL else
+                     compiler.round_plans(ids[new], scheme, parity[new]))
+            added = np.arange(self.n_rounds, self.n_rounds + new.size)
+            self.n_rounds += new.size
+            self.round_rows = _grow(self.round_rows, self.n_rounds)
+            self.round_slots = _grow(self.round_slots, self.n_rounds)
+            self.round_rows[added] = self._channel_rows(*plans)
+            self.round_slots[added] = plans[2]
+            memo.update(zip([codes[i] for i in new.tolist()], added.tolist()))
+            index[new] = added
+        return index
+
+    def _channel_rows(self, codes: np.ndarray, fired: np.ndarray,
+                      n_slots: np.ndarray) -> np.ndarray:
+        """The bank rows (k, n) of the qubits of k planned rounds, from
+        compiler.round_plans' arrays; qubits past fired's are never routed.
+        One lexsort finds the distinct signatures, and the new ones are
+        built together, each slot left-multiplied from the identity on."""
+        k, width = codes.shape
+        n = len(self.kinds)
+        routed = np.zeros((k, n, width), dtype=np.intp)
+        routed[:, :fired.shape[1]] = fired
+        packed = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0)[:, None] + routed
+        words = -(-width // _SIGNATURE_SLOTS)
+        keys = np.empty((1 + words, k * n), dtype=np.int64)
+        keys[0] = np.tile(self.kinds, k)
+        for w in range(words):
+            part = packed[..., w * _SIGNATURE_SLOTS:(w + 1) * _SIGNATURE_SLOTS]
+            keys[1 + w] = (part @ _SIGNATURE_POWERS[:part.shape[-1]]).ravel()
+        firsts, inverse = _unique_columns(keys)
+        round_of, qubit = np.divmod(firsts, n)
+        # Words past a round's slots are zero and left out of its key.
+        used = 1 - (-n_slots[round_of] // _SIGNATURE_SLOTS)
+        signatures = [tuple(key[:u]) for key, u in zip(keys[:, firsts].T.tolist(), used.tolist())]
+        rows = np.fromiter(map(self.get, signatures, repeat(-1)), np.intp, len(signatures))
+        new = np.flatnonzero(rows < 0)
+        if new.size:
+            r, q, count = round_of[new], qubit[new], n_slots[round_of[new]]
+            out = np.broadcast_to(np.eye(4), (new.size, 4, 4)).copy()
+            for s in range(int(count.max())):
+                on = np.flatnonzero(s < count)
+                out[on] = self.slots[self.kinds[q[on]], codes[r[on], s],
+                                     routed[r[on], q[on], s]] @ out[on]
+            rows[new] = np.arange(len(self), len(self) + new.size)
+            self.bank = _grow(self.bank, len(self) + new.size)
+            self.bank[rows[new]] = out
+            self.update(zip([signatures[i] for i in new.tolist()], rows[new].tolist()))
+        return rows[inverse].reshape(k, n)
 
 
 @lru_cache(maxsize=64)
 def _slot_channels(models: tuple) -> _SlotTable:
     """The slot table of a register, one per distinct tuple of models."""
     return _SlotTable(models)
-
-
-@lru_cache(maxsize=200_000)
-def _round_channel(combo: tuple, scheme: str, parity: int,
-                   table: _SlotTable) -> tuple[tuple, int]:
-    """One round: the table rows of its per-qubit channels, one per qubit,
-    and its slot count.  Qubits past the combination's length are never
-    routed."""
-    if scheme == SCHEME_MINIMAL:
-        if len(combo) != 1:
-            raise ValueError("minimal scheme is single-qubit")
-        # The identity Clifford occupies one slot, its I pulse.
-        pulses = tuple(minimal_decomposition(combo[0]))
-        fires = ((1 << len(pulses)) - 1,)
-    else:
-        pulses, fires = compiler.round_plan(combo, scheme, parity)
-    codes = tuple(map(_SLOT_PULSES.index, pulses))
-    fires += (0,) * (len(table.kinds) - len(fires))
-    rows = tuple(map(table.__getitem__, zip(table.kinds, [codes] * len(fires), fires)))
-    return rows, len(pulses)
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
@@ -283,22 +344,31 @@ _CODE_QUBITS = 13
 _CODE_POWERS = 24 ** np.arange(_CODE_QUBITS, dtype=np.int64)
 
 
-def _distinct_rounds(ids: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct round, index of each row's round) for
-    rounds given as rows of Clifford ids and their parities: one lexsort of
-    the rounds' integer codes and a comparison of sorted neighbours."""
-    words = []
-    for q in range(0, ids.shape[1], _CODE_QUBITS):
-        digits = ids[:, q:q + _CODE_QUBITS] - 1
-        words.append(digits @ _CODE_POWERS[:digits.shape[1]])
-    words[0] = words[0] * 2 + parity
-    keys = np.stack(words)
+def _unique_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first column of each distinct column, index of each column's
+    distinct one) of a 2-d int array: one lexsort and a comparison of
+    sorted neighbours."""
     order = np.lexsort(keys)
     new = np.ones(len(order), dtype=bool)
     np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0, out=new[1:])
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
+
+
+def _distinct_rounds(ids: np.ndarray, parity: np.ndarray) -> tuple:
+    """(first row of each distinct round, index of each row's round, and
+    each distinct round's code) for rounds given as rows of Clifford ids and
+    their parities.  A code is one int, or a tuple of ints past 13 qubits."""
+    words = []
+    for q in range(0, ids.shape[1], _CODE_QUBITS):
+        digits = ids[:, q:q + _CODE_QUBITS] - 1
+        words.append(digits @ _CODE_POWERS[:digits.shape[1]])
+    words[0] = words[0] * 2 + parity
+    keys = np.stack(words)
+    firsts, inverse = _unique_columns(keys)
+    codes = keys[:, firsts].tolist()
+    return firsts, inverse, codes[0] if len(codes) == 1 else list(zip(*codes))
 
 
 def _chain_product(mats: np.ndarray) -> np.ndarray:
@@ -347,13 +417,10 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     index = np.concatenate([np.arange(m + 1) for m in m_values] * n_seeds)
     parity = index & 1 if scheme == SCHEME_FIVE_SYMMETRIC else np.zeros_like(index)
 
-    firsts, inverse = _distinct_rounds(ids, parity)
-    memo = [_round_channel(tuple(combo), scheme, p, table)
-            for combo, p in zip(ids[firsts].tolist(), parity[firsts].tolist())]
+    firsts, inverse, codes = _distinct_rounds(ids, parity)
+    index = table.rounds(scheme, n_driven, ids[firsts], parity[firsts], codes)
     # rows[d]: the bank rows of the d-th distinct round's qubits.
-    rows = np.fromiter(chain.from_iterable(r for r, _ in memo), np.intp,
-                       len(memo) * n).reshape(-1, n)
-    n_slots = np.array([k for _, k in memo])
+    rows, n_slots = table.round_rows[index], table.round_slots[index]
 
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
@@ -431,8 +498,8 @@ ALLXY_SEQUENCE: tuple[tuple[Pulse, Pulse, float], ...] = (
     (Pulse.Y180, Pulse.Y180, 0.0),
     (Pulse.X180, Pulse.Y180, 0.0),
     (Pulse.Y180, Pulse.X180, 0.0),
-    (Pulse.I, Pulse.X90, 0.5),
-    (Pulse.I, Pulse.Y90, 0.5),
+    (Pulse.X90, Pulse.I, 0.5),
+    (Pulse.Y90, Pulse.I, 0.5),
     (Pulse.X90, Pulse.Y90, 0.5),
     (Pulse.Y90, Pulse.X90, 0.5),
     (Pulse.X90, Pulse.Y180, 0.5),
@@ -443,8 +510,8 @@ ALLXY_SEQUENCE: tuple[tuple[Pulse, Pulse, float], ...] = (
     (Pulse.X180, Pulse.X90, 0.5),
     (Pulse.Y90, Pulse.Y180, 0.5),
     (Pulse.Y180, Pulse.Y90, 0.5),
-    (Pulse.I, Pulse.X180, 1.0),
-    (Pulse.I, Pulse.Y180, 1.0),
+    (Pulse.X180, Pulse.I, 1.0),
+    (Pulse.Y180, Pulse.I, 1.0),
     (Pulse.X90, Pulse.X90, 1.0),
     (Pulse.Y90, Pulse.Y90, 1.0),
 )

@@ -13,6 +13,12 @@ closure, coverage of every pulse train and surjection counts.
 cost_distribution gives, from the same counts, the share of tuples at each
 cost.
 
+first_cover and plan_round plan one round at a time, the reference for
+the batched planner (compiler.round_plans): one argmin over every train of
+the compiler's cover table finds a round's first cover, and each qubit's
+firing and each slot's pulse are read from that train one at a time.
+first_cover is also the per-mask reference of the batched cost query.
+
 first_firing computes a compiled round from pulse unitaries alone: the
 first train of a given length (lexicographic over the search basis) whose
 subset products cover the targets, and for each qubit the first subset in
@@ -52,7 +58,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 from scipy.linalg import expm
@@ -61,7 +68,11 @@ from scipy.optimize import least_squares
 from cliffcast import compiler
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
+    FIVE_PRIMITIVE_MASKS,
+    FIVE_PRIMITIVE_MASKS_INVERTED,
+    FIVE_PRIMITIVES,
     FIVE_PRIMITIVES_INVERTED,
+    MINIMAL_DECOMPOSITIONS,
     clifford_of_pulses,
     compose,
     equal_up_to_phase,
@@ -135,6 +146,50 @@ def first_firing(combo, length: int):
                      for c in combo]
             return train, fired
     return None
+
+
+def first_cover(mask: int) -> tuple | None:
+    """The first train (sequence, products) of the compiler's cover table
+    that misses none of the targets in the mask: the shortest and, among
+    those, the lexicographically first cover.  None when no train of four
+    pulses covers the mask."""
+    uncovered, trains = compiler._cover_index()
+    missed = uncovered & mask  # the targets each train cannot fire
+    first = int(missed.argmin())
+    return None if missed[first] else trains[first]
+
+
+def plan_round(combo, scheme: str, parity: int = 0) -> tuple:
+    """(pulses, fires) of one round, as compiler.round_plan gives it: the
+    pulse of each slot, None where no qubit fires, and each qubit's
+    fired-slot bitmask, planned qubit by qubit."""
+    def emitted(train, fires):
+        fired = reduce(or_, fires, 0)
+        return tuple(p if fired >> s & 1 else None for s, p in enumerate(train))
+
+    def five(mirrored):
+        table = FIVE_PRIMITIVE_MASKS_INVERTED if mirrored else FIVE_PRIMITIVE_MASKS
+        fires = tuple(sum(b << s for s, b in enumerate(table[c])) for c in combo)
+        return emitted(FIVE_PRIMITIVES_INVERTED if mirrored else FIVE_PRIMITIVES, fires), fires
+
+    if scheme == "sequential":
+        pulses, fires = [], []
+        for c in combo:
+            steps = () if c == 1 else MINIMAL_DECOMPOSITIONS[c]
+            fires.append(sum(1 << s for s in range(len(pulses), len(pulses) + len(steps))))
+            pulses.extend(steps)
+        return tuple(pulses), tuple(fires)
+    if scheme in ("five-primitives", "five-primitives-symmetric"):
+        return five(scheme != "five-primitives" and parity % 2 == 1)
+    mask = sum({1 << (c - 1) for c in combo if c != 1})
+    if mask == 0:
+        return (), (0,) * len(combo)
+    cover = first_cover(mask)
+    if cover is None:
+        return five(False)
+    seq, prods = cover
+    fires = tuple(0 if c == 1 else prods.index(c) + 1 for c in combo)
+    return emitted([SEARCH_BASIS[i] for i in seq], fires), fires
 
 
 def derive_inverted_masks() -> dict[int, tuple[int, ...]]:
@@ -454,11 +509,8 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
 # --- diagnostic sequences --------------------------------------------------
 
 # The standard 21-pair AllXY list, first pulse first: X and Y are pi
-# rotations, x and y half-pi rotations, I the identity.  A pair with one
-# pulse is written there with the idle slot second; the package runs the
-# idle slot first, which matters only under damping, so the oracle does too.
-_ALLXY_STANDARD = "II XX YY XY YX xI yI xy yx xY yX Xy Yx xX Xx yY Yy XI YI xx yy"
-ALLXY_PAIRS = [pair[::-1] if pair[1] == "I" else pair for pair in _ALLXY_STANDARD.split()]
+# rotations, x and y half-pi rotations, I the identity (an idle slot).
+ALLXY_PAIRS = "II XX YY XY YX xI yI xy yx xY yX Xy Yx xX Xx yY Yy XI YI xx yy".split()
 
 
 def _drive(label: str, over_ratio: float, phase_rad: float) -> np.ndarray:

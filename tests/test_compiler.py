@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
+    MINIMAL_DECOMPOSITIONS,
     Pulse,
     equal_up_to_phase,
     sequence_unitary,
@@ -19,15 +20,18 @@ from cliffcast.compiler import (
     SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
     SCHEME_SEQUENTIAL,
+    SCHEMES,
     Schedule,
     compile_optimal,
     compile_scheme,
     mean_np_exact,
     mean_np_sampled,
     min_broadcast_pulses,
+    SLOT_PULSES,
     round_plan,
+    round_plans,
+    _cost_columns,
     _cover_index,
-    _first_cover,
     _mask_costs,
     _target_mask,
 )
@@ -36,7 +40,9 @@ from oracles import (
     brute_force_min_pulses,
     cost_distribution,
     exact_census,
+    first_cover,
     first_firing,
+    plan_round,
 )
 
 I2 = np.eye(2)
@@ -292,7 +298,7 @@ def _first_cover_cost(mask: int) -> int:
     5 when no train of four pulses covers it."""
     if mask == 0:
         return 0
-    cover = _first_cover(mask)
+    cover = first_cover(mask)
     return 5 if cover is None else len(cover[0])
 
 
@@ -312,6 +318,7 @@ def test_batched_cost_query_is_the_first_cover_length():
         assert costs.dtype == np.int64
         assert costs.tolist() == [_first_cover_cost(m) for m in masks], len(masks)
     assert {_first_cover_cost(m) for m in pool[:129]} == {0, 1, 2, 3, 4, 5}
+    assert len(_cost_columns()[0]) == 2 + 149  # the undominated masks and two sentinels
 
 
 def test_mean_np_sampled_deterministic():
@@ -422,6 +429,72 @@ def test_round_plan_matches_compile_scheme(scheme):
                                                               (False,) * len(combo))
     with pytest.raises(ValueError):
         round_plan((2,), "bogus")
+
+
+def _plan_rows(plans) -> list[tuple]:
+    """The (pulses, fires) tuples of every row of round_plans' arrays, after
+    checking that the slots past each row's count are empty and unfired."""
+    codes, fired, n_slots = plans
+    rows = []
+    for r, count in enumerate(n_slots.tolist()):
+        assert not codes[r, count:].any() and not fired[r, :, count:].any()
+        pulses = tuple(SLOT_PULSES[c] for c in codes[r, :count].tolist())
+        rows.append((pulses, tuple(sum(1 << s for s in np.flatnonzero(f).tolist())
+                                   for f in fired[r])))
+    return rows
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC,
+                                    SCHEME_COMPILED])
+def test_round_plans_match_the_per_round_oracle(scheme):
+    """The batched planner plans 5,000 Philox rounds of 1-17 qubits, with
+    all-identity rows and either parity, as the per-round walk over the
+    cover table (oracles.plan_round) does.  Each compiled round with a
+    cover of 1-4 pulses also fires as oracles.first_firing does, from
+    unitaries alone."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2018)))
+    sizes = np.bincount(rng.integers(1, 18, size=5_000), minlength=18)
+    checked = 0
+    for n in range(1, 18):
+        ids = rng.integers(1, 25, size=(sizes[n] + 2, n))
+        ids[:2] = 1  # all-identity rounds
+        parity = rng.integers(0, 2, size=len(ids))
+        plans = round_plans(ids, scheme, parity)
+        assert plans[0].shape[0] == len(ids) and plans[1].shape[:2] == ids.shape
+        for combo, p, row in zip(ids.tolist(), parity.tolist(), _plan_rows(plans)):
+            assert row == plan_round(combo, scheme, p), (combo, p)
+            if scheme == SCHEME_COMPILED and 0 < len(row[0]) < 5 and checked < 1_500:
+                train, fired = first_firing(combo, len(row[0]))
+                assert all(p in (None, t) for p, t in zip(row[0], train)), combo
+                assert [tuple(s for s in range(len(train)) if f >> s & 1)
+                        for f in row[1]] == list(fired), combo
+                checked += 1
+    assert sizes.sum() == 5_000
+    assert checked == (1_500 if scheme == SCHEME_COMPILED else 0)
+
+
+def test_round_plans_of_the_all_identity_round_and_bad_input():
+    codes, fired, n_slots = round_plans(np.ones((3, 4), dtype=np.int64), SCHEME_COMPILED)
+    assert not codes.any() and not fired.any() and n_slots.tolist() == [0] * 3
+    assert codes.shape[0] == 3 and fired.shape[:2] == (3, 4)
+    for scheme in SCHEMES:
+        assert round_plans(np.ones((0, 2)), scheme)[1].shape[:2] == (0, 2)
+    for ids in ([[0, 2]], [[25]], [[]], [1, 2]):
+        with pytest.raises(ValueError):
+            round_plans(ids, SCHEME_SEQUENTIAL)
+
+
+def test_sequential_round_past_63_slots():
+    """24 qubits whose Cliffords each take three pulses need 72 slots, past
+    the 63 that one int64 bitmask per qubit could hold."""
+    three = [c for c in range(2, 25) if len(MINIMAL_DECOMPOSITIONS[c]) == 3]
+    combo = tuple(three[q % len(three)] for q in range(24))
+    sched = compile_scheme(combo, SCHEME_SEQUENTIAL)
+    assert sched.n_slots == sched.n_pulses == 72
+    sched.verify(combo)
+    pulses, fires = round_plan(combo, SCHEME_SEQUENTIAL)
+    assert fires == tuple(0b111 << 3 * q for q in range(24))
+    assert (pulses, fires) == plan_round(combo, SCHEME_SEQUENTIAL)
 
 
 def test_compiled_firing_is_first_matching_subset():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -138,6 +139,40 @@ def test_exp_fit_where_scipy_hits_its_evaluation_limit():
     polished = least_squares_exp(curve.m_values, curve.p0, w,
                                  x0=(f.amplitude, f.decay, f.offset))
     assert cost <= polished.cost * 2 * (1 + 1e-10)
+
+
+def _pinned_curves():
+    """Weighted and unweighted eight-qubit compiled curves, the box-optimum
+    curves above, and eight noisy synthetic decays."""
+    for seed in range(1, 7):
+        for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M, 2, seed).curves:
+            yield c.m_values, c.p0, None
+            yield c.m_values, c.p0, c.p0_stderr
+    for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M[:6], 1, 7).curves:
+        yield c.m_values, c.p0, None
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2019)))
+    m = np.array([0, 1, 3, 10, 30, 100, 300, 1000], dtype=float)
+    for a, p, b in rng.uniform((-1.5, 0.9, -0.5), (1.5, 1.0, 1.5), size=(8, 3)):
+        yield m, a * p**m + b + rng.normal(0, 0.01, m.size), None
+
+
+# SHA-256 over the ExpFit fields (five floats' bytes, then the at_bound
+# names) of the 112 fits of _pinned_curves, recorded before the profile's
+# per-curve sums were taken once per fit.
+EXP_FIT_DIGEST = "d929561b9149bfd1d4761594caa8a35c6b1ce579361e7bf7c9816d1f0c94e340"
+
+
+def test_exp_fit_bytes_are_pinned():
+    h = hashlib.sha256()
+    fits = 0
+    for m, y, err in _pinned_curves():
+        f = fit_exp_offset(m, y, y_err=err)
+        h.update(np.array([f.amplitude, f.decay, f.offset, *f.stderr,
+                           f.residual_rms]).tobytes())
+        h.update(",".join(f.at_bound).encode())
+        fits += 1
+    assert fits == 112
+    assert h.hexdigest() == EXP_FIT_DIGEST
 
 
 def test_fidelity_from_decay_limits():

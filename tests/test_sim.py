@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -216,23 +217,28 @@ def test_round_codes_do_not_wrap_at_the_word_boundary():
     digits = [2**63 // 24**i % 24 for i in range(14)]
     a = [d + 1 for d in digits] + [1] * 3
     b = [1] * 17
-    firsts, inverse = sim._distinct_rounds(np.array([a, b, a, b]), np.zeros(4, np.int64))
+    firsts, inverse, codes = sim._distinct_rounds(np.array([a, b, a, b]),
+                                                  np.zeros(4, np.int64))
     assert sorted(firsts.tolist()) == [0, 1]
     assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+    assert len(set(codes)) == 2 and all(len(code) == 2 for code in codes)
 
 
-def _assert_memo_holds_rows(combo, scheme, parity, table):
-    """A round memo entry is the round's table rows, one plain int per
-    qubit of the register, and its slot count; no channel array."""
-    rows, n_slots = sim._round_channel(combo, scheme, parity, table)
-    assert type(rows) is tuple and len(rows) == len(table.kinds)
-    assert all(type(r) is int and 0 <= r < len(table) for r in rows)
-    assert type(n_slots) is int and n_slots > 0
+def _assert_memo_holds_rows(table, slot_counts):
+    """Every round memo entry is the round's bank rows, one int per qubit of
+    the register, and its slot count, one of slot_counts; no channel
+    array."""
+    for memo in table.memo.values():
+        index = np.fromiter(memo.values(), np.intp, len(memo))
+        rows, n_slots = table.round_rows[index], table.round_slots[index]
+        assert rows.dtype == np.intp and rows.shape == (len(memo), len(table.kinds))
+        assert rows.min() >= 0 and rows.max() < len(table)
+        assert n_slots.dtype == np.int64 and set(n_slots.tolist()) <= set(slot_counts)
 
 
 def test_qubit_channel_cache_grows_by_signature_not_by_round():
     """A second wide run on a fresh seed meets almost only new combinations,
-    each looked up once in the rows memo, but most of its per-qubit slot
+    each a miss of the round memo, but most of its per-qubit slot
     signatures are already built."""
     models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
     m_values = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -240,35 +246,73 @@ def test_qubit_channel_cache_grows_by_signature_not_by_round():
     first = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=11)
     table = sim._slot_channels(tuple(models))
     assert len(table) == first.qubit_channels
-    rounds_before = sim._round_channel.cache_info().misses
+    assert table.n_rounds == first.distinct_rounds
     second = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=12)
-    new_rounds = sim._round_channel.cache_info().misses - rounds_before
+    new_rounds = table.n_rounds - first.distinct_rounds  # the second run's misses
     new_signatures = len(table) - first.qubit_channels
     assert new_rounds >= 0.95 * second.distinct_rounds
     assert 0 < new_signatures < new_rounds / 2
     assert second.qubit_channels <= second.distinct_rounds * len(models)
-    _assert_memo_holds_rows((2, 13, 1, 24, 5, 7, 9, 11), "compiled", 0, table)
+    _assert_memo_holds_rows(table, range(1, 6))
 
 
 def test_work_counters_match_a_fresh_round_cache():
-    """distinct_rounds is what the rows memo builds when it starts empty:
-    the pass looks up each distinct round once per run."""
+    """distinct_rounds is what the round memo builds when it starts empty:
+    the pass looks up each distinct round once per run, so a fresh table
+    misses every one and a repeated run hits every one."""
     models = [_LOSSY, _LOSSLESS]
-    sim._round_channel.cache_clear()
+    sim._slot_channels.cache_clear()
     res = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
                  rng_seed=5)
-    info = sim._round_channel.cache_info()
-    assert (info.hits, info.misses) == (0, res.distinct_rounds)
-    assert info.currsize == res.distinct_rounds
+    table = sim._slot_channels(tuple(models))
+    memo = table.memo["five-primitives-symmetric", 2]
+    assert len(memo) == table.n_rounds == res.distinct_rounds  # no hits, all misses
     assert res.rounds == 2 * (2 + 5 + 17 + 65)
     assert res.slots == 5 * res.rounds
     again = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
                    rng_seed=5)
-    assert sim._round_channel.cache_info().hits == res.distinct_rounds
+    assert table.n_rounds == res.distinct_rounds  # every lookup a hit
     assert again.distinct_rounds == res.distinct_rounds
+    assert {code & 1 for code in memo} == {0, 1}  # both parities, keyed apart
+    _assert_memo_holds_rows(table, {5})
+
+
+def test_evicted_slot_tables_are_freed():
+    """Each round memo lives on its slot table, so a scan over more model
+    tuples than the table cache holds (64) keeps no evicted table alive."""
+    for k in range(80):
+        run_rb([QubitModel(t1_ns=5_000.0 + k)], "compiled", (1, 2), n_seeds=1, rng_seed=k)
+    gc.collect()
+    alive = sum(isinstance(o, sim._SlotTable) for o in gc.get_objects())
+    assert alive <= 64
+
+
+def test_round_memo_starts_over_at_its_limit(monkeypatch):
+    """A table's round memo is emptied once it holds more rounds than its
+    limit, which changes no output."""
+    models = [_LOSSY, _LOSSLESS]
+    args = ("compiled", (1, 4, 16), 2)
+    want = [run_rb(models, *args, rng_seed=s) for s in (3, 4)]
+    monkeypatch.setattr(sim, "_ROUND_MEMO_LIMIT", 10)
+    sim._slot_channels.cache_clear()
     table = sim._slot_channels(tuple(models))
-    for parity in (0, 1):
-        _assert_memo_holds_rows((3, 24), "five-primitives-symmetric", parity, table)
+    for res in want:
+        got = run_rb(models, *args, rng_seed=res.rng_seed)
+        assert table.n_rounds == got.distinct_rounds > 10  # the memo started over
+        assert _work(got) == _work(res)
+        assert all(np.array_equal(a.p0, b.p0) for a, b in zip(got.curves, res.curves))
+
+
+def test_twenty_four_sequential_qubits_match_slot_by_slot_oracle():
+    """Sequential rounds on 24 qubits take about 46 slots, so each qubit's
+    slot signature spans several words and its fired slots overflow one
+    int64 bitmask."""
+    models = [(_LOSSY, _LOSSLESS, _SLOW)[q % 3] for q in range(24)]
+    res = run_rb(models, "sequential", (1, 3), n_seeds=2, rng_seed=24)
+    p0, slots_per_round = slot_by_slot_benchmark(models, 24, "sequential", (1, 3), 2, 24)
+    got = np.array([c.p0 for c in res.curves])
+    assert np.max(np.abs(got - p0)) < 1e-12
+    assert res.mean_slots_per_round == slots_per_round > 3 * sim._SIGNATURE_SLOTS
 
 
 def test_idle_crossdrive_zero_ratio_stays_ground():
