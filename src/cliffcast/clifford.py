@@ -109,17 +109,22 @@ def pulse_unitary(p: Pulse) -> np.ndarray:
     return rotation_unitary(p.axis, p.angle)
 
 
-def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = PHASE_TOL) -> bool:
-    """Phase-insensitive 2x2 unitary equality: |tr(U^dag V)| == 2 within tol."""
-    return abs(abs(np.trace(u.conj().T @ v)) - 2.0) < tol
-
-
 def sequence_unitary(pulses) -> np.ndarray:
     """Left-to-right product of a pulse sequence."""
     u = _I2.copy()
     for p in pulses:
         u = pulse_unitary(p) @ u
     return u
+
+
+def chain_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0] for a non-empty stack (k, ..., d, d),
+    multiplied pairwise: each level halves the stack, later ones on the left."""
+    while len(mats) > 1:
+        k = len(mats)
+        pairs = mats[1:k:2] @ mats[0:k - 1:2]
+        mats = np.concatenate([pairs, mats[k - 1:]]) if k & 1 else pairs
+    return mats[0]
 
 
 # Minimal decompositions of the 24 Cliffords (left-to-right pulse order).

@@ -27,9 +27,8 @@ Every scheme plans its rounds in one batched call (`round_plans`): for a
 (k, n) array of Clifford ids it returns each round's slot codes (0 where no
 qubit fires, else 1 + the pulse's place in `Pulse`; see `SLOT_PULSES`),
 each qubit's fired slots as booleans and each round's slot count.  The
-simulator reads these arrays directly, `Schedule`s are built from one-row
-calls, and `round_plan` is the one-row call as (pulses, fired-slot
-bitmasks) tuples, so a round has one representation.  The five-primitive
+simulator reads these arrays directly and `Schedule`s are built from
+one-row calls, so a round has one representation.  The five-primitive
 firings are read from the frozen mask tables, the sequential ones from the
 minimal decompositions.
 
@@ -42,22 +41,29 @@ order, with the Clifford fired by each subset of the train (from
 complement of its target mask, as one int64 array.  Its distinct
 uncovered masks, in order of their first train and without those an
 earlier one dominates (149 of 375), are the columns of one scan
-(`_first_columns`): each target mask is tested against them, 64 masks at
-a time, and its first column that misses no target belongs to its first
-cover, the shortest and, among those, the lexicographically first train
-that fires every target.  A first column of -1 stands for
-the all-identity round, which only mask 0 misses nothing of, and a last
-column of 0 for the five-primitive round, which realizes any
+(`_first_columns`, 64 target masks at a time): a mask's first column that
+misses no target belongs to its first cover, the shortest and then
+lexicographically first train that fires every target.  A first column of
+-1 stands for the all-identity round (only mask 0 misses nothing of it),
+and a last column of 0 for the five-primitive round, which realizes any
 combination, so a combination costs at most 5.  Cost queries
 (`min_broadcast_pulses`, the sampled census) read the column's train
-length.  Plan queries read the train: its slot codes, and each qubit's
-firing, the first subset in binary counting whose product is its target,
-from tables over every train and Clifford built once from the products.
-A cost depends only on the set of distinct
+length; plan queries read the train's slot codes and, for each qubit, the
+first subset in binary counting whose product is its target, from tables
+built once from the products.  A cost depends only on the set of distinct
 non-identity targets, so the exact census reads `CENSUS_COUNTS`, the
 number of sets of each size at each cost, and weights each size by
-surjection counts instead of enumerating the 24^n combinations or the
-sets.
+surjection counts instead of enumerating the 24^n combinations.
+
+Verification
+------------
+`Schedule.verify` checks that every mask has one entry per qubit and that
+the event slots increase and stay below n_slots.  One stacked product then
+gives every qubit's unitary: pulse unitaries gathered by slot code into an
+(events, qubits, 2, 2) stack, the identity where a mask is off, multiplied
+pairwise with later events on the left.  One overlap |tr(U_c^dag U)| = 2
+compares all qubits with their canonical unitaries.  `Schedule.to_json`
+writes json.dumps(indent=2)'s layout from one template per event.
 
 Identity accounting
 -------------------
@@ -80,15 +86,16 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import (
-    CANONICAL_UNITARIES,
+    _CANONICAL_CONJ,
     FIVE_PRIMITIVE_MASKS,
     FIVE_PRIMITIVE_MASKS_INVERTED,
     FIVE_PRIMITIVES,
     FIVE_PRIMITIVES_INVERTED,
     MINIMAL_DECOMPOSITIONS,
+    PHASE_TOL,
     Pulse,
-    equal_up_to_phase,
-    sequence_unitary,
+    chain_product,
+    pulse_unitary,
 )
 from .decomp import SEARCH_BASIS, sequence_products
 
@@ -104,6 +111,14 @@ PULSE_NS = 16.0
 BUFFER_NS = 4.0
 
 FIVE_PRIMITIVES_BOUND = 5
+
+# Schedule.to_json's layout, as json.dumps(indent=2) writes it.
+_SCHEDULE_JSON = ('{{\n  "n_qubits": {},\n  "scheme": {},\n  "n_slots": {},\n  "slot_ns": {{\n'
+                  '    "total": %r,\n    "pulse_ns": %r,\n    "buffer_ns": %r\n  }},\n'
+                  '  "events": {}\n}}\n' % (SLOT_NS, PULSE_NS, BUFFER_NS))
+_EVENT_JSON = ('    {{\n      "slot": {},\n      "pulse": "{}",\n      "mask": [\n        {}\n'
+               '      ]\n    }}')
+_MASK_JSON = ",\n        "
 
 
 @dataclass(frozen=True)
@@ -133,34 +148,41 @@ class Schedule:
         return [ev.pulse for ev in self.events if ev.mask[qubit]]
 
     def verify(self, combo) -> None:
-        """Raise ValueError unless every qubit's masked pulse stream equals
-        its target Clifford, checked against the canonical unitaries."""
+        """Raise ValueError, naming the first bad event or qubit, unless every
+        mask has one entry per qubit, the event slots increase and stay below
+        n_slots, and one stacked product over all qubits matches each one's
+        canonical unitary up to phase (see the module docstring)."""
         combo = _check_combo(combo)
-        if len(combo) != self.n_qubits:
-            raise ValueError(f"combo has {len(combo)} targets for {self.n_qubits} qubits")
-        for q, c in enumerate(combo):
-            u = sequence_unitary(self.masked_pulses(q))
-            if not equal_up_to_phase(u, CANONICAL_UNITARIES[c - 1]):
-                raise ValueError(f"schedule verification failed for qubit {q} (target {c})")
+        n = self.n_qubits
+        if len(combo) != n:
+            raise ValueError(f"combo has {len(combo)} targets for {n} qubits")
+        last = -1
+        for i, ev in enumerate(self.events):
+            if len(ev.mask) != n or not last < ev.slot < self.n_slots:
+                raise ValueError(f"event {i} (slot {ev.slot}, {len(ev.mask)} mask entries) needs "
+                                 f"{n} mask entries and a slot in {last + 1}..{self.n_slots - 1}")
+            last = ev.slot
+        fired = np.array([ev.mask for ev in self.events] or [(False,) * n], dtype=bool)
+        codes = np.array(_slot_codes(ev.pulse for ev in self.events) or [0])
+        u = chain_product(_SLOT_UNITARIES[codes[:, None] * fired])
+        overlap = np.abs((_CANONICAL_CONJ[np.array(combo) - 1] * u).sum(axis=(1, 2)))
+        ok = np.abs(overlap - 2.0) < PHASE_TOL
+        if not ok.all():
+            q = int(ok.argmin())
+            raise ValueError(f"schedule verification failed for qubit {q} (target {combo[q]})")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "scheme": self.scheme,
-            "n_slots": self.n_slots,
-            "slot_ns": {"total": SLOT_NS, "pulse_ns": PULSE_NS, "buffer_ns": BUFFER_NS},
-            "events": [
-                {
-                    "slot": ev.slot,
-                    "pulse": ev.pulse.label,
-                    "mask": [int(b) for b in ev.mask],
-                }
-                for ev in self.events
-            ],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The schedule as json.dumps(indent=2) writes it, plus a newline,
+        filled in from one template per event."""
+        events = ",\n".join(
+            _EVENT_JSON.format(ev.slot, ev.pulse.label,
+                               _MASK_JSON.join(["1" if b else "0" for b in ev.mask]))
+            for ev in self.events)
+        return _SCHEDULE_JSON.format(self.n_qubits, json.dumps(self.scheme), self.n_slots,
+                                     f"[\n{events}\n  ]" if events else "[]")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Schedule":
@@ -204,6 +226,7 @@ def _check_combo(combo) -> tuple[int, ...]:
 
 # Slot codes: 0 for an empty slot, else 1 + the pulse's place in Pulse.
 SLOT_PULSES: tuple[Pulse | None, ...] = (None, *Pulse)
+_SLOT_UNITARIES = np.array([pulse_unitary(p or Pulse.I) for p in SLOT_PULSES])
 
 
 def _slot_codes(pulses) -> list[int]:
@@ -228,11 +251,6 @@ for _c, _pulses in MINIMAL_DECOMPOSITIONS.items():
 _SEQUENTIAL_LENGTHS = np.count_nonzero(MINIMAL_SLOT_CODES, axis=1) * (np.arange(25) > 1)
 
 
-def _emitted(codes, fired):
-    """The slot codes with 0 in each slot that no qubit fires."""
-    return np.where(fired.any(axis=1), codes, 0)
-
-
 def _sequential_plans(ids) -> tuple:
     """Each qubit's minimal decomposition in turn."""
     k, n = ids.shape
@@ -250,20 +268,21 @@ def _sequential_plans(ids) -> tuple:
 
 def _five_plans(ids, parity) -> tuple:
     fired = _FIVE_FIRED[parity[:, None], ids]
-    return (_emitted(_FIVE_CODES[parity], fired), fired,
+    return (np.where(fired.any(axis=1), _FIVE_CODES[parity], 0), fired,
             np.full(len(ids), FIVE_PRIMITIVES_BOUND))
 
 
 def _compiled_plans(ids) -> tuple:
     """The first cover of each round; each qubit fires the first subset, in
     binary counting, whose product is its target.  Rounds no train of four
-    pulses covers take the normal five-primitive round."""
+    pulses covers take the normal five-primitive round.  Every slot is fired,
+    or the train without it would be a shorter cover (X-180, Y-180 being
+    X180, Y180 up to phase, for the five-primitive round)."""
     _, lengths, rows = _cost_columns()
     fired_table, codes_table = _plan_tables()
     columns = _first_columns(_target_masks(ids))
     train = rows[columns]
-    fired = fired_table[train[:, None], ids]
-    return _emitted(codes_table[train], fired), fired, lengths[columns]
+    return codes_table[train], fired_table[train[:, None], ids], lengths[columns]
 
 
 def round_plans(ids, scheme: str, parity=0) -> tuple:
@@ -292,16 +311,6 @@ def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
     if scheme == SCHEME_COMPILED:
         return _compiled_plans(ids)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def round_plan(combo, scheme: str, parity: int = 0) -> tuple:
-    """(pulses, fires) of one round, the one-row round_plans: the pulse of
-    each time slot, None where no qubit fires, and one fired-slot bitmask
-    per qubit (bit s: slot s)."""
-    codes, fired, n_slots = _plans(np.array([_check_combo(combo)]), scheme, parity)
-    pulses = tuple(SLOT_PULSES[c] for c in codes[0, :n_slots[0]].tolist())
-    fires = tuple(sum(1 << s for s, on in enumerate(row) if on) for row in fired[0].tolist())
-    return pulses, fires
 
 
 def _schedule(combo, scheme: str, parity: int = 0) -> Schedule:
@@ -411,12 +420,9 @@ def _first_columns(masks) -> np.ndarray:
     cover, the first column for mask 0, or the last column when no train
     of four pulses covers it."""
     cols = _cost_columns()[0]
-    masks = np.asarray(masks, dtype=np.int64)
-    first = np.empty(len(masks), dtype=np.intp)
-    for start in range(0, len(masks), _COST_CHUNK):
-        chunk = slice(start, start + _COST_CHUNK)
-        first[chunk] = (masks[chunk, None] & cols).argmin(axis=1)
-    return first
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    return np.concatenate([(masks[s:s + _COST_CHUNK] & cols).argmin(axis=1)
+                           for s in range(0, len(masks) or 1, _COST_CHUNK)])  # >= 1 chunk
 
 
 def _mask_costs(masks) -> np.ndarray:

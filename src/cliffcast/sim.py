@@ -41,7 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from . import compiler
-from .clifford import Pulse, recovery_clifford, rotation_unitary
+from .clifford import Pulse, chain_product, recovery_clifford, rotation_unitary
 from .compiler import (
     MINIMAL_SLOT_CODES,
     SCHEME_COMPILED,
@@ -371,17 +371,6 @@ def _distinct_rounds(ids: np.ndarray, parity: np.ndarray) -> tuple:
     return firsts, inverse, codes[0] if len(codes) == 1 else list(zip(*codes))
 
 
-def _chain_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] for a stack of matrices (k, ..., 4, 4),
-    multiplied pairwise: each level halves the stack, later rounds on the
-    left."""
-    while len(mats) > 1:
-        k = len(mats)
-        pairs = mats[1:k:2] @ mats[0:k - 1:2]
-        mats = np.concatenate([pairs, mats[k - 1:]]) if k & 1 else pairs
-    return mats[0]
-
-
 def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
                rng_seed: int) -> RBResult:
     """The benchmarking pass behind run_rb and run_idle_crossdrive.
@@ -429,7 +418,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         for im, m in enumerate(m_values):
             # One sequence at a time, so only its (m + 1, n, 4, 4) channels
             # are ever gathered.
-            channel = _chain_product(table.bank[rows[inverse[start:start + m + 1]]])
+            channel = chain_product(table.bank[rows[inverse[start:start + m + 1]]])
             start += m + 1
             val = (1.0 + (channel @ _GROUND_VECTOR)[:, 3, 0]) / 2
             p0_sum[:, im] += val

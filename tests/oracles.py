@@ -25,6 +25,14 @@ subset products cover the targets, and for each qubit the first subset in
 binary counting whose product is its target.  It shares no table with the
 compiler.
 
+verify_schedule re-checks a schedule event by event: its slot structure,
+then each qubit's routed pulses, multiplied one at a time from rotation
+matrices built from the pulse labels, against its target's minimal
+decomposition up to phase.  It is the reference for Schedule.verify.
+schedule_json_dict builds a schedule's JSON fields as a dict, so that
+json.dumps(indent=2) is the reference for Schedule.to_json's bytes.
+equal_up_to_phase is the tests' comparison of two 2x2 unitaries.
+
 derive_inverted_masks regenerates the mirrored round's frozen firing
 masks by subset search over pulse unitaries; verify_decomposition
 re-checks one decomposition against the canonical unitaries.
@@ -75,13 +83,17 @@ from cliffcast.clifford import (
     MINIMAL_DECOMPOSITIONS,
     clifford_of_pulses,
     compose,
-    equal_up_to_phase,
     minimal_decomposition,
     pulse_clifford_map,
     recovery_clifford,
     sequence_unitary,
 )
 from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
+
+
+def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """Phase-insensitive 2x2 unitary equality: |tr(U^dag V)| == 2 within tol."""
+    return abs(abs(np.trace(u.conj().T @ v)) - 2.0) < tol
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +172,7 @@ def first_cover(mask: int) -> tuple | None:
 
 
 def plan_round(combo, scheme: str, parity: int = 0) -> tuple:
-    """(pulses, fires) of one round, as compiler.round_plan gives it: the
+    """(pulses, fires) of one round, as one row of compiler.round_plans: the
     pulse of each slot, None where no qubit fires, and each qubit's
     fired-slot bitmask, planned qubit by qubit."""
     def emitted(train, fires):
@@ -441,6 +453,55 @@ def cost_distribution(n: int) -> tuple[Fraction, ...]:
             tuples_by_cost[c] += sets * tuples
     assert tuples_by_cost[0] == 0
     return tuple(Fraction(t, 24**n) for t in tuples_by_cost[1:])
+
+
+# --- schedule verification --------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _label_rotation(label: str) -> np.ndarray:
+    """The pulse a schedule label names ("X90", "Y-180", "I"), from its
+    axis letter and angle in degrees."""
+    if label == "I":
+        return np.eye(2, dtype=complex)
+    return _axis_rotation(label[0].lower(), math.radians(float(label[1:])))
+
+
+def verify_schedule(schedule, combo) -> tuple | None:
+    """None when the schedule is well formed and realizes the combination,
+    else ("event", i) for its first malformed event (a mask without one
+    entry per qubit, or a slot not after the previous event's and before
+    n_slots) or ("qubit", q) for the first qubit whose routed pulses,
+    multiplied one at a time, differ from its target up to phase: the
+    target's minimal decomposition, multiplied from the same rotations."""
+    last = -1
+    for i, ev in enumerate(schedule.events):
+        if len(ev.mask) != schedule.n_qubits or not last < ev.slot < schedule.n_slots:
+            return "event", i
+        last = ev.slot
+    for q, c in enumerate(combo):
+        u = target = np.eye(2, dtype=complex)
+        for ev in schedule.events:
+            if ev.mask[q]:
+                u = _label_rotation(ev.pulse.label) @ u
+        for p in MINIMAL_DECOMPOSITIONS[c]:
+            target = _label_rotation(p.label) @ target
+        if abs(abs(np.vdot(target, u)) - 2.0) > 1e-9:  # vdot: tr(target^dag u)
+            return "qubit", q
+    return None
+
+
+def schedule_json_dict(schedule) -> dict:
+    """The schedule's JSON fields as Schedule.to_json writes them, built as
+    a dict for json.dumps."""
+    return {
+        "n_qubits": schedule.n_qubits,
+        "scheme": schedule.scheme,
+        "n_slots": schedule.n_slots,
+        "slot_ns": {"total": 20.0, "pulse_ns": 16.0, "buffer_ns": 4.0},
+        "events": [{"slot": ev.slot, "pulse": ev.pulse.label, "mask": [int(b) for b in ev.mask]}
+                   for ev in schedule.events],
+    }
 
 
 # --- slot-by-slot benchmarking ----------------------------------------------

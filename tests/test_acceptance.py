@@ -22,7 +22,6 @@ from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     FIVE_PRIMITIVES,
     MINIMAL_DECOMPOSITIONS,
-    equal_up_to_phase,
     five_primitive_mask,
     sequence_unitary,
 )
@@ -38,7 +37,8 @@ from cliffcast.fit import (
     t1_limit_fidelity,
 )
 from cliffcast.sim import ExchangeParams, QubitModel, exchange_swap
-from oracles import brute_force_min_pulses, exact_census, iterate_rate_equation
+from oracles import (brute_force_min_pulses, equal_up_to_phase, exact_census,
+                     iterate_rate_equation)
 
 M_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800)
 

@@ -7,15 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from cliffcast import sim
+from cliffcast import compiler, sim
 from cliffcast.cli import build_parser, main
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     Pulse,
-    equal_up_to_phase,
     sequence_unitary,
 )
-from oracles import exact_census
+from oracles import equal_up_to_phase, exact_census
 
 
 def run_cli(args):
@@ -64,6 +63,20 @@ def test_compile_malformed_ids_usage_error(capsys):
 
 def test_compile_out_of_range_id_validation_error(capsys):
     assert run_cli(["compile", "25", "--scheme", "compiled"]) == 3
+
+
+@pytest.mark.parametrize("case", ["short mask", "shared slot"])
+def test_compile_malformed_schedule_is_numerical_failure(case, monkeypatch, capsys):
+    """A compiled schedule that fails verification's structural checks is
+    exit 4, naming the event, and nothing is written (before: a traceback
+    for the short mask, exit 0 for the shared slot)."""
+    from test_compiler import _malformed
+
+    bad = _malformed(case)
+    monkeypatch.setattr(compiler, "compile_scheme", lambda *args, **kw: bad)
+    assert run_cli(["compile", "2,2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "numerical failure: event 1 " in captured.err
 
 
 def _runs_in_process(capsys, runs, fresh):

@@ -16,7 +16,6 @@ from cliffcast.clifford import (
     Pulse,
     clifford_of_pulses,
     compose,
-    equal_up_to_phase,
     five_primitive_mask,
     inverse,
     minimal_decomposition,
@@ -24,7 +23,7 @@ from cliffcast.clifford import (
     recovery_clifford,
     sequence_unitary,
 )
-from oracles import derive_inverted_masks
+from oracles import derive_inverted_masks, equal_up_to_phase
 
 I2 = np.eye(2)
 

@@ -11,7 +11,6 @@ from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     MINIMAL_DECOMPOSITIONS,
     Pulse,
-    equal_up_to_phase,
     sequence_unitary,
 )
 from cliffcast.compiler import (
@@ -28,7 +27,6 @@ from cliffcast.compiler import (
     mean_np_sampled,
     min_broadcast_pulses,
     SLOT_PULSES,
-    round_plan,
     round_plans,
     _cost_columns,
     _cover_index,
@@ -39,10 +37,13 @@ from oracles import (
     _census_cost_counts,
     brute_force_min_pulses,
     cost_distribution,
+    equal_up_to_phase,
     exact_census,
     first_cover,
     first_firing,
     plan_round,
+    schedule_json_dict,
+    verify_schedule,
 )
 
 I2 = np.eye(2)
@@ -391,7 +392,7 @@ def test_compile_optimal_outputs_frozen():
 
 # SHA-256 over to_json() of the fixed-round schedules for the 24 one-qubit
 # and 576 two-qubit combos, recorded before schedules were built from
-# compiler.round_plan.  With COMPILE_OPTIMAL_DIGEST they pin every scheme.
+# compiler round plans.  With COMPILE_OPTIMAL_DIGEST they pin every scheme.
 SCHEDULE_DIGESTS = {
     "sequential": "553967862eff35b7fa15c0373b754fe0ff9a2a99ebed0ec9ef76037c38e52190",
     "five-primitives": "4f9ee6cdf98400818a8c21c9a1ef60091595077129ad274eae46397f17652a57",
@@ -408,6 +409,26 @@ def test_fixed_round_schedules_frozen(scheme):
     for combo in combos:
         h.update(compile_scheme(combo, scheme, round_parity=1).to_json().encode())
     assert h.hexdigest() == SCHEDULE_DIGESTS[scheme]
+
+
+def _plan_rows(plans) -> list[tuple]:
+    """The (pulses, fires) tuples of every row of round_plans' arrays, after
+    checking that the slots past each row's count are empty and unfired:
+    the pulse of each slot, None where no qubit fires, and one fired-slot
+    bitmask per qubit (bit s: slot s)."""
+    codes, fired, n_slots = plans
+    rows = []
+    for r, count in enumerate(n_slots.tolist()):
+        assert not codes[r, count:].any() and not fired[r, :, count:].any()
+        pulses = tuple(SLOT_PULSES[c] for c in codes[r, :count].tolist())
+        rows.append((pulses, tuple(sum(1 << s for s in np.flatnonzero(f).tolist())
+                                   for f in fired[r])))
+    return rows
+
+
+def round_plan(combo, scheme: str, parity: int = 0) -> tuple:
+    """One round's (pulses, fires), from a one-row round_plans call."""
+    return _plan_rows(round_plans([combo], scheme, parity))[0]
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC,
@@ -429,19 +450,6 @@ def test_round_plan_matches_compile_scheme(scheme):
                                                               (False,) * len(combo))
     with pytest.raises(ValueError):
         round_plan((2,), "bogus")
-
-
-def _plan_rows(plans) -> list[tuple]:
-    """The (pulses, fires) tuples of every row of round_plans' arrays, after
-    checking that the slots past each row's count are empty and unfired."""
-    codes, fired, n_slots = plans
-    rows = []
-    for r, count in enumerate(n_slots.tolist()):
-        assert not codes[r, count:].any() and not fired[r, :, count:].any()
-        pulses = tuple(SLOT_PULSES[c] for c in codes[r, :count].tolist())
-        rows.append((pulses, tuple(sum(1 << s for s in np.flatnonzero(f).tolist())
-                                   for f in fired[r])))
-    return rows
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC,
@@ -532,3 +540,120 @@ def test_schedule_verify_rejects_one_flipped_mask_bit():
                               + sched.events[i + 1:])
                 with pytest.raises(ValueError, match=f"qubit {q}"):
                     bad.verify(combo)
+
+
+def _malformed(case: str) -> Schedule:
+    """compile_optimal((2, 2)), Y90 then X90 on both qubits, with its second
+    event (event 1) broken in one way."""
+    from dataclasses import replace
+
+    sched = compile_optimal((2, 2))
+    ev = sched.events[1]
+    bad = {"short mask": replace(ev, mask=(True,)),
+           "long mask": replace(ev, mask=(True, True, False)),
+           "shared slot": replace(ev, slot=sched.events[0].slot),
+           "slot past the round": replace(ev, slot=sched.n_slots)}[case]
+    return replace(sched, events=[sched.events[0], bad])
+
+
+@pytest.mark.parametrize("case", ["short mask", "long mask", "shared slot",
+                                  "slot past the round"])
+def test_schedule_verify_rejects_a_malformed_event(case):
+    """A mask without one entry per qubit and two events in one slot or an
+    event past the round's slots are ValueErrors naming the event (before:
+    an IndexError for the short mask, and the others were accepted)."""
+    compile_optimal((2, 2)).verify((2, 2))
+    with pytest.raises(ValueError, match="^event 1 "):
+        _malformed(case).verify((2, 2))
+
+
+def _mutants(sched: Schedule, combo: tuple, rng):
+    """(schedule, combo, kind): the schedule as compiled, then with one
+    changed target and, in one random event, a flipped mask bit, another
+    pulse, a mask one entry short or long, the previous event's slot and a
+    slot past the round."""
+    from dataclasses import replace
+
+    n, events = len(combo), sched.events
+    yield sched, combo, "compiled"
+    q = int(rng.integers(n))
+    other = combo[:q] + (1 + (combo[q] + int(rng.integers(23))) % 24,) + combo[q + 1:]
+    yield sched, other, "target"
+    if not events:
+        return
+    i = int(rng.integers(len(events)))
+    ev = events[i]
+
+    def changed(**fields):
+        return replace(sched, events=events[:i] + [replace(ev, **fields)] + events[i + 1:])
+
+    flipped = tuple(b != (k == q) for k, b in enumerate(ev.mask))
+    if any(flipped):
+        yield changed(mask=flipped), combo, "mask bit"
+    pulse = list(Pulse)[(list(Pulse).index(ev.pulse) + int(rng.integers(1, 9))) % 9]
+    yield changed(pulse=pulse), combo, "pulse"
+    if any(ev.mask[:-1]):
+        yield changed(mask=ev.mask[:-1]), combo, "short mask"
+    yield changed(mask=ev.mask + (bool(rng.integers(2)),)), combo, "long mask"
+    if i:
+        yield changed(slot=events[i - 1].slot), combo, "shared slot"
+    yield changed(slot=sched.n_slots + int(rng.integers(2))), combo, "late slot"
+
+
+def test_schedule_verify_agrees_with_the_oracle():
+    """Schedule.verify accepts and rejects as oracles.verify_schedule does,
+    naming the same malformed event or the same first failing qubit, on
+    2,048 Philox schedules (every scheme and parity, 1-17 qubits, some
+    all-identity) and their mutants."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2026)))
+    outcomes = {}
+    for k in range(2_048):
+        scheme, parity = SCHEMES[k % 4], k // 4 % 2
+        combo = tuple(rng.integers(1, 25, size=int(rng.integers(1, 18))).tolist())
+        if k % 64 < 4:
+            combo = (1,) * len(combo)
+        sched = compile_scheme(combo, scheme, round_parity=parity)
+        for bad, target, kind in _mutants(sched, combo, rng):
+            want = verify_schedule(bad, target)
+            try:
+                bad.verify(target)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            if want is None:
+                assert got is None, (scheme, combo, kind)
+            elif want[0] == "event":
+                assert got.startswith(f"event {want[1]} "), (scheme, combo, kind, got)
+            else:
+                q = want[1]
+                assert got == f"schedule verification failed for qubit {q} (target {target[q]})"
+            outcomes.setdefault(kind, set()).add(want and want[0])
+    assert outcomes["compiled"] == {None}
+    for kind in ("target", "mask bit", "pulse"):
+        assert "qubit" in outcomes[kind], kind
+    for kind in ("short mask", "long mask", "shared slot", "late slot"):
+        assert outcomes[kind] == {"event"}, kind
+
+
+def test_schedule_json_is_json_dumps():
+    """to_json writes json.dumps(indent=2) of the schedule's fields byte for
+    byte, and to_json_dict is those fields: every scheme and parity, 1-17
+    qubits, the empty schedule, a scheme label that JSON escapes and a mask
+    of numpy booleans."""
+    from cliffcast.compiler import PulseEvent
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2027)))
+    numpy_mask = PulseEvent(slot=0, pulse=Pulse.X90, mask=tuple(np.array([True, False])))
+    schedules = [compile_optimal((1, 1)),
+                 Schedule(n_qubits=1, scheme='a "b"\\é', events=[], n_slots=0),
+                 Schedule(n_qubits=2, scheme="compiled", events=[numpy_mask], n_slots=1)]
+    for scheme in SCHEMES:
+        for parity in (0, 1):
+            for n in range(1, 18):
+                for combo in (tuple(rng.integers(1, 25, size=n).tolist()), (1,) * n):
+                    schedules.append(compile_scheme(combo, scheme, round_parity=parity))
+    assert not schedules[0].events
+    for sched in schedules:
+        fields = schedule_json_dict(sched)
+        assert sched.to_json() == json.dumps(fields, indent=2) + "\n"
+        assert sched.to_json_dict() == fields
