@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -242,8 +243,8 @@ _CANONICAL_CONJ = np.conj(CANONICAL_UNITARIES)
 
 
 def _check_id(c: int) -> None:
-    if not 1 <= c <= 24:
-        raise ValueError(f"Clifford id must be in 1..24, got {c}")
+    if not (isinstance(c, numbers.Integral) and 1 <= c <= 24):
+        raise ValueError(f"Clifford id must be an integer in 1..24, got {c!r}")
 
 
 def _overlaps(u: np.ndarray) -> np.ndarray:

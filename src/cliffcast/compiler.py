@@ -30,27 +30,29 @@ each qubit's fired slots as booleans and each round's slot count.  The
 simulator reads these arrays directly and `Schedule`s are built from
 one-row calls, so a round has one representation.  The five-primitive
 firings are read from the frozen mask tables, the sequential ones from the
-minimal decompositions.
+minimal decompositions.  The single-qubit `minimal` set of the benchmarks
+(1.875 pulses per Clifford) is the sequential round with the identity as
+its one I pulse; it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
 
 Optimal search
 --------------
-One cover table answers every shortest-cover question.  It lists every
-pulse train of 1..4 basis pulses, in ascending length and then sequence
-order, with the Clifford fired by each subset of the train (from
-`decomp.sequence_products`, the one walk over the basis sequences) and the
-complement of its target mask, as one int64 array.  Its distinct
-uncovered masks, in order of their first train and without those an
-earlier one dominates (149 of 375), are the columns of one scan
-(`_first_columns`, 64 target masks at a time): a mask's first column that
-misses no target belongs to its first cover, the shortest and then
-lexicographically first train that fires every target.  A first column of
--1 stands for the all-identity round (only mask 0 misses nothing of it),
-and a last column of 0 for the five-primitive round, which realizes any
-combination, so a combination costs at most 5.  Cost queries
-(`min_broadcast_pulses`, the sampled census) read the column's train
-length; plan queries read the train's slot codes and, for each qubit, the
-first subset in binary counting whose product is its target, from tables
-built once from the products.  A cost depends only on the set of distinct
+One train table answers every shortest-cover question.  It is built in
+one pass over `decomp.sequence_products`: every pulse train of 1..4 basis
+pulses, in ascending length and then sequence order, with the Clifford
+fired by each subset of the train and the train's slot codes, then the
+normal five-primitive round and the empty round.  The complements of the
+trains' target masks, distinct, in order of their first train and
+without those an earlier one dominates (149 of 375), are the columns of
+one scan (`_first_columns`, 64 target masks at a time): a mask's first
+column that misses no target belongs to its first cover, the shortest and
+then lexicographically first train that fires every target.  A first
+column of -1 stands for the all-identity round (only mask 0 misses
+nothing of it), and a last column of 0 for the five-primitive round,
+which realizes any combination, so a combination costs at most 5.  Cost
+queries (`min_broadcast_pulses`, the sampled census) read the column's
+train length; plan queries read the train's slot codes and, for each
+qubit, the first subset in binary counting whose product is its target,
+from the same table.  A cost depends only on the set of distinct
 non-identity targets, so the exact census reads `CENSUS_COUNTS`, the
 number of sets of each size at each cost, and weights each size by
 surjection counts instead of enumerating the 24^n combinations.
@@ -80,6 +82,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,6 +108,8 @@ SCHEME_FIVE_SYMMETRIC = "five-primitives-symmetric"
 SCHEME_COMPILED = "compiled"
 
 SCHEMES = (SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
+SCHEME_MINIMAL = "minimal"
+RB_SCHEMES = (SCHEME_MINIMAL, *SCHEMES)
 
 SLOT_NS = 20.0
 PULSE_NS = 16.0
@@ -213,7 +218,10 @@ class NpStats:
 
 
 def _check_combo(combo) -> tuple[int, ...]:
-    combo = tuple(map(int, combo))
+    try:
+        combo = tuple(map(operator.index, combo))  # ints, numpy ints; no floats
+    except TypeError:
+        raise ValueError("Clifford ids must be integers") from None
     if not combo:
         raise ValueError("combo must contain at least one Clifford id")
     if min(combo) < 1 or max(combo) > 24:
@@ -242,26 +250,27 @@ _FIVE_FIRED = np.array([[(0,) * FIVE_PRIMITIVES_BOUND, *map(table.__getitem__, r
                        dtype=bool)
 
 # Each Clifford id's minimal decomposition as slot codes (row 0 unused),
-# padded with empty slots, and its length in a sequential round, where the
-# identity emits nothing.
-MINIMAL_SLOT_CODES = np.zeros((25, max(map(len, MINIMAL_DECOMPOSITIONS.values()))),
-                              dtype=np.int64)
+# padded with empty slots, and its length: in a minimal round the identity
+# is its one I pulse, in a sequential round it emits nothing.
+_MINIMAL_SLOT_CODES = np.zeros((25, max(map(len, MINIMAL_DECOMPOSITIONS.values()))),
+                               dtype=np.int64)
 for _c, _pulses in MINIMAL_DECOMPOSITIONS.items():
-    MINIMAL_SLOT_CODES[_c, :len(_pulses)] = _slot_codes(_pulses)
-_SEQUENTIAL_LENGTHS = np.count_nonzero(MINIMAL_SLOT_CODES, axis=1) * (np.arange(25) > 1)
+    _MINIMAL_SLOT_CODES[_c, :len(_pulses)] = _slot_codes(_pulses)
+_MINIMAL_LENGTHS = np.count_nonzero(_MINIMAL_SLOT_CODES, axis=1)
+_SEQUENTIAL_LENGTHS = _MINIMAL_LENGTHS * (np.arange(25) > 1)
 
 
-def _sequential_plans(ids) -> tuple:
-    """Each qubit's minimal decomposition in turn."""
+def _sequential_plans(ids, lengths) -> tuple:
+    """Each qubit's minimal decomposition in turn, lengths[c] slots for Clifford c."""
     k, n = ids.shape
-    lengths = _SEQUENTIAL_LENGTHS[ids]
+    lengths = lengths[ids]
     ends = np.cumsum(lengths, axis=1)
     n_slots = ends[:, -1]
     codes = np.zeros((k, n_slots.max(initial=0)), dtype=np.int64)
     fired = np.zeros((k, n, codes.shape[1]), dtype=bool)
-    r, q, j = np.nonzero(np.arange(MINIMAL_SLOT_CODES.shape[1]) < lengths[..., None])
+    r, q, j = np.nonzero(np.arange(_MINIMAL_SLOT_CODES.shape[1]) < lengths[..., None])
     slot = ends[r, q] - lengths[r, q] + j
-    codes[r, slot] = MINIMAL_SLOT_CODES[ids[r, q], j]
+    codes[r, slot] = _MINIMAL_SLOT_CODES[ids[r, q], j]
     fired[r, q, slot] = True
     return codes, fired, n_slots
 
@@ -279,7 +288,7 @@ def _compiled_plans(ids) -> tuple:
     or the train without it would be a shorter cover (X-180, Y-180 being
     X180, Y180 up to phase, for the five-primitive round)."""
     _, lengths, rows = _cost_columns()
-    fired_table, codes_table = _plan_tables()
+    _, codes_table, fired_table = _train_table()
     columns = _first_columns(_target_masks(ids))
     train = rows[columns]
     return codes_table[train], fired_table[train[:, None], ids], lengths[columns]
@@ -287,23 +296,27 @@ def _compiled_plans(ids) -> tuple:
 
 def round_plans(ids, scheme: str, parity=0) -> tuple:
     """(codes, fired, n_slots) of k rounds given as a (k, n) array of
-    Clifford ids: the code of each time slot (k, S), 0 where no qubit fires
-    (see SLOT_PULSES), each qubit's fired slots (k, n, S) and each round's
-    slot count (k,); slots past a round's count are padding, empty and
-    unfired.  parity, one int or one per round, alternates only the
-    symmetric five-primitive scheme."""
-    ids = np.asarray(ids, dtype=np.int64)
+    integer Clifford ids: the code of each time slot (k, S), 0 where no
+    qubit fires (see SLOT_PULSES), each qubit's fired slots (k, n, S) and
+    each round's slot count (k,); slots past a round's count are padding,
+    empty and unfired.  scheme is one of RB_SCHEMES: the minimal scheme is
+    the sequential round with the identity as one fired I slot.  parity,
+    one int or one per round, alternates only the symmetric five-primitive
+    scheme."""
+    ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("ids must be a (rounds, qubits) array with at least one qubit")
-    if ids.size and not (ids.min() >= 1 and ids.max() <= 24):
-        raise ValueError("Clifford id must be in 1..24")
-    return _plans(ids, scheme, parity)
+    if ids.size and not (ids.dtype.kind in "iu" and ids.min() >= 1 and ids.max() <= 24):
+        raise ValueError("Clifford ids must be integers in 1..24")
+    return _plans(ids.astype(np.int64, copy=False), scheme, parity)
 
 
 def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
     """round_plans of checked ids."""
+    if scheme == SCHEME_MINIMAL:
+        return _sequential_plans(ids, _MINIMAL_LENGTHS)
     if scheme == SCHEME_SEQUENTIAL:
-        return _sequential_plans(ids)
+        return _sequential_plans(ids, _SEQUENTIAL_LENGTHS)
     if scheme == SCHEME_FIVE:
         return _five_plans(ids, np.zeros(len(ids), dtype=np.int64))
     if scheme == SCHEME_FIVE_SYMMETRIC:
@@ -324,69 +337,27 @@ def _schedule(combo, scheme: str, parity: int = 0) -> Schedule:
     return Schedule(n_qubits=len(combo), scheme=scheme, events=events, n_slots=int(n_slots[0]))
 
 
-# --- the cover table for the optimal search -------------------------------
+# --- the train table for the optimal search --------------------------------
 
-
-@lru_cache(maxsize=1)
-def _cover_index():
-    """Every train of 1..4 basis pulses with its firing products (from
-    decomp.sequence_products), in ascending length and then sequence order,
-    and the complements of their target masks as one int64 array."""
-    trains = [train for n in range(1, 5) for train in sequence_products(n)]
-    return ~np.array([_target_mask(prods) for _, prods in trains], dtype=np.int64), trains
-
-
-def _target_mask(combo) -> int:
-    """Bit (c-1) marks non-identity Clifford c."""
-    mask = 0
-    for c in combo:
-        if c != 1:
-            mask |= 1 << (c - 1)
-    return mask
-
-
-# Bit c - 1 of each non-identity Clifford id c, by id.
+# A target mask has bit c - 1 for each non-identity Clifford id c; id 0 is padding.
 _TARGET_BITS = np.array([0, 0, *(1 << (c - 1) for c in range(2, 25))])
 
 
 def _target_masks(ids) -> np.ndarray:
-    """_target_mask of each row of a (k, n) array of Clifford ids."""
+    """The target mask of each row of a (k, n) array of Clifford ids."""
     return np.bitwise_or.reduce(_TARGET_BITS[ids], axis=1)
 
 
 @lru_cache(maxsize=1)
-def _cost_columns():
-    """(columns, lengths, rows): the cover table's distinct uncovered masks,
-    in order of their first train, with that train's length (the shortest
-    with that mask) and its row of _plan_tables.  A first column of -1
-    misses a target of every mask but 0, the all-identity round (length 0,
-    the tables' last row), and a last column of 0, which every mask hits,
-    is the five-primitive round (length 5, the row after the trains).
-
-    A column whose targets an earlier column all covers (its uncovered mask
-    a superset of the earlier one's) is never the first that misses
-    nothing, so it is left out: 149 of the 375 masks stay."""
-    uncovered, trains = _cover_index()
-    first: dict[int, int] = {}
-    for t, complement in enumerate(uncovered.tolist()):
-        first.setdefault(complement, t)
-    kept = {-1: len(trains) + 1}  # uncovered mask -> row of _plan_tables
-    for complement, t in first.items():
-        if all(earlier & ~complement for earlier in kept):
-            kept[complement] = t
-    kept[0] = len(trains)
-    rows = np.array(list(kept.values()))
-    lengths = np.array([len(seq) for seq, _ in trains] + [FIVE_PRIMITIVES_BOUND, 0])
-    return np.array(list(kept)), lengths[rows], rows
-
-
-@lru_cache(maxsize=1)
-def _plan_tables():
-    """(fired, codes) of every cover-table train, then the normal
-    five-primitive round and the empty round.  fired[t, c] are the slots of
-    the first subset, in binary counting, of row t whose product is
-    Clifford c (none for the identity and where no subset fires c);
-    codes[t] are the row's slot codes, padded with empty slots."""
+def _train_table():
+    """(products, codes, fired) of every train of 1..4 basis pulses, in
+    ascending length and then sequence order (decomp.sequence_products),
+    then the normal five-primitive round and the empty round.  products[t]
+    are the Cliffords fired by the subsets of train t, subset code - 1,
+    padded with 0 (the trains only); codes[t] are the row's slot codes,
+    padded with empty slots; fired[t, c] are the slots of the first subset,
+    in binary counting, of row t whose product is Clifford c (none for the
+    identity and where no subset fires c)."""
     blocks = [sequence_products(n) for n in range(1, 5)]
     trains = sum(map(len, blocks))
     prods = np.zeros((trains, 15), dtype=np.int64)
@@ -407,7 +378,34 @@ def _plan_tables():
                           bitorder="little").view(bool)
     fired[trains] = _FIVE_FIRED[0]
     codes[trains] = _FIVE_CODES[0]
-    return fired, codes
+    return prods, codes, fired
+
+
+@lru_cache(maxsize=1)
+def _cost_columns():
+    """(columns, lengths, rows): the distinct uncovered masks of the train
+    table's trains (each the complement of its target mask), in order of
+    their first train, with that train's length (the shortest with that
+    mask, read from its slot codes) and its row of _train_table.  A first
+    column of -1 misses a target of every mask but 0, the all-identity
+    round (length 0, the table's last row), and a last column of 0, which
+    every mask hits, is the five-primitive round (length 5, the row after
+    the trains).
+
+    A column whose targets an earlier column all covers (its uncovered mask
+    a superset of the earlier one's) is never the first that misses
+    nothing, so it is left out: 149 of the 375 masks stay."""
+    prods, codes, _ = _train_table()
+    first: dict[int, int] = {}
+    for t, complement in enumerate((~_target_masks(prods)).tolist()):
+        first.setdefault(complement, t)
+    kept = {-1: len(prods) + 1}  # uncovered mask -> row of _train_table
+    for complement, t in first.items():
+        if all(earlier & ~complement for earlier in kept):
+            kept[complement] = t
+    kept[0] = len(prods)
+    rows = np.array(list(kept.values()))
+    return np.array(list(kept)), np.count_nonzero(codes[rows], axis=1), rows
 
 
 # Rows scanned per step: a 64 x 151 int64 temporary is 77 KB.
@@ -437,7 +435,7 @@ def min_broadcast_pulses(combo) -> int:
     Identity targets fire nothing and cost nothing here; see mean_np_exact
     for the census accounting of the all-identity round.
     """
-    return int(_mask_costs([_target_mask(_check_combo(combo))])[0])
+    return int(_mask_costs(_target_masks(np.array([_check_combo(combo)])))[0])
 
 
 def compile_optimal(combo) -> Schedule:
@@ -452,8 +450,11 @@ def compile_optimal(combo) -> Schedule:
 
 
 def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
-    """The round's schedule in the given scheme, labelled with that scheme;
-    round_parity alternates only the symmetric five-primitive scheme."""
+    """The round's schedule in one of the broadcast SCHEMES, labelled with
+    that scheme; round_parity alternates only the symmetric five-primitive
+    scheme."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown broadcast scheme {scheme!r}")
     if scheme == SCHEME_COMPILED:
         return compile_optimal(combo)
     return _schedule(combo, scheme, round_parity)
@@ -464,8 +465,8 @@ def compile_scheme(combo, scheme: str, round_parity: int = 0) -> Schedule:
 
 # CENSUS_COUNTS[k][c - 1]: how many k-sets of distinct non-identity Cliffords
 # have a first cover of c = 1..4 pulses (row 0: the all-identity round,
-# charged one slot); any other set costs 5, as no cover mask has over 15
-# bits.  Frozen; tests/test_compiler.py rebuilds it from the cover table.
+# charged one slot); any other set costs 5, as no train fires over 15
+# Cliffords.  Frozen; tests/test_compiler.py rebuilds it from the trains.
 CENSUS_COUNTS: tuple[tuple[int, int, int, int], ...] = (
     (1, 0, 0, 0),
     (6, 13, 4, 0),

@@ -22,8 +22,9 @@ scheduling convention handled by the compiler, not a search symbol).
 Optimal search
 --------------
 `sequence_products` is the one walk over the basis sequences: the Clifford
-fired by every subset of every train.  The decompositions, the compiler's
-cover table and its per-qubit firing choices are all read from it.
+fired by every subset of every train.  The decompositions and the
+compiler's train table (its covers and per-qubit firing choices) are both
+read from it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford import _COMPOSE_ROWS, Pulse, pulse_clifford_map
+from .clifford import _COMPOSE_ROWS, Pulse, _check_id, pulse_clifford_map
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -95,8 +96,7 @@ def _all_decompositions() -> dict[int, list[tuple[Pulse, ...]]]:
 
 def enumerate_decompositions(a: int) -> list[Decomposition]:
     """Every way to realize Clifford a with at most four basis pulses."""
-    if not 1 <= a <= 24:
-        raise ValueError(f"Clifford id must be in 1..24, got {a}")
+    _check_id(a)
     return [Decomposition(a, seq) for seq in _all_decompositions()[a]]
 
 

@@ -43,22 +43,12 @@ import numpy as np
 from . import compiler
 from .clifford import Pulse, chain_product, recovery_clifford, rotation_unitary
 from .compiler import (
-    MINIMAL_SLOT_CODES,
+    RB_SCHEMES,
     SCHEME_COMPILED,
-    SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
-    SCHEME_SEQUENTIAL,
-    SLOT_PULSES,
-)
-
-SCHEME_MINIMAL = "minimal"
-
-RB_SCHEMES = (
     SCHEME_MINIMAL,
     SCHEME_SEQUENTIAL,
-    SCHEME_FIVE,
-    SCHEME_FIVE_SYMMETRIC,
-    SCHEME_COMPILED,
+    SLOT_PULSES,
 )
 
 GROUND = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -203,20 +193,14 @@ def _transfer_matrix(pulse: Pulse | None, scale: float, model: QubitModel) -> np
     return np.einsum("iab,jba->ij", _PAULIS, images).real / 2
 
 
-def _minimal_plans(ids: np.ndarray) -> tuple:
-    """compiler.round_plans for the single-qubit minimal scheme: the qubit
-    runs its Clifford's minimal decomposition, the identity as one I pulse."""
-    codes = MINIMAL_SLOT_CODES[ids[:, 0]]
-    return codes, (codes > 0)[:, None, :], np.count_nonzero(codes, axis=1)
-
-
 # A qubit's slot signature packs each slot of its round as 1 + 2 * code +
 # fired, 5 bits a slot and 12 slots per int64 word, after its model's kind.
 _SIGNATURE_SLOTS = 12
 _SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
 
-# A table's round memo starts over once it holds this many rounds, which
-# bounds its memory in long runs on one register.
+# A table's round memo and signature bank start over together once they
+# hold this many rounds and signatures, which bounds the table's memory in
+# long runs on one register.
 _ROUND_MEMO_LIMIT = 200_000
 
 
@@ -241,7 +225,9 @@ class _SlotTable(dict):
     packed slot words, plain ints) to the row of its channel in `bank`.
     memo[scheme, n_driven] maps a round's integer code (_distinct_rounds)
     to its index in round_rows (its qubits' bank rows) and round_slots (its
-    slot count).  The memo lives and dies with its table.
+    slot count), planned by compiler.round_plans for every scheme.  The memo
+    lives and dies with its table, and the memo and the signatures start
+    over together once they hold more than _ROUND_MEMO_LIMIT entries.
     """
 
     def __init__(self, models: tuple):
@@ -262,15 +248,15 @@ class _SlotTable(dict):
         """The memo index of each distinct round, given by its Clifford ids,
         parity and code.  The rounds missing from the memo are planned in
         one compiler.round_plans call and added."""
-        if self.n_rounds > _ROUND_MEMO_LIMIT:
-            self.memo.clear()
+        if self.n_rounds + len(self) > _ROUND_MEMO_LIMIT:
+            self.memo.clear()  # its rounds point into the bank
+            self.clear()
             self.n_rounds = 0
         memo = self.memo.setdefault((scheme, n_driven), {})
         index = np.fromiter(map(memo.get, codes, repeat(-1)), np.intp, len(codes))
         new = np.flatnonzero(index < 0)
         if new.size:
-            plans = (_minimal_plans(ids[new]) if scheme == SCHEME_MINIMAL else
-                     compiler.round_plans(ids[new], scheme, parity[new]))
+            plans = compiler.round_plans(ids[new], scheme, parity[new])
             added = np.arange(self.n_rounds, self.n_rounds + new.size)
             self.n_rounds += new.size
             self.round_rows = _grow(self.round_rows, self.n_rounds)

@@ -15,9 +15,10 @@ cost.
 
 first_cover and plan_round plan one round at a time, the reference for
 the batched planner (compiler.round_plans): one argmin over every train of
-the compiler's cover table finds a round's first cover, and each qubit's
-firing and each slot's pulse are read from that train one at a time.
-first_cover is also the per-mask reference of the batched cost query.
+1..4 basis pulses, listed from decomp.sequence_products, finds a round's
+first cover, and each qubit's firing and each slot's pulse are read from
+that train one at a time.  first_cover is also the per-mask reference of
+the batched cost query.
 
 first_firing computes a compiled round from pulse unitaries alone: the
 first train of a given length (lexicographic over the search basis) whose
@@ -88,7 +89,7 @@ from cliffcast.clifford import (
     recovery_clifford,
     sequence_unitary,
 )
-from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
+from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions, sequence_products
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -160,12 +161,24 @@ def first_firing(combo, length: int):
     return None
 
 
+@lru_cache(maxsize=1)
+def _cover_trains() -> tuple:
+    """(trains, uncovered): every train (sequence, products) of 1..4 basis
+    pulses from decomp.sequence_products, in ascending length and then
+    sequence order, and the bits of the non-identity Cliffords each one
+    cannot fire, as an int64 array."""
+    trains = [train for n in range(1, 5) for train in sequence_products(n)]
+    every = sum(1 << (c - 1) for c in range(2, 25))
+    uncovered = [every & ~sum({1 << (c - 1) for c in prods}) for _, prods in trains]
+    return trains, np.array(uncovered, dtype=np.int64)
+
+
 def first_cover(mask: int) -> tuple | None:
-    """The first train (sequence, products) of the compiler's cover table
-    that misses none of the targets in the mask: the shortest and, among
-    those, the lexicographically first cover.  None when no train of four
-    pulses covers the mask."""
-    uncovered, trains = compiler._cover_index()
+    """The first train (sequence, products) of 1..4 basis pulses that misses
+    none of the targets in the mask: the shortest and, among those, the
+    lexicographically first cover.  None when no train of four pulses
+    covers the mask."""
+    trains, uncovered = _cover_trains()
     missed = uncovered & mask  # the targets each train cannot fire
     first = int(missed.argmin())
     return None if missed[first] else trains[first]
@@ -184,10 +197,10 @@ def plan_round(combo, scheme: str, parity: int = 0) -> tuple:
         fires = tuple(sum(b << s for s, b in enumerate(table[c])) for c in combo)
         return emitted(FIVE_PRIMITIVES_INVERTED if mirrored else FIVE_PRIMITIVES, fires), fires
 
-    if scheme == "sequential":
+    if scheme in ("minimal", "sequential"):
         pulses, fires = [], []
-        for c in combo:
-            steps = () if c == 1 else MINIMAL_DECOMPOSITIONS[c]
+        for c in combo:  # a minimal round fires the identity's one I pulse
+            steps = () if c == 1 and scheme == "sequential" else MINIMAL_DECOMPOSITIONS[c]
             fires.append(sum(1 << s for s in range(len(pulses), len(pulses) + len(steps))))
             pulses.extend(steps)
         return tuple(pulses), tuple(fires)

@@ -218,3 +218,12 @@ def test_bad_ids_rejected():
         inverse(25)
     with pytest.raises(ValueError):
         minimal_decomposition(-1)
+
+
+@pytest.mark.parametrize("a, b", [(2.5, 3), (3, 2.0), ("2", 3)])
+def test_compose_rejects_non_integer_ids(a, b):
+    """A float or string id is a ValueError, not an IndexError from the
+    compose table; numpy integer ids still compose."""
+    with pytest.raises(ValueError):
+        compose(a, b)
+    assert compose(np.int64(2), np.uint8(3)) == compose(2, 3)

@@ -18,6 +18,7 @@ from cliffcast.compiler import (
     SCHEME_COMPILED,
     SCHEME_FIVE,
     SCHEME_FIVE_SYMMETRIC,
+    SCHEME_MINIMAL,
     SCHEME_SEQUENTIAL,
     SCHEMES,
     Schedule,
@@ -29,10 +30,9 @@ from cliffcast.compiler import (
     SLOT_PULSES,
     round_plans,
     _cost_columns,
-    _cover_index,
     _mask_costs,
-    _target_mask,
 )
+from cliffcast.decomp import sequence_products
 from oracles import (
     _census_cost_counts,
     brute_force_min_pulses,
@@ -203,13 +203,12 @@ def test_mean_np_exact_matches_oracle(n):
 
 
 def _length_tiers() -> dict[int, list[int]]:
-    """The cover table's target masks grouped by train length and pruned to
+    """The trains' target masks (decomp.sequence_products, the non-identity
+    Cliffords each train fires) grouped by train length and pruned to
     the dominance-maximal ones: a set's cost is the shortest length whose
     tier holds a superset of it."""
-    uncovered, trains = _cover_index()
-    masks = {n: set() for n in range(1, 5)}
-    for complement, train in zip(uncovered.tolist(), trains):
-        masks[len(train[0])].add(~complement)
+    masks = {n: {sum({1 << (c - 1) for c in prods if c != 1})
+                 for _, prods in sequence_products(n)} for n in range(1, 5)}
     tiers = {n: [] for n in masks}
     for n, found in masks.items():
         for bm in sorted(found, key=lambda b: -bin(b).count("1")):
@@ -311,7 +310,8 @@ def test_batched_cost_query_is_the_first_cover_length():
              for k in range(4) for bits in itertools.combinations(range(1, 24), k)]
     assert len(small) == 2_048
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2017)))
-    drawn = [_target_mask(row) for row in rng.integers(1, 25, size=(5_000, 10)).tolist()]
+    drawn = [sum({1 << (c - 1) for c in row if c != 1})
+             for row in rng.integers(1, 25, size=(5_000, 10)).tolist()]
     pool = [m for pair in zip(small, drawn) for m in pair]  # mask 0 first
     batches = [small, drawn] + [pool[:size] for size in (0, 1, 63, 64, 65, 129)]
     for masks in batches:
@@ -450,23 +450,29 @@ def test_round_plan_matches_compile_scheme(scheme):
                                                               (False,) * len(combo))
     with pytest.raises(ValueError):
         round_plan((2,), "bogus")
+    with pytest.raises(ValueError, match="broadcast"):  # planned, but not broadcast
+        compile_scheme((2,), SCHEME_MINIMAL)
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC,
-                                    SCHEME_COMPILED])
+@pytest.mark.parametrize("scheme", [SCHEME_MINIMAL, SCHEME_SEQUENTIAL, SCHEME_FIVE,
+                                    SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED])
 def test_round_plans_match_the_per_round_oracle(scheme):
     """The batched planner plans 5,000 Philox rounds of 1-17 qubits, with
     all-identity rows and either parity, as the per-round walk over the
-    cover table (oracles.plan_round) does.  Each compiled round with a
-    cover of 1-4 pulses also fires as oracles.first_firing does, from
-    unitaries alone."""
+    trains (oracles.plan_round) does; the single-qubit minimal scheme plans
+    all 24 ids at both parities.  Each compiled round with a cover of 1-4
+    pulses also fires as oracles.first_firing does, from unitaries alone."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2018)))
     sizes = np.bincount(rng.integers(1, 18, size=5_000), minlength=18)
-    checked = 0
+    batches = []
     for n in range(1, 18):
         ids = rng.integers(1, 25, size=(sizes[n] + 2, n))
         ids[:2] = 1  # all-identity rounds
-        parity = rng.integers(0, 2, size=len(ids))
+        batches.append((ids, rng.integers(0, 2, size=len(ids))))
+    if scheme == SCHEME_MINIMAL:
+        batches = [(np.arange(1, 25).repeat(2)[:, None], np.tile([0, 1], 24))]
+    checked = 0
+    for ids, parity in batches:
         plans = round_plans(ids, scheme, parity)
         assert plans[0].shape[0] == len(ids) and plans[1].shape[:2] == ids.shape
         for combo, p, row in zip(ids.tolist(), parity.tolist(), _plan_rows(plans)):
@@ -490,6 +496,45 @@ def test_round_plans_of_the_all_identity_round_and_bad_input():
     for ids in ([[0, 2]], [[25]], [[]], [1, 2]):
         with pytest.raises(ValueError):
             round_plans(ids, SCHEME_SEQUENTIAL)
+
+
+def test_round_plans_rejects_non_integer_ids():
+    """Float, string and boolean ids are rejected, not truncated; numpy
+    integer arrays of any width plan as int64 does."""
+    for ids in ([[2.7, 4]], [[2.0]], np.full((2, 3), 5.0), [["5", "3"]], [[True]]):
+        with pytest.raises(ValueError, match="integers"):
+            round_plans(ids, SCHEME_COMPILED)
+    want = round_plans([[2, 4], [7, 1]], SCHEME_COMPILED)
+    for dtype in (np.int8, np.uint8, np.int32):
+        got = round_plans(np.array([[2, 4], [7, 1]], dtype=dtype), SCHEME_COMPILED)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# Each entry point that takes a combination must reject these with a
+# ValueError, instead of compiling int(id).
+_NON_INTEGER_COMBOS = [(2.7, 4), (2.0, 4), ("5", 3), ["5", 3.9]]
+
+
+@pytest.mark.parametrize("combo", _NON_INTEGER_COMBOS)
+def test_compile_optimal_rejects_non_integer_ids(combo):
+    with pytest.raises(ValueError, match="integers"):
+        compile_optimal(combo)
+    assert compile_optimal(np.array([2, 4])).to_json() == compile_optimal((2, 4)).to_json()
+
+
+@pytest.mark.parametrize("combo", _NON_INTEGER_COMBOS)
+def test_schedule_verify_rejects_non_integer_ids(combo):
+    sched = compile_optimal((2, 4))
+    with pytest.raises(ValueError, match="integers"):
+        sched.verify(combo)
+    sched.verify(np.array([2, 4], dtype=np.int16))
+
+
+@pytest.mark.parametrize("combo", _NON_INTEGER_COMBOS)
+def test_min_broadcast_pulses_rejects_non_integer_ids(combo):
+    with pytest.raises(ValueError, match="integers"):
+        min_broadcast_pulses(combo)
+    assert min_broadcast_pulses(np.array([5, 3], dtype=np.int8)) == min_broadcast_pulses((5, 3))
 
 
 def test_sequential_round_past_63_slots():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from cliffcast.clifford import Pulse, clifford_of_pulses, compose, pulse_clifford_map
@@ -83,3 +84,12 @@ def test_max_length_four():
 def test_bad_id_rejected():
     with pytest.raises(ValueError):
         enumerate_decompositions(0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+def test_non_integer_id_rejected(bad):
+    """A float or string id is a ValueError, not a KeyError from the table
+    or the decompositions of int(id); numpy integer ids are accepted."""
+    with pytest.raises(ValueError):
+        enumerate_decompositions(bad)
+    assert enumerate_decompositions(np.int64(2)) == enumerate_decompositions(2)

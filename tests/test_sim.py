@@ -303,6 +303,27 @@ def test_round_memo_starts_over_at_its_limit(monkeypatch):
         assert all(np.array_equal(a.p0, b.p0) for a, b in zip(got.curves, res.curves))
 
 
+def test_slot_table_starts_over_with_its_memo(monkeypatch):
+    """On a sequential register nearly every qubit of every round is a new
+    slot signature.  Past the limit the round memo and the signature bank
+    start over together, so the table stays bounded, and no output or work
+    counter changes."""
+    models = [_LOSSY, _LOSSLESS, _SLOW] * 2
+    args = ("sequential", (1, 4, 16), 2)
+    want = [run_rb(models, *args, rng_seed=s) for s in range(3, 8)]
+    monkeypatch.setattr(sim, "_ROUND_MEMO_LIMIT", 50)
+    sim._slot_channels.cache_clear()
+    table = sim._slot_channels(tuple(models))
+    for res in want:
+        got = run_rb(models, *args, rng_seed=res.rng_seed)
+        # Each run starts over: it holds only its own rounds and signatures.
+        assert (table.n_rounds, len(table)) == (got.distinct_rounds, got.qubit_channels)
+        assert len(table) > 50 and len(table.bank) <= 2 * (50 + len(table))
+        _assert_memo_holds_rows(table, range(19))
+        assert _work(got) == _work(res)
+        assert all(np.array_equal(a.p0, b.p0) for a, b in zip(got.curves, res.curves))
+
+
 def test_twenty_four_sequential_qubits_match_slot_by_slot_oracle():
     """Sequential rounds on 24 qubits take about 46 slots, so each qubit's
     slot signature spans several words and its fired slots overflow one
