@@ -5,9 +5,11 @@ squares; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Each model
 is linear in all its parameters but one, so for every value of that one the
 linear parameters are solved in closed form inside their box, and the
 remaining 1-D cost is minimised on a fixed grid that is zoomed a fixed
-number of times.  The fits need only numpy, take a fixed number of steps,
-and always return the box-constrained optimum, so identical data always
-yields identical parameters and no fit fails for want of convergence.
+number of times (the decay fit caches its first grid, and prices its box
+edges only where the unconstrained optimum leaves the box).  The fits need
+only numpy, take a fixed number of steps, and always return the
+box-constrained optimum, so identical data always yields identical
+parameters and no fit fails for want of convergence.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,7 +147,9 @@ def _exp_profile(m, y, w2):
     (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
     The optimum in the box is the unconstrained one where that lies inside,
     else the best of the four edges, each a 1-D problem solved by clipping.
-    The sums over y alone are taken once per curve.
+    The edges are priced only at the points whose optimum leaves the box,
+    so a grid that lies inside it everywhere skips them.  The sums over y
+    alone are taken once per curve.
     """
     sw = w2.sum()
     ybar = w2 @ y / sw
@@ -155,33 +160,49 @@ def _exp_profile(m, y, w2):
     b_edges = np.array([[b_lo], [b_hi]])
 
     def profile(u):
-        x1 = np.expm1(-np.outer(u, m))
+        x1 = np.expm1(-u[:, None] * m)
         x1bar = x1 @ w2 / sw
         dx = x1 - x1bar[:, None]
         sxx = dx**2 @ w2
         sxy = dx @ w2dy
         a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
-        cost_opt = (a_opt[:, None] * dx - dy) ** 2 @ w2
+        cost = (a_opt[:, None] * dx - dy) ** 2 @ w2
         xbar = 1.0 + x1bar
         b_opt = ybar - a_opt * xbar
-        # Candidates: the unconstrained optimum, then a on each bound, then b.
-        a = np.empty((5, u.size))
-        b = np.empty((5, u.size))
-        a[0], a[1], a[2], a[3:] = a_opt, a_lo, a_hi, 0.0
+        linear = np.array([a_opt, b_opt])
+        inside = ((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
+                  & (b_lo <= b_opt) & (b_opt <= b_hi))
+        if inside.all():
+            return cost, linear
+        j = np.flatnonzero(~inside)
+        sxx, sxy, xbar = sxx[j], sxy[j], xbar[j]
+        # Candidates on the edges: a on each bound, then b.
+        a = np.empty((4, j.size))
+        b = np.empty((4, j.size))
+        a[0], a[1], a[2:] = a_lo, a_hi, 0.0
         sx2 = sxx + sw * xbar**2
-        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[3:], where=sx2 > 0)
-        np.clip(a[3:], a_lo, a_hi, out=a[3:])
-        b[0], b[3], b[4] = b_opt, b_lo, b_hi
-        np.clip(ybar - a[1:3] * xbar, b_lo, b_hi, out=b[1:3])
+        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[2:], where=sx2 > 0)
+        np.clip(a[2:], a_lo, a_hi, out=a[2:])
+        b[2], b[3] = b_lo, b_hi
+        np.clip(ybar - a[:2] * xbar, b_lo, b_hi, out=b[:2])
         excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
             (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
-        excess[0] = np.where((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
-                             & (b_lo <= b_opt) & (b_opt <= b_hi), 0.0, np.inf)
         best = np.argmin(excess, axis=0)
-        k = np.arange(u.size)
-        return cost_opt + excess[best, k], np.array([a[best, k], b[best, k]])
+        k = np.arange(j.size)
+        cost[j] += excess[best, k]
+        linear[:, j] = a[best, k], b[best, k]
+        return cost, linear
 
     return profile
+
+
+@lru_cache(maxsize=16)
+def _first_decay_grid(m_max: float) -> np.ndarray:
+    """u = 0, then geometric from 1e-6 / m_max to -log 1e-9 (read-only)."""
+    grid = np.concatenate([[0.0], np.geomspace(1e-6 / m_max, -math.log(_DECAY_BOUNDS[0]),
+                                               _GRID_POINTS - 1)])
+    grid.flags.writeable = False
+    return grid
 
 
 def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
@@ -202,14 +223,13 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
             raise ValueError("y_err must match y_values")
         y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
 
-    if np.allclose(y, y[0], atol=1e-12):
+    if np.all(np.abs(y - y[0]) <= 1e-12):
         return ExpFit(0.0, 1.0, float(np.mean(y)), (0.0, 0.0, 0.0), 0.0, ("decay",))
 
     w = 1.0 / y_err if y_err is not None else np.ones_like(y)
     w2 = w * w
     u_max = -math.log(_DECAY_BOUNDS[0])
-    grid = np.concatenate([[0.0], np.geomspace(1e-6 / max(float(m.max()), 1.0), u_max,
-                                               _GRID_POINTS - 1)])
+    grid = _first_decay_grid(max(float(m.max()), 1.0))
     u, (a, b) = _minimise_profile(_exp_profile(m, y, w2), grid)
     p = math.exp(-u) if u < u_max else _DECAY_BOUNDS[0]
     x = p**m

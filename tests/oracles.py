@@ -46,6 +46,10 @@ cliffcast code: the decay fit with the start, box and tolerances the package
 used before it fitted by variable projection, the leakage fit directly in
 (kappa, T21), so that its errors see the plateau-rate correlation.
 
+box_linear_fit solves the decay fit's inner problem at one fixed decay in
+plain Python floats: the best (amplitude, offset) in their box, found by
+pricing every KKT candidate from its residuals.
+
 lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
 with scipy's matrix exponential, taking plain floats and no cliffcast code.
@@ -280,6 +284,49 @@ def least_squares_exp(m_values, y_values, weights, x0=None):
     return least_squares(lambda x: (x[0] * x[1] ** m + x[2] - y) * weights,
                          x0=x0, bounds=([-2.0, 1e-9, -1.0], [2.0, 1.0, 2.0]),
                          method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+
+
+def box_linear_fit(u: float, m_values, y_values, w2_values) -> tuple[float, float, float]:
+    """The least sum(w2 * (a * exp(-u * m) + b - y)**2) over a in [-2, 2],
+    b in [-1, 2] at fixed u, as (cost, a, b).
+
+    The problem is convex, so its optimum is a KKT point: the unconstrained
+    optimum where it lies in the box, else a point of an edge, that is one
+    parameter on a bound and the other its 1-D optimum clipped, or a
+    corner.  Every candidate is priced from its residuals with math.fsum.
+    """
+    u = float(u)
+    m, y, w2 = ([float(v) for v in vs] for vs in (m_values, y_values, w2_values))
+    x = [math.exp(-u * mi) for mi in m]
+    sw = math.fsum(w2)
+
+    def cost(a, b):
+        return math.fsum(w * (a * xi + b - yi) ** 2 for w, xi, yi in zip(w2, x, y))
+
+    def clip(v, lo, hi):
+        return min(max(v, lo), hi)
+
+    swxx = math.fsum(w * xi * xi for w, xi in zip(w2, x))
+    candidates = [(a, b) for a in (-2.0, 2.0) for b in (-1.0, 2.0)]
+    for a in (-2.0, 2.0):
+        candidates.append((a, clip(math.fsum(w * (yi - a * xi) for w, xi, yi in zip(w2, x, y))
+                                   / sw, -1.0, 2.0)))
+    for b in (-1.0, 2.0):
+        if swxx > 0:
+            candidates.append((clip(math.fsum(w * xi * (yi - b) for w, xi, yi in zip(w2, x, y))
+                                    / swxx, -2.0, 2.0), b))
+    # The unconstrained optimum from sums centred on x - 1, taken by expm1.
+    x1 = [math.expm1(-u * mi) for mi in m]
+    x1bar = math.fsum(w * v for w, v in zip(w2, x1)) / sw
+    ybar = math.fsum(w * yi for w, yi in zip(w2, y)) / sw
+    dx = [v - x1bar for v in x1]
+    sxx = math.fsum(w * d * d for w, d in zip(w2, dx))
+    if sxx > 0:
+        a = math.fsum(w * d * (yi - ybar) for w, d, yi in zip(w2, dx, y)) / sxx
+        b = ybar - a * (1.0 + x1bar)
+        if -2.0 <= a <= 2.0 and -1.0 <= b <= 2.0:
+            candidates.append((a, b))
+    return min((cost(a, b), a, b) for a, b in candidates)
 
 
 def least_squares_leakage(m_values, p2_values, np_mean: float, tp_ns: float,

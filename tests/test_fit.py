@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffcast import fit
 from cliffcast.fit import (
     PopCalib,
     extract_populations,
@@ -19,7 +21,12 @@ from cliffcast.fit import (
     t1_limit_fidelity,
 )
 from cliffcast.sim import QubitModel, run_rb
-from oracles import iterate_rate_equation, least_squares_exp, least_squares_leakage
+from oracles import (
+    box_linear_fit,
+    iterate_rate_equation,
+    least_squares_exp,
+    least_squares_leakage,
+)
 
 README_M = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800)
 README_QUBITS = (QubitModel(t1_ns=10000.0, cross_ratio=0.0076), QubitModel(t1_ns=10000.0))
@@ -59,6 +66,16 @@ def test_exp_fit_constant_data():
     assert f.amplitude == 0.0
     assert f.decay == 1.0
     assert f.offset == pytest.approx(0.5)
+
+
+def test_exp_fit_small_clean_decay_is_not_flat():
+    """A decay of amplitude 4e-6 on an offset of 0.5 is not flat data: the
+    flat test takes no tolerance relative to the offset."""
+    m = np.arange(1, 129, dtype=float)
+    f = fit_exp_offset(m, 0.5 + 4e-6 * 0.9**m)
+    assert f.decay == pytest.approx(0.9, abs=1e-6)
+    assert f.amplitude == pytest.approx(4e-6, rel=1e-4)
+    assert f.at_bound == ()
 
 
 def test_exp_fit_noisy_recovery_within_three_sigma():
@@ -173,6 +190,65 @@ def test_exp_fit_bytes_are_pinned():
         fits += 1
     assert fits == 112
     assert h.hexdigest() == EXP_FIT_DIGEST
+
+
+def _oracle_curves():
+    """The unweighted box-optimum curves, and two weighted eight-qubit curves."""
+    for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M[:6], 1, 7).curves:
+        yield c.m_values, c.p0, np.ones(len(c.m_values))
+    for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M, 2, 3).curves[:2]:
+        yield c.m_values, c.p0, _weights(c.p0_stderr) ** 2
+
+
+def test_exp_profile_matches_the_box_oracle():
+    """At u near 0 and on the first grid, where some optima leave the box
+    and some do not, the profile's cost is the oracle's within 1e-12
+    relative and its (amplitude, offset) the oracle's within 1e-12.  At
+    u = 0 the optimum is not unique, so there its parameters are priced."""
+    for m, y, w2 in _oracle_curves():
+        m, y = np.asarray(m, dtype=float), np.asarray(y, dtype=float)
+        u = np.concatenate([[0.0, 1e-12, 1e-9, 1e-7], fit._first_decay_grid(float(m.max()))])
+        cost, (a, b) = fit._exp_profile(m, y, w2)(u)
+        inside = 0
+        for i, ui in enumerate(u):
+            ref_cost, ref_a, ref_b = box_linear_fit(ui, m, y, w2)
+            assert cost[i] == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+            if ui == 0.0:
+                assert ref_cost == pytest.approx(float(w2 @ (a[i] + b[i] - y) ** 2), rel=1e-12)
+                continue
+            assert a[i] == pytest.approx(ref_a, abs=1e-12)
+            assert b[i] == pytest.approx(ref_b, abs=1e-12)
+            inside += abs(ref_a) < 2.0 and -1.0 < ref_b < 2.0
+        assert 0 < inside < u.size - 1
+
+
+def test_exp_fit_digest_reaches_the_box_edges_on_zoomed_grids(monkeypatch):
+    """Counts the zoomed grids (every grid after a fit's first) on which some
+    point's best (amplitude, offset) lies on the box: the grids whose
+    optimum leaves the box at some point, so the profile prices the edges.
+    The pinned fits must keep reaching them, so that EXP_FIT_DIGEST covers
+    both the in-box and the edge branch of the profile."""
+    zoomed_on_box = 0
+    exp_profile = fit._exp_profile
+
+    def counting_profile(m, y, w2):
+        profile, grids = exp_profile(m, y, w2), itertools.count()
+
+        def counted(u):
+            nonlocal zoomed_on_box
+            cost, linear = profile(u)
+            a, b = linear
+            on_box = np.any((np.abs(a) == 2.0) | (b == -1.0) | (b == 2.0))
+            zoomed_on_box += bool(next(grids) and on_box)
+            return cost, linear
+
+        return counted
+
+    monkeypatch.setattr(fit, "_exp_profile", counting_profile)
+    for m, y, err in _pinned_curves():
+        fit_exp_offset(m, y, y_err=err)
+    assert zoomed_on_box > 0
+    assert zoomed_on_box == 48
 
 
 def test_fidelity_from_decay_limits():
