@@ -85,14 +85,11 @@ def _csv(rows, header) -> str:
 
 def _parse_combo(text: str) -> tuple[int, ...]:
     try:
-        combo = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"combo must be comma-separated integers, got {text!r}"
         )
-    if not combo:
-        raise argparse.ArgumentTypeError("combo must not be empty")
-    return combo
 
 
 def cmd_compile(args) -> list:

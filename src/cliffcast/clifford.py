@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -242,6 +243,14 @@ CANONICAL_UNITARIES: list[np.ndarray] = _build_canonical()
 _CANONICAL_CONJ = np.conj(CANONICAL_UNITARIES)
 
 
+def _check_int(value, name: str) -> int:
+    """value as an int (Python and numpy integers), else a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_id(c: int) -> None:
     if not (isinstance(c, numbers.Integral) and 1 <= c <= 24):
         raise ValueError(f"Clifford id must be an integer in 1..24, got {c!r}")
@@ -288,7 +297,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _COMPOSE_TABLE, _INVERSE_TABLE = _build_tables()
-_COMPOSE_ROWS = _COMPOSE_TABLE.tolist()  # plain ints for the per-element loop
 
 
 def compose(a: int, b: int) -> int:

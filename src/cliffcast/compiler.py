@@ -97,6 +97,7 @@ from .clifford import (
     MINIMAL_DECOMPOSITIONS,
     PHASE_TOL,
     Pulse,
+    _check_int,
     chain_product,
     pulse_unitary,
 )
@@ -175,9 +176,6 @@ class Schedule:
         if not ok.all():
             q = int(ok.argmin())
             raise ValueError(f"schedule verification failed for qubit {q} (target {combo[q]})")
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """The schedule as json.dumps(indent=2) writes it, plus a newline,
@@ -320,6 +318,8 @@ def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
     if scheme == SCHEME_FIVE:
         return _five_plans(ids, np.zeros(len(ids), dtype=np.int64))
     if scheme == SCHEME_FIVE_SYMMETRIC:
+        if np.asarray(parity).dtype.kind not in "biu":
+            raise ValueError(f"parity must be an integer or integers, got {parity!r}")
         return _five_plans(ids, np.broadcast_to(np.asarray(parity) % 2, len(ids)))
     if scheme == SCHEME_COMPILED:
         return _compiled_plans(ids)
@@ -498,6 +498,7 @@ def mean_np_exact(n: int) -> NpStats:
     integers have about n * log2(24) bits (0.1 ms at n <= 10, 0.08-0.13 s
     at n = 100 000; 2-core Intel Xeon VM, Python 3.11.7).
     """
+    n = _check_int(n, "n")  # a Python int: a numpy n would overflow 24**n
     if n < 1:
         raise ValueError("n must be >= 1")
     sizes = len(CENSUS_COUNTS) + 1
@@ -518,11 +519,11 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
 
     Deterministic for a given seed (counter-based Philox generator).
     """
-    if n < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    if samples < 100:
+    if _check_int(samples, "samples") < 100:
         raise ValueError("need at least 100 samples")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed"))))
     draws = rng.integers(1, 25, size=(samples, n))
     # The rows' _target_masks without a copy: each draw c becomes bit c - 1
     # in place, and bit 0 (the identity) is cleared from each row's union.

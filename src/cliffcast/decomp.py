@@ -33,7 +33,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford import _COMPOSE_ROWS, Pulse, _check_id, pulse_clifford_map
+import numpy as np
+
+from .clifford import _COMPOSE_TABLE, Pulse, _check_id, pulse_clifford_map
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -66,17 +68,16 @@ def sequence_products(length: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     order, paired with the Clifford fired by each non-empty subset of its
     positions: entry code - 1 is the ordered product of the positions whose
     bit is set in code (bit k = position k), so the last entry is the whole
-    train.  Each entry extends the entry without its top bit by the top
-    pulse, one table lookup apiece."""
-    basis = [pulse_clifford_map()[p] for p in SEARCH_BASIS]
-    table = []
-    for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=length):
-        prods = [1] * (1 << length)
-        for code in range(1, 1 << length):
-            top = code.bit_length() - 1
-            prods[code] = _COMPOSE_ROWS[prods[code ^ (1 << top)]][basis[seq[top]]]
-        table.append((seq, tuple(prods[1:])))
-    return tuple(table)
+    train.  Each code extends the code without its top bit by the top
+    pulse, one compose-table gather over all sequences per code."""
+    seqs = list(itertools.product(range(len(SEARCH_BASIS)), repeat=length))
+    basis = np.array([pulse_clifford_map()[p] for p in SEARCH_BASIS])
+    pulses = basis[np.array(seqs, dtype=np.intp)]
+    prods = np.ones((len(seqs), 1 << length), dtype=_COMPOSE_TABLE.dtype)
+    for code in range(1, 1 << length):
+        top = code.bit_length() - 1
+        prods[:, code] = _COMPOSE_TABLE[prods[:, code ^ (1 << top)], pulses[:, top]]
+    return tuple(zip(seqs, (tuple(row.tolist()) for row in prods[:, 1:])))
 
 
 @lru_cache(maxsize=1)

@@ -1,4 +1,4 @@
-"""Density-matrix simulation of broadcast-driven qubits.
+"""Broadcast-driven qubits: density-matrix slots, benchmarked as Pauli-transfer matrices.
 
 Model: uncoupled two-level qubits, instantaneous unitary pulses, and
 amplitude damping (T1 only) for one fixed slot duration after every slot.
@@ -41,7 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from . import compiler
-from .clifford import Pulse, chain_product, recovery_clifford, rotation_unitary
+from .clifford import Pulse, _check_int, chain_product, recovery_clifford, rotation_unitary
 from .compiler import (
     RB_SCHEMES,
     SCHEME_COMPILED,
@@ -52,7 +52,6 @@ from .compiler import (
 )
 
 GROUND = np.array([[1, 0], [0, 0]], dtype=complex)
-EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -119,6 +118,7 @@ def apply_pulse(state: np.ndarray, p: Pulse, angle_scale: float = 1.0,
 
     phase_rad offsets the rotation axis within the equatorial plane (drive
     phase error).  Identity pulses and zero scales leave the state alone.
+    state may be a stack (..., 2, 2): every matrix gets the same rotation.
     """
     if p is Pulse.I or angle_scale == 0.0:
         return state.copy()
@@ -132,7 +132,8 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
     """Amplitude damping for duration dt with relaxation time t1.
 
     Exact Kraus channel: excited population decays by exp(-dt/t1),
-    coherences by exp(-dt/2 t1).
+    coherences by exp(-dt/2 t1).  The first two axes of state are the 2x2
+    ones, so a stack (2, 2, ...) is damped matrix by matrix, bit for bit.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -151,9 +152,10 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 # --- benchmarking channels ------------------------------------------------
 # A qubit's state is its Pauli vector (1, x, y, z), rho = (I + xX + yY + zZ)/2,
 # so p0 = (1 + z)/2.  Every slot acts on it as a fixed real 4x4
-# Pauli-transfer matrix R[i, j] = tr(P_i L(P_j))/2, built once by pushing the
-# four Pauli matrices through apply_pulse and relax, and a round acts as the
-# product of its slots' matrices.
+# Pauli-transfer matrix R[i, j] = tr(P_i L(P_j))/2, built once per model by
+# pushing the stacked Pauli matrices through apply_pulse (once per slot
+# pulse and scale) and relax (once), and a round acts as the product of its
+# slots' matrices.
 #
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
 # sequence first, in the seeds' Philox order, with each block's recoveries
@@ -173,24 +175,16 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 # with an empty round memo takes 4.9-5.6 ms per scheme, and a 30-seed run
 # 52-60 ms.
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
 
 
-def _transfer_matrix(pulse: Pulse | None, scale: float, model: QubitModel) -> np.ndarray:
-    """One slot on one qubit: the pulse at the given scale (None for an
-    empty slot), then relaxation for the slot duration."""
-    images = []
-    for p in _PAULIS:
-        if pulse is not None and scale != 0.0:
-            p = apply_pulse(p, pulse, scale)
-        images.append(relax(p, model.slot_ns, model.t1_ns))
-    return np.einsum("iab,jba->ij", _PAULIS, images).real / 2
+def _slot_matrices(model: QubitModel) -> np.ndarray:
+    """slots[code, routed] of one model (_SlotTable), each slot's R[i, j]."""
+    pushed = np.array([[apply_pulse(_PAULIS, p or Pulse.I, scale)
+                        for scale in (model.cross_ratio, model.over_ratio)] for p in SLOT_PULSES])
+    images = relax(np.moveaxis(pushed, (-2, -1), (0, 1)), model.slot_ns, model.t1_ns)
+    return np.einsum("iab,bacrj->crij", _PAULIS, images).real / 2
 
 
 # A qubit's slot signature packs each slot of its round as 1 + 2 * code +
@@ -217,12 +211,13 @@ class _SlotTable(dict):
     """Slot matrices of one register, the per-qubit round channels built
     from them, and the register's round memo.
 
-    slots[k, code, routed] is one slot on a qubit of the k-th distinct
-    model: code 0 an empty slot, code i the i-th Pulse; routed 0 is the
-    stray drive at its cross_ratio, 1 its own over_ratio.  The qubits are
-    uncoupled, so a qubit's round channel depends only on its model and its
-    slot signature.  The table maps each signature (the kind, then the
-    packed slot words, plain ints) to the row of its channel in `bank`.
+    slots[k, code, routed] (_slot_matrices, one stacked push per model) is
+    one slot on a qubit of the k-th distinct model: code 0 an empty slot,
+    code i the i-th Pulse; routed 0 is the stray drive at its cross_ratio,
+    1 its own over_ratio.  The qubits are uncoupled, so a qubit's round
+    channel depends only on its model and its slot signature.  The table
+    maps each signature (the kind, then the packed slot words, plain ints)
+    to the row of its channel in `bank`.
     memo[scheme, n_driven] maps a round's integer code (_distinct_rounds)
     to its index in round_rows (its qubits' bank rows) and round_slots (its
     slot count), planned by compiler.round_plans for every scheme.  The memo
@@ -234,9 +229,7 @@ class _SlotTable(dict):
         super().__init__()
         distinct: dict = {}
         self.kinds = np.array([distinct.setdefault(m, len(distinct)) for m in models])
-        self.slots = np.array([[[_transfer_matrix(p, m.cross_ratio, m),
-                                 _transfer_matrix(p, m.over_ratio, m)]
-                                for p in SLOT_PULSES] for m in distinct])
+        self.slots = np.array([_slot_matrices(m) for m in distinct])
         self.bank = np.empty((64, 4, 4))  # rows past len(self) are unused
         self.memo: dict = {}
         self.n_rounds = 0  # rows of round_rows and round_slots in use
@@ -312,7 +305,7 @@ def _slot_channels(models: tuple) -> _SlotTable:
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
-    children = np.random.SeedSequence(rng_seed).spawn(n_seeds)
+    children = np.random.SeedSequence(_check_int(rng_seed, "rng_seed")).spawn(n_seeds)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
@@ -368,9 +361,9 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     """
     if scheme not in RB_SCHEMES:
         raise ValueError(f"scheme must be one of {RB_SCHEMES}, got {scheme!r}")
-    if n_seeds < 1:
+    if _check_int(n_seeds, "n_seeds") < 1:
         raise ValueError("n_seeds must be >= 1")
-    m_values = tuple(int(m) for m in m_values)
+    m_values = tuple(_check_int(m, "sequence length") for m in m_values)
     if any(m < 1 for m in m_values):
         raise ValueError("sequence lengths must be >= 1")
     models = tuple(models)
@@ -533,7 +526,7 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not over_ratio > 0:
         raise ValueError("over_ratio must be > 0")
-    if n_max < 1:
+    if _check_int(n_max, "n_max") < 1:
         raise ValueError("n_max must be >= 1")
     p1 = np.empty(n_max + 1)
     state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
@@ -543,10 +536,6 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
             state = relax(apply_pulse(state, Pulse.X180, over_ratio), slot_ns, t1_ns)
         p1[n] = state[1, 1].real
     return np.arange(n_max + 1), p1
-
-
-def initial_slope(p1: np.ndarray) -> float:
-    return float(p1[1] - p1[0])
 
 
 # --- two-qubit exchange ---------------------------------------------------

@@ -54,6 +54,9 @@ lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
 with scipy's matrix exponential, taking plain floats and no cliffcast code.
 
+slot_transfer_matrix is one slot's 4x4 Pauli-transfer matrix, from the same
+rotations and Kraus damping, the reference for the simulator's slot table.
+
 slot_by_slot_benchmark is randomized benchmarking as the model states it:
 one 2x2 density matrix per qubit, every pulse and its stray copies as
 rotations, Kraus amplitude damping after every slot.  It takes schedules,
@@ -575,6 +578,20 @@ def _damp(rho: np.ndarray, dt: float, t1: float) -> np.ndarray:
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(decay)]])
     k1 = np.array([[0.0, math.sqrt(1.0 - decay)], [0.0, 0.0]])
     return k0 @ rho @ k0.T + k1 @ rho @ k1.T
+
+
+def slot_transfer_matrix(label: str | None, scale: float, slot_ns: float,
+                         t1_ns: float) -> np.ndarray:
+    """R[i, j] = tr(P_i L(P_j)) / 2 for the Paulis (I, X, Y, Z) and the slot
+    L: the labelled pulse ("X90", "Y-180"; None or "I" for no rotation) at
+    scale times its angle, then Kraus damping for slot_ns."""
+    if label in (None, "I"):
+        u = np.eye(2)
+    else:
+        u = _axis_rotation(label[0].lower(), math.radians(float(label[1:])) * scale)
+    paulis = [np.eye(2), _SIGMA["x"], _SIGMA["y"], _SIGMA["z"]]
+    return np.array([[np.trace(p @ _damp(u @ q @ u.conj().T, slot_ns, t1_ns)).real / 2
+                      for q in paulis] for p in paulis])
 
 
 def _round_slots(combo: tuple, scheme: str, parity: int) -> list:

@@ -311,7 +311,7 @@ def test_criterion_10_allxy_and_calibration():
     signs_ok = True
     for ratio in (0.98, 0.99, 1.01, 1.02):
         _, curve = sim.simulate_amp_calibration(ratio, n_max=20)
-        if math.copysign(1.0, sim.initial_slope(curve)) != math.copysign(
+        if math.copysign(1.0, curve[1] - curve[0]) != math.copysign(
             1.0, ratio - 1.0
         ):
             signs_ok = False

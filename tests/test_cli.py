@@ -334,6 +334,21 @@ def test_rb_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qubit, message", [
+    (10000.0, "each qubit must be an object"),
+    ([], "each qubit must be an object"),
+    ({"t2_ns": 5000.0}, "unknown qubit keys: ['t2_ns']"),
+])
+def test_rb_malformed_qubit_rejected(tmp_path, capsys, qubit, message):
+    cfg = {"qubits": [{}, qubit], "scheme": "compiled", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": str(tmp_path / "rb.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(cfg_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_rb_fit_failure_writes_nothing(tmp_path, capsys):
     """A decay fit that fails (exit 4) leaves no CSV and no summary.  Here
     the box holds qubit 1's amplitude at 2: unbounded, its optimum runs off
@@ -534,6 +549,15 @@ def test_leakfit_invalid_row_rejected(tmp_path, capsys, row):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "."])
+def test_leakfit_unreadable_input_rejected(tmp_path, capsys, name):
+    """A missing file or a directory is a validation error, not a traceback."""
+    assert run_cli(["leakfit", "--input", str(tmp_path / name)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ")
+
+
 def test_leakfit_missing_header(tmp_path, capsys):
     csv_path = tmp_path / "leak.csv"
     csv_path.write_text("1,0.1\n2,0.2\n")
@@ -597,6 +621,30 @@ def test_leakfit_undetermined_fit_is_numerical_failure(tmp_path, capsys, rows, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--n", "3", "--exact"], 0),
+    (["stats", "--n", "3", "--exact", "--samples", "5"], 2),
+    (["compile", "25"], 3),
+    (["leakfit", "--input", "{leak}"], 4),
+])
+def test_module_entry_point_exit_codes(tmp_path, argv, code):
+    """python -m cliffcast.cli ends with each documented exit code and never
+    with a traceback: a usage error (2), invalid input (3) and a fit that
+    cannot succeed, here one on a single positive length (4)."""
+    leak = tmp_path / "leak.csv"
+    leak.write_text("m,p2\n0,0\n10,1e-4\n10,2e-4\n10,1.5e-4\n")
+    argv = [a.format(leak=leak) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "cliffcast.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["mode"] == "exact"
+    else:
+        assert done.stdout == "" and done.stderr
 
 
 def test_csv_floats_nine_significant_digits(capsys):

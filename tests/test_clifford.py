@@ -211,6 +211,14 @@ def test_inverted_round_inverts_normal_round():
     assert equal_up_to_phase(u, I2)
 
 
+def test_pulse_labels_round_trip_and_unknown_labels_are_rejected():
+    for p in Pulse:
+        assert Pulse.from_label(p.label) is p
+    for label in ("X45", "x90", "", "Z180"):
+        with pytest.raises(ValueError, match="unknown pulse label"):
+            Pulse.from_label(label)
+
+
 def test_bad_ids_rejected():
     with pytest.raises(ValueError):
         compose(0, 5)

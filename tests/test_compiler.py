@@ -333,6 +333,27 @@ def test_mean_np_sampled_guards():
         mean_np_sampled(2, 10, seed=0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 1_000, 0), "n"), ((2, 1_000.0, 0), "samples"), ((2, 1_000, 1.5), "seed"),
+])
+def test_mean_np_sampled_rejects_non_integer_counts(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        mean_np_sampled(*args)
+    got = mean_np_sampled(np.int64(2), np.int32(1_000), np.uint8(3))
+    assert got == mean_np_sampled(2, 1_000, 3)
+
+
+def test_mean_np_exact_rejects_a_non_integer_n():
+    """A float n is no census (before: 3.2669 for 2.5 qubits), and a numpy
+    integer n counts in Python ints (before: 24**n overflowed to -inf)."""
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            mean_np_exact(n)
+    for n in (np.int64(30), np.uint8(3)):
+        assert mean_np_exact(n) == mean_np_exact(int(n))
+        assert type(mean_np_exact(n).n) is int
+
+
 def test_np_stats_bounds():
     for n in (1, 2, 3):
         st_ = mean_np_exact(n)
@@ -498,6 +519,24 @@ def test_round_plans_of_the_all_identity_round_and_bad_input():
             round_plans(ids, SCHEME_SEQUENTIAL)
 
 
+@pytest.mark.parametrize("parity", [1.5, [1.5], np.array([0.0, 1.0]), "1"])
+def test_round_plans_rejects_a_non_integer_parity(parity):
+    """The symmetric round's parity must be integers (before: an IndexError
+    from the firing table); numpy integers and booleans still pass."""
+    with pytest.raises(ValueError, match="parity"):
+        round_plans([[2, 4], [7, 1]], SCHEME_FIVE_SYMMETRIC, parity)
+    want = round_plans([[2, 4], [7, 1]], SCHEME_FIVE_SYMMETRIC, [1, 0])
+    got = round_plans([[2, 4], [7, 1]], SCHEME_FIVE_SYMMETRIC, np.array([True, False]))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_compile_scheme_rejects_a_non_integer_parity():
+    with pytest.raises(ValueError, match="parity"):
+        compile_scheme((2, 4), SCHEME_FIVE_SYMMETRIC, 1.5)
+    assert (compile_scheme((2, 4), SCHEME_FIVE_SYMMETRIC, np.int64(1)).to_json()
+            == compile_scheme((2, 4), SCHEME_FIVE_SYMMETRIC, 1).to_json())
+
+
 def test_round_plans_rejects_non_integer_ids():
     """Float, string and boolean ids are rejected, not truncated; numpy
     integer arrays of any width plan as int64 does."""
@@ -601,6 +640,18 @@ def _malformed(case: str) -> Schedule:
     return replace(sched, events=[sched.events[0], bad])
 
 
+def test_schedule_verify_rejects_a_combo_of_the_wrong_length():
+    sched = compile_optimal((2, 4))
+    for combo in ((2,), (2, 4, 4)):
+        with pytest.raises(ValueError, match=f"combo has {len(combo)} targets for 2 qubits"):
+            sched.verify(combo)
+
+
+def test_compile_optimal_rejects_an_empty_combo():
+    with pytest.raises(ValueError, match="at least one"):
+        compile_optimal(())
+
+
 @pytest.mark.parametrize("case", ["short mask", "long mask", "shared slot",
                                   "slot past the round"])
 def test_schedule_verify_rejects_a_malformed_event(case):
@@ -682,7 +733,7 @@ def test_schedule_verify_agrees_with_the_oracle():
 
 def test_schedule_json_is_json_dumps():
     """to_json writes json.dumps(indent=2) of the schedule's fields byte for
-    byte, and to_json_dict is those fields: every scheme and parity, 1-17
+    byte, and parses back to those fields: every scheme and parity, 1-17
     qubits, the empty schedule, a scheme label that JSON escapes and a mask
     of numpy booleans."""
     from cliffcast.compiler import PulseEvent
@@ -701,4 +752,4 @@ def test_schedule_json_is_json_dumps():
     for sched in schedules:
         fields = schedule_json_dict(sched)
         assert sched.to_json() == json.dumps(fields, indent=2) + "\n"
-        assert sched.to_json_dict() == fields
+        assert json.loads(sched.to_json()) == fields

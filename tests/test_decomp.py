@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,8 +11,21 @@ from cliffcast.decomp import (
     TOTAL_DECOMPOSITION_COUNT,
     decomposition_census,
     enumerate_decompositions,
+    sequence_products,
 )
 from oracles import verify_decomposition
+
+
+# SHA-256 of repr([sequence_products(n) for n in 1..4]): every train and the
+# Clifford fired by each subset of it, as plain ints, frozen.
+SEQUENCE_PRODUCTS_DIGEST = "5e61af739923b567964bf01716bf392fb50fa3c65a66b317bedd60e3bce301de"
+
+
+def test_sequence_products_are_frozen():
+    tables = [sequence_products(n) for n in range(1, MAX_PULSES + 1)]
+    assert [len(t) for t in tables] == [6**n for n in range(1, MAX_PULSES + 1)]
+    assert all(type(c) is int for _, prods in tables[-1] for c in prods)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == SEQUENCE_PRODUCTS_DIGEST
 
 
 def test_identity_includes_empty():

@@ -105,6 +105,29 @@ def test_fits_reject_invalid_curves(fitter, m, y):
         fitter(m, y)
 
 
+@pytest.mark.parametrize("m,y", [([1, 2, 4, 8], [1.0, 0.9, 0.8]),
+                                 ([[1, 2], [4, 8]], [[1.0, 0.9], [0.8, 0.7]])])
+@pytest.mark.parametrize("fitter", [fit_exp_offset,
+                                    lambda m, y: fit_leakage(m, y, 1.875, 20.0)])
+def test_fits_reject_curves_of_the_wrong_shape(fitter, m, y):
+    with pytest.raises(ValueError, match="1-d and of equal length"):
+        fitter(m, y)
+
+
+def test_exp_fit_rejects_errors_of_the_wrong_shape():
+    m, y = [1, 2, 4, 8], [1.0, 0.9, 0.8, 0.7]
+    for y_err in ([0.1, 0.1, 0.1], [[0.1] * 4]):
+        with pytest.raises(ValueError, match="y_err must match"):
+            fit_exp_offset(m, y, y_err)
+
+
+def test_exp_fit_evaluates_its_model():
+    f = fit.ExpFit(amplitude=0.5, decay=0.9, offset=0.25, stderr=(0.0, 0.0, 0.0),
+                   residual_rms=0.0)
+    assert f(0) == 0.75
+    assert f([1, 2]).tolist() == [0.5 * 0.9 + 0.25, 0.5 * 0.9**2 + 0.25]
+
+
 @pytest.mark.parametrize("scheme", ["sequential", "compiled", "five-primitives-symmetric"])
 @pytest.mark.parametrize("rng_seed", [7, 11, 13])
 def test_exp_fit_matches_scipy_on_readme_curves(scheme, rng_seed):
@@ -257,6 +280,23 @@ def test_fidelity_from_decay_limits():
     assert fidelity_from_decay(0.9964) == pytest.approx(0.9982, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, -0.1, 1.0 + 1e-12, math.nan])
+def test_fidelity_from_decay_rejects_a_decay_outside_its_range(p):
+    with pytest.raises(ValueError, match="decay must be in"):
+        fidelity_from_decay(p)
+
+
+@pytest.mark.parametrize("t1, tp, np_mean, match", [
+    (10_000.0, 0.0, 1.875, "tp_ns and np_mean"),
+    (10_000.0, 20.0, -1.0, "tp_ns and np_mean"),
+    (0.0, 20.0, 1.875, "t1_ns"),
+    (-5.0, 20.0, 1.875, "t1_ns"),
+])
+def test_t1_limit_fidelity_guards(t1, tp, np_mean, match):
+    with pytest.raises(ValueError, match=match):
+        t1_limit_fidelity(t1, tp, np_mean)
+
+
 def test_t1_limit_fidelity_reference_value():
     assert t1_limit_fidelity(10_000.0, 20.0, 1.875) == pytest.approx(
         0.998751, abs=5e-7
@@ -313,6 +353,13 @@ def test_closed_form_matches_iterated_rate_equation(kappa):
 def test_leakage_model_rejects_round_longer_than_t21():
     with pytest.raises(ValueError):
         leakage_model(10, 4.1e-6, 37.5, 1.875, 20.0)
+
+
+@pytest.mark.parametrize("params", [(-1e-6, 4e4, 1.875, 20.0), (4.1e-6, 0.0, 1.875, 20.0),
+                                    (4.1e-6, 4e4, -1.875, 20.0), (4.1e-6, 4e4, 1.875, -20.0)])
+def test_leakage_model_rejects_negative_parameters(params):
+    with pytest.raises(ValueError, match="must be positive"):
+        leakage_model(10, *params)
 
 
 def test_fit_leakage_roundtrip():

@@ -11,14 +11,12 @@ from cliffcast import fit, sim
 from cliffcast.clifford import Pulse
 from cliffcast.sim import (
     ALLXY_SEQUENCE,
-    EXCITED,
     GROUND,
     ExchangeParams,
     QubitModel,
     allxy_ideal,
     apply_pulse,
     exchange_swap,
-    initial_slope,
     relax,
     run_idle_crossdrive,
     run_rb,
@@ -31,6 +29,7 @@ from oracles import (
     amp_calibration,
     lindblad_exchange,
     slot_by_slot_benchmark,
+    slot_transfer_matrix,
 )
 
 
@@ -58,6 +57,9 @@ def test_cross_drive_angle():
     assert rho[1, 1].real == pytest.approx(expected, rel=1e-9)
 
 
+EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
 def test_relax_t1_point():
     rho = relax(EXCITED, dt=1.0, t1=1.0)
     assert rho[1, 1].real == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -72,6 +74,62 @@ def test_relax_coherence_half_rate():
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     rho = relax(plus, dt=2.0, t1=1.0)
     assert abs(rho[0, 1]) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+
+
+def test_relax_damps_a_stack_as_each_matrix():
+    """relax damps any array whose first two axes are the 2x2 ones, bit for
+    bit as it damps each matrix alone, and still rejects a negative dt."""
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(2, 2, 7)) + 1j * rng.normal(size=(2, 2, 7))
+    for dt, t1 in ((20.0, 1e4), (3.5, 40.0), (0.0, 1e4), (20.0, math.inf)):
+        damped = relax(stack, dt, t1)
+        for k in range(7):
+            assert damped[..., k].tobytes() == relax(stack[..., k].copy(), dt, t1).tobytes()
+    with pytest.raises(ValueError, match="dt"):
+        relax(stack, -1.0, 1e4)
+    with pytest.raises(ValueError, match="dt"):
+        relax(GROUND, -1e-12, 1e4)
+
+
+def test_apply_pulse_rejects_a_negative_scale():
+    with pytest.raises(ValueError, match="angle_scale"):
+        apply_pulse(GROUND, Pulse.X90, -0.5)
+
+
+@pytest.mark.parametrize("models", [
+    (QubitModel(),),
+    (QubitModel(t1_ns=10_000.0, cross_ratio=0.0076, over_ratio=1.02),
+     QubitModel(t1_ns=800.0, slot_ns=33.3, cross_ratio=0.0, over_ratio=0.0)),
+    (QubitModel(t1_ns=2_500.0, slot_ns=7.0, cross_ratio=0.4, over_ratio=2.7),
+     QubitModel(), QubitModel(t1_ns=2_500.0, slot_ns=7.0, cross_ratio=0.4, over_ratio=2.7)),
+])
+def test_slot_table_matches_the_transfer_matrix_oracle(models):
+    """Every slot matrix of a register, routed and stray, for each distinct
+    model: lossless and damped qubits, zero ratios, other slot lengths."""
+    table = sim._slot_channels(models)
+    assert table.slots.shape == (len(set(models)), len(sim.SLOT_PULSES), 2, 4, 4)
+    for q, model in enumerate(models):
+        for code, pulse in enumerate(sim.SLOT_PULSES):
+            for routed, scale in enumerate((model.cross_ratio, model.over_ratio)):
+                want = slot_transfer_matrix(pulse and pulse.label, scale, model.slot_ns,
+                                            model.t1_ns)
+                got = table.slots[table.kinds[q], code, routed]
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_slot_table_pushes_one_stack_per_model(monkeypatch):
+    """Each distinct model's slots take one apply_pulse call per slot pulse
+    and scale and one relax call, through the module's globals, so that a
+    tracer that swaps them sees every call."""
+    calls = {"apply_pulse": 0, "relax": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(sim, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sim, name, counted)
+    models = (QubitModel(t1_ns=9e3), QubitModel(over_ratio=1.1), QubitModel(t1_ns=9e3))
+    sim._SlotTable(models)
+    assert calls == {"apply_pulse": 2 * 2 * len(sim.SLOT_PULSES), "relax": 2}
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,6 +195,41 @@ def test_rb_seed_changes_curve():
 def test_minimal_scheme_single_qubit_only():
     with pytest.raises(ValueError):
         run_rb([QubitModel(), QubitModel()], "minimal", [4], 1, 0)
+
+
+@pytest.mark.parametrize("models, m_values, n_seeds, match", [
+    ([QubitModel()], [4], 0, "n_seeds"),
+    ([QubitModel()], [4, 0], 1, "lengths"),
+    ([], [4], 1, "model"),
+])
+def test_benchmark_rejects_empty_runs(models, m_values, n_seeds, match):
+    with pytest.raises(ValueError, match=match):
+        run_rb(models, "compiled", m_values, n_seeds, 0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"m_values": [2.5, 3.9]}, "sequence length"),
+    ({"m_values": [np.float64(4)]}, "sequence length"),
+    ({"n_seeds": 1.5}, "n_seeds"),
+    ({"rng_seed": 1.5}, "rng_seed"),
+])
+def test_benchmark_rejects_non_integer_counts(kwargs, name):
+    """A float count raises a ValueError that names it, instead of being
+    truncated (lengths) or failing inside numpy (seeds)."""
+    args = {"m_values": [2, 3], "n_seeds": 1, "rng_seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        run_rb([QubitModel(t1_ns=1e4)], "minimal", **args)
+    with pytest.raises(ValueError, match=name):
+        run_idle_crossdrive([QubitModel(t1_ns=1e4)] * 2, "minimal", **args)
+
+
+def test_benchmark_takes_numpy_integer_counts():
+    models = [QubitModel(t1_ns=1e4)]
+    want = run_rb(models, "minimal", [2, 3], 2, 1)
+    got = run_rb(models, "minimal", np.array([2, 3]), np.int64(2), np.int32(1))
+    assert got.curves[0].m_values == (2, 3)
+    assert all(type(m) is int for m in got.curves[0].m_values)
+    assert got.curves[0].p0.tobytes() == want.curves[0].p0.tobytes()
 
 
 # Every model feature the transfer matrices must carry: relaxation and its
@@ -336,6 +429,14 @@ def test_twenty_four_sequential_qubits_match_slot_by_slot_oracle():
     assert res.mean_slots_per_round == slots_per_round > 3 * sim._SIGNATURE_SLOTS
 
 
+def test_idle_crossdrive_checks_its_register_and_scheme():
+    with pytest.raises(ValueError, match="driven, idle"):
+        run_idle_crossdrive([QubitModel()] * 3, "minimal", [4], 1, 0)
+    for scheme in ("sequential", "compiled"):
+        with pytest.raises(ValueError, match="minimal or five-primitive"):
+            run_idle_crossdrive([QubitModel()] * 2, scheme, [4], 1, 0)
+
+
 def test_idle_crossdrive_zero_ratio_stays_ground():
     driven = QubitModel(t1_ns=20_000.0)
     idle = QubitModel(t1_ns=20_000.0, cross_ratio=0.0)
@@ -395,12 +496,19 @@ def test_amp_calibration_flat_at_nominal():
 @pytest.mark.parametrize("ratio", [0.98, 0.99, 1.01, 1.02])
 def test_amp_calibration_slope_sign(ratio):
     _, p1 = simulate_amp_calibration(ratio, n_max=20)
-    assert math.copysign(1.0, initial_slope(p1)) == math.copysign(1.0, ratio - 1.0)
+    assert math.copysign(1.0, p1[1] - p1[0]) == math.copysign(1.0, ratio - 1.0)
 
 
 def test_amp_calibration_guards():
     with pytest.raises(ValueError):
         simulate_amp_calibration(0.0)
+
+
+def test_amp_calibration_rejects_a_non_integer_train_count():
+    with pytest.raises(ValueError, match="n_max"):
+        simulate_amp_calibration(1.01, n_max=3.5)
+    n, p1 = simulate_amp_calibration(1.01, n_max=np.int64(3))
+    assert p1.tobytes() == simulate_amp_calibration(1.01, n_max=3)[1].tobytes()
 
 
 @pytest.mark.parametrize("t1_ns", [math.inf, 10_000.0, 800.0])
