@@ -57,9 +57,13 @@ def _fmt(x: float) -> str:
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write (path, text) pairs, a path of None or "-" meaning stdout.  Files
     go to temporary siblings, renamed over their targets once all are
-    complete, so a failed write leaves none of them; stdout comes last."""
+    complete, so a failed write leaves none of them; stdout comes last.
+    Two outputs to one file are rejected before anything is written."""
     files = [(path, f"{path}.{os.getpid()}-{i}.tmp", text)
              for i, (path, text) in enumerate(outputs) if path not in (None, "-")]
+    targets = [os.path.realpath(path) for path, _, _ in files]
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"two outputs name one file: {files[-1][0]}")
     try:
         for path, tmp, text in files:
             with open(tmp, "w", newline="") as f:
@@ -183,6 +187,9 @@ def _load_rb_config(path: str) -> dict:
         raise ValueError("n_seeds must be a positive integer")
     if not _is_number(cfg["rng_seed"], int):
         raise ValueError("rng_seed must be an integer")
+    for key in ("csv_path", "summary_path"):
+        if not isinstance(cfg.get(key), (str, type(None))):
+            raise ValueError(f"{key} must be a path or null, got {cfg[key]!r}")
     return cfg
 
 
@@ -215,8 +222,8 @@ def cmd_rb(args) -> list:
         "rng_seed": result.rng_seed,
         "mean_slots_per_round": result.mean_slots_per_round,
         # Counted per run, so the same config prints the same bytes in any
-        # process: a round whose channel the run already used is a hit, its
-        # first use a miss (what the round cache builds in a fresh process).
+        # process: a round the run already drew is a hit, and the misses
+        # are the run's distinct rounds.
         "work": {
             "rounds": result.rounds,
             "slots": result.slots,

@@ -221,6 +221,8 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
         y_err = np.asarray(y_err, dtype=float)
         if y_err.shape != y.shape:
             raise ValueError("y_err must match y_values")
+        if not np.all(np.isfinite(y_err)):
+            raise ValueError("y_err must be finite")
         y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
 
     if np.all(np.abs(y - y[0]) <= 1e-12):

@@ -15,15 +15,13 @@ are uncoupled and every slot is a fixed linear channel, so a round acts on
 each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
-(compiler.round_plans) and the slots the qubit fires.  Each signature's
-matrix is built once, as a product of the model's slot matrices, and stored
-as one row of a bank under plain ints; a round is memoized by its integer
-code as its qubits' bank rows and its slot count, on the register's slot
-table, so the memo is freed with the table.  An 8-qubit compiled run meets
-some hundreds of signatures, against 24^8 combinations.  The slot matrices
-are built from apply_pulse and relax, so those two functions stay the only
-definition of the physics.  The benchmarking pass itself is described with
-the channels below.
+(compiler.round_plans) and the slots the qubit fires.  A run builds each
+distinct signature's matrix once, as a product of the model's slot
+matrices; an 8-qubit compiled run meets some hundreds of signatures,
+against 24^8 combinations.  The slot matrices are built from apply_pulse
+and relax, so those two functions stay the only definition of the
+physics.  The benchmarking pass itself is described with the channels
+below.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -36,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -93,9 +90,9 @@ class RBResult:
     """Benchmarking curves with the work that produced them.
 
     rounds and slots count every simulated round and time slot;
-    distinct_rounds counts the different round channels the run used,
-    which is how many a round cache that starts empty builds, and
-    qubit_channels the different per-qubit slot signatures behind them.
+    distinct_rounds counts the run's different rounds, and qubit_channels
+    the different per-qubit slot signatures behind them.  All four depend
+    on the run's inputs alone.
     """
 
     scheme: str
@@ -159,28 +156,31 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 #
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
 # sequence first, in the seeds' Philox order, with each block's recoveries
-# from one batched recovery_clifford call.  Each round gets an integer code,
-# and one lexsort of the codes finds the run's distinct rounds, each looked
-# up once in the slot table's round memo (_SlotTable.rounds: the round's
-# per-qubit bank rows and slot count, no matrices).  All the rounds the memo
-# lacks are planned in one compiler.round_plans call; one lexsort of their
-# packed per-qubit signatures finds the distinct ones, and the channels of
-# the new ones are built together, one stacked 4x4 product per slot.  Each
-# sequence then gathers its rounds' (m + 1, n, 4, 4) channels from the
-# bank, multiplies them pairwise in log2(m) levels and applies the product
-# to the ground state.  On eight qubits (compiled, lengths 1..128, two
-# seeds, nearly every round new; 2-core Xeon VM, one BLAS thread, median of
-# 40 fresh seeds in one process) run_rb takes about 4 ms.  On the README
-# config (two qubits, lengths 1..800; median of 5 processes) a 1-seed run
-# with an empty round memo takes 4.9-5.6 ms per scheme, and a 30-seed run
-# 52-60 ms.
+# from one batched recovery_clifford call, and then takes its round
+# channels from one of two immutable tables, by what the run draws:
+# - A run that draws at least as many rounds as exist (24^n_driven, twice
+#   that for the symmetric scheme) reads them from _every_round, built once
+#   per register, scheme and driven count, by round index.
+# - Any other run finds its distinct rounds with one lexsort of their
+#   parities and ids, and _round_channels builds just those, for this run.
+# _round_channels plans its rounds in one compiler.round_plans call; one
+# lexsort of their packed per-qubit slot signatures finds the distinct
+# ones, built together, one stacked 4x4 product per slot.  Each sequence
+# then gathers its rounds' (m + 1, n, 4, 4) channels, multiplies them
+# pairwise in log2(m) levels and applies the product to the ground state.
+# On eight qubits (compiled, lengths 1..128, two seeds, nearly every round
+# new; 2-core Xeon VM, one BLAS thread, median of 200 fresh seeds in one
+# process) run_rb takes 3.8-4.9 ms.  On the README config (two qubits,
+# lengths 1..800; one process per scheme, twice) a first 1-seed run, which
+# builds the every-round table, takes 2.4-4.5 ms per scheme, a second one
+# 1.3-1.8 ms, and a 30-seed run 33-50 ms.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
 
 
 def _slot_matrices(model: QubitModel) -> np.ndarray:
-    """slots[code, routed] of one model (_SlotTable), each slot's R[i, j]."""
+    """slots[code, routed] of one model (_slot_table), each slot's R[i, j]."""
     pushed = np.array([[apply_pulse(_PAULIS, p or Pulse.I, scale)
                         for scale in (model.cross_ratio, model.over_ratio)] for p in SLOT_PULSES])
     images = relax(np.moveaxis(pushed, (-2, -1), (0, 1)), model.slot_ns, model.t1_ns)
@@ -192,116 +192,68 @@ def _slot_matrices(model: QubitModel) -> np.ndarray:
 _SIGNATURE_SLOTS = 12
 _SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
 
-# A table's round memo and signature bank start over together once they
-# hold this many rounds and signatures, which bounds the table's memory in
-# long runs on one register.
-_ROUND_MEMO_LIMIT = 200_000
 
+@lru_cache(maxsize=64)
+def _slot_table(models: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(kinds, slots) of a register, both read-only.
 
-def _grow(array: np.ndarray, size: int) -> np.ndarray:
-    """The array, or a copy with room for at least size rows, doubling."""
-    if size <= len(array):
-        return array
-    grown = np.empty((max(size, 2 * len(array)), *array.shape[1:]), array.dtype)
-    grown[:len(array)] = array
-    return grown
-
-
-class _SlotTable(dict):
-    """Slot matrices of one register, the per-qubit round channels built
-    from them, and the register's round memo.
-
-    slots[k, code, routed] (_slot_matrices, one stacked push per model) is
-    one slot on a qubit of the k-th distinct model: code 0 an empty slot,
-    code i the i-th Pulse; routed 0 is the stray drive at its cross_ratio,
-    1 its own over_ratio.  The qubits are uncoupled, so a qubit's round
-    channel depends only on its model and its slot signature.  The table
-    maps each signature (the kind, then the packed slot words, plain ints)
-    to the row of its channel in `bank`.
-    memo[scheme, n_driven] maps a round's integer code (_distinct_rounds)
-    to its index in round_rows (its qubits' bank rows) and round_slots (its
-    slot count), planned by compiler.round_plans for every scheme.  The memo
-    lives and dies with its table, and the memo and the signatures start
-    over together once they hold more than _ROUND_MEMO_LIMIT entries.
+    kinds[q] is the index of qubit q's model among the register's distinct
+    models, and slots[k, code, routed] (_slot_matrices, one stacked push per
+    model) is one slot on a qubit of the k-th: code 0 an empty slot, code i
+    the i-th Pulse; routed 0 is the stray drive at its cross_ratio, 1 its
+    own over_ratio.
     """
+    distinct: dict = {}
+    kinds = np.array([distinct.setdefault(m, len(distinct)) for m in models])
+    slots = np.array([_slot_matrices(m) for m in distinct])
+    kinds.flags.writeable = slots.flags.writeable = False
+    return kinds, slots
 
-    def __init__(self, models: tuple):
-        super().__init__()
-        distinct: dict = {}
-        self.kinds = np.array([distinct.setdefault(m, len(distinct)) for m in models])
-        self.slots = np.array([_slot_matrices(m) for m in distinct])
-        self.bank = np.empty((64, 4, 4))  # rows past len(self) are unused
-        self.memo: dict = {}
-        self.n_rounds = 0  # rows of round_rows and round_slots in use
-        self.round_rows = np.empty((64, len(models)), dtype=np.intp)
-        self.round_slots = np.empty(64, dtype=np.int64)
 
-    def rounds(self, scheme: str, n_driven: int, ids: np.ndarray, parity: np.ndarray,
-               codes: list) -> np.ndarray:
-        """The memo index of each distinct round, given by its Clifford ids,
-        parity and code.  The rounds missing from the memo are planned in
-        one compiler.round_plans call and added."""
-        if self.n_rounds + len(self) > _ROUND_MEMO_LIMIT:
-            self.memo.clear()  # its rounds point into the bank
-            self.clear()
-            self.n_rounds = 0
-        memo = self.memo.setdefault((scheme, n_driven), {})
-        index = np.fromiter(map(memo.get, codes, repeat(-1)), np.intp, len(codes))
-        new = np.flatnonzero(index < 0)
-        if new.size:
-            plans = compiler.round_plans(ids[new], scheme, parity[new])
-            added = np.arange(self.n_rounds, self.n_rounds + new.size)
-            self.n_rounds += new.size
-            self.round_rows = _grow(self.round_rows, self.n_rounds)
-            self.round_slots = _grow(self.round_slots, self.n_rounds)
-            self.round_rows[added] = self._channel_rows(*plans)
-            self.round_slots[added] = plans[2]
-            memo.update(zip([codes[i] for i in new.tolist()], added.tolist()))
-            index[new] = added
-        return index
-
-    def _channel_rows(self, codes: np.ndarray, fired: np.ndarray,
-                      n_slots: np.ndarray) -> np.ndarray:
-        """The bank rows (k, n) of the qubits of k planned rounds, from
-        compiler.round_plans' arrays; qubits past fired's are never routed.
-        One lexsort finds the distinct signatures, and the new ones are
-        built together, each slot left-multiplied from the identity on."""
-        k, width = codes.shape
-        n = len(self.kinds)
-        routed = np.zeros((k, n, width), dtype=np.intp)
-        routed[:, :fired.shape[1]] = fired
-        packed = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0)[:, None] + routed
-        words = -(-width // _SIGNATURE_SLOTS)
-        keys = np.empty((1 + words, k * n), dtype=np.int64)
-        keys[0] = np.tile(self.kinds, k)
-        for w in range(words):
-            part = packed[..., w * _SIGNATURE_SLOTS:(w + 1) * _SIGNATURE_SLOTS]
-            keys[1 + w] = (part @ _SIGNATURE_POWERS[:part.shape[-1]]).ravel()
-        firsts, inverse = _unique_columns(keys)
-        round_of, qubit = np.divmod(firsts, n)
-        # Words past a round's slots are zero and left out of its key.
-        used = 1 - (-n_slots[round_of] // _SIGNATURE_SLOTS)
-        signatures = [tuple(key[:u]) for key, u in zip(keys[:, firsts].T.tolist(), used.tolist())]
-        rows = np.fromiter(map(self.get, signatures, repeat(-1)), np.intp, len(signatures))
-        new = np.flatnonzero(rows < 0)
-        if new.size:
-            r, q, count = round_of[new], qubit[new], n_slots[round_of[new]]
-            out = np.broadcast_to(np.eye(4), (new.size, 4, 4)).copy()
-            for s in range(int(count.max())):
-                on = np.flatnonzero(s < count)
-                out[on] = self.slots[self.kinds[q[on]], codes[r[on], s],
-                                     routed[r[on], q[on], s]] @ out[on]
-            rows[new] = np.arange(len(self), len(self) + new.size)
-            self.bank = _grow(self.bank, len(self) + new.size)
-            self.bank[rows[new]] = out
-            self.update(zip([signatures[i] for i in new.tolist()], rows[new].tolist()))
-        return rows[inverse].reshape(k, n)
+def _round_channels(models: tuple, scheme: str, ids: np.ndarray,
+                    parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, channels, n_slots) of k rounds, given as rows of Clifford ids
+    and their parities: channels[rows[r, q]] is qubit q's channel in round
+    r, and n_slots[r] the round's slot count.  Qubits past ids' columns are
+    never routed.  One compiler.round_plans call plans the rounds, one
+    lexsort of the packed slot signatures finds the distinct ones, and
+    those are built together, each slot left-multiplied from the identity
+    on."""
+    kinds, slots = _slot_table(models)
+    codes, fired, n_slots = compiler.round_plans(ids, scheme, parity)
+    k, width = codes.shape
+    n = len(kinds)
+    routed = np.zeros((k, n, width), dtype=np.intp)
+    routed[:, :fired.shape[1]] = fired
+    packed = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0)[:, None] + routed
+    words = -(-width // _SIGNATURE_SLOTS)
+    keys = np.empty((1 + words, k * n), dtype=np.int64)
+    keys[0] = np.tile(kinds, k)
+    for w in range(words):
+        part = packed[..., w * _SIGNATURE_SLOTS:(w + 1) * _SIGNATURE_SLOTS]
+        keys[1 + w] = (part @ _SIGNATURE_POWERS[:part.shape[-1]]).ravel()
+    firsts, inverse = _unique_columns(keys)
+    r, q = np.divmod(firsts, n)
+    count = n_slots[r]
+    channels = np.broadcast_to(np.eye(4), (len(firsts), 4, 4)).copy()
+    for s in range(int(count.max())):
+        on = np.flatnonzero(s < count)
+        channels[on] = slots[kinds[q[on]], codes[r[on], s], routed[r[on], q[on], s]] @ channels[on]
+    return inverse.reshape(k, n), channels, n_slots
 
 
 @lru_cache(maxsize=64)
-def _slot_channels(models: tuple) -> _SlotTable:
-    """The slot table of a register, one per distinct tuple of models."""
-    return _SlotTable(models)
+def _every_round(models: tuple, scheme: str, n_driven: int) -> tuple:
+    """_round_channels of every round of n_driven qubits, at both parities
+    for the symmetric scheme, read-only.  The round of Clifford ids id_q
+    at a parity is row parity * 24^n_driven + sum_q (id_q - 1) * 24^q."""
+    periods = 2 if scheme == SCHEME_FIVE_SYMMETRIC else 1
+    parity, code = np.divmod(np.arange(periods * 24**n_driven), 24**n_driven)
+    ids = 1 + code[:, None] // 24 ** np.arange(n_driven) % 24
+    tables = _round_channels(models, scheme, ids, parity)
+    for array in tables:
+        array.flags.writeable = False
+    return tables
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
@@ -317,12 +269,6 @@ def _seed_stderr(total: np.ndarray, total_sq: np.ndarray, n_seeds: int) -> np.nd
     return np.sqrt(np.maximum(var, 0.0) / n_seeds)
 
 
-# A round's code packs its ids - 1 in base 24, 13 qubits per int64 word
-# (24^13 * 2 < 2^63), with the parity as the low bit of the first word.
-_CODE_QUBITS = 13
-_CODE_POWERS = 24 ** np.arange(_CODE_QUBITS, dtype=np.int64)
-
-
 def _unique_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first column of each distinct column, index of each column's
     distinct one) of a 2-d int array: one lexsort and a comparison of
@@ -333,21 +279,6 @@ def _unique_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
-
-
-def _distinct_rounds(ids: np.ndarray, parity: np.ndarray) -> tuple:
-    """(first row of each distinct round, index of each row's round, and
-    each distinct round's code) for rounds given as rows of Clifford ids and
-    their parities.  A code is one int, or a tuple of ints past 13 qubits."""
-    words = []
-    for q in range(0, ids.shape[1], _CODE_QUBITS):
-        digits = ids[:, q:q + _CODE_QUBITS] - 1
-        words.append(digits @ _CODE_POWERS[:digits.shape[1]])
-    words[0] = words[0] * 2 + parity
-    keys = np.stack(words)
-    firsts, inverse = _unique_columns(keys)
-    codes = keys[:, firsts].tolist()
-    return firsts, inverse, codes[0] if len(codes) == 1 else list(zip(*codes))
 
 
 def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
@@ -364,13 +295,14 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     if _check_int(n_seeds, "n_seeds") < 1:
         raise ValueError("n_seeds must be >= 1")
     m_values = tuple(_check_int(m, "sequence length") for m in m_values)
+    if not m_values:
+        raise ValueError("need at least one sequence length")
     if any(m < 1 for m in m_values):
         raise ValueError("sequence lengths must be >= 1")
     models = tuple(models)
     if not models:
         raise ValueError("need at least one qubit model")
     n = len(models)
-    table = _slot_channels(models)
 
     # Every round of the run, one row of Clifford ids each, sequence after
     # sequence in seed order; the recovery round ends each sequence.
@@ -383,12 +315,20 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     # Only the symmetric five-primitive scheme alternates with the round
     # index; the other schemes share one channel per combination.
     index = np.concatenate([np.arange(m + 1) for m in m_values] * n_seeds)
-    parity = index & 1 if scheme == SCHEME_FIVE_SYMMETRIC else np.zeros_like(index)
+    periods = 2 if scheme == SCHEME_FIVE_SYMMETRIC else 1
+    parity = index & 1 if periods == 2 else np.zeros_like(index)
 
-    firsts, inverse, codes = _distinct_rounds(ids, parity)
-    index = table.rounds(scheme, n_driven, ids[firsts], parity[firsts], codes)
-    # rows[d]: the bank rows of the d-th distinct round's qubits.
-    rows, n_slots = table.round_rows[index], table.round_slots[index]
+    # A run that draws at least as many rounds as exist reads them all from
+    # one table; any other builds only its distinct rounds.  inverse[i] is
+    # the row of rows (each qubit's index into channels) and n_slots that
+    # holds round i.
+    if periods * 24**n_driven <= len(ids):
+        rows, channels, n_slots = _every_round(models, scheme, n_driven)
+        inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
+    else:
+        firsts, inverse = _unique_columns(np.vstack([parity, ids.T]))
+        rows, channels, n_slots = _round_channels(models, scheme, ids[firsts], parity[firsts])
+    used = np.bincount(inverse, minlength=len(rows))
 
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
@@ -397,7 +337,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         for im, m in enumerate(m_values):
             # One sequence at a time, so only its (m + 1, n, 4, 4) channels
             # are ever gathered.
-            channel = chain_product(table.bank[rows[inverse[start:start + m + 1]]])
+            channel = chain_product(channels[rows[inverse[start:start + m + 1]]])
             start += m + 1
             val = (1.0 + (channel @ _GROUND_VECTOR)[:, 3, 0]) / 2
             p0_sum[:, im] += val
@@ -415,9 +355,9 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         n_seeds=n_seeds,
         rng_seed=rng_seed,
         rounds=len(ids),
-        slots=int(np.bincount(inverse) @ n_slots),
-        distinct_rounds=len(firsts),
-        qubit_channels=int(np.count_nonzero(np.bincount(rows.ravel()))),
+        slots=int(used @ n_slots),
+        distinct_rounds=int(np.count_nonzero(used)),
+        qubit_channels=int(np.count_nonzero(np.bincount(rows[used > 0].ravel()))),
     )
 
 

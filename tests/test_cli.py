@@ -402,16 +402,49 @@ def test_rb_failed_write_leaves_no_outputs(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_rb_outputs_sharing_one_path_leave_no_temporaries(tmp_path):
-    """The summary is written last, as when each file was written in turn."""
-    out = str(tmp_path / "rb.out")
+def _rb_exit(tmp_path, capsys, **paths):
+    """The rb exit code on a small config with the given output paths,
+    checked to end without a traceback."""
     cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
-           "n_seeds": 1, "rng_seed": 0, "csv_path": out, "summary_path": out}
+           "n_seeds": 1, "rng_seed": 0, **paths}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert run_cli(["rb", "--config", str(cfg_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rb.out"]
-    assert json.loads((tmp_path / "rb.out").read_text())["scheme"] == "minimal"
+    code = run_cli(["rb", "--config", str(cfg_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+def test_rb_outputs_sharing_one_path_leave_no_temporaries(tmp_path, capsys, monkeypatch):
+    """Two outputs to one file are a validation error, however the path is
+    spelled, and nothing is written: the summary no longer replaces the
+    CSV."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for second in ("rb.out", "./rb.out", "sub/../rb.out", str(tmp_path / "rb.out")):
+        assert _rb_exit(tmp_path, capsys, csv_path="rb.out", summary_path=second) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+        assert not any((tmp_path / "sub").iterdir())
+
+
+@pytest.mark.parametrize("paths", [{"csv_path": 5}, {"summary_path": ["s.json"]},
+                                   {"csv_path": True}, {"summary_path": {"a": 1}}])
+def test_rb_output_path_must_be_a_string(tmp_path, capsys, monkeypatch, paths):
+    """A path that is not a string (or null) is exit 3, names its key and
+    leaves no file, not even a temporary beside the target."""
+    monkeypatch.chdir(tmp_path)
+    assert _rb_exit(tmp_path, capsys, **paths) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_rb_null_output_paths_go_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, "csv_path": None, "summary_path": None}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", "cfg.json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("m,qubit,p0,p1\n") and '"scheme": "minimal"' in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("key", ["t1_ns", "slot_ns", "cross_ratio", "over_ratio"])

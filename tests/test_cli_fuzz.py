@@ -138,7 +138,7 @@ BAD_VALUES = st.sampled_from([DROP, None, True, "x", -1, 0, 1.5, math.nan, math.
                               -math.inf, [], {}])
 RB_TARGETS = ["qubits", "scheme", "m_values", "n_seeds", "rng_seed", "bogus",
               "qubit.t1_ns", "qubit.slot_ns", "qubit.cross_ratio", "qubit.over_ratio",
-              "qubit.bogus", "m_value"]
+              "qubit.bogus", "m_value", "csv_path", "summary_path"]
 
 QUBIT = st.fixed_dictionaries({}, optional={
     "t1_ns": st.one_of(st.floats(100.0, 2e4), st.sampled_from([None, "inf"])),

@@ -121,6 +121,15 @@ def test_exp_fit_rejects_errors_of_the_wrong_shape():
             fit_exp_offset(m, y, y_err)
 
 
+@pytest.mark.parametrize("y_err", [[math.inf] * 4, [0.1, math.nan, 0.1, 0.1],
+                                   [0.1, 0.1, -math.inf, 0.1]])
+def test_exp_fit_rejects_non_finite_errors(y_err):
+    """A non-finite error is rejected like a non-finite value, not turned
+    into a NaN offset or replaced by the largest error."""
+    with pytest.raises(ValueError, match="y_err must be finite"):
+        fit_exp_offset([1, 2, 4, 8], [1.0, 0.9, 0.8, 0.7], y_err)
+
+
 def test_exp_fit_evaluates_its_model():
     f = fit.ExpFit(amplitude=0.5, decay=0.9, offset=0.25, stderr=(0.0, 0.0, 0.0),
                    residual_rms=0.0)

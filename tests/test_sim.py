@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,14 +107,14 @@ def test_apply_pulse_rejects_a_negative_scale():
 def test_slot_table_matches_the_transfer_matrix_oracle(models):
     """Every slot matrix of a register, routed and stray, for each distinct
     model: lossless and damped qubits, zero ratios, other slot lengths."""
-    table = sim._slot_channels(models)
-    assert table.slots.shape == (len(set(models)), len(sim.SLOT_PULSES), 2, 4, 4)
+    kinds, slots = sim._slot_table(models)
+    assert slots.shape == (len(set(models)), len(sim.SLOT_PULSES), 2, 4, 4)
     for q, model in enumerate(models):
         for code, pulse in enumerate(sim.SLOT_PULSES):
             for routed, scale in enumerate((model.cross_ratio, model.over_ratio)):
                 want = slot_transfer_matrix(pulse and pulse.label, scale, model.slot_ns,
                                             model.t1_ns)
-                got = table.slots[table.kinds[q], code, routed]
+                got = slots[kinds[q], code, routed]
                 assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -128,7 +129,7 @@ def test_slot_table_pushes_one_stack_per_model(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(sim, name, counted)
     models = (QubitModel(t1_ns=9e3), QubitModel(over_ratio=1.1), QubitModel(t1_ns=9e3))
-    sim._SlotTable(models)
+    sim._slot_table.__wrapped__(models)
     assert calls == {"apply_pulse": 2 * 2 * len(sim.SLOT_PULSES), "relax": 2}
 
 
@@ -205,6 +206,14 @@ def test_minimal_scheme_single_qubit_only():
 def test_benchmark_rejects_empty_runs(models, m_values, n_seeds, match):
     with pytest.raises(ValueError, match=match):
         run_rb(models, "compiled", m_values, n_seeds, 0)
+
+
+@pytest.mark.parametrize("m_values", [[], (), np.array([], dtype=int)])
+def test_benchmark_rejects_no_sequence_lengths(m_values):
+    with pytest.raises(ValueError, match="at least one sequence length"):
+        run_rb([QubitModel(t1_ns=1e4)], "minimal", m_values, 1, 0)
+    with pytest.raises(ValueError, match="at least one sequence length"):
+        run_idle_crossdrive([QubitModel(t1_ns=1e4)] * 2, "minimal", m_values, 1, 0)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -303,118 +312,125 @@ def test_seventeen_qubits_match_slot_by_slot_oracle(scheme):
     assert _work(res) == WORK_COUNTS[f"17-{scheme}"]
 
 
+_README_QUBITS = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076), QubitModel(t1_ns=10_000.0)]
+_README_M = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800)
+_THREE = [_LOSSY, _LOSSLESS, _SLOW]
+
+# Runs on both sides of _benchmark's table choice: the README register,
+# three qubits at 8 and 16 seeds and single driven qubits draw every round
+# that exists (the every-round table); short runs and 8 compiled qubits
+# draw fewer (the per-run table).
+FROZEN_RUNS = [
+    *[(run_rb, scheme, _README_QUBITS, _README_M, 1, 7)
+      for scheme in ("sequential", "five-primitives", "five-primitives-symmetric", "compiled")],
+    *[(run_rb, scheme, _THREE, _README_M, 8, 3)
+      for scheme in ("sequential", "five-primitives-symmetric", "compiled")],
+    (run_rb, "five-primitives-symmetric", _THREE, _README_M, 16, 3),
+    (run_rb, "compiled", _README_QUBITS, (1, 4, 16), 2, 5),
+    (run_rb, "compiled", [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8,
+     (1, 2, 4, 8, 16, 32, 64, 128), 2, 11),
+    (run_rb, "minimal", [_LOSSY], (1, 8, 64), 2, 9),
+    (run_idle_crossdrive, "minimal", [_LOSSY, _SLOW], (1, 8, 64), 2, 9),
+    (run_idle_crossdrive, "five-primitives-symmetric", [_LOSSLESS, _LOSSY], (1, 8, 64), 2, 9),
+]
+
+# sha256 of p0, p0_stderr and the work counters of FROZEN_RUNS, as the
+# round memo on the slot table computed them.
+FROZEN_DIGEST = "390394e2b0bb524b10e76afdcc6ebee04838d974666996e0b627ccfa79753242"
+
+
+def test_benchmark_bytes_are_frozen():
+    h = hashlib.sha256()
+    for run, scheme, models, m_values, n_seeds, rng_seed in FROZEN_RUNS:
+        res = run(models, scheme, m_values, n_seeds, rng_seed)
+        for curve in res.curves:
+            h.update(curve.p0.tobytes())
+            h.update(curve.p0_stderr.tobytes())
+        h.update(np.array(_work(res), dtype=np.int64).tobytes())
+    assert h.hexdigest() == FROZEN_DIGEST
+
+
 def test_round_codes_do_not_wrap_at_the_word_boundary():
     """Two 17-qubit rounds whose base-24 codes differ by exactly 2^63 stay
     distinct: in one int64 word, doubled for the parity bit, both codes
-    would be 0."""
+    would be 0, but a round's key is its parity and ids, one row each."""
     digits = [2**63 // 24**i % 24 for i in range(14)]
     a = [d + 1 for d in digits] + [1] * 3
     b = [1] * 17
-    firsts, inverse, codes = sim._distinct_rounds(np.array([a, b, a, b]),
-                                                  np.zeros(4, np.int64))
+    ids = np.array([a, b, a, b])
+    firsts, inverse = sim._unique_columns(np.vstack([np.zeros(4, np.int64), ids.T]))
     assert sorted(firsts.tolist()) == [0, 1]
     assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
-    assert len(set(codes)) == 2 and all(len(code) == 2 for code in codes)
-
-
-def _assert_memo_holds_rows(table, slot_counts):
-    """Every round memo entry is the round's bank rows, one int per qubit of
-    the register, and its slot count, one of slot_counts; no channel
-    array."""
-    for memo in table.memo.values():
-        index = np.fromiter(memo.values(), np.intp, len(memo))
-        rows, n_slots = table.round_rows[index], table.round_slots[index]
-        assert rows.dtype == np.intp and rows.shape == (len(memo), len(table.kinds))
-        assert rows.min() >= 0 and rows.max() < len(table)
-        assert n_slots.dtype == np.int64 and set(n_slots.tolist()) <= set(slot_counts)
 
 
 def test_qubit_channel_cache_grows_by_signature_not_by_round():
-    """A second wide run on a fresh seed meets almost only new combinations,
-    each a miss of the round memo, but most of its per-qubit slot
-    signatures are already built."""
+    """On 8 compiled qubits nearly every round is a new combination, but
+    their qubits share few slot signatures, so far fewer channels are built
+    than there are qubit rounds."""
     models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
     m_values = (1, 2, 4, 8, 16, 32, 64, 128)
-    sim._slot_channels.cache_clear()
-    first = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=11)
-    table = sim._slot_channels(tuple(models))
-    assert len(table) == first.qubit_channels
-    assert table.n_rounds == first.distinct_rounds
-    second = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=12)
-    new_rounds = table.n_rounds - first.distinct_rounds  # the second run's misses
-    new_signatures = len(table) - first.qubit_channels
-    assert new_rounds >= 0.95 * second.distinct_rounds
-    assert 0 < new_signatures < new_rounds / 2
-    assert second.qubit_channels <= second.distinct_rounds * len(models)
-    _assert_memo_holds_rows(table, range(1, 6))
+    for rng_seed in (11, 12):
+        res = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=rng_seed)
+        assert res.distinct_rounds >= 0.95 * res.rounds
+        assert 0 < res.qubit_channels < res.distinct_rounds * len(models) / 2
 
 
-def test_work_counters_match_a_fresh_round_cache():
-    """distinct_rounds is what the round memo builds when it starts empty:
-    the pass looks up each distinct round once per run, so a fresh table
-    misses every one and a repeated run hits every one."""
-    models = [_LOSSY, _LOSSLESS]
-    sim._slot_channels.cache_clear()
-    res = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
-                 rng_seed=5)
-    table = sim._slot_channels(tuple(models))
-    memo = table.memo["five-primitives-symmetric", 2]
-    assert len(memo) == table.n_rounds == res.distinct_rounds  # no hits, all misses
-    assert res.rounds == 2 * (2 + 5 + 17 + 65)
-    assert res.slots == 5 * res.rounds
-    again = run_rb(models, "five-primitives-symmetric", (1, 4, 16, 64), n_seeds=2,
-                   rng_seed=5)
-    assert table.n_rounds == res.distinct_rounds  # every lookup a hit
-    assert again.distinct_rounds == res.distinct_rounds
-    assert {code & 1 for code in memo} == {0, 1}  # both parities, keyed apart
-    _assert_memo_holds_rows(table, {5})
+@pytest.mark.parametrize("scheme", ["sequential", "five-primitives",
+                                    "five-primitives-symmetric", "compiled"])
+def test_every_round_table_matches_rounds_built_alone(scheme):
+    """The every-round table gives a run's rounds the channels and slot
+    counts that building only those rounds gives, bit for bit, with an
+    undriven third qubit."""
+    models = (_LOSSY, _SLOW, _LOSSLESS)
+    rng = np.random.default_rng(3)
+    ids = rng.integers(1, 25, size=(300, 2))
+    parity = np.zeros(300, int)
+    if scheme == "five-primitives-symmetric":
+        parity = rng.integers(0, 2, 300)
+    rows, channels, n_slots = sim._every_round(models, scheme, 2)
+    index = parity * 24**2 + (ids - 1) @ [1, 24]
+    alone_rows, alone_channels, alone_slots = sim._round_channels(models, scheme, ids, parity)
+    assert channels[rows[index]].tobytes() == alone_channels[alone_rows].tobytes()
+    assert n_slots[index].tobytes() == alone_slots.tobytes()
+    assert not any(array.flags.writeable for array in (rows, channels, n_slots))
 
 
-def test_evicted_slot_tables_are_freed():
-    """Each round memo lives on its slot table, so a scan over more model
-    tuples than the table cache holds (64) keeps no evicted table alive."""
-    for k in range(80):
-        run_rb([QubitModel(t1_ns=5_000.0 + k)], "compiled", (1, 2), n_seeds=1, rng_seed=k)
+def test_benchmark_builds_every_round_only_when_it_draws_as_many(monkeypatch):
+    """A run that draws at least as many rounds as exist builds all of them
+    once; a shorter one builds only its distinct rounds."""
+    built = []
+
+    def counted(models, scheme, ids, parity, _f=sim._round_channels):
+        built.append(len(ids))
+        return _f(models, scheme, ids, parity)
+    monkeypatch.setattr(sim, "_round_channels", counted)
+    sim._every_round.cache_clear()
+    models = [_LOSSY, _SLOW]
+    run_rb(models, "five-primitives-symmetric", (1, 4, 16), 2, 5)
+    short = run_rb(models, "five-primitives-symmetric", (1, 4, 16), 2, 5)
+    readme = run_rb(models, "five-primitives-symmetric", _README_M, 1, 5)
+    run_rb(models, "five-primitives-symmetric", _README_M, 1, 6)
+    assert built == [short.distinct_rounds, short.distinct_rounds, 2 * 24**2]
+    assert readme.rounds >= 2 * 24**2 > readme.distinct_rounds
+
+
+def test_wide_runs_retain_no_state():
+    """Runs on fresh seeds keep nothing once they return: a run's rounds
+    are built for it alone unless it draws every round that exists."""
+    models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
+    m_values = (1, 2, 4, 8, 16, 32, 64, 128)
+    run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=0)
     gc.collect()
-    alive = sum(isinstance(o, sim._SlotTable) for o in gc.get_objects())
-    assert alive <= 64
-
-
-def test_round_memo_starts_over_at_its_limit(monkeypatch):
-    """A table's round memo is emptied once it holds more rounds than its
-    limit, which changes no output."""
-    models = [_LOSSY, _LOSSLESS]
-    args = ("compiled", (1, 4, 16), 2)
-    want = [run_rb(models, *args, rng_seed=s) for s in (3, 4)]
-    monkeypatch.setattr(sim, "_ROUND_MEMO_LIMIT", 10)
-    sim._slot_channels.cache_clear()
-    table = sim._slot_channels(tuple(models))
-    for res in want:
-        got = run_rb(models, *args, rng_seed=res.rng_seed)
-        assert table.n_rounds == got.distinct_rounds > 10  # the memo started over
-        assert _work(got) == _work(res)
-        assert all(np.array_equal(a.p0, b.p0) for a, b in zip(got.curves, res.curves))
-
-
-def test_slot_table_starts_over_with_its_memo(monkeypatch):
-    """On a sequential register nearly every qubit of every round is a new
-    slot signature.  Past the limit the round memo and the signature bank
-    start over together, so the table stays bounded, and no output or work
-    counter changes."""
-    models = [_LOSSY, _LOSSLESS, _SLOW] * 2
-    args = ("sequential", (1, 4, 16), 2)
-    want = [run_rb(models, *args, rng_seed=s) for s in range(3, 8)]
-    monkeypatch.setattr(sim, "_ROUND_MEMO_LIMIT", 50)
-    sim._slot_channels.cache_clear()
-    table = sim._slot_channels(tuple(models))
-    for res in want:
-        got = run_rb(models, *args, rng_seed=res.rng_seed)
-        # Each run starts over: it holds only its own rounds and signatures.
-        assert (table.n_rounds, len(table)) == (got.distinct_rounds, got.qubit_channels)
-        assert len(table) > 50 and len(table.bank) <= 2 * (50 + len(table))
-        _assert_memo_holds_rows(table, range(19))
-        assert _work(got) == _work(res)
-        assert all(np.array_equal(a.p0, b.p0) for a, b in zip(got.curves, res.curves))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rng_seed in range(1, 21):
+            run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=rng_seed)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1e6
 
 
 def test_twenty_four_sequential_qubits_match_slot_by_slot_oracle():
