@@ -17,8 +17,9 @@ endings, floats with 9 significant digits.
 Each command returns its outputs as (path, text) pairs; `main` alone
 writes them, all or none.  Exit codes: 0 success, 2 usage errors, 3 any
 ValueError (an input the library or the checks here reject, or an
-unwritable output), 4 only the numerical failures raised as NumericalError
-(schedule verification, the `rb` decay fits, the `leakfit` fit).
+unwritable output) and any MemoryError (an input too large for memory),
+4 only the numerical failures raised as NumericalError (schedule
+verification, the `rb` decay fits, the `leakfit` fit).
 
 The argument parser is built once per process, on the first call of `main`
 (not at import), and reused: parsing makes a fresh namespace each call and
@@ -248,6 +249,10 @@ def cmd_rb(args) -> list:
                     raise NumericalError(
                         f"qubit {q}: decay fit amplitude ended on its bound "
                         f"({f.amplitude:g}), so these lengths do not determine the decay")
+                if not all(map(math.isfinite, f.stderr)):
+                    raise NumericalError(
+                        f"qubit {q}: decay fit standard errors are not finite, "
+                        f"so these lengths do not determine the decay")
                 fc = fit.fidelity_from_decay(f.decay)
                 sigma_fc = f.stderr[1] / 2.0
                 entry.update(
@@ -436,6 +441,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print("error: the input is too large for memory", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

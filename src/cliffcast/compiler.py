@@ -36,23 +36,22 @@ its one I pulse; it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
 
 Optimal search
 --------------
-One train table answers every shortest-cover question.  It is built in
-one pass over `decomp.sequence_products`: every pulse train of 1..4 basis
-pulses, in ascending length and then sequence order, with the Clifford
-fired by each subset of the train and the train's slot codes, then the
-normal five-primitive round and the empty round.  The complements of the
-trains' target masks, distinct, in order of their first train and
-without those an earlier one dominates (149 of 375), are the columns of
-one scan (`_first_columns`, 64 target masks at a time): a mask's first
-column that misses no target belongs to its first cover, the shortest and
-then lexicographically first train that fires every target.  A first
-column of -1 stands for the all-identity round (only mask 0 misses
-nothing of it), and a last column of 0 for the five-primitive round,
-which realizes any combination, so a combination costs at most 5.  Cost
-queries (`min_broadcast_pulses`, the sampled census) read the column's
-train length; plan queries read the train's slot codes and, for each
-qubit, the first subset in binary counting whose product is its target,
-from the same table.  A cost depends only on the set of distinct
+One cover table answers every shortest-cover question.  It is read from
+`decomp.train_products`, every pulse train of 1..4 basis pulses in
+ascending length and then sequence order, with the Clifford fired by each
+subset of the train.  Its columns are the complements of the trains'
+target masks, distinct, in order of their first train and without those
+an earlier one dominates (149 of 375), each with its train's length and
+slot codes and, for each Clifford, the train's first subset in binary
+counting whose product it is.  One scan (`_first_columns`, 64 target
+masks at a time) finds a mask's first column that misses no target: the
+column of its first cover, the shortest and then lexicographically first
+train that fires every target.  A first column of -1 stands for the
+all-identity round (only mask 0 misses nothing of it), and a last column
+of 0 for the five-primitive round, which realizes any combination, so a
+combination costs at most 5.  Cost queries (`min_broadcast_pulses`, the
+sampled census) read the column's length, plan queries its slot codes
+and firing subsets.  A cost depends only on the set of distinct
 non-identity targets, so the exact census reads `CENSUS_COUNTS`, the
 number of sets of each size at each cost, and weights each size by
 surjection counts instead of enumerating the 24^n combinations.
@@ -101,7 +100,7 @@ from .clifford import (
     chain_product,
     pulse_unitary,
 )
-from .decomp import SEARCH_BASIS, sequence_products
+from .decomp import MAX_PULSES, SEARCH_BASIS, train_products
 
 SCHEME_SEQUENTIAL = "sequential"
 SCHEME_FIVE = "five-primitives"
@@ -285,11 +284,9 @@ def _compiled_plans(ids) -> tuple:
     pulses covers take the normal five-primitive round.  Every slot is fired,
     or the train without it would be a shorter cover (X-180, Y-180 being
     X180, Y180 up to phase, for the five-primitive round)."""
-    _, lengths, rows = _cost_columns()
-    _, codes_table, fired_table = _train_table()
+    _, lengths, codes, fired = _cover_table()
     columns = _first_columns(_target_masks(ids))
-    train = rows[columns]
-    return codes_table[train], fired_table[train[:, None], ids], lengths[columns]
+    return codes[columns], fired[columns[:, None], ids], lengths[columns]
 
 
 def round_plans(ids, scheme: str, parity=0) -> tuple:
@@ -337,7 +334,7 @@ def _schedule(combo, scheme: str, parity: int = 0) -> Schedule:
     return Schedule(n_qubits=len(combo), scheme=scheme, events=events, n_slots=int(n_slots[0]))
 
 
-# --- the train table for the optimal search --------------------------------
+# --- the cover table for the optimal search --------------------------------
 
 # A target mask has bit c - 1 for each non-identity Clifford id c; id 0 is padding.
 _TARGET_BITS = np.array([0, 0, *(1 << (c - 1) for c in range(2, 25))])
@@ -349,63 +346,41 @@ def _target_masks(ids) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _train_table():
-    """(products, codes, fired) of every train of 1..4 basis pulses, in
-    ascending length and then sequence order (decomp.sequence_products),
-    then the normal five-primitive round and the empty round.  products[t]
-    are the Cliffords fired by the subsets of train t, subset code - 1,
-    padded with 0 (the trains only); codes[t] are the row's slot codes,
-    padded with empty slots; fired[t, c] are the slots of the first subset,
-    in binary counting, of row t whose product is Clifford c (none for the
-    identity and where no subset fires c)."""
-    blocks = [sequence_products(n) for n in range(1, 5)]
-    trains = sum(map(len, blocks))
-    prods = np.zeros((trains, 15), dtype=np.int64)
-    codes = np.zeros((trains + 2, FIVE_PRIMITIVES_BOUND), dtype=np.int64)
-    basis = np.array(_slot_codes(SEARCH_BASIS))
-    start = 0
-    for n, block in enumerate(blocks, start=1):
-        seqs, products = zip(*block)
-        prods[start:start + len(block), :(1 << n) - 1] = products
-        codes[start:start + len(block), :n] = basis[np.array(seqs)]
-        start += len(block)
-    subsets = np.zeros((trains + 2, 25, 1), dtype=np.uint8)
-    t = np.arange(trains)
-    for k in reversed(range(15)):  # the first subset is written last
-        subsets[t, prods[:, k]] = k + 1
-    subsets[:, :2] = 0  # column 0 took the padding; the identity fires nothing
-    fired = np.unpackbits(subsets, axis=2, count=FIVE_PRIMITIVES_BOUND,
-                          bitorder="little").view(bool)
-    fired[trains] = _FIVE_FIRED[0]
-    codes[trains] = _FIVE_CODES[0]
-    return prods, codes, fired
-
-
-@lru_cache(maxsize=1)
-def _cost_columns():
-    """(columns, lengths, rows): the distinct uncovered masks of the train
-    table's trains (each the complement of its target mask), in order of
-    their first train, with that train's length (the shortest with that
-    mask, read from its slot codes) and its row of _train_table.  A first
-    column of -1 misses a target of every mask but 0, the all-identity
-    round (length 0, the table's last row), and a last column of 0, which
-    every mask hits, is the five-primitive round (length 5, the row after
-    the trains).
+def _cover_table():
+    """(columns, lengths, codes, fired), read-only, of the cover columns:
+    the distinct uncovered masks of the trains of decomp.train_products
+    (each the complement of its target mask), in order of their first
+    train, with that train's length, its slot codes, padded with empty
+    slots, and fired[col, c], the slots of the train's first subset, in
+    binary counting, whose product is Clifford c (none for the identity
+    and where no subset fires c).  A first column of -1 misses a target of
+    every mask but 0: the all-identity round, of no slot.  A last column
+    of 0, which every mask hits, is the normal five-primitive round.
 
     A column whose targets an earlier column all covers (its uncovered mask
     a superset of the earlier one's) is never the first that misses
     nothing, so it is left out: 149 of the 375 masks stay."""
-    prods, codes, _ = _train_table()
+    trains, prods = train_products()
     first: dict[int, int] = {}
     for t, complement in enumerate((~_target_masks(prods)).tolist()):
         first.setdefault(complement, t)
-    kept = {-1: len(prods) + 1}  # uncovered mask -> row of _train_table
+    kept: dict[int, int] = {}  # uncovered mask -> train
     for complement, t in first.items():
         if all(earlier & ~complement for earlier in kept):
             kept[complement] = t
-    kept[0] = len(prods)
     rows = np.array(list(kept.values()))
-    return np.array(list(kept)), np.count_nonzero(codes[rows], axis=1), rows
+    codes = np.zeros((len(rows) + 2, FIVE_PRIMITIVES_BOUND), dtype=np.int64)
+    codes[1:-1, :MAX_PULSES] = np.array([*_slot_codes(SEARCH_BASIS), 0])[trains[rows]]
+    codes[-1] = _FIVE_CODES[0]
+    hit = prods[rows, :, None] == np.arange(2, 25)  # (train, subset code - 1, Clifford - 2)
+    subset = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)  # the first, or none
+    fired = np.zeros((len(codes), 25, FIVE_PRIMITIVES_BOUND), dtype=bool)
+    fired[1:-1, 2:] = subset[..., None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1
+    fired[-1] = _FIVE_FIRED[0]
+    table = np.array([-1, *kept, 0]), np.count_nonzero(codes, axis=1), codes, fired
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 # Rows scanned per step: a 64 x 151 int64 temporary is 77 KB.
@@ -413,11 +388,11 @@ _COST_CHUNK = 64
 
 
 def _first_columns(masks) -> np.ndarray:
-    """Index of each target mask's first column of _cost_columns that
+    """Index of each target mask's first column of _cover_table that
     misses no target (a zero, the least value): the column of its first
     cover, the first column for mask 0, or the last column when no train
     of four pulses covers it."""
-    cols = _cost_columns()[0]
+    cols = _cover_table()[0]
     masks = np.asarray(masks, dtype=np.int64)[:, None]
     return np.concatenate([(masks[s:s + _COST_CHUNK] & cols).argmin(axis=1)
                            for s in range(0, len(masks) or 1, _COST_CHUNK)])  # >= 1 chunk
@@ -426,7 +401,7 @@ def _first_columns(masks) -> np.ndarray:
 def _mask_costs(masks) -> np.ndarray:
     """Length of each target mask's first cover: 0 for no target, and 5
     (the five-primitive round) when no train of four pulses covers it."""
-    return _cost_columns()[1][_first_columns(masks)]
+    return _cover_table()[1][_first_columns(masks)]
 
 
 def min_broadcast_pulses(combo) -> int:

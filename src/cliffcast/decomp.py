@@ -21,9 +21,10 @@ scheduling convention handled by the compiler, not a search symbol).
 
 Optimal search
 --------------
-`sequence_products` is the one walk over the basis sequences: the Clifford
-fired by every subset of every train.  The decompositions and the
-compiler's train table (its covers and per-qubit firing choices) are both
+`train_products` is the one walk over the basis sequences: every train of
+1..4 basis pulses as a row of basis indices, with the Clifford fired by
+each subset of it, as two read-only arrays.  The decompositions and the
+compiler's cover table (its covers and per-qubit firing choices) are both
 read from it.
 """
 
@@ -62,36 +63,44 @@ class Decomposition:
         return len(self.pulses)
 
 
-@lru_cache(maxsize=MAX_PULSES)
-def sequence_products(length: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every basis-index sequence of the given length, in itertools.product
-    order, paired with the Clifford fired by each non-empty subset of its
-    positions: entry code - 1 is the ordered product of the positions whose
-    bit is set in code (bit k = position k), so the last entry is the whole
+@lru_cache(maxsize=1)
+def train_products() -> tuple[np.ndarray, np.ndarray]:
+    """(trains, prods), read-only, of every train of 1..MAX_PULSES basis
+    pulses, in ascending length and then itertools.product order.
+    trains[t] are the basis indices of train t, -1 past its end;
+    prods[t, code - 1] is the ordered product of the positions whose bit
+    is set in code (bit k = position k), so code 2**len - 1 is the whole
     train.  Each code extends the code without its top bit by the top
-    pulse, one compose-table gather over all sequences per code."""
-    seqs = list(itertools.product(range(len(SEARCH_BASIS)), repeat=length))
-    basis = np.array([pulse_clifford_map()[p] for p in SEARCH_BASIS])
-    pulses = basis[np.array(seqs, dtype=np.intp)]
-    prods = np.ones((len(seqs), 1 << length), dtype=_COMPOSE_TABLE.dtype)
-    for code in range(1, 1 << length):
+    pulse, one compose-table gather over all trains per code; a padded
+    position is Clifford 0, which the compose table maps to 0, so a subset
+    reaching past a train's end fires 0."""
+    trains = np.array([seq + (-1,) * (MAX_PULSES - n) for n in range(1, MAX_PULSES + 1)
+                       for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=n)])
+    pulses = np.array([*(pulse_clifford_map()[p] for p in SEARCH_BASIS), 0])[trains]
+    prods = np.ones((len(trains), 1 << MAX_PULSES), dtype=_COMPOSE_TABLE.dtype)
+    for code in range(1, 1 << MAX_PULSES):
         top = code.bit_length() - 1
         prods[:, code] = _COMPOSE_TABLE[prods[:, code ^ (1 << top)], pulses[:, top]]
-    return tuple(zip(seqs, (tuple(row.tolist()) for row in prods[:, 1:])))
+    prods = prods[:, 1:]
+    trains.setflags(write=False)
+    prods.setflags(write=False)
+    return trains, prods
 
 
 @lru_cache(maxsize=1)
 def _all_decompositions() -> dict[int, list[tuple[Pulse, ...]]]:
     """Lengths 0..MAX_PULSES, grouped by Clifford, ascending length then
     lexicographic by basis order.  A train is dropped when some adjacent
-    pair of its pulses (subset code 3 << i) fires the identity."""
+    pair of its pulses (subset code 3 << i) fires the identity; a pair
+    reaching past the train's end fires 0."""
+    trains, prods = train_products()
+    lengths = np.count_nonzero(trains >= 0, axis=1)
+    whole = prods[np.arange(len(prods)), (1 << lengths) - 2]
+    kept = (prods[:, [(3 << i) - 1 for i in range(MAX_PULSES - 1)]] != 1).all(axis=1)
     table: dict[int, list[tuple[Pulse, ...]]] = {c: [] for c in range(1, 25)}
     table[1].append(())
-    for length in range(1, MAX_PULSES + 1):
-        for seq, prods in sequence_products(length):
-            if any(prods[(3 << i) - 1] == 1 for i in range(length - 1)):
-                continue
-            table[prods[-1]].append(tuple(SEARCH_BASIS[i] for i in seq))
+    for seq, c in zip(trains[kept].tolist(), whole[kept].tolist()):
+        table[c].append(tuple(SEARCH_BASIS[i] for i in seq if i >= 0))
     return table
 
 

@@ -15,10 +15,12 @@ cost.
 
 first_cover and plan_round plan one round at a time, the reference for
 the batched planner (compiler.round_plans): one argmin over every train of
-1..4 basis pulses, listed from decomp.sequence_products, finds a round's
-first cover, and each qubit's firing and each slot's pulse are read from
-that train one at a time.  first_cover is also the per-mask reference of
-the batched cost query.
+1..4 basis pulses, listed with itertools.product and each subset's
+Clifford computed from its pulses' unitaries (not from
+decomp.train_products), finds a round's first cover, and each qubit's
+firing and each slot's pulse are read from that train one at a time.
+first_cover is also the per-mask reference of the batched cost query and
+of the compiler's cover table.
 
 first_firing computes a compiled round from pulse unitaries alone: the
 first train of a given length (lexicographic over the search basis) whose
@@ -96,7 +98,7 @@ from cliffcast.clifford import (
     recovery_clifford,
     sequence_unitary,
 )
-from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions, sequence_products
+from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -170,20 +172,21 @@ def first_firing(combo, length: int):
 
 @lru_cache(maxsize=1)
 def _cover_trains() -> tuple:
-    """(trains, uncovered): every train (sequence, products) of 1..4 basis
-    pulses from decomp.sequence_products, in ascending length and then
-    sequence order, and the bits of the non-identity Cliffords each one
-    cannot fire, as an int64 array."""
-    trains = [train for n in range(1, 5) for train in sequence_products(n)]
+    """(trains, uncovered): every train (pulses, subset Cliffords) of 1..4
+    basis pulses, in ascending length and then itertools.product order,
+    and the bits of the non-identity Cliffords each one cannot fire, as an
+    int64 array."""
+    trains = [(train, _subset_cliffords(train)) for n in range(1, 5)
+              for train in itertools.product(SEARCH_BASIS, repeat=n)]
     every = sum(1 << (c - 1) for c in range(2, 25))
     uncovered = [every & ~sum({1 << (c - 1) for c in prods}) for _, prods in trains]
     return trains, np.array(uncovered, dtype=np.int64)
 
 
 def first_cover(mask: int) -> tuple | None:
-    """The first train (sequence, products) of 1..4 basis pulses that misses
-    none of the targets in the mask: the shortest and, among those, the
-    lexicographically first cover.  None when no train of four pulses
+    """The first train (pulses, subset Cliffords) of 1..4 basis pulses that
+    misses none of the targets in the mask: the shortest and, among those,
+    the lexicographically first cover.  None when no train of four pulses
     covers the mask."""
     trains, uncovered = _cover_trains()
     missed = uncovered & mask  # the targets each train cannot fire
@@ -219,9 +222,9 @@ def plan_round(combo, scheme: str, parity: int = 0) -> tuple:
     cover = first_cover(mask)
     if cover is None:
         return five(False)
-    seq, prods = cover
+    train, prods = cover
     fires = tuple(0 if c == 1 else prods.index(c) + 1 for c in combo)
-    return emitted([SEARCH_BASIS[i] for i in seq], fires), fires
+    return emitted(train, fires), fires
 
 
 def derive_inverted_masks() -> dict[int, tuple[int, ...]]:

@@ -15,6 +15,7 @@ from cliffcast.clifford import (
     sequence_unitary,
 )
 from oracles import equal_up_to_phase, exact_census
+from test_cli_fuzz import BAD_VALUES, RB_TARGETS, _mutate, _run, rb_summary
 
 
 def run_cli(args):
@@ -444,6 +445,58 @@ def test_rb_null_output_paths_go_to_stdout(tmp_path, capsys, monkeypatch):
     assert run_cli(["rb", "--config", "cfg.json"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("m,qubit,p0,p1\n") and '"scheme": "minimal"' in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_rb_singular_fit_is_numerical_failure(tmp_path, capsys):
+    """Four copies of one length leave the decay undetermined: the fit's
+    standard errors are not finite, so the run is exit 4 and writes
+    nothing (before: exit 0 with a NaN clifford_fidelity_stderr)."""
+    cfg = {"qubits": [{"t1_ns": 10000}], "scheme": "minimal", "m_values": [5, 5, 5, 5],
+           "n_seeds": 3, "rng_seed": 1, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: qubit 0: decay fit standard errors")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("target", RB_TARGETS)
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+def test_rb_every_bad_config_value(tmp_path, monkeypatch, target, value):
+    """Each value the rb fuzz draws as invalid, put into each field it
+    targets of one small valid config: exit 0, 3 or 4, no traceback, no
+    temporary, no output file unless the run succeeds, and then a summary
+    of strict JSON."""
+    monkeypatch.chdir(tmp_path)  # relative output paths land here
+    cfg = {"qubits": [{"t1_ns": 10000, "cross_ratio": 0.0076}, {}], "scheme": "compiled",
+           "m_values": [1, 2, 4, 8], "n_seeds": 2, "rng_seed": 3,
+           "csv_path": "rb.csv", "summary_path": "rb.json"}
+    _mutate(cfg, target, value)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, stdout, _ = _run(["rb", "--config", "cfg.json"], str(tmp_path))
+    assert code in (0, 3, 4)
+    if code == 0:
+        rb_summary(cfg, stdout)
+
+
+# Sizes whose arrays exceed 128 TiB, past any address space, so allocation
+# fails at once whatever the overcommit setting.
+@pytest.mark.parametrize("args", [
+    ["stats", "--n", "8", "--samples", "3000000000000"],
+    ["swap", "--j-khz", "36", "--points", "100000000000000"],
+    ["calib", "--over", "1.01", "--n-max", "100000000000000"],
+    ["rb", "--config", "cfg.json", "-o", "rb.csv"],
+])
+def test_input_too_large_for_memory_is_validation_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [100_000_000_000_000],
+           "n_seeds": 1, "rng_seed": 0}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(args) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the input is too large for memory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -134,8 +134,7 @@ def test_fuzz_stats(n, exact, samples, seed, csv, output):
 
 # Values no config field accepts; DROP removes the field instead.
 DROP = object()
-BAD_VALUES = st.sampled_from([DROP, None, True, "x", -1, 0, 1.5, math.nan, math.inf,
-                              -math.inf, [], {}])
+BAD_VALUES = [DROP, None, True, "x", -1, 0, 1.5, math.nan, math.inf, -math.inf, [], {}]
 RB_TARGETS = ["qubits", "scheme", "m_values", "n_seeds", "rng_seed", "bogus",
               "qubit.t1_ns", "qubit.slot_ns", "qubit.cross_ratio", "qubit.over_ratio",
               "qubit.bogus", "m_value", "csv_path", "summary_path"]
@@ -173,7 +172,8 @@ def _mutate(cfg, target, value):
             "rng_seed": st.integers(0, 2**40)},
            optional={"csv_path": st.sampled_from(["out", "missing/out", "."]),
                      "summary_path": st.sampled_from(["summary", "missing/out"])}),
-       mutation=st.one_of(st.none(), st.tuples(st.sampled_from(RB_TARGETS), BAD_VALUES)),
+       mutation=st.one_of(st.none(), st.tuples(st.sampled_from(RB_TARGETS),
+                                               st.sampled_from(BAD_VALUES))),
        text=st.sampled_from([None, None, None, "{", "[]"]),
        output=OUTPUTS)
 def test_fuzz_rb(cfg, mutation, text, output):
@@ -186,7 +186,18 @@ def test_fuzz_rb(cfg, mutation, text, output):
         path = os.path.join(d, "cfg.json")
         with open(path, "w") as f:
             f.write(json.dumps(cfg) if text is None else text)
-        _run(["rb", "--config", path] + _output_args(output), d)
+        code, stdout, _ = _run(["rb", "--config", path] + _output_args(output), d)
+        if code == 0:
+            rb_summary(cfg, stdout)
+
+
+def rb_summary(cfg, stdout):
+    """The summary of an rb run that succeeded, parsed as strict JSON: from
+    its summary_path, else from stdout, where it follows any CSV."""
+    if cfg.get("summary_path") is None:
+        return json.loads(stdout[stdout.index("{"):], parse_constant=_reject_constant)
+    with open(cfg["summary_path"]) as f:
+        return json.load(f, parse_constant=_reject_constant)
 
 
 @_reaching(0, 2, 3)

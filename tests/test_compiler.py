@@ -29,10 +29,10 @@ from cliffcast.compiler import (
     min_broadcast_pulses,
     SLOT_PULSES,
     round_plans,
-    _cost_columns,
+    _cover_table,
     _mask_costs,
 )
-from cliffcast.decomp import sequence_products
+from cliffcast.decomp import train_products
 from oracles import (
     _census_cost_counts,
     brute_force_min_pulses,
@@ -203,12 +203,14 @@ def test_mean_np_exact_matches_oracle(n):
 
 
 def _length_tiers() -> dict[int, list[int]]:
-    """The trains' target masks (decomp.sequence_products, the non-identity
+    """The trains' target masks (decomp.train_products, the non-identity
     Cliffords each train fires) grouped by train length and pruned to
     the dominance-maximal ones: a set's cost is the shortest length whose
     tier holds a superset of it."""
-    masks = {n: {sum({1 << (c - 1) for c in prods if c != 1})
-                 for _, prods in sequence_products(n)} for n in range(1, 5)}
+    trains, prods = train_products()
+    masks = {n: set() for n in range(1, 5)}
+    for seq, row in zip(trains.tolist(), prods.tolist()):
+        masks[4 - seq.count(-1)].add(sum({1 << (c - 1) for c in row if c > 1}))
     tiers = {n: [] for n in masks}
     for n, found in masks.items():
         for bm in sorted(found, key=lambda b: -bin(b).count("1")):
@@ -319,7 +321,28 @@ def test_batched_cost_query_is_the_first_cover_length():
         assert costs.dtype == np.int64
         assert costs.tolist() == [_first_cover_cost(m) for m in masks], len(masks)
     assert {_first_cover_cost(m) for m in pool[:129]} == {0, 1, 2, 3, 4, 5}
-    assert len(_cost_columns()[0]) == 2 + 149  # the undominated masks and two sentinels
+    assert len(_cover_table()[0]) == 2 + 149  # the undominated masks and two sentinels
+
+
+def test_cover_columns_are_their_first_covers():
+    """Both cached tables are read-only, and each cover column but the two
+    sentinels is the uncovered mask of the oracle's first cover of the
+    targets it covers, with that train's length, slot codes and, for each
+    Clifford, first firing subset in binary counting."""
+    columns, lengths, codes, fired = table = _cover_table()
+    for array in (*train_products(), *table):
+        assert not array.flags.writeable
+    assert columns[0] == -1 and columns[-1] == 0 and lengths[[0, -1]].tolist() == [0, 5]
+    assert not codes[0].any() and not fired[0].any() and not fired[:, 1].any()
+    every = sum(1 << (c - 1) for c in range(2, 25))
+    for col, column in enumerate(columns[1:-1].tolist(), start=1):
+        train, cliffs = first_cover(~column & every)
+        assert column == ~sum({1 << (c - 1) for c in cliffs if c != 1}), col
+        assert lengths[col] == len(train)
+        assert [SLOT_PULSES[c] for c in codes[col]] == [*train, *[None] * (5 - len(train))]
+        for c in range(2, 25):
+            code = cliffs.index(c) + 1 if c in cliffs else 0
+            assert fired[col, c].tolist() == [bool(code >> s & 1) for s in range(5)], (col, c)
 
 
 def test_mean_np_sampled_deterministic():
@@ -395,8 +418,8 @@ def test_slot_indices_strictly_increasing():
 
 # SHA-256 over compile_optimal(c).to_json() for the 24 one-qubit and 576
 # two-qubit combos, then 200 eight-qubit combos drawn from Philox seed 2015;
-# recorded before the coverage tables were derived from
-# decomp.sequence_products.
+# recorded before the coverage tables were derived from the decompositions'
+# train walk (now decomp.train_products).
 COMPILE_OPTIMAL_DIGEST = "83cdd70357528840e63feb6c37d4ead51a0f6ab276392eb2173e65aa87b1439b"
 
 

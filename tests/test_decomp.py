@@ -11,18 +11,27 @@ from cliffcast.decomp import (
     TOTAL_DECOMPOSITION_COUNT,
     decomposition_census,
     enumerate_decompositions,
-    sequence_products,
+    train_products,
 )
 from oracles import verify_decomposition
 
 
-# SHA-256 of repr([sequence_products(n) for n in 1..4]): every train and the
-# Clifford fired by each subset of it, as plain ints, frozen.
+# SHA-256 of repr(tables), tables[n - 1] holding, for each train of n basis
+# pulses in itertools.product order, its basis indices and the Clifford
+# fired by each non-empty subset of it (subset code - 1), as plain ints:
+# every train of train_products, frozen.
 SEQUENCE_PRODUCTS_DIGEST = "5e61af739923b567964bf01716bf392fb50fa3c65a66b317bedd60e3bce301de"
 
 
 def test_sequence_products_are_frozen():
-    tables = [sequence_products(n) for n in range(1, MAX_PULSES + 1)]
+    trains, prods = train_products()
+    lengths = np.count_nonzero(trains >= 0, axis=1)
+    assert (trains[np.arange(MAX_PULSES) >= lengths[:, None]] == -1).all()
+    assert (prods[np.arange(1, 16) >> lengths[:, None] != 0] == 0).all()  # past the end
+    tables = [tuple((tuple(seq[:n]), tuple(p[:(1 << n) - 1]))
+                    for seq, p in zip(trains[lengths == n].tolist(), prods[lengths == n].tolist()))
+              for n in range(1, MAX_PULSES + 1)]
+    assert lengths.tolist() == sorted(lengths.tolist())
     assert [len(t) for t in tables] == [6**n for n in range(1, MAX_PULSES + 1)]
     assert all(type(c) is int for _, prods in tables[-1] for c in prods)
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == SEQUENCE_PRODUCTS_DIGEST
