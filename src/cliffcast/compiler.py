@@ -43,18 +43,20 @@ subset of the train.  Its columns are the complements of the trains'
 target masks, distinct, in order of their first train and without those
 an earlier one dominates (149 of 375), each with its train's length and
 slot codes and, for each Clifford, the train's first subset in binary
-counting whose product it is.  One scan (`_first_columns`, 64 target
-masks at a time) finds a mask's first column that misses no target: the
-column of its first cover, the shortest and then lexicographically first
-train that fires every target.  A first column of -1 stands for the
-all-identity round (only mask 0 misses nothing of it), and a last column
-of 0 for the five-primitive round, which realizes any combination, so a
-combination costs at most 5.  Cost queries (`min_broadcast_pulses`, the
-sampled census) read the column's length, plan queries its slot codes
-and firing subsets.  A cost depends only on the set of distinct
-non-identity targets, so the exact census reads `CENSUS_COUNTS`, the
-number of sets of each size at each cost, and weights each size by
-surjection counts instead of enumerating the 24^n combinations.
+counting whose product it is.  One lookup (`_first_columns`) finds a
+mask's first column that misses no target, the column of its first
+cover (the shortest and then lexicographically first train that fires
+every target): the lowest bit set in both the row of its low 12 bits
+and the row of its high 12 bits of two bitset tables (`_half_tables`).
+A first column of -1 stands for the all-identity round (only mask 0
+misses nothing of it), and a last column of 0 for the five-primitive
+round, which realizes any combination, so a combination costs at most
+5.  Cost queries (`min_broadcast_pulses`, the sampled census) read the
+column's length, plan queries its slot codes and firing subsets.  A
+cost depends only on the set of distinct non-identity targets, so the
+exact census reads `CENSUS_COUNTS`, the number of sets of each size at
+each cost, and weights each size by surjection counts instead of
+enumerating the 24^n combinations.
 
 Verification
 ------------
@@ -383,19 +385,43 @@ def _cover_table():
     return table
 
 
-# Rows scanned per step: a 64 x 151 int64 temporary is 77 KB.
-_COST_CHUNK = 64
+_LOOKUP_BLOCK = 1 << 16  # masks per lookup step: about 3 MB of temporaries
+
+
+@lru_cache(maxsize=1)
+def _half_tables() -> tuple:
+    """(halves, first_bit), read-only.  halves[h, v] is the bitset, packed
+    little-endian into 19 bytes, of the _cover_table columns with no bit of
+    v among their bits 12h..12h + 11: row 0 holds every column, and row
+    v | 1 << b, for v < 1 << b, is row v less the columns with bit 12h + b.
+    first_bit[i, x] is 8 * i plus the lowest set bit of the byte x."""
+    columns = _cover_table()[0][:, None]
+    no_bit = np.packbits((columns >> np.arange(24) & 1) == 0, axis=0, bitorder="little").T
+    halves = np.packbits(np.ones((2, 1, len(columns)), dtype=bool), axis=2, bitorder="little")
+    for b in range(12):
+        halves = np.concatenate([halves, halves & no_bit[b::12, None]], axis=1)
+    lowest = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    first_bit = (8 * np.arange(halves.shape[2])[:, None] + lowest.argmax(axis=1)).astype(np.uint8)
+    halves.flags.writeable = first_bit.flags.writeable = False
+    return halves, first_bit
 
 
 def _first_columns(masks) -> np.ndarray:
     """Index of each target mask's first column of _cover_table that
-    misses no target (a zero, the least value): the column of its first
-    cover, the first column for mask 0, or the last column when no train
-    of four pulses covers it."""
-    cols = _cover_table()[0]
-    masks = np.asarray(masks, dtype=np.int64)[:, None]
-    return np.concatenate([(masks[s:s + _COST_CHUNK] & cols).argmin(axis=1)
-                           for s in range(0, len(masks) or 1, _COST_CHUNK)])  # >= 1 chunk
+    misses no target: the column of its first cover, the first column for
+    mask 0, or the last column when no train of four pulses covers it.
+    It is the lowest bit set in the rows of both 12-bit halves of the mask
+    (_half_tables); the last column, 0, is set in every row."""
+    (low, high), first_bit = _half_tables()
+    masks = np.asarray(masks, dtype=np.int64)
+    first = np.empty(len(masks), dtype=np.intp)
+    for s in range(0, len(masks), _LOOKUP_BLOCK):
+        block = masks[s:s + _LOOKUP_BLOCK]
+        covers = low.take(block & 0xFFF, axis=0)
+        covers &= high.take(block >> 12, axis=0)
+        byte = (covers != 0).argmax(axis=1)
+        first[s:s + _LOOKUP_BLOCK] = first_bit[byte, covers[np.arange(len(block)), byte]]
+    return first
 
 
 def _mask_costs(masks) -> np.ndarray:

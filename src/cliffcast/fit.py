@@ -215,14 +215,17 @@ def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
     optimum also where it lies on the box; at_bound names the parameters
     that ended there.  Standard errors come from the analytic Jacobian at
     the optimum.  Exactly flat data short-circuits to amplitude 0, decay 1.
+    Points are weighted by 1 / y_err, a zero error taking max(1, the
+    largest error): beside errors below 1, as p0 standard errors are, such
+    a point gets weight 1.  A negative error is a ValueError.
     """
     m, y = _curve(m_values, y_values)
     if y_err is not None:
         y_err = np.asarray(y_err, dtype=float)
         if y_err.shape != y.shape:
             raise ValueError("y_err must match y_values")
-        if not np.all(np.isfinite(y_err)):
-            raise ValueError("y_err must be finite")
+        if not np.all(np.isfinite(y_err) & (y_err >= 0)):
+            raise ValueError("y_err must be finite and not negative")
         y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
 
     if np.all(np.abs(y - y[0]) <= 1e-12):

@@ -20,7 +20,9 @@ Clifford computed from its pulses' unitaries (not from
 decomp.train_products), finds a round's first cover, and each qubit's
 firing and each slot's pulse are read from that train one at a time.
 first_cover is also the per-mask reference of the batched cost query and
-of the compiler's cover table.
+of the compiler's cover table.  first_columns_scan is the first-column
+query as one argmin over every cover column, the reference for the
+compiler's half-mask lookup.
 
 first_firing computes a compiled round from pulse unitaries alone: the
 first train of a given length (lexicographic over the search basis) whose
@@ -192,6 +194,16 @@ def first_cover(mask: int) -> tuple | None:
     missed = uncovered & mask  # the targets each train cannot fire
     first = int(missed.argmin())
     return None if missed[first] else trains[first]
+
+
+def first_columns_scan(masks, columns) -> np.ndarray:
+    """Index of each target mask's first column (an int64 array) that
+    misses no target, its AND with the mask being zero, by an argmin over
+    every column, 64 masks at a time (a 64 x 151 temporary is 77 KB): the
+    reference for compiler._first_columns on the cover table's columns."""
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    return np.concatenate([(masks[s:s + 64] & columns).argmin(axis=1)
+                           for s in range(0, len(masks) or 1, 64)])  # >= 1 chunk
 
 
 def plan_round(combo, scheme: str, parity: int = 0) -> tuple:

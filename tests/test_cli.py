@@ -481,6 +481,31 @@ def test_rb_every_bad_config_value(tmp_path, monkeypatch, target, value):
         rb_summary(cfg, stdout)
 
 
+# The invalid values that test_fuzz_stats and test_fuzz_compile draw.
+BAD_N, BAD_SAMPLES, BAD_SEEDS = ["-1", "0", "x"], ["-5", "50", "x"], ["-1", "x"]
+BAD_IDS = ["0", "25", "-3", "x", ""]
+STATS_CASES = ([["--n", n, "--exact"] for n in BAD_N]
+               + [["--n", n, "--samples", "300"] for n in BAD_N]
+               + [["--n", "3", "--samples", s] for s in BAD_SAMPLES]
+               + [["--n", "3", "--samples", "300", "--seed", s] for s in BAD_SEEDS])
+COMPILE_CASES = ([[f"2,13,{c}", "--scheme", "compiled"] for c in BAD_IDS]
+                 + [["2,13", "--scheme", "bogus"],
+                    ["2,13", "--scheme", "five-primitives-symmetric", "--parity", "2"]]
+                 + [["2,13", "--scheme", scheme, "--parity", parity] for parity in ("0", "1")
+                    for scheme in compiler.SCHEMES if scheme != "five-primitives-symmetric"])
+
+
+@pytest.mark.parametrize("args", [["stats", *a] for a in STATS_CASES]
+                         + [["compile", *a] for a in COMPILE_CASES], ids=" ".join)
+def test_stats_and_compile_every_bad_value(tmp_path, args):
+    """Each invalid value the stats and compile fuzz draw, in one field of
+    an otherwise valid command (a parity of 0 or 1 is invalid beside a
+    scheme other than the symmetric one): exit 2 or 3, no traceback, no
+    temporary and no output file."""
+    code, _, _ = _run(args + ["-o", "out"], str(tmp_path))
+    assert code in (2, 3, 4)
+
+
 # Sizes whose arrays exceed 128 TiB, past any address space, so allocation
 # fails at once whatever the overcommit setting.
 @pytest.mark.parametrize("args", [

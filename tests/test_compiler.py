@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffcast import compiler
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     MINIMAL_DECOMPOSITIONS,
@@ -29,7 +31,10 @@ from cliffcast.compiler import (
     min_broadcast_pulses,
     SLOT_PULSES,
     round_plans,
+    _LOOKUP_BLOCK,
     _cover_table,
+    _first_columns,
+    _half_tables,
     _mask_costs,
 )
 from cliffcast.decomp import train_products
@@ -39,6 +44,7 @@ from oracles import (
     cost_distribution,
     equal_up_to_phase,
     exact_census,
+    first_columns_scan,
     first_cover,
     first_firing,
     plan_round,
@@ -307,7 +313,8 @@ def _first_cover_cost(mask: int) -> int:
 def test_batched_cost_query_is_the_first_cover_length():
     """_mask_costs prices a batch as one first-cover query per mask would:
     all 2,048 sets of at most three non-identity targets, 5,000 ten-qubit
-    Philox draws, and batches on each side of the 64-row chunk edges."""
+    Philox draws, and batches on each side of the 64-row edges the column
+    scan once chunked at and of the half-mask lookup's 65,536-mask step."""
     small = [sum(1 << b for b in bits)
              for k in range(4) for bits in itertools.combinations(range(1, 24), k)]
     assert len(small) == 2_048
@@ -315,13 +322,52 @@ def test_batched_cost_query_is_the_first_cover_length():
     drawn = [sum({1 << (c - 1) for c in row if c != 1})
              for row in rng.integers(1, 25, size=(5_000, 10)).tolist()]
     pool = [m for pair in zip(small, drawn) for m in pair]  # mask 0 first
-    batches = [small, drawn] + [pool[:size] for size in (0, 1, 63, 64, 65, 129)]
+    cost = {m: _first_cover_cost(m) for m in set(small + drawn)}
+    sizes = (0, 1, 63, 64, 65, 129, _LOOKUP_BLOCK - 1, _LOOKUP_BLOCK, _LOOKUP_BLOCK + 1)
+    batches = [small, drawn] + [list(itertools.islice(itertools.cycle(pool), size))
+                                for size in sizes]
     for masks in batches:
         costs = _mask_costs(np.array(masks, dtype=np.int64))
         assert costs.dtype == np.int64
-        assert costs.tolist() == [_first_cover_cost(m) for m in masks], len(masks)
-    assert {_first_cover_cost(m) for m in pool[:129]} == {0, 1, 2, 3, 4, 5}
+        assert costs.tolist() == [cost[m] for m in masks], len(masks)
+    assert {cost[m] for m in pool[:129]} == {0, 1, 2, 3, 4, 5}
     assert len(_cover_table()[0]) == 2 + 149  # the undominated masks and two sentinels
+
+
+def test_half_mask_lookup_is_the_column_scan_on_every_mask():
+    """_first_columns equals the oracle's argmin over all 151 cover columns
+    on every one of the 2^23 target masks (bit 0, the identity, clear),
+    checked 2^20 masks at a time; its tables are read-only and hold under
+    200 KB."""
+    columns = _cover_table()[0]
+    for start in range(0, 1 << 24, 1 << 21):
+        masks = np.arange(start, start + (1 << 21), 2, dtype=np.int64)
+        assert np.array_equal(_first_columns(masks), first_columns_scan(masks, columns)), start
+    tables = _half_tables()
+    assert not any(table.flags.writeable for table in tables)
+    assert tables[0].shape == (2, 4_096, 19) and tables[0].dtype == np.uint8
+    assert sum(table.nbytes for table in tables) < 200_000
+
+
+def test_sampled_census_peak_memory_is_not_above_the_column_scan():
+    """A million-draw sampled census allocates at its peak (tracemalloc) no
+    more with the half-mask lookup than with the 64-mask column scan it
+    replaced, and gives the same statistics."""
+    def peak():
+        _half_tables()  # the cached tables are not part of the query's peak
+        tracemalloc.start()
+        try:
+            return mean_np_sampled(10, 10**6, 1), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lookup, lookup_peak = peak()
+    columns = _cover_table()[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "_first_columns", lambda m: first_columns_scan(m, columns))
+        scan, scan_peak = peak()
+    assert lookup == scan
+    assert lookup_peak <= scan_peak, (lookup_peak, scan_peak)
 
 
 def test_cover_columns_are_their_first_covers():

@@ -35,7 +35,8 @@ WIDE_M = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _weights(y_err):
-    """The fitter's weights: 1 / y_err, zero errors replaced by the largest."""
+    """The fitter's weights: 1 / y_err, a zero error replaced by max(1, the
+    largest error), so weight 1 beside errors below 1."""
     y_err = np.asarray(y_err, dtype=float)
     return 1.0 / np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
 
@@ -128,6 +129,23 @@ def test_exp_fit_rejects_non_finite_errors(y_err):
     into a NaN offset or replaced by the largest error."""
     with pytest.raises(ValueError, match="y_err must be finite"):
         fit_exp_offset([1, 2, 4, 8], [1.0, 0.9, 0.8, 0.7], y_err)
+
+
+def test_exp_fit_rejects_negative_errors():
+    """A negative error is rejected (before: silently replaced like a zero)."""
+    with pytest.raises(ValueError, match="y_err must be finite and not negative"):
+        fit_exp_offset([1, 2, 4, 8], [1.0, 0.9, 0.8, 0.7], [0.1, -0.1, 0.1, 0.1])
+
+
+def test_exp_fit_zero_error_takes_one_or_the_largest_error():
+    """A zero error beside positive ones is replaced by max(1, the largest
+    error): beside errors below 1 the point gets weight 1, beside larger
+    ones the largest error's weight."""
+    m, y = [1, 2, 4, 8, 16], [0.98, 0.95, 0.9, 0.82, 0.7]
+    for zero, replaced in (([0.0, 0.01, 0.02, 0.0, 0.03], [1.0, 0.01, 0.02, 1.0, 0.03]),
+                           ([2.0, 0.0, 3.0, 1.5, 0.5], [2.0, 3.0, 3.0, 1.5, 0.5])):
+        assert fit_exp_offset(m, y, zero) == fit_exp_offset(m, y, replaced)
+        assert _weights(zero).tolist() == [1 / e for e in replaced]
 
 
 def test_exp_fit_evaluates_its_model():
