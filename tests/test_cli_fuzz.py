@@ -132,8 +132,16 @@ def test_fuzz_stats(n, exact, samples, seed, csv, output):
         _run(argv, d)
 
 
+class _Drop:
+    """Sentinel whose repr, and so its test id, is the same in every run
+    (a bare object() would name its memory address)."""
+
+    def __repr__(self):
+        return "DROP"
+
+
 # Values no config field accepts; DROP removes the field instead.
-DROP = object()
+DROP = _Drop()
 BAD_VALUES = [DROP, None, True, "x", -1, 0, 1.5, math.nan, math.inf, -math.inf, [], {}]
 RB_TARGETS = ["qubits", "scheme", "m_values", "n_seeds", "rng_seed", "bogus",
               "qubit.t1_ns", "qubit.slot_ns", "qubit.cross_ratio", "qubit.over_ratio",
