@@ -28,6 +28,7 @@ from .fit import (
     extract_populations,
     fidelity_from_decay,
     fit_exp_offset,
+    fit_exp_offsets,
     fit_leakage,
     interleaved_gate_fidelity,
     leakage_model,

@@ -235,45 +235,49 @@ def cmd_rb(args) -> list:
         },
         "qubits": [],
     }
-    for q, (curve, model) in enumerate(zip(result.curves, models)):
-        # Seed scatter per length; the CSV keeps its four columns.
-        entry: dict = {"qubit": q, "p0_stderr": curve.p0_stderr.tolist()}
-        if len(curve.m_values) < 4:
-            entry["fit"] = None
-            entry["note"] = "fewer than 4 sequence lengths; decay not fitted"
-        else:
-            try:
-                f = fit.fit_exp_offset(curve.m_values, curve.p0,
-                                       y_err=curve.p0_stderr)
-                if "amplitude" in f.at_bound:
-                    raise NumericalError(
-                        f"qubit {q}: decay fit amplitude ended on its bound "
-                        f"({f.amplitude:g}), so these lengths do not determine the decay")
-                if not all(map(math.isfinite, f.stderr)):
-                    raise NumericalError(
-                        f"qubit {q}: decay fit standard errors are not finite, "
-                        f"so these lengths do not determine the decay")
-                fc = fit.fidelity_from_decay(f.decay)
-                sigma_fc = f.stderr[1] / 2.0
-                entry.update(
-                    decay=f.decay,
-                    offset=f.offset,
-                    amplitude=f.amplitude,
-                    residual_rms=f.residual_rms,
-                    at_bound=list(f.at_bound),
-                    clifford_fidelity=fc,
-                    clifford_fidelity_stderr=sigma_fc,
-                )
-                prediction = fit.t1_limit_fidelity(
-                    model.t1_ns, model.slot_ns, result.mean_slots_per_round
-                )
-                entry["t1_limit_fidelity"] = prediction
-                entry["difference_sigma"] = (
-                    abs(fc - prediction) / sigma_fc if sigma_fc > 0 else None
-                )
-            except ValueError as exc:
-                raise NumericalError(str(exc))
-        summary["qubits"].append(entry)
+    curves = result.curves
+    m_values = curves[0].m_values
+    try:
+        # One batched fit for the run; fewer than 4 lengths are not fitted.
+        fits = (fit.fit_exp_offsets(m_values, [c.p0 for c in curves],
+                                    [c.p0_stderr for c in curves])
+                if len(m_values) >= 4 else [None] * len(curves))
+        for q, (curve, model, f) in enumerate(zip(curves, models, fits)):
+            # Seed scatter per length; the CSV keeps its four columns.
+            entry: dict = {"qubit": q, "p0_stderr": curve.p0_stderr.tolist()}
+            summary["qubits"].append(entry)
+            if f is None:
+                entry["fit"] = None
+                entry["note"] = "fewer than 4 sequence lengths; decay not fitted"
+                continue
+            if "amplitude" in f.at_bound:
+                raise NumericalError(
+                    f"qubit {q}: decay fit amplitude ended on its bound "
+                    f"({f.amplitude:g}), so these lengths do not determine the decay")
+            if not all(map(math.isfinite, f.stderr)):
+                raise NumericalError(
+                    f"qubit {q}: decay fit standard errors are not finite, "
+                    f"so these lengths do not determine the decay")
+            fc = fit.fidelity_from_decay(f.decay)
+            sigma_fc = f.stderr[1] / 2.0
+            entry.update(
+                decay=f.decay,
+                offset=f.offset,
+                amplitude=f.amplitude,
+                residual_rms=f.residual_rms,
+                at_bound=list(f.at_bound),
+                clifford_fidelity=fc,
+                clifford_fidelity_stderr=sigma_fc,
+            )
+            prediction = fit.t1_limit_fidelity(
+                model.t1_ns, model.slot_ns, result.mean_slots_per_round
+            )
+            entry["t1_limit_fidelity"] = prediction
+            entry["difference_sigma"] = (
+                abs(fc - prediction) / sigma_fc if sigma_fc > 0 else None
+            )
+    except ValueError as exc:
+        raise NumericalError(str(exc))
 
     # Every fit has succeeded, so main may write both outputs.
     rows = []

@@ -243,12 +243,16 @@ CANONICAL_UNITARIES: list[np.ndarray] = _build_canonical()
 _CANONICAL_CONJ = np.conj(CANONICAL_UNITARIES)
 
 
-def _check_int(value, name: str) -> int:
-    """value as an int (Python and numpy integers), else a ValueError naming it."""
+def _check_int(value, name: str, low: int | None = None) -> int:
+    """value as an int (Python and numpy integers), else a ValueError naming
+    it, as is an int below low."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return value
 
 
 def _check_id(c: int) -> None:

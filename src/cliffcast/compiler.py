@@ -499,9 +499,7 @@ def mean_np_exact(n: int) -> NpStats:
     integers have about n * log2(24) bits (0.1 ms at n <= 10, 0.08-0.13 s
     at n = 100 000; 2-core Intel Xeon VM, Python 3.11.7).
     """
-    n = _check_int(n, "n")  # a Python int: a numpy n would overflow 24**n
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_int(n, "n", 1)  # a Python int: a numpy n would overflow 24**n
     sizes = len(CENSUS_COUNTS) + 1
     powers = [i**n for i in range(sizes)]
     surj = [sum((-1) ** (k - i) * math.comb(k, i) * powers[i] for i in range(k + 1))
@@ -520,11 +518,10 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
 
     Deterministic for a given seed (counter-based Philox generator).
     """
-    if _check_int(n, "n") < 1:
-        raise ValueError("n must be >= 1")
+    _check_int(n, "n", 1)
     if _check_int(samples, "samples") < 100:
         raise ValueError("need at least 100 samples")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed"))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed", 0))))
     draws = rng.integers(1, 25, size=(samples, n))
     # The rows' _target_masks without a copy: each draw c becomes bit c - 1
     # in place, and bit 0 (the identity) is cleared from each row's union.

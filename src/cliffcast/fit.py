@@ -10,6 +10,11 @@ edges only where the unconstrained optimum leaves the box).  The fits need
 only numpy, take a fixed number of steps, and always return the
 box-constrained optimum, so identical data always yields identical
 parameters and no fit fails for want of convergence.
+
+fit_exp_offsets fits a (curves, lengths) array in one batched pass, each
+curve zooming around its own best point and a zero error taking max(1, the
+largest error of its own curve), so a curve's fit is the same to the bit in
+any batch; fit_exp_offset and the leakage fit are one-row calls.
 """
 
 from __future__ import annotations
@@ -87,36 +92,51 @@ _RATE_MIN = 1e-12
 
 # Points of the first 1-D grid and of each zoom; a zoom narrows the interval
 # around the best point 32-fold, so eight take it below 1e-12 of its start.
+# Zoomed point k lies _ZOOM_AT[k] of the way between the points at
+# _ZOOM_ENDS[n][:, i, k] of the n-point grid before, whose best point is i:
+# (i - 1, i) for the lower 32, (i, i + 1) for the upper 33, clipped (uint8,
+# so that both tables take 17 KB).
 _GRID_POINTS = 64
 _ZOOMS = 8
-_ZOOM_STEPS = np.linspace(0.0, 1.0, _GRID_POINTS // 2 + 1)
+_HALF = _GRID_POINTS // 2
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _HALF + 1)
+_ZOOM_AT = np.concatenate([_ZOOM_STEPS[:-1], _ZOOM_STEPS])
+_ZOOM_ENDS = {n: np.clip(np.arange(n)[:, None]
+                         + np.repeat([[-1, 0], [0, 1]], [_HALF, _HALF + 1], axis=1)[:, None],
+                         0, n - 1).astype(np.uint8)
+              for n in (_GRID_POINTS, _GRID_POINTS + 1)}
 
 
-def _minimise_profile(profile, grid: np.ndarray) -> tuple[float, list[float]]:
-    """Minimise a 1-D cost given at once for a sorted array of points.
+def _minimise_profile(profile, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise a 1-D cost for several curves, given at once for sorted points.
 
-    profile(t) returns the costs at the points t and the linear parameters
-    solved for each, as a (parameters, points) array.  The best point is
-    kept and the interval between its neighbours re-gridded, _ZOOMS times,
-    so the cost never rises from one grid to the next.  Returns the best
-    point and its linear parameters.
+    grid is a (curves, points) array, or one row of points for every curve.
+    profile(t) returns the costs at the points t, a (curves, points) array,
+    and the linear parameters solved for each point, a tuple of such
+    arrays.  Each curve's best point is kept and the interval between its
+    neighbours re-gridded, _ZOOMS times, so no curve's cost rises from one
+    grid to the next.  Returns each curve's best point and its linear
+    parameters, as (curves,) and (parameters, curves) arrays.
     """
     cost, linear = profile(grid)
+    rows = np.arange(len(cost))[:, None]
     for _ in range(_ZOOMS):
-        i = int(np.argmin(cost))
-        lo, t, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]
-        grid = np.concatenate([lo + (t - lo) * _ZOOM_STEPS[:-1], t + (hi - t) * _ZOOM_STEPS])
+        ends = _ZOOM_ENDS[grid.shape[-1]][:, cost.argmin(axis=1)]
+        ends = grid[rows, ends] if grid.ndim == 2 else grid[ends]
+        grid = ends[0] + (ends[1] - ends[0]) * _ZOOM_AT
         cost, linear = profile(grid)
-    i = int(np.argmin(cost))
-    return float(grid[i]), linear[:, i].tolist()
+    i = cost.argmin(axis=1)
+    rows = rows[:, 0]
+    return grid[rows, i], np.array([v[rows, i] for v in linear])
 
 
-def _curve(m_values, y_values) -> tuple[np.ndarray, np.ndarray]:
-    """A curve to fit as float arrays: 1-d, equal length, at least 4 points,
-    finite values at finite non-negative lengths."""
+def _curve(m_values, y_values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """A curve to fit as float arrays: 1-d lengths, and values of ndim
+    dimensions (one row per curve) as long as the lengths, at least 4
+    points, finite values at finite non-negative lengths."""
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
-    if m.ndim != 1 or m.shape != y.shape:
+    if m.ndim != 1 or y.ndim != ndim or y.shape[-1:] != m.shape:
         raise ValueError("lengths and values must be 1-d and of equal length")
     if m.size < 4:
         raise ValueError("need at least 4 points to fit")
@@ -127,19 +147,24 @@ def _curve(m_values, y_values) -> tuple[np.ndarray, np.ndarray]:
 
 def _covariance(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """Parameter covariance inv(J^T J) * |r|^2 / dof at a least-squares
-    optimum (all nan when J^T J is singular)."""
-    n_points, n_params = jac.shape
-    variance = float(resid @ resid) / max(n_points - n_params, 1)
+    optimum, for one curve or a stack of them along the leading axes (all
+    nan for a curve whose J^T J is singular)."""
+    n_points, n_params = jac.shape[-2:]
+    variance = resid[..., None, :] @ resid[..., None] / max(n_points - n_params, 1)
     try:
-        return np.linalg.inv(jac.T @ jac) * variance
+        return np.linalg.inv(jac.swapaxes(-1, -2) @ jac) * variance
     except np.linalg.LinAlgError:
+        if jac.ndim > 2:
+            return np.array([_covariance(j, r) for j, r in zip(jac, resid)])
         return np.full((n_params, n_params), np.nan)
 
 
 def _exp_profile(m, y, w2):
-    """The profile of one weighted curve: a function that gives, for each
-    u = -log(decay), the cost of the best (amplitude, offset) in their box,
-    with those two parameters.
+    """The profile of weighted curves at the lengths m (y and w2 one row per
+    curve, or one curve): a function that gives, for each u = -log(decay),
+    the cost of the best (amplitude, offset) in their box, with those two
+    parameters.  u is a (curves, points) array, or one row of points for
+    every curve.
 
     With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
     b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
@@ -147,51 +172,60 @@ def _exp_profile(m, y, w2):
     (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
     The optimum in the box is the unconstrained one where that lies inside,
     else the best of the four edges, each a 1-D problem solved by clipping.
-    The edges are priced only at the points whose optimum leaves the box,
-    so a grid that lies inside it everywhere skips them.  The sums over y
-    alone are taken once per curve.
+    The edges are priced only at the (curve, point) pairs whose optimum
+    leaves the box, so a grid that lies inside it everywhere skips them.
+    The sums over y alone are taken once per curve, and every weighted sum
+    is a stacked matrix-vector product with the curve's (lengths, 1) weights.
     """
-    sw = w2.sum()
-    ybar = w2 @ y / sw
-    dy = y - ybar
-    w2dy = w2 * dy
+    sw = w2.sum(axis=-1)[..., None, None]
+    w2 = w2[..., None]
+    ybar = y[..., None, :] @ w2 / sw
+    dy = y[..., None, :] - ybar
+    w2dy = w2 * dy.swapaxes(-1, -2)
+    minus_m = -m
     a_lo, a_hi = _AMPLITUDE_BOUNDS
     b_lo, b_hi = _OFFSET_BOUNDS
     b_edges = np.array([[b_lo], [b_hi]])
 
     def profile(u):
-        x1 = np.expm1(-u[:, None] * m)
+        # Every sum keeps its trailing axis of 1: (curves, points, 1).
+        x1 = np.expm1(u[..., None] * minus_m)
         x1bar = x1 @ w2 / sw
-        dx = x1 - x1bar[:, None]
+        dx = x1 - x1bar
         sxx = dx**2 @ w2
         sxy = dx @ w2dy
-        a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
-        cost = (a_opt[:, None] * dx - dy) ** 2 @ w2
+        positive = sxx > 0
+        a_opt = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=positive)
+        cost = ((a_opt * dx - dy) ** 2 @ w2)[..., 0]
         xbar = 1.0 + x1bar
         b_opt = ybar - a_opt * xbar
-        linear = np.array([a_opt, b_opt])
-        inside = ((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
-                  & (b_lo <= b_opt) & (b_opt <= b_hi))
-        if inside.all():
-            return cost, linear
+        # The amplitude box is symmetric, so |a| <= a_hi tests both its edges.
+        inside = (positive & (np.abs(a_opt) <= a_hi) & (b_lo <= b_opt) & (b_opt <= b_hi))[..., 0]
+        a_opt, b_opt = a_opt[..., 0], b_opt[..., 0]
+        if np.count_nonzero(inside) == inside.size:
+            return cost, (a_opt, b_opt)
+        # Flat indices of the (curve, point) pairs outside, and their curves.
         j = np.flatnonzero(~inside)
-        sxx, sxy, xbar = sxx[j], sxy[j], xbar[j]
+        row = j // inside.shape[-1]
+        sxx, sxy, xbar = sxx.take(j), sxy.take(j), xbar.take(j)
+        sw_j, ybar_j = sw.take(row), ybar.take(row)
         # Candidates on the edges: a on each bound, then b.
-        a = np.empty((4, j.size))
-        b = np.empty((4, j.size))
+        a = np.empty((4, sxx.size))
+        b = np.empty((4, sxx.size))
         a[0], a[1], a[2:] = a_lo, a_hi, 0.0
-        sx2 = sxx + sw * xbar**2
-        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[2:], where=sx2 > 0)
+        sx2 = sxx + sw_j * xbar**2
+        np.divide(sxy + sw_j * xbar * (ybar_j - b_edges), sx2, out=a[2:], where=sx2 > 0)
         np.clip(a[2:], a_lo, a_hi, out=a[2:])
         b[2], b[3] = b_lo, b_hi
-        np.clip(ybar - a[:2] * xbar, b_lo, b_hi, out=b[:2])
-        excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+        np.clip(ybar_j - a[:2] * xbar, b_lo, b_hi, out=b[:2])
+        excess = sw_j * (b + a * xbar - ybar_j) ** 2 + np.divide(
             (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
         best = np.argmin(excess, axis=0)
-        k = np.arange(j.size)
-        cost[j] += excess[best, k]
-        linear[:, j] = a[best, k], b[best, k]
-        return cost, linear
+        k = np.arange(sxx.size)
+        cost.put(j, cost.take(j) + excess[best, k])
+        a_opt.put(j, a[best, k])
+        b_opt.put(j, b[best, k])
+        return cost, (a_opt, b_opt)
 
     return profile
 
@@ -207,46 +241,71 @@ def _first_decay_grid(m_max: float) -> np.ndarray:
 
 def fit_exp_offset(m_values, y_values, y_err=None) -> ExpFit:
     """Weighted least-squares fit of y = a * p**m + b in the box
-    a in [-2, 2], p in [1e-9, 1], b in [-1, 2].
+    a in [-2, 2], p in [1e-9, 1], b in [-1, 2]: the one-curve call of
+    fit_exp_offsets, which describes the fit."""
+    y_err = None if y_err is None else np.asarray(y_err, dtype=float)[None]
+    return fit_exp_offsets(m_values, np.asarray(y_values, dtype=float)[None], y_err)[0]
+
+
+def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
+    """Weighted least-squares fits of y = a * p**m + b in the box
+    a in [-2, 2], p in [1e-9, 1], b in [-1, 2], one per row of the
+    (curves, lengths) array y_values, all at the lengths m_values, in one
+    batched pass.
 
     For each u = -log p the weighted 2x2 problem for (a, b) is solved
     exactly in its box, and u is found on a grid over [0, -log 1e-9]
-    zoomed around its best point.  The result is the box-constrained
-    optimum also where it lies on the box; at_bound names the parameters
-    that ended there.  Standard errors come from the analytic Jacobian at
-    the optimum.  Exactly flat data short-circuits to amplitude 0, decay 1.
-    Points are weighted by 1 / y_err, a zero error taking max(1, the
-    largest error): beside errors below 1, as p0 standard errors are, such
-    a point gets weight 1.  A negative error is a ValueError.
+    zoomed around each curve's best point.  The result is the
+    box-constrained optimum also where it lies on the box; at_bound names
+    the parameters that ended there.  Standard errors come from the
+    analytic Jacobian at the optimum.  An exactly flat curve short-circuits
+    to amplitude 0, decay 1.  Points are weighted by 1 / y_err (one row per
+    curve), a zero error taking max(1, the largest error of its curve):
+    beside errors below 1, as p0 standard errors are, such a point gets
+    weight 1.  A negative error is a ValueError.  Each curve's fit is the
+    one its one-curve call fit_exp_offset gives, to the bit.
     """
-    m, y = _curve(m_values, y_values)
-    if y_err is not None:
+    m, y = _curve(m_values, y_values, ndim=2)
+    if y_err is None:
+        w = np.ones_like(y)
+    else:
         y_err = np.asarray(y_err, dtype=float)
         if y_err.shape != y.shape:
             raise ValueError("y_err must match y_values")
         if not np.all(np.isfinite(y_err) & (y_err >= 0)):
             raise ValueError("y_err must be finite and not negative")
-        y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
+        w = 1.0 / np.where(y_err > 0, y_err, np.max(y_err, axis=1, keepdims=True, initial=1.0))
+    sloped = np.logical_or.reduce(np.abs(y - y[:, :1]) > 1e-12, axis=1)
+    fits = iter(_fit_decays(m, y[sloped], w[sloped]) if np.count_nonzero(sloped) else ())
+    return [next(fits) if s else ExpFit(0.0, 1.0, float(np.mean(row)), (0.0, 0.0, 0.0), 0.0,
+                                        ("decay",))
+            for s, row in zip(sloped.tolist(), y)]
 
-    if np.all(np.abs(y - y[0]) <= 1e-12):
-        return ExpFit(0.0, 1.0, float(np.mean(y)), (0.0, 0.0, 0.0), 0.0, ("decay",))
 
-    w = 1.0 / y_err if y_err is not None else np.ones_like(y)
-    w2 = w * w
+def _fit_decays(m, y, w) -> list[ExpFit]:
+    """fit_exp_offsets on curves that are not flat, with their weights."""
     u_max = -math.log(_DECAY_BOUNDS[0])
     grid = _first_decay_grid(max(float(m.max()), 1.0))
-    u, (a, b) = _minimise_profile(_exp_profile(m, y, w2), grid)
-    p = math.exp(-u) if u < u_max else _DECAY_BOUNDS[0]
-    x = p**m
-    resid = a * x + b - y
-    jac = np.column_stack([x, a * m * p ** (m - 1.0), np.ones_like(m)]) * w[:, None]
-    err = np.sqrt(np.maximum(np.diag(_covariance(jac, resid * w)), 0.0))
-    at_bound = tuple(name for name, v, bounds in (("amplitude", a, _AMPLITUDE_BOUNDS),
-                                                  ("decay", p, _DECAY_BOUNDS),
-                                                  ("offset", b, _OFFSET_BOUNDS))
-                     if v in bounds)
-    return ExpFit(a, p, b, (float(err[0]), float(err[1]), float(err[2])),
-                  float(np.sqrt(np.mean(resid**2))), at_bound)
+    u, (a, b) = _minimise_profile(_exp_profile(m, y, w * w), grid)
+    # math.exp: np.exp over the batch can differ from it in the last bit.
+    p = np.array([math.exp(-v) if v < u_max else _DECAY_BOUNDS[0] for v in u.tolist()])
+    a_col, p_col = a[:, None], p[:, None]
+    x = p_col**m
+    resid = a_col * x + b[:, None] - y
+    jac = np.empty(y.shape + (3,))
+    jac[..., 0], jac[..., 1], jac[..., 2] = x, a_col * m * p_col ** (m - 1.0), 1.0
+    jac *= w[..., None]
+    err = np.sqrt(np.maximum(_covariance(jac, resid * w).diagonal(axis1=1, axis2=2), 0.0))
+    rms = np.sqrt(np.add.reduce(resid**2, axis=1) / m.size)
+    fits = []
+    for amplitude, decay, offset, e, r in zip(a.tolist(), p.tolist(), b.tolist(), err.tolist(),
+                                              rms.tolist()):
+        at_bound = tuple(name for name, v, bounds in (("amplitude", amplitude, _AMPLITUDE_BOUNDS),
+                                                      ("decay", decay, _DECAY_BOUNDS),
+                                                      ("offset", offset, _OFFSET_BOUNDS))
+                         if v in bounds)
+        fits.append(ExpFit(amplitude, decay, offset, tuple(e), r, at_bound))
+    return fits
 
 
 def fidelity_from_decay(p: float) -> float:
@@ -301,14 +360,15 @@ def rate_step(p2_m: float, kappa: float, t21_ns: float, np_mean: float,
 
 
 def _leakage_profile(lam, m, p2):
-    """Cost of the best plateau in [0, 1] for each rate lam, with that
-    plateau (the 1-D least-squares solution, clipped)."""
-    z = -np.expm1(-np.outer(lam, m))
-    szz = (z * z).sum(axis=1)
+    """Cost of the best plateau in [0, 1] for each rate lam, a (1, points)
+    array for _minimise_profile, with that plateau (the 1-D least-squares
+    solution, clipped)."""
+    z = -np.expm1(-lam[..., None] * m)
+    szz = (z * z).sum(axis=-1)
     plateau = np.clip(np.divide(z @ p2, szz, out=np.zeros_like(szz), where=szz > 0),
                       *_PLATEAU_BOUNDS)
-    cost = ((plateau[:, None] * z - p2) ** 2).sum(axis=1)
-    return cost, plateau[None, :]
+    cost = ((plateau[..., None] * z - p2) ** 2).sum(axis=-1)
+    return cost, (plateau,)
 
 
 def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit:
@@ -335,8 +395,9 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     # Beyond 50 / (shortest positive length) every 1 - exp(-lam * m) is 1 to
     # double precision, so the cost no longer depends on lam.
     lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
-    rate, (plateau,) = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
-                                         np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS))
+    rate, plateau = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
+                                      np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS)[None])
+    rate, plateau = float(rate[0]), float(plateau[0, 0])
     if plateau == 0.0:
         # Non-positive data: the best plateau is on its lower bound, where
         # the rate no longer changes the curve and only kappa = 0 is known.

@@ -257,7 +257,7 @@ def _every_round(models: tuple, scheme: str, n_driven: int) -> tuple:
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
-    children = np.random.SeedSequence(_check_int(rng_seed, "rng_seed")).spawn(n_seeds)
+    children = np.random.SeedSequence(_check_int(rng_seed, "rng_seed", 0)).spawn(n_seeds)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
@@ -292,8 +292,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     """
     if scheme not in RB_SCHEMES:
         raise ValueError(f"scheme must be one of {RB_SCHEMES}, got {scheme!r}")
-    if _check_int(n_seeds, "n_seeds") < 1:
-        raise ValueError("n_seeds must be >= 1")
+    _check_int(n_seeds, "n_seeds", 1)
     m_values = tuple(_check_int(m, "sequence length") for m in m_values)
     if not m_values:
         raise ValueError("need at least one sequence length")
@@ -466,8 +465,7 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not over_ratio > 0:
         raise ValueError("over_ratio must be > 0")
-    if _check_int(n_max, "n_max") < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_int(n_max, "n_max", 1)
     p1 = np.empty(n_max + 1)
     state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
     p1[0] = state[1, 1].real

@@ -52,7 +52,9 @@ used before it fitted by variable projection, the leakage fit directly in
 
 box_linear_fit solves the decay fit's inner problem at one fixed decay in
 plain Python floats: the best (amplitude, offset) in their box, found by
-pricing every KKT candidate from its residuals.
+pricing every KKT candidate from its residuals.  exp_fit_per_curve is the
+decay fit as it ran one curve at a time, the bit-for-bit reference for the
+batched fit.fit_exp_offsets.
 
 lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
@@ -101,6 +103,7 @@ from cliffcast.clifford import (
     sequence_unitary,
 )
 from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
+from cliffcast.fit import _AMPLITUDE_BOUNDS, _DECAY_BOUNDS, _OFFSET_BOUNDS, ExpFit
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -345,6 +348,101 @@ def box_linear_fit(u: float, m_values, y_values, w2_values) -> tuple[float, floa
         if -2.0 <= a <= 2.0 and -1.0 <= b <= 2.0:
             candidates.append((a, b))
     return min((cost(a, b), a, b) for a, b in candidates)
+
+
+def exp_fit_per_curve(m_values, y_values, y_err=None) -> ExpFit:
+    """fit.fit_exp_offset as it fitted one curve at a time, the reference for
+    the batched fit.fit_exp_offsets: the same box, grid, zooms, zero-error
+    rule and Jacobian errors, with every sum taken over one curve's 1-d
+    arrays and each zoom's neighbours read one at a time."""
+    m = np.asarray(m_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    if m.ndim != 1 or m.shape != y.shape:
+        raise ValueError("lengths and values must be 1-d and of equal length")
+    if m.size < 4:
+        raise ValueError("need at least 4 points to fit")
+    if not (np.all(np.isfinite(m) & (m >= 0)) and np.all(np.isfinite(y))):
+        raise ValueError("lengths must be finite and non-negative, values finite")
+    if y_err is not None:
+        y_err = np.asarray(y_err, dtype=float)
+        if y_err.shape != y.shape:
+            raise ValueError("y_err must match y_values")
+        if not np.all(np.isfinite(y_err) & (y_err >= 0)):
+            raise ValueError("y_err must be finite and not negative")
+        y_err = np.where(y_err > 0, y_err, np.max(y_err[y_err > 0], initial=1.0))
+    if np.all(np.abs(y - y[0]) <= 1e-12):
+        return ExpFit(0.0, 1.0, float(np.mean(y)), (0.0, 0.0, 0.0), 0.0, ("decay",))
+
+    w = 1.0 / y_err if y_err is not None else np.ones_like(y)
+    w2 = w * w
+    sw = w2.sum()
+    ybar = w2 @ y / sw
+    dy = y - ybar
+    w2dy = w2 * dy
+    (a_lo, a_hi), (p_lo, _), (b_lo, b_hi) = _AMPLITUDE_BOUNDS, _DECAY_BOUNDS, _OFFSET_BOUNDS
+    b_edges = np.array([[b_lo], [b_hi]])
+
+    def profile(u):
+        x1 = np.expm1(-u[:, None] * m)
+        x1bar = x1 @ w2 / sw
+        dx = x1 - x1bar[:, None]
+        sxx = dx**2 @ w2
+        sxy = dx @ w2dy
+        a_opt = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+        cost = (a_opt[:, None] * dx - dy) ** 2 @ w2
+        xbar = 1.0 + x1bar
+        b_opt = ybar - a_opt * xbar
+        linear = np.array([a_opt, b_opt])
+        inside = ((sxx > 0) & (a_lo <= a_opt) & (a_opt <= a_hi)
+                  & (b_lo <= b_opt) & (b_opt <= b_hi))
+        if inside.all():
+            return cost, linear
+        j = np.flatnonzero(~inside)
+        sxx, sxy, xbar = sxx[j], sxy[j], xbar[j]
+        a = np.empty((4, j.size))
+        b = np.empty((4, j.size))
+        a[0], a[1], a[2:] = a_lo, a_hi, 0.0
+        sx2 = sxx + sw * xbar**2
+        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[2:], where=sx2 > 0)
+        np.clip(a[2:], a_lo, a_hi, out=a[2:])
+        b[2], b[3] = b_lo, b_hi
+        np.clip(ybar - a[:2] * xbar, b_lo, b_hi, out=b[:2])
+        excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
+        best = np.argmin(excess, axis=0)
+        k = np.arange(j.size)
+        cost[j] += excess[best, k]
+        linear[:, j] = a[best, k], b[best, k]
+        return cost, linear
+
+    u_max = -math.log(p_lo)
+    grid = np.concatenate([[0.0], np.geomspace(1e-6 / max(float(m.max()), 1.0), u_max, 63)])
+    steps = np.linspace(0.0, 1.0, 33)
+    cost, linear = profile(grid)
+    for _ in range(8):
+        i = int(np.argmin(cost))
+        lo, t, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]
+        grid = np.concatenate([lo + (t - lo) * steps[:-1], t + (hi - t) * steps])
+        cost, linear = profile(grid)
+    i = int(np.argmin(cost))
+    u, (a, b) = float(grid[i]), linear[:, i].tolist()
+
+    p = math.exp(-u) if u < u_max else p_lo
+    x = p**m
+    resid = a * x + b - y
+    jac = np.column_stack([x, a * m * p ** (m - 1.0), np.ones_like(m)]) * w[:, None]
+    r = resid * w
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * (float(r @ r) / max(m.size - 3, 1))
+    except np.linalg.LinAlgError:
+        cov = np.full((3, 3), np.nan)
+    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    at_bound = tuple(name for name, v, bounds in (("amplitude", a, _AMPLITUDE_BOUNDS),
+                                                  ("decay", p, _DECAY_BOUNDS),
+                                                  ("offset", b, _OFFSET_BOUNDS))
+                     if v in bounds)
+    return ExpFit(a, p, b, (float(err[0]), float(err[1]), float(err[2])),
+                  float(np.sqrt(np.mean(resid**2))), at_bound)
 
 
 def least_squares_leakage(m_values, p2_values, np_mean: float, tp_ns: float,

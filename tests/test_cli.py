@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cliffcast import compiler, sim
+from cliffcast import compiler, fit, sim
 from cliffcast.cli import build_parser, main
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
@@ -268,6 +269,28 @@ def test_rb_roundtrip_and_determinism(tmp_path):
     assert (tmp_path / "rb.json").read_bytes() == summary_first
 
 
+# SHA-256 over the CSV and summary bytes that `rb` writes on the README
+# config (30 seeds, weighted fits) under each broadcast scheme, then on one
+# 2-seed compiled run, recorded before the decay fits of a run were batched.
+RB_BYTES_DIGEST = "7fc7951122cc925e7bfcd58fd08eaeb311a39e9a54df44959a0e4939c94291d9"
+
+
+def test_rb_output_bytes_are_pinned(tmp_path):
+    readme = {"qubits": [{"t1_ns": 10000, "cross_ratio": 0.0076}, {"t1_ns": 10000}],
+              "m_values": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800],
+              "csv_path": str(tmp_path / "rb.csv"),
+              "summary_path": str(tmp_path / "rb.json")}
+    h = hashlib.sha256()
+    for scheme, n_seeds, rng_seed in [*((s, 30, 7) for s in compiler.SCHEMES),
+                                      ("compiled", 2, 3)]:
+        cfg = {**readme, "scheme": scheme, "n_seeds": n_seeds, "rng_seed": rng_seed}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 0
+        h.update((tmp_path / "rb.csv").read_bytes())
+        h.update((tmp_path / "rb.json").read_bytes())
+    assert h.hexdigest() == RB_BYTES_DIGEST
+
+
 @pytest.mark.parametrize("n_seeds", [1, 3])
 def test_rb_summary_carries_seed_scatter_per_length(tmp_path, n_seeds):
     """Each qubit entry of the summary carries the seed-scatter standard
@@ -371,6 +394,44 @@ def test_rb_fit_failure_writes_nothing(tmp_path, capsys):
     assert "qubit 1: decay fit amplitude ended on its bound (2)" in err
     assert not (tmp_path / "rb.csv").exists()
     assert not (tmp_path / "rb.json").exists()
+
+
+def test_rb_first_failing_qubit_is_named(tmp_path, capsys):
+    """Both qubits' amplitudes end on their bound; the one fit call of the
+    run still reports qubit 0, the first, and writes nothing."""
+    cfg = {"qubits": [{"t1_ns": 10000.0, "cross_ratio": 0.0076}, {"t1_ns": 10000.0}],
+           "scheme": "compiled", "m_values": [1, 2, 4, 8], "n_seeds": 1, "rng_seed": 45,
+           "csv_path": str(tmp_path / "rb.csv"), "summary_path": str(tmp_path / "rb.json")}
+    models = [sim.QubitModel(**q) for q in cfg["qubits"]]
+    curves = sim.run_rb(models, "compiled", cfg["m_values"], 1, 45).curves
+    assert all("amplitude" in fit.fit_exp_offset(c.m_values, c.p0, c.p0_stderr).at_bound
+               for c in curves)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: qubit 0: decay fit amplitude ended on its bound (2)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_rb_fit_value_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A ValueError from the run's batched fit call is exit 4, not 3, and
+    the run writes no file."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("lengths must be finite and non-negative, values finite")
+
+    monkeypatch.setattr(fit, "fit_exp_offsets", failing)
+    cfg = {"qubits": [{"t1_ns": 10000.0}, {"t1_ns": 9000.0}], "scheme": "compiled",
+           "m_values": [1, 2, 4, 8, 16], "n_seeds": 2, "rng_seed": 3,
+           "csv_path": str(tmp_path / "rb.csv"), "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
+    assert capsys.readouterr().err == ("numerical failure: lengths must be finite and "
+                                       "non-negative, values finite\n")
+    assert len(calls) == 1 and len(calls[0][1]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("key,value", [
@@ -481,6 +542,22 @@ def test_rb_every_bad_config_value(tmp_path, monkeypatch, target, value):
         rb_summary(cfg, stdout)
 
 
+@pytest.mark.parametrize("command", ["stats", "rb"])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    """A negative seed is exit 3 with a message that names it, and writes
+    nothing (before: numpy's bare "expected non-negative integer")."""
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8], "n_seeds": 1,
+           "rng_seed": -1, "csv_path": str(tmp_path / "rb.csv"),
+           "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv, name = {"stats": (["stats", "--n", "3", "--samples", "300", "--seed", "-1",
+                             "-o", str(tmp_path / "out")], "seed"),
+                  "rb": (["rb", "--config", str(tmp_path / "cfg.json")], "rng_seed")}[command]
+    assert run_cli(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {name} must be an integer >= 0, got -1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # The invalid values that test_fuzz_stats and test_fuzz_compile draw.
 BAD_N, BAD_SAMPLES, BAD_SEEDS = ["-1", "0", "x"], ["-5", "50", "x"], ["-1", "x"]
 BAD_IDS = ["0", "25", "-3", "x", ""]
@@ -504,6 +581,45 @@ def test_stats_and_compile_every_bad_value(tmp_path, args):
     temporary and no output file."""
     code, _, _ = _run(args + ["-o", "out"], str(tmp_path))
     assert code in (2, 3, 4)
+
+
+# The invalid values that test_fuzz_leakfit draws: flag values, data rows of
+# the wrong length or with a non-finite, negative or non-numeric field, and
+# headers that do not start with m.  Each goes into one field of a valid
+# command (LEAK_ROWS fit with exit 0).
+LEAK_ROWS = ["0,0.0", "25,1.1e-6", "50,2.0e-6", "100,3.3e-6", "200,4.4e-6", "400,4.9e-6"]
+BAD_LEAK_FLAGS = ["nan", "inf", "-inf", "-1", "0", "1e308", "x", ""]
+BAD_LEAK_FIELDS = ["nan", "inf", "-inf", "x", ""]
+BAD_LEAK_ROWS = (["25", "25,1e-6,0", "-1,1e-6"] + [f"{v},1e-6" for v in BAD_LEAK_FIELDS]
+                 + [f"25,{v}" for v in BAD_LEAK_FIELDS])
+LEAKFIT_CASES = ([("m,p2", None, [flag, value]) for flag in ("--np-mean", "--tp-ns")
+                  for value in BAD_LEAK_FLAGS]
+                 + [("m,p2", row, []) for row in BAD_LEAK_ROWS]
+                 + [(header, None, []) for header in ("p2,m", "")])
+
+
+@pytest.mark.parametrize("header,row,flags", LEAKFIT_CASES,
+                         ids=[" ".join(f) or (f"row {r}" if r else f"header {h}")
+                              for h, r, f in LEAKFIT_CASES])
+def test_leakfit_every_bad_value(tmp_path, header, row, flags):
+    """Each invalid value the leakfit fuzz draws, in one field of an
+    otherwise valid command: exit 3 or 4, or 2 for a flag value argparse
+    cannot read; no traceback, no temporary and no output file."""
+    rows = [header] + LEAK_ROWS + ([] if row is None else [row])
+    (tmp_path / "leak.csv").write_text("".join(f"{line}\n" for line in rows))
+    code, _, _ = _run(["leakfit", "--input", str(tmp_path / "leak.csv"), *flags, "-o", "out"],
+                      str(tmp_path))
+    unreadable = flags[1:] in (["x"], [""], ["-inf"])
+    assert code == 2 if unreadable else code in (3, 4)
+
+
+def test_leakfit_sweep_base_command_succeeds(tmp_path):
+    """The sweep's valid command fits, so each case's failure is its value's."""
+    (tmp_path / "leak.csv").write_text("".join(f"{line}\n" for line in ["m,p2"] + LEAK_ROWS))
+    code, _, _ = _run(["leakfit", "--input", str(tmp_path / "leak.csv"), "-o", "out"],
+                      str(tmp_path))
+    assert code == 0
+    assert json.loads((tmp_path / "out").read_text())["unidentifiable"] is False
 
 
 # Sizes whose arrays exceed 128 TiB, past any address space, so allocation

@@ -13,6 +13,7 @@ from cliffcast.fit import (
     extract_populations,
     fidelity_from_decay,
     fit_exp_offset,
+    fit_exp_offsets,
     fit_leakage,
     interleaved_gate_fidelity,
     leakage_model,
@@ -23,6 +24,7 @@ from cliffcast.fit import (
 from cliffcast.sim import QubitModel, run_rb
 from oracles import (
     box_linear_fit,
+    exp_fit_per_curve,
     iterate_rate_equation,
     least_squares_exp,
     least_squares_leakage,
@@ -240,6 +242,87 @@ def test_exp_fit_bytes_are_pinned():
         fits += 1
     assert fits == 112
     assert h.hexdigest() == EXP_FIT_DIGEST
+
+
+def _fit_bytes(f) -> tuple:
+    return (np.array([f.amplitude, f.decay, f.offset, *f.stderr, f.residual_rms]).tobytes(),
+            f.at_bound)
+
+
+def _batches():
+    """(lengths, curves, errors or None) batches for the batched fit: the
+    unweighted eight-qubit box-optimum curves with a flat row and noisy
+    synthetic decays, and weighted two-seed curves with a flat row, a row
+    of zero errors and zero errors beside largest errors below and above 1
+    (so a batch-wide largest error would change some rows)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(23)))
+    m = np.array(WIDE_M[:6], dtype=float)
+    y = [c.p0 for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M[:6], 1, 7).curves]
+    y.append(np.full(m.size, 0.625))
+    for a, p, b in rng.uniform((-1.5, 0.5, -0.5), (1.5, 1.0, 1.5), size=(6, 3)):
+        y.append(a * p**m + b + rng.normal(0, 0.02, m.size))
+    yield m, np.array(y), None
+    for seed in (3, 5):
+        curves = run_rb(WIDE_QUBITS, "compiled", WIDE_M, 2, seed).curves
+        y = np.array([c.p0 for c in curves])
+        err = np.array([c.p0_stderr for c in curves])
+        y[6] = 0.875
+        err[1] = 0.0
+        err[2, ::3] = 0.0
+        err[3, ::2] = 0.0
+        err[3, 1] = 2.5
+        yield np.array(WIDE_M, dtype=float), y, err
+
+
+def test_batched_exp_fit_is_the_per_curve_fit_bit_for_bit():
+    """fit_exp_offsets equals the per-curve oracle field for field, bit for
+    bit, and so does each row's one-row call.  The batches reach the box
+    edges, hold flat rows and zero errors, and fit weighted and unweighted;
+    each fitted curve ends on its own decay, so the rows zoomed apart."""
+    at_bound, flat, weighted = set(), 0, 0
+    for m, y, err in _batches():
+        fits = fit_exp_offsets(m, y, err)
+        assert len(fits) == len(y)
+        for f, row, e in zip(fits, y, [None] * len(y) if err is None else err):
+            assert _fit_bytes(f) == _fit_bytes(exp_fit_per_curve(m, row, e))
+            assert _fit_bytes(f) == _fit_bytes(fit_exp_offset(m, row, e))
+            at_bound.update(f.at_bound)
+            flat += f.amplitude == 0.0 and f.decay == 1.0
+        decays = [f.decay for f in fits if f.decay != 1.0]
+        assert len(set(decays)) == len(decays) > 5
+        weighted += err is not None and bool(np.any(err == 0))
+    assert {"amplitude", "offset", "decay"} <= at_bound
+    assert flat == 3 and weighted == 2
+
+
+def test_stacked_covariance_falls_back_per_curve():
+    """One singular curve in a stack makes inv raise for the whole stack;
+    each curve then gets its own covariance, the regular ones to the bit,
+    the singular one all nan."""
+    rng = np.random.default_rng(4)
+    jac = rng.normal(size=(3, 8, 3))
+    jac[1, :, 2] = jac[1, :, 0]
+    resid = rng.normal(size=(3, 8))
+    cov = fit._covariance(jac, resid)
+    for k in (0, 2):
+        assert cov[k].tobytes() == fit._covariance(jac[k], resid[k]).tobytes()
+    assert np.isnan(cov[1]).all()
+
+
+def test_batched_exp_fit_checks_its_arrays():
+    m = [1, 2, 4, 8]
+    y = np.array([[1.0, 0.9, 0.8, 0.7], [0.9, 0.85, 0.8, 0.78]])
+    assert fit_exp_offsets(m, np.empty((0, 4))) == []
+    with pytest.raises(ValueError, match="1-d and of equal length"):
+        fit_exp_offsets(m, y[0])
+    with pytest.raises(ValueError, match="1-d and of equal length"):
+        fit_exp_offsets(m, y[:, :3])
+    with pytest.raises(ValueError, match="y_err must match"):
+        fit_exp_offsets(m, y, np.full(4, 0.1))
+    with pytest.raises(ValueError, match="y_err must be finite and not negative"):
+        fit_exp_offsets(m, y, [[0.1] * 4, [0.1, -0.1, 0.1, 0.1]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        fit_exp_offsets(m, [y[0], [0.9, math.nan, 0.8, 0.7]])
 
 
 def _oracle_curves():
