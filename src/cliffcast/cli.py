@@ -309,8 +309,10 @@ def cmd_swap(args) -> list:
         t1_a_ns=math.inf if args.t1a_us is None else args.t1a_us * 1000.0,
         t1_b_ns=math.inf if args.t1b_us is None else args.t1b_us * 1000.0,
     )
-    t, p1a, p1b = sim.exchange_swap(
-        params, np.linspace(0.0, args.t_max_us * 1000.0, args.points))
+    t_max_ns = args.t_max_us * 1000.0
+    if not 0 <= t_max_ns < math.inf:
+        raise ValueError(f"--t-max-us must be >= 0 and finite in ns, got {args.t_max_us!r}")
+    t, p1a, p1b = sim.exchange_swap(params, np.linspace(0.0, t_max_ns, args.points))
     rows = [
         (float(ti), float(a), float(b), float(a + b))
         for ti, a, b in zip(t, p1a, p1b)

@@ -15,13 +15,14 @@ are uncoupled and every slot is a fixed linear channel, so a round acts on
 each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
-(compiler.round_plans) and the slots the qubit fires.  A run builds each
-distinct signature's matrix once, as a product of the model's slot
+(compiler.round_plans) and the slots the qubit fires.  Each distinct
+signature's matrix is built once, as a product of the model's slot
 matrices; an 8-qubit compiled run meets some hundreds of signatures,
-against 24^8 combinations.  The slot matrices are built from apply_pulse
-and relax, so those two functions stay the only definition of the
-physics.  The benchmarking pass itself is described with the channels
-below.
+against 24^8 combinations, and every compiled round of a model is one of
+1,473 signatures, built once per register.  The slot matrices are built
+from apply_pulse and relax, so those two functions stay the only
+definition of the physics.  The benchmarking pass itself is described
+with the channels below.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -72,8 +73,8 @@ class QubitModel:
             raise ValueError("slot_ns must be positive and finite")
         if not 0.0 <= self.cross_ratio < 1.0:
             raise ValueError("cross_ratio must be in [0, 1)")
-        if not 0 <= self.over_ratio < math.inf:
-            raise ValueError("over_ratio must be finite and >= 0")
+        if not 0 <= self.over_ratio * math.pi < math.inf:
+            raise ValueError("over_ratio must be >= 0, with a finite rotation angle")
 
 
 @dataclass
@@ -157,20 +158,25 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
 # sequence first, in the seeds' Philox order, with each block's recoveries
 # from one batched recovery_clifford call, and then takes its round
-# channels from one of two immutable tables, by what the run draws:
+# channels from one of three sources, by what the run draws:
 # - A run that draws at least as many rounds as exist (24^n_driven, twice
 #   that for the symmetric scheme) reads them from _every_round, built once
 #   per register, scheme and driven count, by round index.
 # - Any other run finds its distinct rounds with one lexsort of their
-#   parities and ids, and _round_channels builds just those, for this run.
+#   parities and ids.  Compiled ones are read from _column_channels, built
+#   once per register: a qubit's channel in a compiled round is fixed by
+#   its model, the round's cover column and the slots it fires, and there
+#   are 1,473 such (column, fired subset) pairs.  The others are built by
+#   _round_channels for this run alone.
 # _round_channels plans its rounds in one compiler.round_plans call; one
 # lexsort of their packed per-qubit slot signatures finds the distinct
 # ones, built together, one stacked 4x4 product per slot.  Each sequence
 # then gathers its rounds' (m + 1, n, 4, 4) channels, multiplies them
 # pairwise in log2(m) levels and applies the product to the ground state.
 # On eight qubits (compiled, lengths 1..128, two seeds, nearly every round
-# new; 2-core Xeon VM, one BLAS thread, median of 200 fresh seeds in one
-# process) run_rb takes 3.8-4.9 ms.  On the README config (two qubits,
+# new; 2-core Xeon VM, one BLAS thread, median of 300 fresh seeds in one
+# process, three processes) run_rb takes 1.5-1.7 ms, against 2.7-3.6 ms
+# when each run built its own rounds.  On the README config (two qubits,
 # lengths 1..800; one process per scheme, twice) a first 1-seed run, which
 # builds the every-round table, takes 2.4-4.5 ms per scheme, a second one
 # 1.3-1.8 ms, and a 30-seed run 33-50 ms.
@@ -240,6 +246,46 @@ def _round_channels(models: tuple, scheme: str, ids: np.ndarray,
         on = np.flatnonzero(s < count)
         channels[on] = slots[kinds[q[on]], codes[r[on], s], routed[r[on], q[on], s]] @ channels[on]
     return inverse.reshape(k, n), channels, n_slots
+
+
+@lru_cache(maxsize=64)
+def _column_channels(models: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, channels) of a register's compiled rounds, both read-only.
+
+    A qubit's channel in a compiled round depends only on its model kind,
+    the round's compiler._cover_table column and the subset of the
+    column's slots that it fires.  pairs[col, c] is the index, among the
+    1,473 distinct (column, fired subset) pairs, of a qubit with Clifford
+    id c in a round of column col, and channels[k, pair] is the channel on
+    a qubit of the k-th kind (_slot_table): about 189 KB per kind.  Each
+    is built as _round_channels builds it, slot by slot, left-multiplied
+    from the identity on."""
+    _, slots = _slot_table(models)
+    _, lengths, codes, fired = compiler._cover_table()
+    width = codes.shape[1]
+    subsets = fired @ (1 << np.arange(width))
+    distinct, pairs = np.unique(np.arange(len(codes))[:, None] << width | subsets,
+                                return_inverse=True)
+    column = distinct >> width
+    routed = distinct[:, None] >> np.arange(width) & 1
+    count = lengths[column]
+    channels = np.broadcast_to(np.eye(4), (len(slots), len(distinct), 4, 4)).copy()
+    for s in range(width):
+        on = np.flatnonzero(s < count)
+        channels[:, on] = slots[:, codes[column[on], s], routed[on, s]] @ channels[:, on]
+    pairs = pairs.reshape(subsets.shape)
+    pairs.flags.writeable = channels.flags.writeable = False
+    return pairs, channels
+
+
+def _compiled_rounds(models: tuple, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_round_channels of compiled rounds of every qubit of the register,
+    read from _column_channels by each round's first cover column."""
+    kinds, _ = _slot_table(models)
+    pairs, channels = _column_channels(models)
+    columns = compiler._first_columns(compiler._target_masks(ids))
+    rows = kinds * channels.shape[1] + pairs[columns[:, None], ids]
+    return rows, channels.reshape(-1, 4, 4), compiler._cover_table()[1][columns]
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +364,8 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     parity = index & 1 if periods == 2 else np.zeros_like(index)
 
     # A run that draws at least as many rounds as exist reads them all from
-    # one table; any other builds only its distinct rounds.  inverse[i] is
+    # one table; any other finds its distinct rounds, and reads compiled
+    # ones from the cover-column table or builds the others.  inverse[i] is
     # the row of rows (each qubit's index into channels) and n_slots that
     # holds round i.
     if periods * 24**n_driven <= len(ids):
@@ -326,7 +373,11 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
     else:
         firsts, inverse = _unique_columns(np.vstack([parity, ids.T]))
-        rows, channels, n_slots = _round_channels(models, scheme, ids[firsts], parity[firsts])
+        if scheme == SCHEME_COMPILED:
+            rows, channels, n_slots = _compiled_rounds(models, ids[firsts])
+        else:
+            rows, channels, n_slots = _round_channels(models, scheme, ids[firsts],
+                                                      parity[firsts])
     used = np.bincount(inverse, minlength=len(rows))
 
     p0_sum = np.zeros((n, len(m_values)))
@@ -523,7 +574,9 @@ def exchange_swap(params: ExchangeParams, t_grid_ns):
     point w = 0 is an ordinary input; for w^2 < 0 (damping outweighs
     coupling) cos and sinc become cosh and sinh(x)/x, whose growth is
     moved into the decay envelope so that long times cannot overflow.
-    Returns (t_grid_ns, p1_a, p1_b) with the grid sorted.
+    Returns (t_grid_ns, p1_a, p1_b) with the grid sorted.  A coupling or
+    damping rate whose square overflows, or a grid so long that the phase
+    w t does, raises ValueError naming that input.
     """
     t = np.asarray(sorted(float(x) for x in t_grid_ns))
     if t.size == 0 or not np.all(np.isfinite(t)) or t[0] < 0:
@@ -531,9 +584,16 @@ def exchange_swap(params: ExchangeParams, t_grid_ns):
 
     j = params.j_rad_per_ns
     gamma_a, gamma_b = 1.0 / params.t1_a_ns, 1.0 / params.t1_b_ns
+    for name, value, rate in (("j_over_2pi_khz", params.j_over_2pi_khz, j),
+                              ("t1_a_ns", params.t1_a_ns, gamma_a),
+                              ("t1_b_ns", params.t1_b_ns, gamma_b)):
+        if not math.isfinite(rate * rate):
+            raise ValueError(f"{name} = {value!r} is out of range: its rate squared overflows")
     delta = (gamma_a - gamma_b) / 4
     w2 = j * j - delta * delta
     w = math.sqrt(abs(w2))
+    if not math.isfinite(w * float(t[-1])):
+        raise ValueError(f"t_grid_ns reaches {float(t[-1])!r} ns, at which the phase w t overflows")
     wt = w * t
     rate = (gamma_a + gamma_b) / 4  # |exp(-i tau t)| = exp(-rate t)
     if w2 >= 0:
@@ -544,7 +604,8 @@ def exchange_swap(params: ExchangeParams, t_grid_ns):
         cos_wt = (1.0 + np.exp(-2.0 * wt)) / 2.0
         t_sinc = t * np.divide(-np.expm1(-2.0 * wt), 2.0 * wt,
                                out=np.ones_like(wt), where=wt > 0)
-    envelope = np.exp(-rate * t)
+    with np.errstate(over="ignore"):  # rate t past the float range decays to exp(-inf) = 0
+        envelope = np.exp(-rate * t)
     # psi = exp(-i tau t) [cos(wt) - i t sinc(wt) (H - tau)] (1, 0)
     psi_a = envelope * (cos_wt - delta * t_sinc)
     psi_b = envelope * j * t_sinc  # up to the phase -i

@@ -16,7 +16,7 @@ from cliffcast.clifford import (
     sequence_unitary,
 )
 from oracles import equal_up_to_phase, exact_census
-from test_cli_fuzz import BAD_VALUES, RB_TARGETS, _mutate, _run, rb_summary
+from test_cli_fuzz import BAD_VALUES, RB_TARGETS, WEIRD_NUMBERS, _mutate, _run, rb_summary
 
 
 def run_cli(args):
@@ -731,6 +731,74 @@ def test_swap_csv(capsys):
     assert first[1] == pytest.approx(1.0, abs=1e-9)
     totals = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert all(abs(t - 1.0) < 1e-9 for t in totals)
+
+
+@pytest.mark.parametrize("args,name", [
+    (["--j-khz", "1e200"], "j_over_2pi_khz = 1e+200 is out of range"),
+    (["--j-khz", "36", "--t1a-us", "1e-300"], "t1_a_ns = 1e-297 is out of range"),
+    (["--j-khz", "1e150", "--t-max-us", "1e300"], "t_grid_ns reaches 1e+303 ns"),
+], ids=["coupling", "damping", "grid"])
+def test_swap_overflow_names_its_input(tmp_path, capsys, args, name):
+    """A coupling or damping rate whose square overflows, or a grid on
+    which the phase overflows, is exit 3 naming that input, and writes no
+    file (before: nan and inf rows with exit 0)."""
+    assert run_cli(["swap", *args, "--points", "3", "-o", str(tmp_path / "swap.csv")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {name}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_swap_damping_past_the_float_range_decays_to_zero(capsys):
+    """Strong damping over a long grid takes the decay exponent past the
+    float range: both populations are 0, with no overflow warning."""
+    assert run_cli(["swap", "--j-khz", "36", "--t1a-us", "1e-100", "--t1b-us", "1e-100",
+                    "--t-max-us", "1e300", "--points", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["0,1,0,1", "5e+302,0,0,0", "1e+303,0,0,0"]
+    assert err == ""
+
+
+# The values that test_fuzz_simulations draws as weird or invalid, and the
+# two overflowing swap rates, each in one flag of a valid command.  A value
+# valid for its flag exits 0 with finite output; argparse cannot read "x",
+# "" and "-inf" (exit 2); any other value is exit 3.
+SIM_COMMANDS = {
+    "allxy": ["allxy", "--over", "1.01", "--phase", "0.02"],
+    "calib": ["calib", "--over", "1.01", "--n-max", "10"],
+    "swap": ["swap", "--j-khz", "36", "--t1a-us", "7", "--t1b-us", "14", "--t-max-us", "30",
+             "--points", "3"],
+}
+SIM_VALID = {("allxy", "--over"): {"0"}, ("allxy", "--phase"): {"-1", "0", "1e308"},
+             ("swap", "--j-khz"): {"0"},
+             ("swap", "--t1a-us"): {"inf", "1e308"}, ("swap", "--t1b-us"): {"inf", "1e308"},
+             ("swap", "--t-max-us"): {"0"}}
+SIM_EXTRA = {("swap", "--j-khz"): ["1e200"], ("swap", "--t1a-us"): ["1e-300"],
+             ("swap", "--t1b-us"): ["1e-300"]}
+SIM_CASES = [(command, flag, value)
+             for command, argv in SIM_COMMANDS.items() for flag in argv[1::2]
+             for value in (["-1", "0", "x"] if flag in ("--n-max", "--points")
+                           else WEIRD_NUMBERS + SIM_EXTRA.get((command, flag), []))]
+
+
+@pytest.mark.parametrize("command,flag,value", SIM_CASES,
+                         ids=[f"{c} {f} {v}" for c, f, v in SIM_CASES])
+def test_simulations_every_bad_value(tmp_path, command, flag, value):
+    argv = list(SIM_COMMANDS[command])
+    argv[argv.index(flag) + 1] = value
+    code, _, _ = _run(argv + ["-o", "out"], str(tmp_path))
+    if value in SIM_VALID.get((command, flag), ()):
+        assert code == 0
+        rows = (tmp_path / "out").read_text().splitlines()[1:]
+        assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all()
+    else:
+        assert code == (2 if value in ("x", "", "-inf") else 3)
+
+
+@pytest.mark.parametrize("command", list(SIM_COMMANDS))
+def test_simulations_sweep_base_commands_succeed(tmp_path, command):
+    """The sweep's valid commands run, so each case's failure is its value's."""
+    assert _run(SIM_COMMANDS[command] + ["-o", "out"], str(tmp_path))[0] == 0
 
 
 @pytest.mark.parametrize("args", [

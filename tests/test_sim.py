@@ -414,6 +414,60 @@ def test_benchmark_builds_every_round_only_when_it_draws_as_many(monkeypatch):
     assert readme.rounds >= 2 * 24**2 > readme.distinct_rounds
 
 
+def test_column_channels_match_rounds_built_alone():
+    """Compiled rounds read from the cover-column table get the channels
+    and slot counts that building their slot signatures gives, bit for bit:
+    1..17 qubits of mixed models, identity targets, all-identity rounds and
+    five-primitive rounds."""
+    rng = np.random.default_rng(24)
+    fallbacks = 0
+    for n in range(1, 18):
+        models = tuple(_THREE[k] for k in rng.integers(0, 3, n))
+        ids = rng.integers(1, 25, size=(200, n))
+        ids[rng.random(ids.shape) < 0.2] = 1
+        ids[:3] = 1
+        rows, channels, n_slots = sim._compiled_rounds(models, ids)
+        alone_rows, alone_channels, alone_slots = sim._round_channels(
+            models, "compiled", ids, np.zeros(len(ids), dtype=np.intp))
+        assert channels[rows].tobytes() == alone_channels[alone_rows].tobytes()
+        assert n_slots.tobytes() == alone_slots.tobytes()
+        assert not n_slots[:3].any()
+        fallbacks += np.count_nonzero(n_slots == 5)
+    assert fallbacks > 1000
+
+
+def _signature_path(models, ids):
+    return sim._round_channels(models, "compiled", ids, np.zeros(len(ids), dtype=np.intp))
+
+
+@pytest.mark.parametrize("models,m_values", [
+    ([QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8, (1, 2, 4, 8, 16, 32, 64, 128)),
+    (_THREE * 3, (1, 4, 16)),
+], ids=["eight-alike", "nine-mixed"])
+def test_compiled_runs_read_the_table_and_count_as_signatures(monkeypatch, models, m_values):
+    """A compiled run that draws fewer rounds than exist never builds its
+    rounds, and gives the p0 bytes and work counters of building their slot
+    signatures."""
+    def unused(*args):
+        raise AssertionError("_round_channels called")
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_round_channels", unused)
+        res = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=31)
+    monkeypatch.setattr(sim, "_compiled_rounds", _signature_path)
+    built = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=31)
+    assert _work(res) == _work(built)
+    assert [c.p0.tobytes() for c in res.curves] == [c.p0.tobytes() for c in built.curves]
+
+
+def test_column_channel_tables_are_read_only_and_small():
+    pairs, channels = sim._column_channels(tuple(_THREE))
+    assert pairs.shape == (151, 25)
+    assert channels.shape == (3, 1473, 4, 4)
+    assert channels.nbytes / len(channels) < 200_000
+    rows, gathered, _ = sim._compiled_rounds(tuple(_THREE), np.array([[2, 13, 1]]))
+    assert not any(a.flags.writeable for a in (pairs, channels, gathered))
+
+
 def test_wide_runs_retain_no_state():
     """Runs on fresh seeds keep nothing once they return: a run's rounds
     are built for it alone unless it draws every round that exists."""
