@@ -12,7 +12,8 @@ leakfit   fit the leakage saturation model to a CSV of (m, p2)
 
 Times are nanoseconds throughout; the exchange coupling for `swap` is
 given as J/2pi in kHz.  CSV output: header row, comma separators, LF line
-endings, floats with 9 significant digits.
+endings, floats with 9 significant digits; each table is formatted in one
+% operation from its first row's types.
 
 Each command returns its outputs as (path, text) pairs; `main` alone
 writes them, all or none.  Exit codes: 0 success, 2 usage errors, 3 any
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -49,10 +51,6 @@ EXIT_NUMERICAL = 4
 
 class NumericalError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
@@ -82,10 +80,13 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
 
 
 def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table as CSV text, formatted in one % operation: the first row's
+    types give every row's template, %.9g for a float and %s otherwise."""
+    head = ",".join(header)
+    if not rows:
+        return head + "\n"
+    row = "\n" + ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
+    return head + row * len(rows) % tuple(itertools.chain.from_iterable(rows)) + "\n"
 
 
 def _parse_combo(text: str) -> tuple[int, ...]:
@@ -280,10 +281,8 @@ def cmd_rb(args) -> list:
         raise NumericalError(str(exc))
 
     # Every fit has succeeded, so main may write both outputs.
-    rows = []
-    for q, curve in enumerate(result.curves):
-        for m, p0, p1 in zip(curve.m_values, curve.p0, curve.p1):
-            rows.append((m, q, float(p0), float(p1)))
+    rows = [(m, q, p0, p1) for q, c in enumerate(result.curves)
+            for m, p0, p1 in zip(c.m_values, c.p0.tolist(), c.p1.tolist())]
     csv_text = _csv(rows, header=["m", "qubit", "p0", "p1"])
     summary_text = json.dumps(summary, indent=2) + "\n"
     return [(cfg.get("csv_path", args.output), csv_text),
@@ -293,13 +292,13 @@ def cmd_rb(args) -> list:
 def cmd_allxy(args) -> list:
     p1 = sim.simulate_allxy(over_ratio=args.over, phase_rad=args.phase)
     ideal = sim.allxy_ideal()
-    rows = [(i + 1, float(p1[i]), float(ideal[i])) for i in range(len(p1))]
+    rows = list(zip(range(1, len(p1) + 1), p1.tolist(), ideal.tolist()))
     return [(args.output, _csv(rows, header=["id", "p1", "ideal_p1"]))]
 
 
 def cmd_calib(args) -> list:
     n_values, p1 = sim.simulate_amp_calibration(args.over, n_max=args.n_max)
-    rows = [(int(n), float(p)) for n, p in zip(n_values, p1)]
+    rows = list(zip(n_values.tolist(), p1.tolist()))
     return [(args.output, _csv(rows, header=["n", "p1"]))]
 
 
@@ -313,10 +312,7 @@ def cmd_swap(args) -> list:
     if not 0 <= t_max_ns < math.inf:
         raise ValueError(f"--t-max-us must be >= 0 and finite in ns, got {args.t_max_us!r}")
     t, p1a, p1b = sim.exchange_swap(params, np.linspace(0.0, t_max_ns, args.points))
-    rows = [
-        (float(ti), float(a), float(b), float(a + b))
-        for ti, a, b in zip(t, p1a, p1b)
-    ]
+    rows = np.column_stack([t, p1a, p1b, p1a + p1b]).tolist()
     return [(args.output, _csv(rows, header=["t_ns", "p1_a", "p1_b", "total"]))]
 
 

@@ -83,28 +83,32 @@ _LABELS = {
 _BY_LABEL = {v: k for k, v in _LABELS.items()}
 
 _I2 = np.eye(2, dtype=complex)
+_I2.flags.writeable = False
 
 # Azimuth of each rotation axis in the equatorial plane.
 _AZIMUTH = {"x": 0.0, "y": math.pi / 2}
 
 
+@lru_cache(maxsize=256)
 def rotation_unitary(axis: str, angle: float, phase: float = 0.0) -> np.ndarray:
     """exp(-1j*angle*sigma/2) about the equatorial axis
     sigma = cos(a)*sigma_x + sin(a)*sigma_y, with a the azimuth of axis 'x'
     (0) or 'y' (pi/2) plus phase (a drive phase error); identity for axis
     'i' or a zero angle.
 
-    Built entry by entry from math scalars: the simulator calls this once
-    per pulse.
+    Built entry by entry from math scalars and memoised: a repeated call
+    returns the same read-only array, and the identity is the read-only _I2.
     """
     if axis == "i" or angle == 0.0:
-        return _I2.copy()
+        return _I2
     azimuth = _AZIMUTH[axis] + phase
     c = math.cos(angle / 2)
     s = math.sin(angle / 2)
     sx = s * math.cos(azimuth)
     sy = s * math.sin(azimuth)
-    return np.array([[c, complex(-sy, -sx)], [complex(sy, -sx), c]])
+    u = np.array([[c, complex(-sy, -sx)], [complex(sy, -sx), c]])
+    u.flags.writeable = False
+    return u
 
 
 def pulse_unitary(p: Pulse) -> np.ndarray:

@@ -371,6 +371,14 @@ def _leakage_profile(lam, m, p2):
     return cost, (plateau,)
 
 
+@lru_cache(maxsize=16)
+def _first_rate_grid(lam_hi: float) -> np.ndarray:
+    """One row, geometric from _RATE_MIN to lam_hi (read-only)."""
+    grid = np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS)[None]
+    grid.flags.writeable = False
+    return grid
+
+
 def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit:
     """Fit the leakage saturation curve, returning rate and relaxation time.
 
@@ -388,7 +396,7 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     if not (0 < np_mean < math.inf and 0 < tp_ns < math.inf):
         raise ValueError("np_mean and tp_ns must be positive and finite")
     flat_zero = LeakageFit(0.0, math.inf, np_mean, tp_ns, (0.0, 0.0), True)
-    if np.allclose(p2, 0.0, atol=1e-15):
+    if np.all(np.abs(p2) <= 1e-15):  # np.allclose(p2, 0, atol=1e-15) on finite data
         return flat_zero
 
     positive = m[m > 0]
@@ -396,7 +404,7 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     # double precision, so the cost no longer depends on lam.
     lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
     rate, plateau = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
-                                      np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS)[None])
+                                      _first_rate_grid(float(lam_hi)))
     rate, plateau = float(rate[0]), float(plateau[0, 0])
     if plateau == 0.0:
         # Non-positive data: the best plateau is on its lower bound, where

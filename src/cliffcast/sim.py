@@ -481,21 +481,23 @@ def simulate_allxy(over_ratio: float = 1.0, phase_rad: float = 0.0,
     """Excited-state population after each of the 21 two-pulse pairs.
 
     over_ratio scales every non-identity rotation angle (amplitude error);
-    phase_rad offsets the axis of y pulses (drive phase error).
+    phase_rad offsets the axis of y pulses (drive phase error).  The pairs
+    run as one (21, 2, 2) stack: at each position, one apply_pulse per
+    distinct pulse on the rows that carry it and one relax.
     """
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not math.isfinite(phase_rad):
         raise ValueError("phase_rad must be finite")
-    out = np.empty(len(ALLXY_SEQUENCE))
-    for i, (first, second, _) in enumerate(ALLXY_SEQUENCE):
-        state = GROUND.copy()
-        for p in (first, second):
+    states = np.array([GROUND] * len(ALLXY_SEQUENCE))
+    for position in (0, 1):
+        pulses = [pair[position] for pair in ALLXY_SEQUENCE]
+        for p in dict.fromkeys(pulses):
+            rows = [i for i, q in enumerate(pulses) if q is p]
             phase = phase_rad if p.axis == "y" else 0.0
             scale = over_ratio if p is not Pulse.I else 1.0
-            state = apply_pulse(state, p, scale, phase)
-            state = relax(state, slot_ns, t1_ns)
-        out[i] = state[1, 1].real
-    return out
+            states[rows] = apply_pulse(states[rows], p, scale, phase)
+        states = relax(states.transpose(1, 2, 0), slot_ns, t1_ns).transpose(2, 0, 1)
+    return states[:, 1, 1].real.copy()
 
 
 def allxy_ideal() -> np.ndarray:
@@ -574,13 +576,14 @@ def exchange_swap(params: ExchangeParams, t_grid_ns):
     point w = 0 is an ordinary input; for w^2 < 0 (damping outweighs
     coupling) cos and sinc become cosh and sinh(x)/x, whose growth is
     moved into the decay envelope so that long times cannot overflow.
-    Returns (t_grid_ns, p1_a, p1_b) with the grid sorted.  A coupling or
+    Returns (t_grid_ns, p1_a, p1_b) with the 1-d grid sorted.  A coupling or
     damping rate whose square overflows, or a grid so long that the phase
     w t does, raises ValueError naming that input.
     """
-    t = np.asarray(sorted(float(x) for x in t_grid_ns))
-    if t.size == 0 or not np.all(np.isfinite(t)) or t[0] < 0:
-        raise ValueError("t_grid_ns must be non-empty, finite and non-negative")
+    t = np.asarray(t_grid_ns, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or t.min() < 0:
+        raise ValueError("t_grid_ns must be a non-empty 1-d grid, finite and non-negative")
+    t = np.sort(t, kind="stable")
 
     j = params.j_rad_per_ns
     gamma_a, gamma_b = 1.0 / params.t1_a_ns, 1.0 / params.t1_b_ns

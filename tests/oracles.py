@@ -71,8 +71,12 @@ cliffcast.sim.
 
 allxy_staircase and amp_calibration rerun the diagnostic staircase and the
 amplitude-calibration curve from the same rotations and damping, with no
-code of cliffcast.sim: a drive phase error turns the y axis about z, and
-every calibration train restarts from the ground state.
+code of cliffcast.sim: a drive phase error turns the y axis about z
+(equatorial_rotation, also the reference for clifford.rotation_unitary),
+and every calibration train restarts from the ground state.
+
+csv_text writes a CSV table value by value, one format call per float, the
+reference for the CLI's one-operation writer.
 """
 
 from __future__ import annotations
@@ -764,14 +768,20 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
 ALLXY_PAIRS = "II XX YY XY YX xI yI xy yx xY yX Xy Yx xX Xx yY Yy XI YI xx yy".split()
 
 
+def equatorial_rotation(axis: str, theta: float, phase_rad: float) -> np.ndarray:
+    """exp(-i theta sigma_axis / 2) with the x or y axis turned by phase_rad
+    about z."""
+    turn = _axis_rotation("z", phase_rad)
+    return turn @ _axis_rotation(axis, theta) @ turn.conj().T
+
+
 def _drive(label: str, over_ratio: float, phase_rad: float) -> np.ndarray:
     """One drive pulse at over_ratio times its nominal angle; a y pulse's
     axis is the y axis turned by phase_rad about z."""
     theta = (math.pi if label.isupper() else math.pi / 2) * over_ratio
     if label in "Xx":
         return _axis_rotation("x", theta)
-    turn = _axis_rotation("z", phase_rad)
-    return turn @ _axis_rotation("y", theta) @ turn.conj().T
+    return equatorial_rotation("y", theta, phase_rad)
 
 
 def _excited_population(rotations, slot_ns: float, t1_ns: float) -> float:
@@ -800,3 +810,16 @@ def amp_calibration(over_ratio: float, n_max: int, t1_ns: float,
     x90, x180 = _drive("x", over_ratio, 0.0), _drive("X", over_ratio, 0.0)
     return np.array([_excited_population([x90] + [x180] * (2 * n), slot_ns, t1_ns)
                      for n in range(n_max + 1)])
+
+
+# --- CSV output -------------------------------------------------------------
+
+
+def csv_text(rows, header) -> str:
+    """The CLI's CSV table written value by value: a float as
+    format(x, '.9g'), anything else as str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".9g") if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"

@@ -8,14 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from cliffcast import compiler, fit, sim
+from cliffcast import cli, compiler, fit, sim
 from cliffcast.cli import build_parser, main
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     Pulse,
     sequence_unitary,
 )
-from oracles import equal_up_to_phase, exact_census
+from oracles import csv_text, equal_up_to_phase, exact_census
 from test_cli_fuzz import BAD_VALUES, RB_TARGETS, WEIRD_NUMBERS, _mutate, _run, rb_summary
 
 
@@ -289,6 +289,47 @@ def test_rb_output_bytes_are_pinned(tmp_path):
         h.update((tmp_path / "rb.csv").read_bytes())
         h.update((tmp_path / "rb.json").read_bytes())
     assert h.hexdigest() == RB_BYTES_DIGEST
+
+
+# SHA-256 over the stdout of the analysis commands and of `stats --csv` on
+# the flag grid below, recorded before the CSV writer formatted whole tables
+# and the staircase was pushed as one stack.
+ANALYSIS_BYTES_DIGEST = "9052943904ec7e3814cd21d5c163118479a2731a969b5064828a4e43d96796d2"
+
+
+def _analysis_argvs(tmp_path):
+    """The grid of analysis and `stats --csv` command lines, in hash order;
+    the leakfit inputs are written to tmp_path."""
+    argvs = [["allxy", "--over", over, "--phase", phase]
+             for over in ("0", "0.97", "1", "1.03") for phase in ("0", "0.1", "-0.3")]
+    argvs += [["calib", "--over", over, "--n-max", n_max]
+              for over in ("0.97", "1.01", "1.5") for n_max in ("1", "4", "49")]
+    for j_khz, t1s in (("36", []), ("36", ["--t1a-us", "7", "--t1b-us", "14"]),
+                       ("0", ["--t1a-us", "7", "--t1b-us", "14"]),
+                       ("36", ["--t1a-us", "0.01"])):
+        argvs += [["swap", "--j-khz", j_khz, *t1s, "--t-max-us", t_max, "--points", points]
+                  for t_max in ("0", "1", "30") for points in ("1", "11", "301")]
+    m = np.arange(0.0, 1001.0, 25.0)
+    curves = {"clean": fit.leakage_model(m, 1e-6, 8000.0, 1.875, 20.0),
+              "noisy": fit.leakage_model(m, 2e-6, 15000.0, 1.875, 20.0)
+              + np.random.default_rng(5).normal(0.0, 1e-5, m.size),
+              "zero": np.zeros_like(m)}
+    for name, p2 in curves.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("m,p2\n" + "".join(f"{a},{b}\n" for a, b in zip(m, p2)))
+        argvs += [["leakfit", "--input", str(path), *flags]
+                  for flags in ([], ["--np-mean", "2.5", "--tp-ns", "16"])]
+    argvs += [["stats", "--n", n, "--exact", "--csv"] for n in ("1", "3", "40", "3000")]
+    argvs += [["stats", "--n", n, "--samples", "200", "--seed", "4", "--csv"] for n in ("2", "9")]
+    return argvs
+
+
+def test_analysis_output_bytes_are_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    for argv in _analysis_argvs(tmp_path):
+        assert run_cli(argv) == 0, argv
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == ANALYSIS_BYTES_DIGEST
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3])
@@ -947,3 +988,27 @@ def test_csv_floats_nine_significant_digits(capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     token = lines[1].split(",")[1]
     assert len(token.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+_RANDOM_FLOATS = (np.random.default_rng(11).integers(0, 2**64, 20_000, dtype=np.uint64)
+                  .view(np.float64).reshape(-1, 4).tolist())
+CSV_TABLES = {
+    "ints": ([(1, 2), (3, -4), (0, 24**3000)], ["a", "b"]),
+    "floats": ([(math.inf, -math.inf, math.nan), (-0.0, 5e-324, 1e308),
+                (0.1, -2.5e-7, 123456789.123)], ["x", "y", "z"]),
+    "mixed": ([(3000, 4.0, 0.0, "exact", 0), (10, 4.77, 0.0422952585, "sampled", 100)],
+              ["n", "mean_np", "stderr", "mode", "samples"]),
+    "numpy floats": ([(1, np.float64(0.5), np.float64(-1e-300))], ["m", "p0", "p1"]),
+    "random bits": (_RANDOM_FLOATS, ["a", "b", "c", "d"]),
+    "no rows": ([], ["t_ns", "p1_a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_TABLES))
+def test_csv_matches_per_value_writer(case):
+    """The one-operation CSV writer gives the per-value writer's bytes: ints
+    of any length (24^3000 has 4,141 digits), every kind of float, strings
+    and an empty table."""
+    rows, header = CSV_TABLES[case]
+    with cli._unlimited_int_digits():
+        assert cli._csv(rows, header) == csv_text(rows, header)

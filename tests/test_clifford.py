@@ -23,7 +23,8 @@ from cliffcast.clifford import (
     recovery_clifford,
     sequence_unitary,
 )
-from oracles import derive_inverted_masks, equal_up_to_phase
+from cliffcast.sim import apply_pulse
+from oracles import derive_inverted_masks, equal_up_to_phase, equatorial_rotation
 
 I2 = np.eye(2)
 
@@ -36,6 +37,55 @@ def test_pulse_unitaries_are_unitary():
 
 def test_identity_pulse_is_identity():
     assert np.allclose(pulse_unitary(Pulse.I), I2)
+
+
+@pytest.mark.parametrize("axis, angle, phase", [
+    ("x", np.pi, 0.0), ("y", np.pi / 2, 0.0), ("x", -np.pi / 2, 0.3),
+    ("y", 1.03 * np.pi, -0.1), ("x", 0.0, 0.2), ("i", 0.0, 0.0),
+])
+def test_rotation_unitary_is_memoised_and_read_only(axis, angle, phase):
+    u = cl.rotation_unitary(axis, angle, phase)
+    assert cl.rotation_unitary(axis, angle, phase) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    expected = I2 if axis == "i" else equatorial_rotation(axis, angle, phase)
+    assert np.max(np.abs(u - expected)) < 1e-15
+
+
+def test_identity_rotation_is_the_shared_read_only_identity():
+    assert cl.rotation_unitary("i", 0.0) is cl._I2
+    assert cl.rotation_unitary("y", 0.0, 0.4) is cl._I2
+    assert pulse_unitary(Pulse.I) is cl._I2
+    assert not cl._I2.flags.writeable
+
+
+# sha256 of every pulse_unitary, then of the sequence_unitary of each
+# minimal decomposition, both five-primitive rounds and the empty sequence,
+# recorded before rotation_unitary was memoised.
+PULSE_PRODUCTS_DIGEST = "e905237e9f368203a340efafeea6657af2a971a557dd4bdbe6932c7a3a7b2f1a"
+
+
+def test_pulse_products_are_pinned():
+    """The products of the read-only rotations are unchanged, and fresh,
+    writable arrays."""
+    h = hashlib.sha256()
+    for p in Pulse:
+        h.update(pulse_unitary(p).tobytes())
+    for pulses in [*MINIMAL_DECOMPOSITIONS.values(), FIVE_PRIMITIVES,
+                   FIVE_PRIMITIVES_INVERTED, ()]:
+        u = sequence_unitary(pulses)
+        assert u.flags.writeable and u is not cl._I2
+        h.update(u.tobytes())
+    assert h.hexdigest() == PULSE_PRODUCTS_DIGEST
+
+
+def test_identity_pulse_leaves_a_fresh_state():
+    state = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    out = apply_pulse(state, Pulse.I)
+    assert out is not state and out.flags.writeable
+    out[0, 0] = 0.0
+    assert state[0, 0] == 0.75
 
 
 def test_x180_is_minus_i_sigma_x():

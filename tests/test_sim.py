@@ -469,8 +469,10 @@ def test_column_channel_tables_are_read_only_and_small():
 
 
 def test_wide_runs_retain_no_state():
-    """Runs on fresh seeds keep nothing once they return: a run's rounds
-    are built for it alone unless it draws every round that exists."""
+    """Runs on fresh seeds keep nothing once they return: their compiled
+    rounds are read from the per-register cover-column table
+    (_column_channels), which the first run builds, and nothing a run
+    builds for itself outlives it."""
     models = [QubitModel(t1_ns=10_000.0, cross_ratio=0.0076)] * 8
     m_values = (1, 2, 4, 8, 16, 32, 64, 128)
     run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=0)
@@ -618,6 +620,21 @@ def test_amp_calibration_bytes_are_pinned():
             h.update(n_values.astype(np.int64).tobytes())
             h.update(p1.tobytes())
     assert h.hexdigest() == CALIBRATION_DIGEST
+
+
+# sha256 of the staircase arrays over the (over, phase, T1) grid below, as
+# the pair-by-pair loop computed them before the pairs were pushed as one
+# stack.
+ALLXY_DIGEST = "d413754ff804bed9b59e9f9a2b064c65464e28a2ae5d410cdbad7da1d76ab174"
+
+
+def test_allxy_bytes_are_pinned():
+    h = hashlib.sha256()
+    for over_ratio in (0.0, 0.97, 1.0, 1.03):
+        for phase_rad in (0.0, 0.1, -0.3):
+            for t1_ns in (math.inf, 10_000.0, 800.0):
+                h.update(simulate_allxy(over_ratio, phase_rad, t1_ns).tobytes())
+    assert h.hexdigest() == ALLXY_DIGEST
 
 
 def test_exchange_full_swap_and_return():
