@@ -20,9 +20,9 @@ signature's matrix is built once, as a product of the model's slot
 matrices; an 8-qubit compiled run meets some hundreds of signatures,
 against 24^8 combinations, and every compiled round of a model is one of
 1,473 signatures, built once per register.  The slot matrices are built
-from apply_pulse and relax, so those two functions stay the only
-definition of the physics.  The benchmarking pass itself is described
-with the channels below.
+from apply_pulse and relax, the diagnostics from relax and the rotations
+apply_pulse conjugates by (_conjugation), so those stay the only
+definition of the physics.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -118,12 +118,18 @@ def apply_pulse(state: np.ndarray, p: Pulse, angle_scale: float = 1.0,
     phase error).  Identity pulses and zero scales leave the state alone.
     state may be a stack (..., 2, 2): every matrix gets the same rotation.
     """
-    if p is Pulse.I or angle_scale == 0.0:
-        return state.copy()
-    if angle_scale < 0:
-        raise ValueError("angle_scale must be >= 0")
+    u, u_h = _conjugation(p, angle_scale, phase_rad)  # checks the inputs for every pulse
+    return state.copy() if p is Pulse.I or angle_scale == 0.0 else u @ state @ u_h
+
+
+def _conjugation(p: Pulse, angle_scale: float, phase_rad: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u^dagger as a view), apply_pulse's checked rotation: state -> u @ state @ u^dagger."""
+    if not 0 <= angle_scale * math.pi < math.inf:
+        raise ValueError(f"angle_scale must be >= 0, with a finite angle, got {angle_scale!r}")
+    if not math.isfinite(phase_rad):
+        raise ValueError(f"phase_rad must be finite, got {phase_rad!r}")
     u = rotation_unitary(p.axis, p.angle * angle_scale, phase_rad)
-    return u @ state @ u.conj().T
+    return u, u.conj().T
 
 
 def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
@@ -133,8 +139,10 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
     coherences by exp(-dt/2 t1).  The first two axes of state are the 2x2
     ones, so a stack (2, 2, ...) is damped matrix by matrix, bit for bit.
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
+    if not dt >= 0:
+        raise ValueError(f"dt must be >= 0, got {dt!r}")
+    if not t1 > 0:
+        raise ValueError(f"t1 must be > 0 (math.inf allowed), got {t1!r}")
     if dt == 0 or math.isinf(t1):
         return state.copy()
     decay = math.exp(-dt / t1)
@@ -473,6 +481,9 @@ ALLXY_SEQUENCE: tuple[tuple[Pulse, Pulse, float], ...] = (
     (Pulse.X90, Pulse.X90, 1.0),
     (Pulse.Y90, Pulse.Y90, 1.0),
 )
+# Each position's pulses (a row of _ALLXY_CODES) as indices into _ALLXY_PULSES.
+_ALLXY_PULSES = (Pulse.I, Pulse.X180, Pulse.Y180, Pulse.X90, Pulse.Y90)
+_ALLXY_CODES = np.array([[_ALLXY_PULSES.index(p) for p in pair[:2]] for pair in ALLXY_SEQUENCE]).T
 
 
 def simulate_allxy(over_ratio: float = 1.0, phase_rad: float = 0.0,
@@ -482,20 +493,17 @@ def simulate_allxy(over_ratio: float = 1.0, phase_rad: float = 0.0,
 
     over_ratio scales every non-identity rotation angle (amplitude error);
     phase_rad offsets the axis of y pulses (drive phase error).  The pairs
-    run as one (21, 2, 2) stack: at each position, one apply_pulse per
-    distinct pulse on the rows that carry it and one relax.
+    run as one (21, 2, 2) stack: each position conjugates its firing rows by
+    a gathered table of _conjugation rotations, then damps all by one relax.
     """
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
-    if not math.isfinite(phase_rad):
-        raise ValueError("phase_rad must be finite")
+    units = np.array([_conjugation(p, over_ratio, phase_rad if p.axis == "y" else 0.0)[0]
+                      for p in _ALLXY_PULSES])
     states = np.array([GROUND] * len(ALLXY_SEQUENCE))
-    for position in (0, 1):
-        pulses = [pair[position] for pair in ALLXY_SEQUENCE]
-        for p in dict.fromkeys(pulses):
-            rows = [i for i, q in enumerate(pulses) if q is p]
-            phase = phase_rad if p.axis == "y" else 0.0
-            scale = over_ratio if p is not Pulse.I else 1.0
-            states[rows] = apply_pulse(states[rows], p, scale, phase)
+    for codes in _ALLXY_CODES:
+        on = (codes > 0) & (over_ratio != 0)  # I and zero drive leave a row alone
+        u = units[codes[on]]
+        states[on] = u @ states[on] @ u.conj().transpose(0, 2, 1)
         states = relax(states.transpose(1, 2, 0), slot_ns, t1_ns).transpose(2, 0, 1)
     return states[:, 1, 1].real.copy()
 
@@ -510,10 +518,10 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     """P1 versus N for the half-pulse-then-2N-pi-pulses amplitude check.
 
     The qubit starts in the ground state, gets one X90 and then 2N X180
-    pulses, all scaled by over_ratio.  On an ideally driven qubit P1 stays
-    at one half for every N; over-driving tilts the initial slope positive,
-    under-driving negative.  The train for N is a prefix of the train for
-    N + 1, so one pass reads P1 after the X90 and after every second X180.
+    pulses, all scaled by over_ratio: ideally P1 stays at one half, and
+    over- or under-driving tilts the initial slope up or down.  One pass
+    reads P1 after the X90 and every second X180 (the train for N is a
+    prefix of N + 1's), each X180 one conjugation by a hoisted _conjugation.
     """
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not over_ratio > 0:
@@ -522,9 +530,11 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     p1 = np.empty(n_max + 1)
     state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
     p1[0] = state[1, 1].real
+    u, u_h = _conjugation(Pulse.X180, over_ratio, 0.0)
     for n in range(1, n_max + 1):
         for _ in range(2):
-            state = relax(apply_pulse(state, Pulse.X180, over_ratio), slot_ns, t1_ns)
+            state = u @ state @ u_h
+            state = state if t1_ns == math.inf else relax(state, slot_ns, t1_ns)
         p1[n] = state[1, 1].real
     return np.arange(n_max + 1), p1
 

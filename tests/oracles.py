@@ -75,6 +75,13 @@ code of cliffcast.sim: a drive phase error turns the y axis about z
 (equatorial_rotation, also the reference for clifford.rotation_unitary),
 and every calibration train restarts from the ground state.
 
+allxy_per_pulse and amp_calibration_per_pulse are the two diagnostics as
+they ran through cliffcast.sim's apply_pulse and relax before the
+conjugations were hoisted: the staircase one apply_pulse call per distinct
+pulse at each position and one relax, the calibration train one of each
+per pulse.  They are the bit-for-bit references of simulate_allxy and
+simulate_amp_calibration.
+
 csv_text writes a CSV table value by value, one format call per float, the
 reference for the CLI's one-operation writer.
 """
@@ -99,6 +106,7 @@ from cliffcast.clifford import (
     FIVE_PRIMITIVES,
     FIVE_PRIMITIVES_INVERTED,
     MINIMAL_DECOMPOSITIONS,
+    Pulse,
     clifford_of_pulses,
     compose,
     minimal_decomposition,
@@ -108,6 +116,7 @@ from cliffcast.clifford import (
 )
 from cliffcast.decomp import SEARCH_BASIS, enumerate_decompositions
 from cliffcast.fit import _AMPLITUDE_BOUNDS, _DECAY_BOUNDS, _OFFSET_BOUNDS, ExpFit
+from cliffcast.sim import ALLXY_SEQUENCE, GROUND, apply_pulse, relax
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -810,6 +819,36 @@ def amp_calibration(over_ratio: float, n_max: int, t1_ns: float,
     x90, x180 = _drive("x", over_ratio, 0.0), _drive("X", over_ratio, 0.0)
     return np.array([_excited_population([x90] + [x180] * (2 * n), slot_ns, t1_ns)
                      for n in range(n_max + 1)])
+
+
+def allxy_per_pulse(over_ratio: float, phase_rad: float, t1_ns: float,
+                    slot_ns: float = 20.0) -> np.ndarray:
+    """simulate_allxy's staircase, one apply_pulse call per distinct pulse
+    on the rows that carry it at each position, then one relax."""
+    states = np.array([GROUND] * len(ALLXY_SEQUENCE))
+    for position in (0, 1):
+        pulses = [pair[position] for pair in ALLXY_SEQUENCE]
+        for p in dict.fromkeys(pulses):
+            rows = [i for i, q in enumerate(pulses) if q is p]
+            phase = phase_rad if p.axis == "y" else 0.0
+            scale = over_ratio if p is not Pulse.I else 1.0
+            states[rows] = apply_pulse(states[rows], p, scale, phase)
+        states = relax(states.transpose(1, 2, 0), slot_ns, t1_ns).transpose(2, 0, 1)
+    return states[:, 1, 1].real.copy()
+
+
+def amp_calibration_per_pulse(over_ratio: float, n_max: int, t1_ns: float,
+                              slot_ns: float = 20.0) -> np.ndarray:
+    """simulate_amp_calibration's P1, one apply_pulse and one relax call per
+    pulse of the one train."""
+    p1 = np.empty(n_max + 1)
+    state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
+    p1[0] = state[1, 1].real
+    for n in range(1, n_max + 1):
+        for _ in range(2):
+            state = relax(apply_pulse(state, Pulse.X180, over_ratio), slot_ns, t1_ns)
+        p1[n] = state[1, 1].real
+    return p1
 
 
 # --- CSV output -------------------------------------------------------------

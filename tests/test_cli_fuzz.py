@@ -12,8 +12,10 @@ deterministic.  Which cases they reach follows the test's source, so an
 edit can move them: each test counts the exit codes of its runs and then
 asserts that every code it is meant to reach came up a few times (and, for
 `leakfit`, that rows of the wrong length met a valid header and valid
-flags).  `leakfit` draws at least two data rows, and a valid header and
-no bad row more often than not, so that some of its fits run and succeed.
+flags).  `rb` reaches exit 4 by construction: one of its mutations
+repeats one sequence length, which a decay fit cannot resolve.  `leakfit`
+draws at least two data rows, and a valid header and no bad row more
+often than not, so that some of its fits run and succeed.
 
 Sizes are bounded only to keep the run time to seconds, not because larger
 values are invalid: at most 8 qubits for `compile` and 3 in an `rb`
@@ -155,8 +157,18 @@ QUBIT = st.fixed_dictionaries({}, optional={
 })
 
 
+# A config gets at most one mutation: a value its field rejects (exit 3,
+# or 0 where the value happens to be valid), or one length repeated four
+# times.  Those lengths are valid, but a decay fit cannot resolve them, so
+# a run whose config is otherwise valid and whose curves are not flat ends
+# in exit 4 (unless rounding lets the fit through).
+MUTATIONS = st.one_of(st.none(),
+                      st.integers(1, 16).map(lambda m: ("m_values", [m] * 4)),
+                      st.tuples(st.sampled_from(RB_TARGETS), st.sampled_from(BAD_VALUES)))
+
+
 def _mutate(cfg, target, value):
-    """Put one invalid value into an otherwise valid config."""
+    """Put one mutated value into an otherwise valid config."""
     if target == "m_value":
         owner, key = cfg["m_values"], 0
     elif target.startswith("qubit."):
@@ -180,8 +192,7 @@ def _mutate(cfg, target, value):
             "rng_seed": st.integers(0, 2**40)},
            optional={"csv_path": st.sampled_from(["out", "missing/out", "."]),
                      "summary_path": st.sampled_from(["summary", "missing/out"])}),
-       mutation=st.one_of(st.none(), st.tuples(st.sampled_from(RB_TARGETS),
-                                               st.sampled_from(BAD_VALUES))),
+       mutation=MUTATIONS,
        text=st.sampled_from([None, None, None, "{", "[]"]),
        output=OUTPUTS)
 def test_fuzz_rb(cfg, mutation, text, output):

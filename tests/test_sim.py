@@ -26,8 +26,10 @@ from cliffcast.sim import (
 )
 from oracles import (
     ALLXY_PAIRS,
+    allxy_per_pulse,
     allxy_staircase,
     amp_calibration,
+    amp_calibration_per_pulse,
     lindblad_exchange,
     slot_by_slot_benchmark,
     slot_transfer_matrix,
@@ -95,6 +97,46 @@ def test_relax_damps_a_stack_as_each_matrix():
 def test_apply_pulse_rejects_a_negative_scale():
     with pytest.raises(ValueError, match="angle_scale"):
         apply_pulse(GROUND, Pulse.X90, -0.5)
+
+
+@pytest.mark.parametrize("pulse, angle_scale, phase_rad, name", [
+    (Pulse.X90, math.nan, 0.0, "angle_scale"),
+    (Pulse.X90, math.inf, 0.0, "angle_scale"),
+    (Pulse.X180, 1e308, 0.0, "angle_scale"),  # the angle overflows
+    (Pulse.X90, -math.inf, 0.0, "angle_scale"),
+    (Pulse.I, -0.5, 0.0, "angle_scale"),
+    (Pulse.Y90, 1.0, math.nan, "phase_rad"),
+    (Pulse.Y90, 1.0, math.inf, "phase_rad"),
+    (Pulse.X90, 1.0, -math.inf, "phase_rad"),
+    (Pulse.I, 1.0, math.nan, "phase_rad"),
+])
+def test_apply_pulse_rejects_what_a_qubit_model_rejects(pulse, angle_scale, phase_rad, name):
+    """For every pulse, the identity too, a scale must be >= 0 with a finite
+    angle and a phase finite, as QubitModel requires; the error names the
+    argument."""
+    with pytest.raises(ValueError, match=f"^{name} "):
+        apply_pulse(GROUND, pulse, angle_scale, phase_rad)
+
+
+@pytest.mark.parametrize("dt, t1, name", [
+    (20.0, -5.0, "t1"),
+    (20.0, 0.0, "t1"),
+    (20.0, math.nan, "t1"),
+    (20.0, -math.inf, "t1"),
+    (math.nan, 1e4, "dt"),
+    (math.nan, math.inf, "dt"),
+    (-math.inf, 1e4, "dt"),
+])
+def test_relax_rejects_what_a_qubit_model_rejects(dt, t1, name):
+    """t1 must be > 0 (inf allowed) and dt >= 0, neither NaN, as QubitModel
+    requires of its T1 and slot length; the error names the argument."""
+    with pytest.raises(ValueError, match=f"^{name} "):
+        relax(EXCITED, dt, t1)
+
+
+def test_relax_accepts_the_limits():
+    assert relax(EXCITED, math.inf, 1e4).tobytes() == GROUND.tobytes()
+    assert relax(EXCITED, math.inf, math.inf).tobytes() == EXCITED.tobytes()
 
 
 @pytest.mark.parametrize("models", [
@@ -572,8 +614,9 @@ def test_amp_calibration_slope_sign(ratio):
 
 
 def test_amp_calibration_guards():
-    with pytest.raises(ValueError):
-        simulate_amp_calibration(0.0)
+    for over_ratio in (0.0, -0.0):
+        with pytest.raises(ValueError, match="over_ratio"):
+            simulate_amp_calibration(over_ratio)
 
 
 def test_amp_calibration_rejects_a_non_integer_train_count():
@@ -605,6 +648,39 @@ def test_slot_length_reaches_both_diagnostics():
     assert np.max(np.abs(allxy - allxy_staircase(1.02, 0.1, 900.0, slot_ns=35.0))) < 1e-12
     _, calib = simulate_amp_calibration(1.02, n_max=9, t1_ns=900.0, slot_ns=35.0)
     assert np.max(np.abs(calib - amp_calibration(1.02, 9, 900.0, slot_ns=35.0))) < 1e-12
+
+
+# Drive strengths for the diagnostics' per-pulse references: zero drive of
+# either sign, a subnormal one, under- and over-driving.
+DIAGNOSTIC_OVERS = (0.0, -0.0, 1e-320, 0.97, 1.5)
+
+
+@pytest.mark.parametrize("over_ratio", DIAGNOSTIC_OVERS)
+def test_allxy_is_the_per_pulse_staircase(over_ratio):
+    """simulate_allxy gives allxy_per_pulse's bytes at seeded phase errors,
+    lossless and finite T1, and slot lengths other than 20 ns."""
+    rng = np.random.default_rng(2601)
+    for t1_ns in (math.inf, *rng.uniform(50.0, 1e5, 3)):
+        for slot_ns in (20.0, *rng.uniform(1.0, 60.0, 2)):
+            for phase_rad in (0.0, *rng.normal(0.0, 0.5, 2)):
+                want = allxy_per_pulse(over_ratio, phase_rad, t1_ns, slot_ns)
+                got = simulate_allxy(over_ratio, phase_rad, t1_ns, slot_ns)
+                assert got.tobytes() == want.tobytes(), (t1_ns, slot_ns, phase_rad)
+
+
+@pytest.mark.parametrize("over_ratio", [o for o in DIAGNOSTIC_OVERS if o > 0])
+def test_amp_calibration_is_the_per_pulse_train(over_ratio):
+    """simulate_amp_calibration gives amp_calibration_per_pulse's bytes for
+    trains of 1 to 200 pulse pairs (seeded), lossless and finite T1, and
+    slot lengths other than 20 ns."""
+    rng = np.random.default_rng(2602)
+    for t1_ns in (math.inf, *rng.uniform(50.0, 1e5, 2)):
+        for slot_ns in (20.0, float(rng.uniform(1.0, 60.0))):
+            for n_max in (1, 2, *rng.integers(3, 200, 2).tolist(), 200):
+                want = amp_calibration_per_pulse(over_ratio, n_max, t1_ns, slot_ns)
+                n_values, got = simulate_amp_calibration(over_ratio, n_max, t1_ns, slot_ns)
+                assert n_values.tolist() == list(range(n_max + 1))
+                assert got.tobytes() == want.tobytes(), (t1_ns, slot_ns, n_max)
 
 
 # sha256 of the calibration curves (n as int64, then P1) over the grid below,
