@@ -262,10 +262,13 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
     to amplitude 0, decay 1.  Points are weighted by 1 / y_err (one row per
     curve), a zero error taking max(1, the largest error of its curve):
     beside errors below 1, as p0 standard errors are, such a point gets
-    weight 1.  A negative error is a ValueError.  Each curve's fit is the
-    one its one-curve call fit_exp_offset gives, to the bit.
+    weight 1.  A negative error is a ValueError, and so are fewer than 3
+    distinct lengths, which cannot fix three parameters.  Each curve's fit
+    is the one its one-curve call fit_exp_offset gives, to the bit.
     """
     m, y = _curve(m_values, y_values, ndim=2)
+    if (distinct := len(set(m.tolist()))) < 3:
+        raise ValueError(f"need at least 3 distinct lengths to fit a decay, got {distinct}")
     if y_err is None:
         w = np.ones_like(y)
     else:

@@ -20,9 +20,9 @@ signature's matrix is built once, as a product of the model's slot
 matrices; an 8-qubit compiled run meets some hundreds of signatures,
 against 24^8 combinations, and every compiled round of a model is one of
 1,473 signatures, built once per register.  The slot matrices are built
-from apply_pulse and relax, the diagnostics from relax and the rotations
-apply_pulse conjugates by (_conjugation), so those stay the only
-definition of the physics.
+from apply_pulse and relax, the diagnostics from the rotations apply_pulse
+conjugates by (_conjugation) and the damping relax applies (_damping), so
+those stay the only definition of the physics.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import compiler
-from .clifford import Pulse, _check_int, chain_product, recovery_clifford, rotation_unitary
+from .clifford import _COMPOSE_TABLE, Pulse, _check_int, recovery_clifford, rotation_unitary
 from .compiler import (
     RB_SCHEMES,
     SCHEME_COMPILED,
@@ -145,14 +145,21 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
         raise ValueError(f"t1 must be > 0 (math.inf allowed), got {t1!r}")
     if dt == 0 or math.isinf(t1):
         return state.copy()
+    return _damping(dt, t1)(state)
+
+
+def _damping(dt: float, t1: float):
+    """relax's damping for dt > 0 and a finite t1, its factors computed once."""
     decay = math.exp(-dt / t1)
     eta = math.sqrt(decay)
-    out = np.empty_like(state)
-    out[0, 0] = state[0, 0] + (1.0 - decay) * state[1, 1]
-    out[1, 1] = decay * state[1, 1]
-    out[0, 1] = eta * state[0, 1]
-    out[1, 0] = eta * state[1, 0]
-    return out
+    def damp(state: np.ndarray) -> np.ndarray:
+        out = np.empty_like(state)
+        out[0, 0] = state[0, 0] + (1.0 - decay) * state[1, 1]
+        out[1, 1] = decay * state[1, 1]
+        out[0, 1] = eta * state[0, 1]
+        out[1, 0] = eta * state[1, 0]
+        return out
+    return damp
 
 
 # --- benchmarking channels ------------------------------------------------
@@ -164,9 +171,10 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 # slots' matrices.
 #
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
-# sequence first, in the seeds' Philox order, with each block's recoveries
-# from one batched recovery_clifford call, and then takes its round
-# channels from one of three sources, by what the run draws:
+# sequence first, one (n_driven, m) block per seed and length in the
+# seeds' Philox order, reduces all of them at once over the compose table
+# and inverts the products in one recovery_clifford call, and then takes
+# its round channels from one of three sources, by what the run draws:
 # - A run that draws at least as many rounds as exist (24^n_driven, twice
 #   that for the symmetric scheme) reads them from _every_round, built once
 #   per register, scheme and driven count, by round index.
@@ -178,16 +186,10 @@ def relax(state: np.ndarray, dt: float, t1: float) -> np.ndarray:
 #   _round_channels for this run alone.
 # _round_channels plans its rounds in one compiler.round_plans call; one
 # lexsort of their packed per-qubit slot signatures finds the distinct
-# ones, built together, one stacked 4x4 product per slot.  Each sequence
-# then gathers its rounds' (m + 1, n, 4, 4) channels, multiplies them
-# pairwise in log2(m) levels and applies the product to the ground state.
-# On eight qubits (compiled, lengths 1..128, two seeds, nearly every round
-# new; 2-core Xeon VM, one BLAS thread, median of 300 fresh seeds in one
-# process, three processes) run_rb takes 1.5-1.7 ms, against 2.7-3.6 ms
-# when each run built its own rounds.  On the README config (two qubits,
-# lengths 1..800; one process per scheme, twice) a first 1-seed run, which
-# builds the every-round table, takes 2.4-4.5 ms per scheme, a second one
-# 1.3-1.8 ms, and a 30-seed run 33-50 ms.
+# ones, built together, one stacked 4x4 product per slot.  Last, one seed
+# at a time, the seed's round channels are gathered in _block_plan's order
+# and every sequence is multiplied at once (_chain_products), each as
+# chain_product would multiply it alone, and applied to the ground state.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
@@ -310,6 +312,42 @@ def _every_round(models: tuple, scheme: str, n_driven: int) -> tuple:
     return tables
 
 
+@lru_cache(maxsize=64)
+def _block_plan(lengths: tuple) -> tuple:
+    """(src, levels) of sequences of these lengths laid end to end, read-only:
+    src lists the positions of each sequence's power-of-two blocks, counted
+    from its start, largest blocks first.  levels[j] is (keep, first, later):
+    at level j the stack's first keep entries pair up, and the rest are
+    finished blocks of 2^j of the sequences first, which have no smaller
+    blocks, then of those later."""
+    lengths = np.array(lengths)
+    bits = np.arange(int(lengths.max()).bit_length())
+    starts = (np.cumsum(lengths) - lengths)[:, None] + (lengths[:, None] >> bits + 1 << bits + 1)
+    has, lower = lengths[:, None] >> bits & 1 > 0, lengths[:, None] & (1 << bits) - 1 > 0
+    split = [(np.flatnonzero(has[:, j] & ~lower[:, j]), np.flatnonzero(has[:, j] & lower[:, j]))
+             for j in bits]
+    src = np.concatenate([(starts[np.concatenate(split[j]), j, None] + np.arange(1 << j)).ravel()
+                          for j in bits[::-1]])
+    for array in (src, *(a for pair in split for a in pair)):
+        array.flags.writeable = False
+    return src, tuple((2 * int(np.sum(lengths >> j + 1)), *split[j]) for j in bits)
+
+
+def _chain_products(lengths: tuple, gather, op) -> np.ndarray:
+    """chain_product of each sequence of these lengths at once: gather(src)
+    stacks their entries in _block_plan's order, op(later, earlier) is the
+    product, and each sequence joins its blocks from the smallest up."""
+    src, levels = _block_plan(lengths)
+    stack = gather(src)
+    out = np.empty((len(lengths),) + stack.shape[1:], dtype=stack.dtype)
+    for keep, first, later in levels:
+        out[first] = stack[keep:keep + len(first)]
+        if len(later):
+            out[later] = op(out[later], stack[keep + len(first):])
+        stack = op(stack[1:keep:2], stack[0:keep:2])
+    return out
+
+
 def _spawn_rngs(rng_seed: int, n_seeds: int):
     children = np.random.SeedSequence(_check_int(rng_seed, "rng_seed", 0)).spawn(n_seeds)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
@@ -359,12 +397,13 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
 
     # Every round of the run, one row of Clifford ids each, sequence after
     # sequence in seed order; the recovery round ends each sequence.
-    blocks = []
-    for rng in _spawn_rngs(rng_seed, n_seeds):
-        for m in m_values:
-            seqs = rng.integers(1, 25, size=(n_driven, m))
-            blocks.append(np.column_stack([seqs, recovery_clifford(seqs)]).T)
-    ids = np.concatenate(blocks)
+    draws = np.concatenate([rng.integers(1, 25, size=(n_driven, m))
+                            for rng in _spawn_rngs(rng_seed, n_seeds) for m in m_values], axis=1).T
+    # Each sequence's product, recovered as a sequence of one Clifford.
+    product = _chain_products(m_values * n_seeds, lambda src: draws[src],
+                              lambda later, earlier: _COMPOSE_TABLE[earlier, later])
+    recovery = recovery_clifford(product.reshape(-1, 1)).reshape(product.shape)
+    ids = np.insert(draws, np.cumsum(m_values * n_seeds), recovery, axis=0)
     # Only the symmetric five-primitive scheme alternates with the round
     # index; the other schemes share one channel per combination.
     index = np.concatenate([np.arange(m + 1) for m in m_values] * n_seeds)
@@ -390,16 +429,13 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
 
     p0_sum = np.zeros((n, len(m_values)))
     p0_sumsq = np.zeros((n, len(m_values)))
-    start = 0
-    for _ in range(n_seeds):
-        for im, m in enumerate(m_values):
-            # One sequence at a time, so only its (m + 1, n, 4, 4) channels
-            # are ever gathered.
-            channel = chain_product(channels[rows[inverse[start:start + m + 1]]])
-            start += m + 1
-            val = (1.0 + (channel @ _GROUND_VECTOR)[:, 3, 0]) / 2
-            p0_sum[:, im] += val
-            p0_sumsq[:, im] += val * val
+    for start in range(0, len(ids), len(ids) // n_seeds):
+        # One seed at a time, so only its rounds' channels are ever gathered.
+        channel = _chain_products(tuple(m + 1 for m in m_values),
+                                  lambda src: channels[rows[inverse[start + src]]], np.matmul)
+        val = (1.0 + (channel @ _GROUND_VECTOR)[..., 3, 0]).T / 2
+        p0_sum += val
+        p0_sumsq += val * val
     p0 = p0_sum / n_seeds
     p0_err = _seed_stderr(p0_sum, p0_sumsq, n_seeds)
     curves = [
@@ -521,7 +557,8 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     pulses, all scaled by over_ratio: ideally P1 stays at one half, and
     over- or under-driving tilts the initial slope up or down.  One pass
     reads P1 after the X90 and every second X180 (the train for N is a
-    prefix of N + 1's), each X180 one conjugation by a hoisted _conjugation.
+    prefix of N + 1's), each X180 one conjugation by a hoisted _conjugation
+    and, for finite T1, relax's damping with its factors hoisted (_damping).
     """
     QubitModel(t1_ns=t1_ns, slot_ns=slot_ns, over_ratio=over_ratio)  # validates
     if not over_ratio > 0:
@@ -531,10 +568,10 @@ def simulate_amp_calibration(over_ratio: float, n_max: int = 49,
     state = relax(apply_pulse(GROUND, Pulse.X90, over_ratio), slot_ns, t1_ns)
     p1[0] = state[1, 1].real
     u, u_h = _conjugation(Pulse.X180, over_ratio, 0.0)
+    damp = (lambda s: s) if t1_ns == math.inf else _damping(slot_ns, t1_ns)
     for n in range(1, n_max + 1):
         for _ in range(2):
-            state = u @ state @ u_h
-            state = state if t1_ns == math.inf else relax(state, slot_ns, t1_ns)
+            state = damp(u @ state @ u_h)
         p1[n] = state[1, 1].real
     return np.arange(n_max + 1), p1
 

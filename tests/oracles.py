@@ -69,6 +69,13 @@ rotations, Kraus amplitude damping after every slot.  It takes schedules,
 decompositions and recovery Cliffords from cliffcast but no code of
 cliffcast.sim.
 
+benchmark_per_sequence is sim._benchmark's pass as it ran before every
+sequence of a seed was reduced at once: its draws with one
+recovery_clifford call per (seed, length) block, then one chain_product
+of each sequence's round channels, read from the same round tables.  It
+is the bit-for-bit reference of the batched reduction, for p0, its seed
+scatter and the four work counters.
+
 allxy_staircase and amp_calibration rerun the diagnostic staircase and the
 amplitude-calibration curve from the same rotations and damping, with no
 code of cliffcast.sim: a drive phase error turns the y axis about z
@@ -98,7 +105,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from cliffcast import compiler
+from cliffcast import compiler, sim
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     FIVE_PRIMITIVE_MASKS,
@@ -107,6 +114,7 @@ from cliffcast.clifford import (
     FIVE_PRIMITIVES_INVERTED,
     MINIMAL_DECOMPOSITIONS,
     Pulse,
+    chain_product,
     clifford_of_pulses,
     compose,
     minimal_decomposition,
@@ -768,6 +776,48 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
                 rounds += 1
             p0[:, im] += [rho[0, 0].real for rho in rhos]
     return p0 / n_seeds, slots / rounds
+
+
+def benchmark_per_sequence(models, n_driven: int, scheme: str, m_values, n_seeds: int,
+                           rng_seed: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(p0, p0_stderr, (rounds, slots, distinct_rounds, qubit_channels)) of
+    sim._benchmark's run, one sequence at a time: one recovery_clifford call
+    per (seed, length) block of draws and one chain_product per sequence,
+    over the round tables that the run reads."""
+    models = tuple(models)
+    blocks = []
+    for rng in sim._spawn_rngs(rng_seed, n_seeds):
+        for m in m_values:
+            seqs = rng.integers(1, 25, size=(n_driven, m))
+            blocks.append(np.column_stack([seqs, recovery_clifford(seqs)]).T)
+    ids = np.concatenate(blocks)
+    index = np.concatenate([np.arange(m + 1) for m in m_values] * n_seeds)
+    periods = 2 if scheme == "five-primitives-symmetric" else 1
+    parity = index & 1 if periods == 2 else np.zeros_like(index)
+    if periods * 24**n_driven <= len(ids):
+        rows, channels, n_slots = sim._every_round(models, scheme, n_driven)
+        inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
+    else:
+        firsts, inverse = sim._unique_columns(np.vstack([parity, ids.T]))
+        if scheme == "compiled":
+            rows, channels, n_slots = sim._compiled_rounds(models, ids[firsts])
+        else:
+            rows, channels, n_slots = sim._round_channels(models, scheme, ids[firsts],
+                                                          parity[firsts])
+    used = np.bincount(inverse, minlength=len(rows))
+    p0_sum = np.zeros((len(models), len(m_values)))
+    p0_sumsq = np.zeros((len(models), len(m_values)))
+    start = 0
+    for _ in range(n_seeds):
+        for im, m in enumerate(m_values):
+            channel = chain_product(channels[rows[inverse[start:start + m + 1]]])
+            start += m + 1
+            val = (1.0 + (channel @ sim._GROUND_VECTOR)[:, 3, 0]) / 2
+            p0_sum[:, im] += val
+            p0_sumsq[:, im] += val * val
+    work = (len(ids), int(used @ n_slots), int(np.count_nonzero(used)),
+            int(np.count_nonzero(np.bincount(rows[used > 0].ravel()))))
+    return p0_sum / n_seeds, sim._seed_stderr(p0_sum, p0_sumsq, n_seeds), work
 
 
 # --- diagnostic sequences --------------------------------------------------

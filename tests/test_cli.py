@@ -551,16 +551,33 @@ def test_rb_null_output_paths_go_to_stdout(tmp_path, capsys, monkeypatch):
 
 
 def test_rb_singular_fit_is_numerical_failure(tmp_path, capsys):
-    """Four copies of one length leave the decay undetermined: the fit's
-    standard errors are not finite, so the run is exit 4 and writes
-    nothing (before: exit 0 with a NaN clifford_fidelity_stderr)."""
+    """Four copies of one length leave the decay undetermined, so the run
+    is exit 4 and writes nothing (before: exit 0 with a NaN
+    clifford_fidelity_stderr, then exit 4 on standard errors that are not
+    finite)."""
     cfg = {"qubits": [{"t1_ns": 10000}], "scheme": "minimal", "m_values": [5, 5, 5, 5],
            "n_seeds": 3, "rng_seed": 1, "csv_path": str(tmp_path / "rb.csv"),
            "summary_path": str(tmp_path / "rb.json")}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: qubit 0: decay fit standard errors")
+    assert err == "numerical failure: need at least 3 distinct lengths to fit a decay, got 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("m_values", [[6, 6, 6, 6], [3, 3, 9, 9, 9]])
+def test_rb_fit_needs_three_distinct_lengths(tmp_path, capsys, m_values):
+    """A decay fit on fewer than 3 distinct lengths is exit 4 with no
+    output, also where rounding leaves J^T J invertible: on [6, 6, 6, 6]
+    this config exited 0 with a clifford_fidelity_stderr of 65,870."""
+    cfg = {"qubits": [{"t1_ns": 100, "over_ratio": 0.9}, {"cross_ratio": 0.05}],
+           "scheme": "compiled", "m_values": m_values, "n_seeds": 2, "rng_seed": 1,
+           "csv_path": str(tmp_path / "rb.csv"), "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
+    distinct = len(set(m_values))
+    assert capsys.readouterr() == (
+        "", f"numerical failure: need at least 3 distinct lengths to fit a decay, got {distinct}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

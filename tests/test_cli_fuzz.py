@@ -159,9 +159,8 @@ QUBIT = st.fixed_dictionaries({}, optional={
 
 # A config gets at most one mutation: a value its field rejects (exit 3,
 # or 0 where the value happens to be valid), or one length repeated four
-# times.  Those lengths are valid, but a decay fit cannot resolve them, so
-# a run whose config is otherwise valid and whose curves are not flat ends
-# in exit 4 (unless rounding lets the fit through).
+# times.  Those lengths are valid, but a decay fit needs 3 distinct ones,
+# so a run whose config is otherwise valid ends in exit 4.
 MUTATIONS = st.one_of(st.none(),
                       st.integers(1, 16).map(lambda m: ("m_values", [m] * 4)),
                       st.tuples(st.sampled_from(RB_TARGETS), st.sampled_from(BAD_VALUES)))

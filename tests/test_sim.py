@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcast import fit, sim
-from cliffcast.clifford import Pulse
+from cliffcast import clifford, fit, sim
+from cliffcast.clifford import Pulse, chain_product, recovery_clifford
+from cliffcast.compiler import RB_SCHEMES
 from cliffcast.sim import (
     ALLXY_SEQUENCE,
     GROUND,
@@ -30,6 +31,7 @@ from oracles import (
     allxy_staircase,
     amp_calibration,
     amp_calibration_per_pulse,
+    benchmark_per_sequence,
     lindblad_exchange,
     slot_by_slot_benchmark,
     slot_transfer_matrix,
@@ -390,6 +392,72 @@ def test_benchmark_bytes_are_frozen():
             h.update(curve.p0_stderr.tobytes())
         h.update(np.array(_work(res), dtype=np.int64).tobytes())
     assert h.hexdigest() == FROZEN_DIGEST
+
+
+# Lengths with 1, repeats, odd and non-power-of-two lengths and, on each
+# table path, one above 1024; (run, models, lengths, seeds) per path.  The
+# every-round runs draw at least as many rounds as exist, the others fewer.
+_PER_SEQUENCE_PATHS = {
+    "every-round": lambda scheme: (
+        (run_rb, [_LOSSY], (1, 3, 3, 7, 1025), 2) if scheme == "minimal" else
+        (run_rb, [_LOSSY, _SLOW], (1, 3, 3, 7, 100, 1500), 1)),
+    "distinct": lambda scheme: (
+        (run_rb, [_LOSSY], (1, 3, 3), 1) if scheme == "minimal" else
+        (run_rb, _THREE, (1, 1, 2, 5, 6, 33, 1100), 3)),
+    "idle-every-round": lambda scheme: (
+        run_idle_crossdrive, [_LOSSLESS, _LOSSY], (1, 2, 2, 9, 31, 1030), 2),
+    "idle-distinct": lambda scheme: (run_idle_crossdrive, [_SLOW, _LOSSY], (1, 2, 2), 1),
+}
+_PER_SEQUENCE_CASES = [(scheme, path) for path in _PER_SEQUENCE_PATHS for scheme in RB_SCHEMES
+                       if not path.startswith("idle")
+                       or scheme in ("minimal", "five-primitives-symmetric")]
+
+
+@pytest.mark.parametrize("scheme,path", _PER_SEQUENCE_CASES)
+def test_benchmark_is_the_per_sequence_loop(scheme, path):
+    """Every sequence of a seed reduced at once gives the p0 and p0_stderr
+    bytes and the work counters of one chain_product per sequence, on both
+    sides of the table choice, for every scheme and 1 to 3 seeds."""
+    run, models, m_values, n_seeds = _PER_SEQUENCE_PATHS[path](scheme)
+    n_driven = 1 if run is run_idle_crossdrive else len(models)
+    res = run(models, scheme, m_values, n_seeds, 2701)
+    p0, p0_err, work = benchmark_per_sequence(models, n_driven, scheme, m_values, n_seeds, 2701)
+    periods = 2 if scheme == "five-primitives-symmetric" else 1
+    assert (periods * 24**n_driven <= res.rounds) == path.endswith("every-round")
+    assert [c.p0.tobytes() for c in res.curves] == [row.tobytes() for row in p0]
+    assert [c.p0_stderr.tobytes() for c in res.curves] == [row.tobytes() for row in p0_err]
+    assert _work(res) == work
+
+
+_SPECIAL_LENGTHS = sorted({v for k in range(12) for v in (2**k - 1, 2**k, 2**k + 1)} - {0})
+
+
+def test_chain_products_reduce_as_chain_product_and_recovery_clifford():
+    """The block plan's level-by-level reduction of sequences laid end to
+    end gives each sequence's chain_product to the byte, and, over the
+    compose table, each one's recovery_clifford, for seeded length tuples in
+    1..2100 with powers of two and their neighbours."""
+    rng = np.random.default_rng(2701)
+    for _ in range(12):
+        lengths = tuple(int(v) for v in rng.choice(
+            np.concatenate([_SPECIAL_LENGTHS, rng.integers(1, 2101, 8)]), rng.integers(1, 7)))
+        starts = np.cumsum((0,) + lengths)
+        # Gaussian 4x4 of variance 1/4: long products neither overflow nor underflow.
+        mats = rng.normal(0.0, 0.5, size=(starts[-1], 2, 4, 4))
+        got = sim._chain_products(lengths, lambda src: mats[src], np.matmul)
+        for s in range(len(lengths)):
+            assert got[s].tobytes() == chain_product(mats[starts[s]:starts[s + 1]]).tobytes()
+        ids = rng.integers(1, 25, size=(starts[-1], 3))
+        got = sim._chain_products(lengths, lambda src: ids[src],
+                                  lambda later, earlier: clifford._COMPOSE_TABLE[earlier, later])
+        for s in range(len(lengths)):
+            want = recovery_clifford(ids[starts[s]:starts[s + 1]].T)
+            assert clifford._INVERSE_TABLE[got[s]].tolist() == want.tolist(), lengths
+    plan = sim._block_plan(lengths)
+    assert plan is sim._block_plan(lengths)
+    src, levels = plan
+    assert sorted(src.tolist()) == list(range(starts[-1]))
+    assert not any(a.flags.writeable for a in (src, *(a for level in levels for a in level[1:])))
 
 
 def test_round_codes_do_not_wrap_at_the_word_boundary():
