@@ -277,13 +277,19 @@ def match_unitary(u: np.ndarray) -> int | None:
     return c + 1 if abs(overlap[c] - 2.0) < PHASE_TOL else None
 
 
+@lru_cache(maxsize=4096)
+def sequence_clifford(pulses: tuple[Pulse, ...]) -> int | None:
+    """match_unitary(sequence_unitary(pulses)), memoised by pulse tuple."""
+    return match_unitary(sequence_unitary(pulses))
+
+
 def clifford_of_pulses(pulses) -> int:
-    """Id of the Clifford implemented by the pulse sequence (left to right).
+    """Id of the Clifford of any iterable of pulses (left to right), memoised.
 
     Every product of the primitive pulses is a Clifford; a failed match
     therefore indicates a corrupted table and raises.
     """
-    c = match_unitary(sequence_unitary(pulses))
+    c = sequence_clifford(tuple(pulses))
     if c is None:
         raise RuntimeError("pulse product did not match any canonical Clifford")
     return c
@@ -362,7 +368,6 @@ def five_primitive_mask(a: int, inverted: bool = False) -> tuple[int, ...]:
     return table[a]
 
 
-@lru_cache(maxsize=1)
 def pulse_clifford_map() -> dict[Pulse, int]:
     """Clifford id implemented by each single pulse."""
     return {p: clifford_of_pulses([p]) for p in Pulse}

@@ -221,6 +221,25 @@ def test_minimal_decompositions_reproduce_cliffords():
         assert clifford_of_pulses(MINIMAL_DECOMPOSITIONS[c]) == c
 
 
+def test_clifford_of_pulses_takes_a_list_a_tuple_or_a_generator():
+    """The memo is keyed by a tuple, so every iterable of the same pulses
+    gives the same id: each minimal decomposition and every subset of both
+    five-primitive rounds, as a list, a tuple and a single-use generator."""
+    sequences = [MINIMAL_DECOMPOSITIONS[c] for c in range(1, 25)]
+    for round_ in (FIVE_PRIMITIVES, FIVE_PRIMITIVES_INVERTED):
+        sequences += [tuple(p for k, p in enumerate(round_) if m >> k & 1) for m in range(32)]
+    for pulses in sequences:
+        c = cl.match_unitary(sequence_unitary(pulses))
+        assert clifford_of_pulses(list(pulses)) == clifford_of_pulses(tuple(pulses)) == c
+        assert clifford_of_pulses(p for p in pulses) == c
+    for c in range(1, 25):
+        assert clifford_of_pulses(MINIMAL_DECOMPOSITIONS[c]) == c
+        for round_, table in ((FIVE_PRIMITIVES, FIVE_PRIMITIVE_MASKS),
+                              (FIVE_PRIMITIVES_INVERTED, FIVE_PRIMITIVE_MASKS_INVERTED)):
+            fired = [p for p, b in zip(round_, table[c]) if b]
+            assert clifford_of_pulses(iter(fired)) == clifford_of_pulses(fired) == c
+
+
 def test_minimal_mean_length_is_1_875():
     total = sum(len(v) for v in MINIMAL_DECOMPOSITIONS.values())
     assert total / 24 == 1.875

@@ -13,6 +13,7 @@ from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     MINIMAL_DECOMPOSITIONS,
     Pulse,
+    sequence_clifford,
     sequence_unitary,
 )
 from cliffcast.compiler import (
@@ -765,13 +766,22 @@ def _mutants(sched: Schedule, combo: tuple, rng):
     yield changed(slot=sched.n_slots + int(rng.integers(2))), combo, "late slot"
 
 
+def _verify_message(sched: Schedule, combo) -> str | None:
+    try:
+        sched.verify(combo)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_schedule_verify_agrees_with_the_oracle():
     """Schedule.verify accepts and rejects as oracles.verify_schedule does,
     naming the same malformed event or the same first failing qubit, on
     2,048 Philox schedules (every scheme and parity, 1-17 qubits, some
     all-identity) and their mutants."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2026)))
-    outcomes = {}
+    sequence_clifford.cache_clear()
+    outcomes, checked = {}, []
     for k in range(2_048):
         scheme, parity = SCHEMES[k % 4], k // 4 % 2
         combo = tuple(rng.integers(1, 25, size=int(rng.integers(1, 18))).tolist())
@@ -780,11 +790,7 @@ def test_schedule_verify_agrees_with_the_oracle():
         sched = compile_scheme(combo, scheme, round_parity=parity)
         for bad, target, kind in _mutants(sched, combo, rng):
             want = verify_schedule(bad, target)
-            try:
-                bad.verify(target)
-                got = None
-            except ValueError as exc:
-                got = str(exc)
+            got = _verify_message(bad, target)
             if want is None:
                 assert got is None, (scheme, combo, kind)
             elif want[0] == "event":
@@ -793,6 +799,10 @@ def test_schedule_verify_agrees_with_the_oracle():
                 q = want[1]
                 assert got == f"schedule verification failed for qubit {q} (target {target[q]})"
             outcomes.setdefault(kind, set()).add(want and want[0])
+            checked.append((bad, target, got))
+    # Again in reverse, from a memo the first pass filled in another order.
+    for bad, target, got in reversed(checked):
+        assert _verify_message(bad, target) == got, (bad, target)
     assert outcomes["compiled"] == {None}
     for kind in ("target", "mask bit", "pulse"):
         assert "qubit" in outcomes[kind], kind
@@ -822,3 +832,20 @@ def test_schedule_json_is_json_dumps():
         fields = schedule_json_dict(sched)
         assert sched.to_json() == json.dumps(fields, indent=2) + "\n"
         assert json.loads(sched.to_json()) == fields
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_verify_memo_holds_one_entry_per_fired_sequence(scheme):
+    """Verifying 1,000 Philox 8-qubit schedules leaves one memo entry per
+    distinct fired pulse tuple, counted here from the events: not one per
+    combination, and (X90, Y90) apart from (Y90, X90)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([28, SCHEMES.index(scheme)])))
+    combos = [tuple(rng.integers(1, 25, size=8).tolist()) for _ in range(1_000)]
+    scheds = [compile_scheme(c, scheme, round_parity=k % 2) for k, c in enumerate(combos)]
+    fired = {tuple(ev.pulse for ev in s.events if ev.mask[q]) for s in scheds for q in range(8)}
+    assert len({tuple(sorted(f, key=str)) for f in fired}) < len(fired) < len(combos)
+    sequence_clifford.cache_clear()
+    for sched, combo in zip(scheds, combos):
+        sched.verify(combo)
+    info = sequence_clifford.cache_info()
+    assert info.currsize == info.misses == len(fired) < info.maxsize
