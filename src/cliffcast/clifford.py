@@ -48,6 +48,8 @@ class Pulse(enum.Enum):
     XM90 = ("x", -0.5)
     YM90 = ("y", -0.5)
 
+    __hash__ = object.__hash__  # singletons hash by identity, not by Enum's hash of the name
+
     @property
     def axis(self) -> str:
         return self.value[0]
@@ -69,17 +71,8 @@ class Pulse(enum.Enum):
             raise ValueError(f"unknown pulse label {label!r}") from None
 
 
-_LABELS = {
-    Pulse.I: "I",
-    Pulse.X180: "X180",
-    Pulse.Y180: "Y180",
-    Pulse.X90: "X90",
-    Pulse.Y90: "Y90",
-    Pulse.XM180: "X-180",
-    Pulse.YM180: "Y-180",
-    Pulse.XM90: "X-90",
-    Pulse.YM90: "Y-90",
-}
+# A pulse's label is its name with M (minus) written as "-": X-90 for XM90.
+_LABELS = {p: p.name.replace("M", "-") for p in Pulse}
 _BY_LABEL = {v: k for k, v in _LABELS.items()}
 
 _I2 = np.eye(2, dtype=complex)
@@ -239,11 +232,8 @@ FIVE_PRIMITIVE_MASKS_INVERTED: dict[int, tuple[int, ...]] = {
 }
 
 
-def _build_canonical() -> list[np.ndarray]:
-    return [sequence_unitary(MINIMAL_DECOMPOSITIONS[c]) for c in range(1, 25)]
-
-
-CANONICAL_UNITARIES: list[np.ndarray] = _build_canonical()
+CANONICAL_UNITARIES: list[np.ndarray] = [sequence_unitary(MINIMAL_DECOMPOSITIONS[c])
+                                         for c in range(1, 25)]
 _CANONICAL_CONJ = np.conj(CANONICAL_UNITARIES)
 
 
@@ -366,8 +356,3 @@ def five_primitive_mask(a: int, inverted: bool = False) -> tuple[int, ...]:
     _check_id(a)
     table = FIVE_PRIMITIVE_MASKS_INVERTED if inverted else FIVE_PRIMITIVE_MASKS
     return table[a]
-
-
-def pulse_clifford_map() -> dict[Pulse, int]:
-    """Clifford id implemented by each single pulse."""
-    return {p: clifford_of_pulses([p]) for p in Pulse}

@@ -26,13 +26,15 @@ Round plans
 Every scheme plans its rounds in one batched call (`round_plans`): for a
 (k, n) array of Clifford ids it returns each round's slot codes (0 where no
 qubit fires, else 1 + the pulse's place in `Pulse`; see `SLOT_PULSES`),
-each qubit's fired slots as booleans and each round's slot count.  The
-simulator reads these arrays directly and `Schedule`s are built from
-one-row calls, so a round has one representation.  The five-primitive
-firings are read from the frozen mask tables, the sequential ones from the
-minimal decompositions.  The single-qubit `minimal` set of the benchmarks
-(1.875 pulses per Clifford) is the sequential round with the identity as
-its one I pulse; it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
+each qubit's fired slots as booleans and each round's slot count, and
+`Schedule`s are built from one-row calls, so a round has one
+representation.  Sequential rounds are laid out from the minimal
+decompositions.  The five-primitive and compiled schemes play one fixed
+train per round: a column of the scheme's table (`_column_table`, chosen
+by `_columns`), which the simulator reads by column and fired subset.
+The single-qubit `minimal` set of the benchmarks (1.875 pulses per
+Clifford) is the sequential round with the identity as its one I pulse;
+it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
 
 Optimal search
 --------------
@@ -110,6 +112,7 @@ SCHEME_COMPILED = "compiled"
 SCHEMES = (SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
 SCHEME_MINIMAL = "minimal"
 RB_SCHEMES = (SCHEME_MINIMAL, *SCHEMES)
+_COLUMN_SCHEMES = (SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
 
 SLOT_NS = 20.0
 PULSE_NS = 16.0
@@ -235,13 +238,21 @@ def _slot_codes(pulses) -> list[int]:
     return [SLOT_PULSES.index(p) for p in pulses]
 
 
-# The five-primitive rounds, normal and mirrored: the slot codes of each,
-# and the slots each Clifford id fires (row 0 unused), from the frozen
-# mask tables.
-_FIVE_CODES = np.array([_slot_codes(FIVE_PRIMITIVES), _slot_codes(FIVE_PRIMITIVES_INVERTED)])
-_FIVE_FIRED = np.array([[(0,) * FIVE_PRIMITIVES_BOUND, *map(table.__getitem__, range(1, 25))]
-                        for table in (FIVE_PRIMITIVE_MASKS, FIVE_PRIMITIVE_MASKS_INVERTED)],
-                       dtype=bool)
+# The five-primitive rounds as one column table, (lengths, codes, fired),
+# read-only: column parity * 32 + u is the normal (parity 0) or mirrored
+# round in which the slots of the bits of u fire, all five slots long (a
+# slot no qubit fires still takes its time), and fired[col, c] holds the
+# slots of u that Clifford id c fires (none for id 0), by the mask tables.
+_FIVE_BITS = np.array([[sum(b << s for s, b in enumerate(table.get(c, ()))) for c in range(25)]
+                       for table in (FIVE_PRIMITIVE_MASKS, FIVE_PRIMITIVE_MASKS_INVERTED)])
+_FIVE_COLUMNS = (
+    np.full(64, FIVE_PRIMITIVES_BOUND),
+    np.repeat([_slot_codes(FIVE_PRIMITIVES), _slot_codes(FIVE_PRIMITIVES_INVERTED)], 32, axis=0)
+    * (np.arange(64)[:, None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1),
+    (np.repeat(_FIVE_BITS, 32, axis=0) & np.arange(64)[:, None])[..., None]
+    >> np.arange(FIVE_PRIMITIVES_BOUND) & 1 > 0)
+for _array in _FIVE_COLUMNS:
+    _array.flags.writeable = False
 
 # Each Clifford id's minimal decomposition as slot codes (row 0 unused),
 # padded with empty slots, and its length: in a minimal round the identity
@@ -269,21 +280,27 @@ def _sequential_plans(ids, lengths) -> tuple:
     return codes, fired, n_slots
 
 
-def _five_plans(ids, parity) -> tuple:
-    fired = _FIVE_FIRED[parity[:, None], ids]
-    return (np.where(fired.any(axis=1), _FIVE_CODES[parity], 0), fired,
-            np.full(len(ids), FIVE_PRIMITIVES_BOUND))
+def _column_table(scheme: str) -> tuple:
+    """(lengths, codes, fired) of the columns of one of _COLUMN_SCHEMES,
+    which play one fixed train per round, read-only: each column's slot
+    count and codes, and fired[col, c], the slots Clifford id c fires."""
+    return _cover_table()[1:] if scheme == SCHEME_COMPILED else _FIVE_COLUMNS
 
 
-def _compiled_plans(ids) -> tuple:
-    """The first cover of each round; each qubit fires the first subset, in
-    binary counting, whose product is its target.  Rounds no train of four
-    pulses covers take the normal five-primitive round.  Every slot is fired,
-    or the train without it would be a shorter cover (X-180, Y-180 being
-    X180, Y180 up to phase, for the five-primitive round)."""
-    _, lengths, codes, fired = _cover_table()
-    columns = _first_columns(_target_masks(ids))
-    return codes[columns], fired[columns[:, None], ids], lengths[columns]
+def _columns(ids: np.ndarray, scheme: str, parity=0) -> np.ndarray:
+    """The _column_table column of each round of checked ids: the first
+    cover of a compiled round, else the round's parity and the union of the
+    slots its qubits fire.  An empty round takes column 0 at either parity:
+    its slots are empty whichever round it is, so, as its slot signature
+    does, it gives each model one channel, not one per parity."""
+    if scheme == SCHEME_COMPILED:
+        return _first_columns(_target_masks(ids))
+    symmetric = scheme == SCHEME_FIVE_SYMMETRIC
+    if symmetric and np.asarray(parity).dtype.kind not in "biu":
+        raise ValueError(f"parity must be an integer or integers, got {parity!r}")
+    parity = np.broadcast_to(np.asarray(parity) % 2 if symmetric else 0, len(ids))
+    union = np.bitwise_or.reduce(_FIVE_BITS[parity[:, None], ids], axis=1)
+    return np.where(union, 32 * parity + union, 0)
 
 
 def round_plans(ids, scheme: str, parity=0) -> tuple:
@@ -309,15 +326,11 @@ def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
         return _sequential_plans(ids, _MINIMAL_LENGTHS)
     if scheme == SCHEME_SEQUENTIAL:
         return _sequential_plans(ids, _SEQUENTIAL_LENGTHS)
-    if scheme == SCHEME_FIVE:
-        return _five_plans(ids, np.zeros(len(ids), dtype=np.int64))
-    if scheme == SCHEME_FIVE_SYMMETRIC:
-        if np.asarray(parity).dtype.kind not in "biu":
-            raise ValueError(f"parity must be an integer or integers, got {parity!r}")
-        return _five_plans(ids, np.broadcast_to(np.asarray(parity) % 2, len(ids)))
-    if scheme == SCHEME_COMPILED:
-        return _compiled_plans(ids)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in _COLUMN_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    lengths, codes, fired = _column_table(scheme)
+    columns = _columns(ids, scheme, parity)
+    return codes[columns], fired[columns[:, None], ids], lengths[columns]
 
 
 def _schedule(combo, scheme: str, parity: int = 0) -> Schedule:
@@ -352,7 +365,10 @@ def _cover_table():
     binary counting, whose product is Clifford c (none for the identity
     and where no subset fires c).  A first column of -1 misses a target of
     every mask but 0: the all-identity round, of no slot.  A last column
-    of 0, which every mask hits, is the normal five-primitive round.
+    of 0, which every mask hits, is the normal five-primitive round.  A
+    mask's first column fires every slot, or the train without it would be
+    a shorter cover (X-180, Y-180 being X180, Y180 up to phase, for the
+    five-primitive round).
 
     A column whose targets an earlier column all covers (its uncovered mask
     a superset of the earlier one's) is never the first that misses
@@ -368,12 +384,12 @@ def _cover_table():
     rows = np.array(list(kept.values()))
     codes = np.zeros((len(rows) + 2, FIVE_PRIMITIVES_BOUND), dtype=np.int64)
     codes[1:-1, :MAX_PULSES] = np.array([*_slot_codes(SEARCH_BASIS), 0])[trains[rows]]
-    codes[-1] = _FIVE_CODES[0]
+    codes[-1] = _FIVE_COLUMNS[1][31]
     hit = prods[rows, :, None] == np.arange(2, 25)  # (train, subset code - 1, Clifford - 2)
     subset = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)  # the first, or none
     fired = np.zeros((len(codes), 25, FIVE_PRIMITIVES_BOUND), dtype=bool)
     fired[1:-1, 2:] = subset[..., None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1
-    fired[-1] = _FIVE_FIRED[0]
+    fired[-1] = _FIVE_COLUMNS[2][31]
     table = np.array([-1, *kept, 0]), np.count_nonzero(codes, axis=1), codes, fired
     for array in table:
         array.setflags(write=False)

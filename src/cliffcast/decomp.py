@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import _COMPOSE_TABLE, Pulse, _check_id, pulse_clifford_map
+from .clifford import _COMPOSE_TABLE, Pulse, _check_id, clifford_of_pulses
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -76,7 +76,7 @@ def train_products() -> tuple[np.ndarray, np.ndarray]:
     reaching past a train's end fires 0."""
     trains = np.array([seq + (-1,) * (MAX_PULSES - n) for n in range(1, MAX_PULSES + 1)
                        for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=n)])
-    pulses = np.array([*(pulse_clifford_map()[p] for p in SEARCH_BASIS), 0])[trains]
+    pulses = np.array([*(clifford_of_pulses([p]) for p in SEARCH_BASIS), 0])[trains]
     prods = np.ones((len(trains), 1 << MAX_PULSES), dtype=_COMPOSE_TABLE.dtype)
     for code in range(1, 1 << MAX_PULSES):
         top = code.bit_length() - 1

@@ -15,11 +15,12 @@ are uncoupled and every slot is a fixed linear channel, so a round acts on
 each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
-(compiler.round_plans) and the slots the qubit fires.  Each distinct
-signature's matrix is built once, as a product of the model's slot
-matrices; an 8-qubit compiled run meets some hundreds of signatures,
-against 24^8 combinations, and every compiled round of a model is one of
-1,473 signatures, built once per register.  The slot matrices are built
+(compiler.round_plans) and the slots the qubit fires, and is built once,
+as a product of the model's slot matrices.  A five-primitive or compiled
+round plays one fixed train (a column of compiler._column_table), so a
+model's matrix in it is one of 438 or 1,473 (column, fired subset) pairs,
+built once per register; a sequential or minimal run builds its own
+signatures'.  The slot matrices are built
 from apply_pulse and relax, the diagnostics from the rotations apply_pulse
 conjugates by (_conjugation) and the damping relax applies (_damping), so
 those stay the only definition of the physics.
@@ -173,23 +174,20 @@ def _damping(dt: float, t1: float):
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
 # sequence first, one (n_driven, m) block per seed and length in the
 # seeds' Philox order, reduces all of them at once over the compose table
-# and inverts the products in one recovery_clifford call, and then takes
-# its round channels from one of three sources, by what the run draws:
-# - A run that draws at least as many rounds as exist (24^n_driven, twice
-#   that for the symmetric scheme) reads them from _every_round, built once
-#   per register, scheme and driven count, by round index.
-# - Any other run finds its distinct rounds with one lexsort of their
-#   parities and ids.  Compiled ones are read from _column_channels, built
-#   once per register: a qubit's channel in a compiled round is fixed by
-#   its model, the round's cover column and the slots it fires, and there
-#   are 1,473 such (column, fired subset) pairs.  The others are built by
-#   _round_channels for this run alone.
-# _round_channels plans its rounds in one compiler.round_plans call; one
-# lexsort of their packed per-qubit slot signatures finds the distinct
-# ones, built together, one stacked 4x4 product per slot.  Last, one seed
-# at a time, the seed's round channels are gathered in _block_plan's order
-# and every sequence is multiplied at once (_chain_products), each as
-# chain_product would multiply it alone, and applied to the ground state.
+# and inverts the products in one recovery_clifford call.  A run that
+# draws at least as many rounds as exist (24^n_driven, twice that for the
+# symmetric scheme) reads them from _every_round, built once per register,
+# scheme and driven count, by round index; any other finds its distinct
+# rounds with one lexsort of their parities and ids.  Both read their
+# channels through _rounds, from one of two sources: _column_channels for
+# a fixed-train round, by its column and each qubit's fired subset, and
+# _round_channels for a sequential or minimal one, which plans the rounds
+# in one compiler.round_plans call, finds the distinct packed per-qubit
+# slot signatures with one lexsort and builds them together, one stacked
+# 4x4 product per slot.  Last, one seed at a time, the seed's round
+# channels are gathered in _block_plan's order and every sequence is
+# multiplied at once (_chain_products), each as chain_product would
+# multiply it alone, and applied to the ground state.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
@@ -259,19 +257,18 @@ def _round_channels(models: tuple, scheme: str, ids: np.ndarray,
 
 
 @lru_cache(maxsize=64)
-def _column_channels(models: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, channels) of a register's compiled rounds, both read-only.
-
-    A qubit's channel in a compiled round depends only on its model kind,
-    the round's compiler._cover_table column and the subset of the
-    column's slots that it fires.  pairs[col, c] is the index, among the
-    1,473 distinct (column, fired subset) pairs, of a qubit with Clifford
-    id c in a round of column col, and channels[k, pair] is the channel on
-    a qubit of the k-th kind (_slot_table): about 189 KB per kind.  Each
-    is built as _round_channels builds it, slot by slot, left-multiplied
-    from the identity on."""
+def _column_channels(models: tuple, scheme: str) -> tuple:
+    """(pairs, channels, lengths) of a register's rounds of a fixed-train
+    scheme, read-only.  A qubit's channel in such a round depends only on
+    its model kind, the round's compiler._column_table column and the
+    subset of the column's slots that it fires: channels[pairs[k, col, c]]
+    is the channel of a qubit of the k-th kind (_slot_table) with Clifford
+    id c in a round of column col, one of 1,473 (column, fired subset)
+    pairs per kind compiled (about 189 KB) and 438 five-primitive, and
+    lengths[col] the column's slot count.  Each is built as _round_channels
+    builds it, slot by slot, left-multiplied from the identity on."""
     _, slots = _slot_table(models)
-    _, lengths, codes, fired = compiler._cover_table()
+    lengths, codes, fired = compiler._column_table(scheme)
     width = codes.shape[1]
     subsets = fired @ (1 << np.arange(width))
     distinct, pairs = np.unique(np.arange(len(codes))[:, None] << width | subsets,
@@ -283,30 +280,37 @@ def _column_channels(models: tuple) -> tuple[np.ndarray, np.ndarray]:
     for s in range(width):
         on = np.flatnonzero(s < count)
         channels[:, on] = slots[:, codes[column[on], s], routed[on, s]] @ channels[:, on]
-    pairs = pairs.reshape(subsets.shape)
+    pairs = pairs.reshape(subsets.shape) + len(distinct) * np.arange(len(slots))[:, None, None]
+    channels = channels.reshape(-1, 4, 4)
     pairs.flags.writeable = channels.flags.writeable = False
-    return pairs, channels
+    return pairs, channels, lengths
 
 
-def _compiled_rounds(models: tuple, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_round_channels of compiled rounds of every qubit of the register,
-    read from _column_channels by each round's first cover column."""
+def _rounds(models: tuple, scheme: str, ids: np.ndarray,
+            parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_round_channels of these rounds, which builds them for the sequential
+    and minimal schemes; a fixed-train scheme's are read from
+    _column_channels by each round's column, and qubits past ids' columns
+    read Clifford id 0, which fires nothing."""
+    if scheme not in compiler._COLUMN_SCHEMES:
+        return _round_channels(models, scheme, ids, parity)
     kinds, _ = _slot_table(models)
-    pairs, channels = _column_channels(models)
-    columns = compiler._first_columns(compiler._target_masks(ids))
-    rows = kinds * channels.shape[1] + pairs[columns[:, None], ids]
-    return rows, channels.reshape(-1, 4, 4), compiler._cover_table()[1][columns]
+    pairs, channels, lengths = _column_channels(models, scheme)
+    columns = compiler._columns(ids, scheme, parity)
+    if ids.shape[1] < len(kinds):
+        ids = np.pad(ids, ((0, 0), (0, len(kinds) - ids.shape[1])))
+    return pairs[kinds, columns[:, None], ids], channels, lengths[columns]
 
 
 @lru_cache(maxsize=64)
 def _every_round(models: tuple, scheme: str, n_driven: int) -> tuple:
-    """_round_channels of every round of n_driven qubits, at both parities
-    for the symmetric scheme, read-only.  The round of Clifford ids id_q
-    at a parity is row parity * 24^n_driven + sum_q (id_q - 1) * 24^q."""
+    """_rounds of every round of n_driven qubits, at both parities for the
+    symmetric scheme, read-only.  The round of Clifford ids id_q at a
+    parity is row parity * 24^n_driven + sum_q (id_q - 1) * 24^q."""
     periods = 2 if scheme == SCHEME_FIVE_SYMMETRIC else 1
     parity, code = np.divmod(np.arange(periods * 24**n_driven), 24**n_driven)
     ids = 1 + code[:, None] // 24 ** np.arange(n_driven) % 24
-    tables = _round_channels(models, scheme, ids, parity)
+    tables = _rounds(models, scheme, ids, parity)
     for array in tables:
         array.flags.writeable = False
     return tables
@@ -411,8 +415,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     parity = index & 1 if periods == 2 else np.zeros_like(index)
 
     # A run that draws at least as many rounds as exist reads them all from
-    # one table; any other finds its distinct rounds, and reads compiled
-    # ones from the cover-column table or builds the others.  inverse[i] is
+    # one table; any other reads only its distinct rounds.  inverse[i] is
     # the row of rows (each qubit's index into channels) and n_slots that
     # holds round i.
     if periods * 24**n_driven <= len(ids):
@@ -420,11 +423,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
     else:
         firsts, inverse = _unique_columns(np.vstack([parity, ids.T]))
-        if scheme == SCHEME_COMPILED:
-            rows, channels, n_slots = _compiled_rounds(models, ids[firsts])
-        else:
-            rows, channels, n_slots = _round_channels(models, scheme, ids[firsts],
-                                                      parity[firsts])
+        rows, channels, n_slots = _rounds(models, scheme, ids[firsts], parity[firsts])
     used = np.bincount(inverse, minlength=len(rows))
 
     p0_sum = np.zeros((n, len(m_values)))

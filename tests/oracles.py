@@ -118,7 +118,6 @@ from cliffcast.clifford import (
     clifford_of_pulses,
     compose,
     minimal_decomposition,
-    pulse_clifford_map,
     recovery_clifford,
     sequence_unitary,
 )
@@ -151,7 +150,7 @@ def _merge_min(suffixes: tuple) -> int:
 def brute_force_min_pulses(combo) -> int:
     """Exhaustive minimum event count over all decomposition choices and
     interleavings; identity qubits contribute an empty pulse sequence."""
-    cmap = pulse_clifford_map()
+    cmap = {p: clifford_of_pulses([p]) for p in Pulse}
     per_qubit = []
     for c in combo:
         if c == 1:
@@ -799,11 +798,7 @@ def benchmark_per_sequence(models, n_driven: int, scheme: str, m_values, n_seeds
         inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
     else:
         firsts, inverse = sim._unique_columns(np.vstack([parity, ids.T]))
-        if scheme == "compiled":
-            rows, channels, n_slots = sim._compiled_rounds(models, ids[firsts])
-        else:
-            rows, channels, n_slots = sim._round_channels(models, scheme, ids[firsts],
-                                                          parity[firsts])
+        rows, channels, n_slots = sim._rounds(models, scheme, ids[firsts], parity[firsts])
     used = np.bincount(inverse, minlength=len(rows))
     p0_sum = np.zeros((len(models), len(m_values)))
     p0_sumsq = np.zeros((len(models), len(m_values)))

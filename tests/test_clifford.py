@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -281,11 +282,23 @@ def test_inverted_round_inverts_normal_round():
 
 
 def test_pulse_labels_round_trip_and_unknown_labels_are_rejected():
+    assert [p.label for p in Pulse] == ["I", "X180", "Y180", "X90", "Y90",
+                                        "X-180", "Y-180", "X-90", "Y-90"]
     for p in Pulse:
         assert Pulse.from_label(p.label) is p
     for label in ("X45", "x90", "", "Z180"):
         with pytest.raises(ValueError, match="unknown pulse label"):
             Pulse.from_label(label)
+
+
+def test_pulses_hash_by_identity():
+    """Members are singletons and hash as plain objects do, so a memo
+    lookup of a fired pulse tuple never calls Enum's Python-level hash of
+    the member's name; a pickled member still loads as itself."""
+    assert Pulse.__hash__ is object.__hash__
+    for p in Pulse:
+        assert hash(p) == object.__hash__(p)
+        assert pickle.loads(pickle.dumps(p)) is p
 
 
 def test_bad_ids_rejected():

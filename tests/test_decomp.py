@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cliffcast.clifford import Pulse, clifford_of_pulses, compose, pulse_clifford_map
+from cliffcast.clifford import Pulse, clifford_of_pulses, compose
 from cliffcast.decomp import (
     MAX_PULSES,
     SEARCH_BASIS,
@@ -55,7 +55,7 @@ def test_every_decomposition_reverifies():
 
 
 def test_no_adjacent_cancelling_pair():
-    cmap = pulse_clifford_map()
+    cmap = {p: clifford_of_pulses([p]) for p in Pulse}
     for c in range(1, 25):
         for d in enumerate_decompositions(c):
             ids = [cmap[p] for p in d.pulses]
@@ -76,7 +76,7 @@ def test_ordering_ascending_length_then_lexicographic():
 def test_enumeration_matches_direct_brute_force():
     """Independent filtered brute force over the search basis must reproduce
     the module output exactly."""
-    cmap = pulse_clifford_map()
+    cmap = {p: clifford_of_pulses([p]) for p in Pulse}
     ids = [cmap[p] for p in SEARCH_BASIS]
     grouped: dict[int, list] = {c: [()] if c == 1 else [] for c in range(1, 25)}
     for length in range(1, MAX_PULSES + 1):

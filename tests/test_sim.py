@@ -506,48 +506,54 @@ def test_every_round_table_matches_rounds_built_alone(scheme):
 
 
 def test_benchmark_builds_every_round_only_when_it_draws_as_many(monkeypatch):
-    """A run that draws at least as many rounds as exist builds all of them
-    once; a shorter one builds only its distinct rounds."""
-    built = []
+    """A run that draws at least as many rounds as exist reads all of them
+    once; a shorter one reads only its distinct rounds."""
+    read = []
 
-    def counted(models, scheme, ids, parity, _f=sim._round_channels):
-        built.append(len(ids))
+    def counted(models, scheme, ids, parity, _f=sim._rounds):
+        read.append(len(ids))
         return _f(models, scheme, ids, parity)
-    monkeypatch.setattr(sim, "_round_channels", counted)
+    monkeypatch.setattr(sim, "_rounds", counted)
     sim._every_round.cache_clear()
     models = [_LOSSY, _SLOW]
     run_rb(models, "five-primitives-symmetric", (1, 4, 16), 2, 5)
     short = run_rb(models, "five-primitives-symmetric", (1, 4, 16), 2, 5)
     readme = run_rb(models, "five-primitives-symmetric", _README_M, 1, 5)
     run_rb(models, "five-primitives-symmetric", _README_M, 1, 6)
-    assert built == [short.distinct_rounds, short.distinct_rounds, 2 * 24**2]
+    assert read == [short.distinct_rounds, short.distinct_rounds, 2 * 24**2]
     assert readme.rounds >= 2 * 24**2 > readme.distinct_rounds
 
 
+_COLUMN_SCHEMES = ("five-primitives", "five-primitives-symmetric", "compiled")
+
+
 def test_column_channels_match_rounds_built_alone():
-    """Compiled rounds read from the cover-column table get the channels
-    and slot counts that building their slot signatures gives, bit for bit:
-    1..17 qubits of mixed models, identity targets, all-identity rounds and
-    five-primitive rounds."""
+    """Rounds of each fixed-train scheme read from its column table get the
+    channels and slot counts that building their slot signatures gives, bit
+    for bit: 1..17 qubits of mixed models, up to two of them idle (past
+    ids' columns), identity targets, either parity, all-identity rounds and
+    five-primitive rounds.  An all-identity round reads one row per qubit
+    at both parities."""
     rng = np.random.default_rng(24)
-    fallbacks = 0
-    for n in range(1, 18):
-        models = tuple(_THREE[k] for k in rng.integers(0, 3, n))
-        ids = rng.integers(1, 25, size=(200, n))
-        ids[rng.random(ids.shape) < 0.2] = 1
-        ids[:3] = 1
-        rows, channels, n_slots = sim._compiled_rounds(models, ids)
-        alone_rows, alone_channels, alone_slots = sim._round_channels(
-            models, "compiled", ids, np.zeros(len(ids), dtype=np.intp))
-        assert channels[rows].tobytes() == alone_channels[alone_rows].tobytes()
-        assert n_slots.tobytes() == alone_slots.tobytes()
-        assert not n_slots[:3].any()
-        fallbacks += np.count_nonzero(n_slots == 5)
-    assert fallbacks > 1000
-
-
-def _signature_path(models, ids):
-    return sim._round_channels(models, "compiled", ids, np.zeros(len(ids), dtype=np.intp))
+    for scheme in _COLUMN_SCHEMES:
+        fallbacks = idle = 0
+        for n in range(1, 18):
+            models = tuple(_THREE[k] for k in rng.integers(0, 3, n))
+            ids = rng.integers(1, 25, size=(200, n - int(rng.integers(0, min(n, 3)))))
+            ids[rng.random(ids.shape) < 0.2] = 1
+            ids[:4] = 1
+            parity = rng.integers(0, 2, len(ids))
+            parity[:4] = [0, 1, 0, 1]
+            rows, channels, n_slots = sim._rounds(models, scheme, ids, parity)
+            alone_rows, alone_channels, alone_slots = sim._round_channels(models, scheme, ids,
+                                                                          parity)
+            assert channels[rows].tobytes() == alone_channels[alone_rows].tobytes()
+            assert n_slots.tobytes() == alone_slots.tobytes()
+            assert (rows[:4] == rows[0]).all()
+            assert n_slots[:4].tolist() == [0 if scheme == "compiled" else 5] * 4
+            fallbacks += np.count_nonzero(n_slots == 5)
+            idle += n - ids.shape[1]
+        assert fallbacks > 1000 and idle > 10, scheme
 
 
 @pytest.mark.parametrize("models,m_values", [
@@ -555,27 +561,39 @@ def _signature_path(models, ids):
     (_THREE * 3, (1, 4, 16)),
 ], ids=["eight-alike", "nine-mixed"])
 def test_compiled_runs_read_the_table_and_count_as_signatures(monkeypatch, models, m_values):
-    """A compiled run that draws fewer rounds than exist never builds its
-    rounds, and gives the p0 bytes and work counters of building their slot
-    signatures."""
+    """A run of a fixed-train scheme that draws fewer rounds than exist
+    never builds its rounds, and gives the p0 bytes and work counters of
+    building their slot signatures."""
     def unused(*args):
         raise AssertionError("_round_channels called")
-    with monkeypatch.context() as patch:
-        patch.setattr(sim, "_round_channels", unused)
-        res = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=31)
-    monkeypatch.setattr(sim, "_compiled_rounds", _signature_path)
-    built = run_rb(models, "compiled", m_values, n_seeds=2, rng_seed=31)
-    assert _work(res) == _work(built)
-    assert [c.p0.tobytes() for c in res.curves] == [c.p0.tobytes() for c in built.curves]
+    for scheme in _COLUMN_SCHEMES:
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_round_channels", unused)
+            res = run_rb(models, scheme, m_values, n_seeds=2, rng_seed=31)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_rounds", sim._round_channels)
+            built = run_rb(models, scheme, m_values, n_seeds=2, rng_seed=31)
+        assert _work(res) == _work(built), scheme
+        assert [c.p0.tobytes() for c in res.curves] == [c.p0.tobytes() for c in built.curves]
 
 
 def test_column_channel_tables_are_read_only_and_small():
-    pairs, channels = sim._column_channels(tuple(_THREE))
-    assert pairs.shape == (151, 25)
-    assert channels.shape == (3, 1473, 4, 4)
-    assert channels.nbytes / len(channels) < 200_000
-    rows, gathered, _ = sim._compiled_rounds(tuple(_THREE), np.array([[2, 13, 1]]))
-    assert not any(a.flags.writeable for a in (pairs, channels, gathered))
+    """Each fixed-train scheme's per-register table: 151 compiled columns
+    of 1,473 (column, fired subset) pairs, and 64 five-primitive columns
+    (parity and union of fired slots) of 438 for either five-primitive
+    scheme."""
+    shapes = {"compiled": ((3, 151, 25), (3 * 1473, 4, 4)),
+              "five-primitives": ((3, 64, 25), (3 * 438, 4, 4)),
+              "five-primitives-symmetric": ((3, 64, 25), (3 * 438, 4, 4))}
+    for scheme in _COLUMN_SCHEMES:
+        pairs, channels, lengths = sim._column_channels(tuple(_THREE), scheme)
+        assert (pairs.shape, channels.shape) == shapes[scheme]
+        assert lengths.shape == pairs.shape[1:2]
+        assert channels.nbytes / 3 < 200_000
+        rows, gathered, _ = sim._rounds(tuple(_THREE), scheme, np.array([[2, 13]]),
+                                        np.array([1]))
+        assert rows.shape == (1, 3)
+        assert not any(a.flags.writeable for a in (pairs, channels, lengths, gathered))
 
 
 def test_wide_runs_retain_no_state():
