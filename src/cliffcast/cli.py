@@ -25,6 +25,8 @@ verification, the `rb` decay fits, the `leakfit` fit).
 The argument parser is built once per process, on the first call of `main`
 (not at import), and reused: parsing makes a fresh namespace each call and
 no default is mutable, so repeated in-process calls behave as fresh ones.
+Each call is parsed once, by its command's own parser; the top-level parser
+handles only help, unknown commands and leftover arguments.
 """
 
 from __future__ import annotations
@@ -432,7 +434,15 @@ def _conflicting_flags(args) -> str | None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if argv and argv[0] in commands:  # the command's parser alone, as the top-level one calls it
+        namespace = argparse.Namespace(command=argv[0])
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     conflict = _conflicting_flags(args)
     if conflict:
         parser.error(conflict)

@@ -266,20 +266,22 @@ def _column_channels(models: tuple, scheme: str) -> tuple:
     id c in a round of column col, one of 1,473 (column, fired subset)
     pairs per kind compiled (about 189 KB) and 438 five-primitive, and
     lengths[col] the column's slot count.  Each is built as _round_channels
-    builds it, slot by slot, left-multiplied from the identity on."""
+    builds it, slot by slot, left-multiplied from the identity on, 256 pairs
+    at a time so as to hold little beside the table."""
     _, slots = _slot_table(models)
     lengths, codes, fired = compiler._column_table(scheme)
     width = codes.shape[1]
     subsets = fired @ (1 << np.arange(width))
     distinct, pairs = np.unique(np.arange(len(codes))[:, None] << width | subsets,
                                 return_inverse=True)
-    column = distinct >> width
-    routed = distinct[:, None] >> np.arange(width) & 1
-    count = lengths[column]
-    channels = np.broadcast_to(np.eye(4), (len(slots), len(distinct), 4, 4)).copy()
-    for s in range(width):
-        on = np.flatnonzero(s < count)
-        channels[:, on] = slots[:, codes[column[on], s], routed[on, s]] @ channels[:, on]
+    channels = np.empty((len(slots), len(distinct), 4, 4))
+    for start in range(0, len(distinct), 256):
+        chunk, part = distinct[start:start + 256], channels[:, start:start + 256]
+        column = chunk >> width
+        part[:] = np.eye(4)
+        for s in range(width):
+            on = np.flatnonzero(s < lengths[column])
+            part[:, on] = slots[:, codes[column[on], s], chunk[on] >> s & 1] @ part[:, on]
     pairs = pairs.reshape(subsets.shape) + len(distinct) * np.arange(len(slots))[:, None, None]
     channels = channels.reshape(-1, 4, 4)
     pairs.flags.writeable = channels.flags.writeable = False
@@ -295,7 +297,9 @@ def _rounds(models: tuple, scheme: str, ids: np.ndarray,
     if scheme not in compiler._COLUMN_SCHEMES:
         return _round_channels(models, scheme, ids, parity)
     kinds, _ = _slot_table(models)
-    pairs, channels, lengths = _column_channels(models, scheme)
+    # Both five-primitive schemes read one column table, so they share its channels.
+    table = scheme if scheme == SCHEME_COMPILED else compiler.SCHEME_FIVE
+    pairs, channels, lengths = _column_channels(models, table)
     columns = compiler._columns(ids, scheme, parity)
     if ids.shape[1] < len(kinds):
         ids = np.pad(ids, ((0, 0), (0, len(kinds) - ids.shape[1])))

@@ -91,12 +91,18 @@ simulate_amp_calibration.
 
 csv_text writes a CSV table value by value, one format call per float, the
 reference for the CLI's one-operation writer.
+
+cli_main_parse_args is cli.main as it parsed before each call was parsed
+once: the top-level parser's parse_args, whose subparser action runs the
+command's parser over the rest of argv, then the same command.  It is the
+reference for main's exit code, stdout and stderr on every argv.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -105,7 +111,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from cliffcast import compiler, sim
+from cliffcast import cli, compiler, sim
 from cliffcast.clifford import (
     CANONICAL_UNITARIES,
     FIVE_PRIMITIVE_MASKS,
@@ -907,3 +913,23 @@ def csv_text(rows, header) -> str:
         lines.append(",".join(format(float(v), ".9g") if isinstance(v, float) else str(v)
                               for v in row))
     return "\n".join(lines) + "\n"
+
+
+def cli_main_parse_args(argv=None) -> int:
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    conflict = cli._conflicting_flags(args)
+    if conflict:
+        parser.error(conflict)
+    try:
+        cli._write_outputs(args.func(args))
+    except cli.NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return cli.EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_VALIDATION
+    except MemoryError:
+        print("error: the input is too large for memory", file=sys.stderr)
+        return cli.EXIT_VALIDATION
+    return cli.EXIT_OK

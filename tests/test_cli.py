@@ -15,7 +15,7 @@ from cliffcast.clifford import (
     Pulse,
     sequence_unitary,
 )
-from oracles import csv_text, equal_up_to_phase, exact_census
+from oracles import cli_main_parse_args, csv_text, equal_up_to_phase, exact_census
 from test_cli_fuzz import BAD_VALUES, RB_TARGETS, WEIRD_NUMBERS, _mutate, _run, rb_summary
 
 
@@ -81,20 +81,25 @@ def test_compile_malformed_schedule_is_numerical_failure(case, monkeypatch, caps
     assert captured.out == "" and "numerical failure: event 1 " in captured.err
 
 
+def _outcome(capsys, run, argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def _runs_in_process(capsys, runs, fresh):
-    """(exit code, stdout, stderr) of each argv, run one after another in
-    this process; fresh builds a new parser for each run."""
+    """_outcome of each argv, run one after another in this process; fresh
+    builds a new parser for each run."""
     build_parser.cache_clear()
     results = []
     for argv in runs:
         if fresh:
             build_parser.cache_clear()
-        try:
-            code = run_cli(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        results.append((code, captured.out, captured.err))
+        results.append(_outcome(capsys, run_cli, argv))
     return results
 
 
@@ -106,6 +111,76 @@ def test_reused_parser_prints_what_a_fresh_one_prints(capsys):
     assert reused == _runs_in_process(capsys, runs, fresh=True)
     assert [code for code, _, _ in reused] == [0, 2, 0, 0]
     assert reused[0] == reused[3]
+
+
+# Argvs for the parse-once check, "{rb}" and "{leak}" standing for input files.
+PARSE_GRID = {
+    "compile": ["compile", "2,13"],
+    "stats": ["stats", "--n", "3", "--exact"],
+    "rb": ["rb", "--config", "{rb}"],
+    "allxy": ["allxy", "--over", "1.01"],
+    "calib": ["calib", "--over", "1.01", "--n-max", "3"],
+    "swap": ["swap", "--j-khz", "36", "--t-max-us", "1", "--points", "5"],
+    "leakfit": ["leakfit", "--input", "{leak}"],
+    "validation error": ["compile", "25"],
+    "top help": ["-h"],
+    "top long help": ["--help"],
+    "command help": ["compile", "-h"],
+    "command help after args": ["stats", "--n", "2", "--help"],
+    "empty": [],
+    "unknown command": ["bogus"],
+    "unknown option first": ["--bogus", "compile", "2,13"],
+    "abbreviated command": ["comp", "2,13"],
+    "help after unknown command": ["bogus", "-h"],
+    "bad type": ["compile", "2,x"],
+    "bad float": ["calib", "--over", "x"],
+    "invalid choice": ["compile", "2,13", "--scheme", "nope"],
+    "invalid int choice": ["compile", "2", "--parity", "2"],
+    "missing required option": ["stats", "--exact"],
+    "missing positional": ["compile"],
+    "leftover option": ["compile", "2,13", "--bogus"],
+    "leftover args": ["stats", "--n", "2", "--exact", "x", "--y", "z"],
+    "leftover and bad type": ["compile", "2,x", "--bogus"],
+    "opt=value": ["compile", "2,13", "--scheme=sequential"],
+    "opt=value int": ["stats", "--n=2", "--exact"],
+    "option abbreviation": ["compile", "2,13", "--sch", "five-primitives"],
+    "flag abbreviation": ["stats", "--n", "2", "--ex"],
+    "ambiguous abbreviation": ["stats", "--n", "2", "--s", "5"],
+    "double dash": ["compile", "--", "2,13"],
+    "option after double dash": ["compile", "2,13", "--", "--scheme"],
+    "double dash before command": ["--", "compile", "2,13"],
+    "conflicting stats flags": ["stats", "--n", "3", "--exact", "--samples", "5"],
+    "conflicting compile flags": ["compile", "2,13", "--parity", "1"],
+}
+
+
+@pytest.mark.parametrize("case", PARSE_GRID)
+def test_main_parses_as_top_level_parse_args(case, tmp_path, capsys):
+    """main, which parses a command's arguments with its own parser alone,
+    gives the exit code, stdout and stderr of the top-level parse_args."""
+    rb = tmp_path / "rb.json"
+    rb.write_text(json.dumps({"qubits": [{"t1_ns": 10000}], "scheme": "compiled",
+                              "m_values": [1, 2, 4, 8], "n_seeds": 1, "rng_seed": 7}))
+    leak = tmp_path / "leak.csv"
+    m = range(0, 1001, 100)
+    leak.write_text(csv_text(list(zip(m, fit.leakage_model(m, 1e-6, 8000.0, 1.875, 20.0)
+                                      .tolist())), ["m", "p2"]))
+    argv = [arg.format(rb=rb, leak=leak) for arg in PARSE_GRID[case]]
+    want = _outcome(capsys, cli_main_parse_args, argv)
+    assert _outcome(capsys, main, argv) == want
+    assert want[0] in (0, 2, 3)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    """main() with no argv parses sys.argv[1:], as the console script calls it."""
+    monkeypatch.setattr(sys, "argv", ["cliffcast", "compile", "2,13"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["n_qubits"] == 2
+    monkeypatch.setattr(sys, "argv", ["cliffcast", "compile", "2,13", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "cliffcast: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_stats_exact_small(capsys):

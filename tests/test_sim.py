@@ -596,6 +596,18 @@ def test_column_channel_tables_are_read_only_and_small():
         assert not any(a.flags.writeable for a in (pairs, channels, lengths, gathered))
 
 
+def test_five_primitive_schemes_share_one_channel_table():
+    """Both five-primitive schemes read the one five-primitive column table,
+    so a register run on both builds and keeps its channels once."""
+    sim._column_channels.cache_clear()
+    ids, parity = np.array([[2, 13], [1, 1]]), np.array([0, 1])
+    normal, symmetric = (sim._rounds(tuple(_THREE), scheme, ids, parity)
+                         for scheme in ("five-primitives", "five-primitives-symmetric"))
+    assert normal[1] is symmetric[1]
+    assert (normal[0][0] == symmetric[0][0]).all()
+    assert sim._column_channels.cache_info().currsize == 1
+
+
 def test_wide_runs_retain_no_state():
     """Runs on fresh seeds keep nothing once they return: their compiled
     rounds are read from the per-register cover-column table
