@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -59,12 +60,16 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write (path, text) pairs, a path of None or "-" meaning stdout.  Files
     go to temporary siblings, renamed over their targets once all are
     complete, so a failed write leaves none of them; stdout comes last.
-    Two outputs to one file are rejected before anything is written."""
+    Two outputs to one file, or one to a directory, are rejected before
+    anything is written."""
     files = [(path, f"{path}.{os.getpid()}-{i}.tmp", text)
              for i, (path, text) in enumerate(outputs) if path not in (None, "-")]
     targets = [os.path.realpath(path) for path, _, _ in files]
     if len(set(targets)) < len(targets):
         raise ValueError(f"two outputs name one file: {files[-1][0]}")
+    for path, _, _ in files:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     try:
         for path, tmp, text in files:
             with open(tmp, "w", newline="") as f:

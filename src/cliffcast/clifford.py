@@ -116,16 +116,6 @@ def sequence_unitary(pulses) -> np.ndarray:
     return u
 
 
-def chain_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] for a non-empty stack (k, ..., d, d),
-    multiplied pairwise: each level halves the stack, later ones on the left."""
-    while len(mats) > 1:
-        k = len(mats)
-        pairs = mats[1:k:2] @ mats[0:k - 1:2]
-        mats = np.concatenate([pairs, mats[k - 1:]]) if k & 1 else pairs
-    return mats[0]
-
-
 # Minimal decompositions of the 24 Cliffords (left-to-right pulse order).
 MINIMAL_DECOMPOSITIONS: dict[int, tuple[Pulse, ...]] = {
     1: (Pulse.I,),

@@ -29,12 +29,12 @@ qubit fires, else 1 + the pulse's place in `Pulse`; see `SLOT_PULSES`),
 each qubit's fired slots as booleans and each round's slot count, and
 `Schedule`s are built from one-row calls, so a round has one
 representation.  Sequential rounds are laid out from the minimal
-decompositions.  The five-primitive and compiled schemes play one fixed
-train per round: a column of the scheme's table (`_column_table`, chosen
-by `_columns`), which the simulator reads by column and fired subset.
-The single-qubit `minimal` set of the benchmarks (1.875 pulses per
-Clifford) is the sequential round with the identity as its one I pulse;
-it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
+decompositions.  Every other scheme plays one fixed train per round: a
+column of the scheme's table (`_column_table`, chosen by `_columns`),
+which the simulator reads by column and fired subset.  The single-qubit
+`minimal` set of the benchmarks (1.875 pulses per Clifford) has one
+column per Clifford, its minimal decomposition with the identity as its
+one I pulse; it is in `RB_SCHEMES`, not among the broadcast `SCHEMES`.
 
 Optimal search
 --------------
@@ -112,7 +112,7 @@ SCHEME_COMPILED = "compiled"
 SCHEMES = (SCHEME_SEQUENTIAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
 SCHEME_MINIMAL = "minimal"
 RB_SCHEMES = (SCHEME_MINIMAL, *SCHEMES)
-_COLUMN_SCHEMES = (SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
+_COLUMN_SCHEMES = (SCHEME_MINIMAL, SCHEME_FIVE, SCHEME_FIVE_SYMMETRIC, SCHEME_COMPILED)
 
 SLOT_NS = 20.0
 PULSE_NS = 16.0
@@ -251,28 +251,27 @@ _FIVE_COLUMNS = (
     * (np.arange(64)[:, None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1),
     (np.repeat(_FIVE_BITS, 32, axis=0) & np.arange(64)[:, None])[..., None]
     >> np.arange(FIVE_PRIMITIVES_BOUND) & 1 > 0)
-for _array in _FIVE_COLUMNS:
-    _array.flags.writeable = False
 
-# Each Clifford id's minimal decomposition as slot codes (row 0 unused),
-# padded with empty slots, and its length: in a minimal round the identity
-# is its one I pulse, in a sequential round it emits nothing.
+# The minimal rounds as a column table: column c is Clifford c's minimal
+# decomposition as slot codes, padded with empty slots (column 0 unused),
+# and only id c fires it, in every slot.  The identity's is its one I pulse.
 _MINIMAL_SLOT_CODES = np.zeros((25, max(map(len, MINIMAL_DECOMPOSITIONS.values()))),
                                dtype=np.int64)
 for _c, _pulses in MINIMAL_DECOMPOSITIONS.items():
     _MINIMAL_SLOT_CODES[_c, :len(_pulses)] = _slot_codes(_pulses)
-_MINIMAL_LENGTHS = np.count_nonzero(_MINIMAL_SLOT_CODES, axis=1)
-_SEQUENTIAL_LENGTHS = _MINIMAL_LENGTHS * (np.arange(25) > 1)
+_MINIMAL_COLUMNS = (np.count_nonzero(_MINIMAL_SLOT_CODES, axis=1), _MINIMAL_SLOT_CODES,
+                    np.eye(25, dtype=bool)[..., None] & (_MINIMAL_SLOT_CODES > 0)[:, None])
+for _array in (*_FIVE_COLUMNS, *_MINIMAL_COLUMNS):
+    _array.flags.writeable = False
 
 
-def _sequential_plans(ids, lengths) -> tuple:
-    """Each qubit's minimal decomposition in turn, lengths[c] slots for Clifford c."""
-    k, n = ids.shape
-    lengths = lengths[ids]
+def _sequential_plans(ids) -> tuple:
+    """Each qubit's minimal decomposition in turn, none for the identity."""
+    lengths = _MINIMAL_COLUMNS[0][ids] * (ids > 1)
     ends = np.cumsum(lengths, axis=1)
     n_slots = ends[:, -1]
-    codes = np.zeros((k, n_slots.max(initial=0)), dtype=np.int64)
-    fired = np.zeros((k, n, codes.shape[1]), dtype=bool)
+    codes = np.zeros((len(ids), n_slots.max(initial=0)), dtype=np.int64)
+    fired = np.zeros(ids.shape + codes.shape[1:], dtype=bool)
     r, q, j = np.nonzero(np.arange(_MINIMAL_SLOT_CODES.shape[1]) < lengths[..., None])
     slot = ends[r, q] - lengths[r, q] + j
     codes[r, slot] = _MINIMAL_SLOT_CODES[ids[r, q], j]
@@ -284,15 +283,20 @@ def _column_table(scheme: str) -> tuple:
     """(lengths, codes, fired) of the columns of one of _COLUMN_SCHEMES,
     which play one fixed train per round, read-only: each column's slot
     count and codes, and fired[col, c], the slots Clifford id c fires."""
-    return _cover_table()[1:] if scheme == SCHEME_COMPILED else _FIVE_COLUMNS
+    return (_cover_table()[1:] if scheme == SCHEME_COMPILED
+            else _MINIMAL_COLUMNS if scheme == SCHEME_MINIMAL else _FIVE_COLUMNS)
 
 
 def _columns(ids: np.ndarray, scheme: str, parity=0) -> np.ndarray:
-    """The _column_table column of each round of checked ids: the first
-    cover of a compiled round, else the round's parity and the union of the
-    slots its qubits fire.  An empty round takes column 0 at either parity:
-    its slots are empty whichever round it is, so, as its slot signature
-    does, it gives each model one channel, not one per parity."""
+    """The _column_table column of each round of checked ids: the one id of
+    a minimal round, the first cover of a compiled round, else the round's
+    parity and the union of the slots its qubits fire.  An empty round takes
+    column 0 at either parity: its slots are empty whichever round it is, so
+    it gives each model one channel, not one per parity."""
+    if scheme == SCHEME_MINIMAL:
+        if ids.shape[1] != 1:
+            raise ValueError(f"the minimal scheme plans one qubit, not {ids.shape[1]}")
+        return ids[:, 0]
     if scheme == SCHEME_COMPILED:
         return _first_columns(_target_masks(ids))
     symmetric = scheme == SCHEME_FIVE_SYMMETRIC
@@ -308,8 +312,8 @@ def round_plans(ids, scheme: str, parity=0) -> tuple:
     integer Clifford ids: the code of each time slot (k, S), 0 where no
     qubit fires (see SLOT_PULSES), each qubit's fired slots (k, n, S) and
     each round's slot count (k,); slots past a round's count are padding,
-    empty and unfired.  scheme is one of RB_SCHEMES: the minimal scheme is
-    the sequential round with the identity as one fired I slot.  parity,
+    empty and unfired.  scheme is one of RB_SCHEMES; the minimal scheme
+    plans one qubit, whose identity is one fired I slot.  parity,
     one int or one per round, alternates only the symmetric five-primitive
     scheme."""
     ids = np.asarray(ids)
@@ -322,10 +326,8 @@ def round_plans(ids, scheme: str, parity=0) -> tuple:
 
 def _plans(ids: np.ndarray, scheme: str, parity=0) -> tuple:
     """round_plans of checked ids."""
-    if scheme == SCHEME_MINIMAL:
-        return _sequential_plans(ids, _MINIMAL_LENGTHS)
     if scheme == SCHEME_SEQUENTIAL:
-        return _sequential_plans(ids, _SEQUENTIAL_LENGTHS)
+        return _sequential_plans(ids)
     if scheme not in _COLUMN_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     lengths, codes, fired = _column_table(scheme)

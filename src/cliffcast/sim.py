@@ -16,11 +16,11 @@ each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
 (compiler.round_plans) and the slots the qubit fires, and is built once,
-as a product of the model's slot matrices.  A five-primitive or compiled
-round plays one fixed train (a column of compiler._column_table), so a
-model's matrix in it is one of 438 or 1,473 (column, fired subset) pairs,
-built once per register; a sequential or minimal run builds its own
-signatures'.  The slot matrices are built
+as a product of the model's slot matrices.  A round of every scheme but
+sequential plays one fixed train (a column of compiler._column_table), so
+a model's matrix in it is one of 49 minimal, 438 five-primitive or 1,473
+compiled (column, fired subset) pairs, built once per register; a
+sequential run builds its own signatures'.  The slot matrices are built
 from apply_pulse and relax, the diagnostics from the rotations apply_pulse
 conjugates by (_conjugation) and the damping relax applies (_damping), so
 those stay the only definition of the physics.
@@ -181,13 +181,13 @@ def _damping(dt: float, t1: float):
 # rounds with one lexsort of their parities and ids.  Both read their
 # channels through _rounds, from one of two sources: _column_channels for
 # a fixed-train round, by its column and each qubit's fired subset, and
-# _round_channels for a sequential or minimal one, which plans the rounds
-# in one compiler.round_plans call, finds the distinct packed per-qubit
+# _sequential_channels for a sequential one, which plans the rounds in one
+# compiler._sequential_plans call, finds the distinct packed per-qubit
 # slot signatures with one lexsort and builds them together, one stacked
 # 4x4 product per slot.  Last, one seed at a time, the seed's round
 # channels are gathered in _block_plan's order and every sequence is
-# multiplied at once (_chain_products), each as chain_product would
-# multiply it alone, and applied to the ground state.
+# multiplied at once (_chain_products), each pairwise as it would be
+# multiplied alone, and applied to the ground state.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
@@ -201,8 +201,9 @@ def _slot_matrices(model: QubitModel) -> np.ndarray:
     return np.einsum("iab,bacrj->crij", _PAULIS, images).real / 2
 
 
-# A qubit's slot signature packs each slot of its round as 1 + 2 * code +
-# fired, 5 bits a slot and 12 slots per int64 word, after its model's kind.
+# A qubit's slot signature packs each slot of its sequential round as its
+# index 2 * code + fired among _slot_table's slots[kind], 0 only past the
+# round's end, 5 bits a slot and 12 slots per int64 word, after its kind.
 _SIGNATURE_SLOTS = 12
 _SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
 
@@ -224,22 +225,18 @@ def _slot_table(models: tuple) -> tuple[np.ndarray, np.ndarray]:
     return kinds, slots
 
 
-def _round_channels(models: tuple, scheme: str, ids: np.ndarray,
-                    parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, channels, n_slots) of k rounds, given as rows of Clifford ids
-    and their parities: channels[rows[r, q]] is qubit q's channel in round
-    r, and n_slots[r] the round's slot count.  Qubits past ids' columns are
-    never routed.  One compiler.round_plans call plans the rounds, one
-    lexsort of the packed slot signatures finds the distinct ones, and
-    those are built together, each slot left-multiplied from the identity
-    on."""
+def _sequential_channels(models: tuple, ids: np.ndarray) -> tuple:
+    """(rows, channels, n_slots) of k sequential rounds, given as rows of
+    Clifford ids, one per model (0 for a qubit that fires nothing):
+    channels[rows[r, q]] is qubit q's channel in round r, and n_slots[r] the
+    round's slot count.  One compiler._sequential_plans call plans the
+    rounds, one lexsort of the packed slot signatures finds the distinct
+    ones, and those are built together, each slot left-multiplied from the
+    identity on."""
     kinds, slots = _slot_table(models)
-    codes, fired, n_slots = compiler.round_plans(ids, scheme, parity)
-    k, width = codes.shape
-    n = len(kinds)
-    routed = np.zeros((k, n, width), dtype=np.intp)
-    routed[:, :fired.shape[1]] = fired
-    packed = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0)[:, None] + routed
+    codes, fired, n_slots = compiler._sequential_plans(ids)
+    k, n, width = fired.shape
+    packed = 2 * codes[:, None] + fired
     words = -(-width // _SIGNATURE_SLOTS)
     keys = np.empty((1 + words, k * n), dtype=np.int64)
     keys[0] = np.tile(kinds, k)
@@ -249,10 +246,11 @@ def _round_channels(models: tuple, scheme: str, ids: np.ndarray,
     firsts, inverse = _unique_columns(keys)
     r, q = np.divmod(firsts, n)
     count = n_slots[r]
+    slots = slots.reshape(len(slots), -1, 4, 4)
     channels = np.broadcast_to(np.eye(4), (len(firsts), 4, 4)).copy()
     for s in range(int(count.max())):
         on = np.flatnonzero(s < count)
-        channels[on] = slots[kinds[q[on]], codes[r[on], s], routed[r[on], q[on], s]] @ channels[on]
+        channels[on] = slots[kinds[q[on]], packed[r[on], q[on], s]] @ channels[on]
     return inverse.reshape(k, n), channels, n_slots
 
 
@@ -264,10 +262,10 @@ def _column_channels(models: tuple, scheme: str) -> tuple:
     subset of the column's slots that it fires: channels[pairs[k, col, c]]
     is the channel of a qubit of the k-th kind (_slot_table) with Clifford
     id c in a round of column col, one of 1,473 (column, fired subset)
-    pairs per kind compiled (about 189 KB) and 438 five-primitive, and
-    lengths[col] the column's slot count.  Each is built as _round_channels
-    builds it, slot by slot, left-multiplied from the identity on, 256 pairs
-    at a time so as to hold little beside the table."""
+    pairs per kind compiled (about 189 KB), 438 five-primitive and 49
+    minimal, and lengths[col] the column's slot count.  Each is built slot
+    by slot, left-multiplied from the identity on, 256 pairs at a time so
+    as to hold little beside the table."""
     _, slots = _slot_table(models)
     lengths, codes, fired = compiler._column_table(scheme)
     width = codes.shape[1]
@@ -290,20 +288,20 @@ def _column_channels(models: tuple, scheme: str) -> tuple:
 
 def _rounds(models: tuple, scheme: str, ids: np.ndarray,
             parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_round_channels of these rounds, which builds them for the sequential
-    and minimal schemes; a fixed-train scheme's are read from
-    _column_channels by each round's column, and qubits past ids' columns
-    read Clifford id 0, which fires nothing."""
-    if scheme not in compiler._COLUMN_SCHEMES:
-        return _round_channels(models, scheme, ids, parity)
+    """(rows, channels, n_slots) of k rounds, given as rows of Clifford ids
+    and their parities, as _sequential_channels builds a sequential run's;
+    every other scheme's are read from _column_channels by round column.
+    Qubits past ids' columns read Clifford id 0, which fires nothing."""
     kinds, _ = _slot_table(models)
+    padded = np.zeros((len(ids), len(kinds)), dtype=ids.dtype)
+    padded[:, :ids.shape[1]] = ids
+    if scheme == SCHEME_SEQUENTIAL:
+        return _sequential_channels(models, padded)
     # Both five-primitive schemes read one column table, so they share its channels.
-    table = scheme if scheme == SCHEME_COMPILED else compiler.SCHEME_FIVE
+    table = compiler.SCHEME_FIVE if scheme == SCHEME_FIVE_SYMMETRIC else scheme
     pairs, channels, lengths = _column_channels(models, table)
     columns = compiler._columns(ids, scheme, parity)
-    if ids.shape[1] < len(kinds):
-        ids = np.pad(ids, ((0, 0), (0, len(kinds) - ids.shape[1])))
-    return pairs[kinds, columns[:, None], ids], channels, lengths[columns]
+    return pairs[kinds, columns[:, None], padded], channels, lengths[columns]
 
 
 @lru_cache(maxsize=64)
@@ -342,9 +340,9 @@ def _block_plan(lengths: tuple) -> tuple:
 
 
 def _chain_products(lengths: tuple, gather, op) -> np.ndarray:
-    """chain_product of each sequence of these lengths at once: gather(src)
-    stacks their entries in _block_plan's order, op(later, earlier) is the
-    product, and each sequence joins its blocks from the smallest up."""
+    """Each sequence's product, later entries on the left, paired level by
+    level: gather(src) stacks sequences of these lengths in _block_plan's
+    order, op(later, earlier) multiplies, each joins its blocks smallest first."""
     src, levels = _block_plan(lengths)
     stack = gather(src)
     out = np.empty((len(lengths),) + stack.shape[1:], dtype=stack.dtype)

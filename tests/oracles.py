@@ -69,12 +69,21 @@ rotations, Kraus amplitude damping after every slot.  It takes schedules,
 decompositions and recovery Cliffords from cliffcast but no code of
 cliffcast.sim.
 
-benchmark_per_sequence is sim._benchmark's pass as it ran before every
-sequence of a seed was reduced at once: its draws with one
-recovery_clifford call per (seed, length) block, then one chain_product
-of each sequence's round channels, read from the same round tables.  It
-is the bit-for-bit reference of the batched reduction, for p0, its seed
-scatter and the four work counters.
+chain_product multiplies one stack of matrices pairwise, each level
+halving it, later ones on the left.  benchmark_per_sequence is
+sim._benchmark's pass as it ran before every sequence of a seed was
+reduced at once: its draws with one recovery_clifford call per (seed,
+length) block, then one chain_product of each sequence's round channels,
+read from the same round tables.  It is the bit-for-bit reference of the
+batched reduction, for p0, its seed scatter and the four work counters.
+
+round_channels builds any scheme's rounds as the simulator built them
+before the fixed-train schemes read theirs from column tables: one
+compiler.round_plans call, one lexsort of each qubit's packed slot
+signature (1 + 2 * code + fired in a slot of the round, 0 past its end)
+and one stacked product per slot.  It is the bit-for-bit reference of
+sim._rounds for every scheme, the column tables' and the sequential
+builder's.
 
 allxy_staircase and amp_calibration rerun the diagnostic staircase and the
 amplitude-calibration curve from the same rotations and damping, with no
@@ -120,7 +129,6 @@ from cliffcast.clifford import (
     FIVE_PRIMITIVES_INVERTED,
     MINIMAL_DECOMPOSITIONS,
     Pulse,
-    chain_product,
     clifford_of_pulses,
     compose,
     minimal_decomposition,
@@ -781,6 +789,48 @@ def slot_by_slot_benchmark(models, n_driven: int, scheme: str, m_values,
                 rounds += 1
             p0[:, im] += [rho[0, 0].real for rho in rhos]
     return p0 / n_seeds, slots / rounds
+
+
+def chain_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0] for a non-empty stack (k, ..., d, d),
+    multiplied pairwise: each level halves the stack, later ones on the left."""
+    while len(mats) > 1:
+        k = len(mats)
+        pairs = mats[1:k:2] @ mats[0:k - 1:2]
+        mats = np.concatenate([pairs, mats[k - 1:]]) if k & 1 else pairs
+    return mats[0]
+
+
+def round_channels(models: tuple, scheme: str, ids: np.ndarray,
+                   parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, channels, n_slots) of k rounds, given as rows of Clifford ids
+    and their parities: channels[rows[r, q]] is qubit q's channel in round
+    r, and n_slots[r] the round's slot count.  Qubits past ids' columns are
+    never routed.  One compiler.round_plans call plans the rounds, one
+    lexsort of the packed slot signatures finds the distinct ones, and
+    those are built together, each slot left-multiplied from the identity
+    on."""
+    kinds, slots = sim._slot_table(models)
+    codes, fired, n_slots = compiler.round_plans(ids, scheme, parity)
+    k, width = codes.shape
+    n = len(kinds)
+    routed = np.zeros((k, n, width), dtype=np.intp)
+    routed[:, :fired.shape[1]] = fired
+    packed = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0)[:, None] + routed
+    words = -(-width // sim._SIGNATURE_SLOTS)
+    keys = np.empty((1 + words, k * n), dtype=np.int64)
+    keys[0] = np.tile(kinds, k)
+    for w in range(words):
+        part = packed[..., w * sim._SIGNATURE_SLOTS:(w + 1) * sim._SIGNATURE_SLOTS]
+        keys[1 + w] = (part @ sim._SIGNATURE_POWERS[:part.shape[-1]]).ravel()
+    firsts, inverse = sim._unique_columns(keys)
+    r, q = np.divmod(firsts, n)
+    count = n_slots[r]
+    channels = np.broadcast_to(np.eye(4), (len(firsts), 4, 4)).copy()
+    for s in range(int(count.max())):
+        on = np.flatnonzero(s < count)
+        channels[on] = slots[kinds[q[on]], codes[r[on], s], routed[r[on], q[on], s]] @ channels[on]
+    return inverse.reshape(k, n), channels, n_slots
 
 
 def benchmark_per_sequence(models, n_driven: int, scheme: str, m_values, n_seeds: int,

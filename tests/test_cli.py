@@ -580,6 +580,27 @@ def test_rb_failed_write_leaves_no_outputs(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("paths,argv", [
+    ({"csv_path": "out.csv", "summary_path": "adir"}, []),
+    ({"csv_path": "adir", "summary_path": "out.json"}, []),
+    ({"summary_path": "out.json"}, ["-o", "adir"]),
+    ({"summary_path": "adir"}, ["-o", "out.csv"]),
+], ids=["summary-dir", "csv-dir", "output-dir", "output-then-summary-dir"])
+def test_rb_output_to_a_directory_writes_nothing(tmp_path, capsys, monkeypatch, paths, argv):
+    """An output target that is an existing directory is exit 3, named as
+    the rename would name it, and no other output is written first,
+    whichever output names the directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    cfg = {"qubits": [{}], "scheme": "minimal", "m_values": [1, 2, 4, 8],
+           "n_seeds": 1, "rng_seed": 0, **paths}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", "cfg.json", *argv]) == 3
+    assert capsys.readouterr().err == "error: cannot write adir: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "cfg.json"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
 def _rb_exit(tmp_path, capsys, **paths):
     """The rb exit code on a small config with the given output paths,
     checked to end without a traceback."""

@@ -589,6 +589,24 @@ def test_round_plans_of_the_all_identity_round_and_bad_input():
             round_plans(ids, SCHEME_SEQUENTIAL)
 
 
+def test_minimal_round_plans_take_one_qubit():
+    """A minimal round is one column of the minimal table, the one qubit's
+    Clifford id; rounds of 2 or more qubits are rejected (before, a 2-qubit
+    round was planned as a sequential one with identities of one pulse)."""
+    for n in (2, 3, 8):
+        with pytest.raises(ValueError, match="one qubit"):
+            round_plans(np.full((3, n), 2), SCHEME_MINIMAL)
+        with pytest.raises(ValueError, match="one qubit"):
+            compiler._columns(np.full((3, n), 2), SCHEME_MINIMAL)
+    ids = np.arange(1, 25)[:, None]
+    assert compiler._columns(ids, SCHEME_MINIMAL).tolist() == list(range(1, 25))
+    lengths, codes, fired = compiler._column_table(SCHEME_MINIMAL)
+    assert not any(a.flags.writeable for a in (lengths, codes, fired))
+    assert lengths[0] == 0 and lengths[1:].mean() == 1.875
+    assert (fired.any(axis=2) == np.eye(25, dtype=bool) * (lengths > 0)).all()
+    assert (fired[ids[:, 0], ids[:, 0]] == (codes[1:] > 0)).all()
+
+
 @pytest.mark.parametrize("parity", [1.5, [1.5], np.array([0.0, 1.0]), "1"])
 def test_round_plans_rejects_a_non_integer_parity(parity):
     """The symmetric round's parity must be integers (before: an IndexError

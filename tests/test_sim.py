@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcast import clifford, fit, sim
-from cliffcast.clifford import Pulse, chain_product, recovery_clifford
+from cliffcast.clifford import Pulse, recovery_clifford
 from cliffcast.compiler import RB_SCHEMES
 from cliffcast.sim import (
     ALLXY_SEQUENCE,
@@ -32,7 +32,9 @@ from oracles import (
     amp_calibration,
     amp_calibration_per_pulse,
     benchmark_per_sequence,
+    chain_product,
     lindblad_exchange,
+    round_channels,
     slot_by_slot_benchmark,
     slot_transfer_matrix,
 )
@@ -485,21 +487,22 @@ def test_qubit_channel_cache_grows_by_signature_not_by_round():
         assert 0 < res.qubit_channels < res.distinct_rounds * len(models) / 2
 
 
-@pytest.mark.parametrize("scheme", ["sequential", "five-primitives",
-                                    "five-primitives-symmetric", "compiled"])
+@pytest.mark.parametrize("scheme", RB_SCHEMES)
 def test_every_round_table_matches_rounds_built_alone(scheme):
     """The every-round table gives a run's rounds the channels and slot
-    counts that building only those rounds gives, bit for bit, with an
-    undriven third qubit."""
+    counts that building only those rounds gives (oracles.round_channels),
+    bit for bit, with an undriven third qubit, or two on the one-qubit
+    minimal scheme."""
     models = (_LOSSY, _SLOW, _LOSSLESS)
+    n_driven = 1 if scheme == "minimal" else 2
     rng = np.random.default_rng(3)
-    ids = rng.integers(1, 25, size=(300, 2))
+    ids = rng.integers(1, 25, size=(300, n_driven))
     parity = np.zeros(300, int)
     if scheme == "five-primitives-symmetric":
         parity = rng.integers(0, 2, 300)
-    rows, channels, n_slots = sim._every_round(models, scheme, 2)
-    index = parity * 24**2 + (ids - 1) @ [1, 24]
-    alone_rows, alone_channels, alone_slots = sim._round_channels(models, scheme, ids, parity)
+    rows, channels, n_slots = sim._every_round(models, scheme, n_driven)
+    index = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
+    alone_rows, alone_channels, alone_slots = round_channels(models, scheme, ids, parity)
     assert channels[rows[index]].tobytes() == alone_channels[alone_rows].tobytes()
     assert n_slots[index].tobytes() == alone_slots.tobytes()
     assert not any(array.flags.writeable for array in (rows, channels, n_slots))
@@ -529,31 +532,32 @@ _COLUMN_SCHEMES = ("five-primitives", "five-primitives-symmetric", "compiled")
 
 def test_column_channels_match_rounds_built_alone():
     """Rounds of each fixed-train scheme read from its column table get the
-    channels and slot counts that building their slot signatures gives, bit
-    for bit: 1..17 qubits of mixed models, up to two of them idle (past
-    ids' columns), identity targets, either parity, all-identity rounds and
-    five-primitive rounds.  An all-identity round reads one row per qubit
-    at both parities."""
+    channels and slot counts that building their slot signatures gives
+    (oracles.round_channels), bit for bit: 1..17 qubits of mixed models, up
+    to two of them idle (past ids' columns), identity targets, either
+    parity, all-identity rounds and five-primitive rounds, and one minimal
+    qubit with up to two idle.  An all-identity round reads one row per
+    qubit at both parities."""
     rng = np.random.default_rng(24)
-    for scheme in _COLUMN_SCHEMES:
+    for scheme in (*_COLUMN_SCHEMES, "minimal"):
         fallbacks = idle = 0
-        for n in range(1, 18):
+        for n in (1, 2, 3) * 4 if scheme == "minimal" else range(1, 18):
             models = tuple(_THREE[k] for k in rng.integers(0, 3, n))
-            ids = rng.integers(1, 25, size=(200, n - int(rng.integers(0, min(n, 3)))))
+            driven = 1 if scheme == "minimal" else n - int(rng.integers(0, min(n, 3)))
+            ids = rng.integers(1, 25, size=(200, driven))
             ids[rng.random(ids.shape) < 0.2] = 1
             ids[:4] = 1
             parity = rng.integers(0, 2, len(ids))
             parity[:4] = [0, 1, 0, 1]
             rows, channels, n_slots = sim._rounds(models, scheme, ids, parity)
-            alone_rows, alone_channels, alone_slots = sim._round_channels(models, scheme, ids,
-                                                                          parity)
+            alone_rows, alone_channels, alone_slots = round_channels(models, scheme, ids, parity)
             assert channels[rows].tobytes() == alone_channels[alone_rows].tobytes()
             assert n_slots.tobytes() == alone_slots.tobytes()
             assert (rows[:4] == rows[0]).all()
-            assert n_slots[:4].tolist() == [0 if scheme == "compiled" else 5] * 4
+            assert n_slots[:4].tolist() == [{"compiled": 0, "minimal": 1}.get(scheme, 5)] * 4
             fallbacks += np.count_nonzero(n_slots == 5)
-            idle += n - ids.shape[1]
-        assert fallbacks > 1000 and idle > 10, scheme
+            idle += n - driven
+        assert (fallbacks > 1000 or scheme == "minimal") and idle > 10, scheme
 
 
 @pytest.mark.parametrize("models,m_values", [
@@ -563,35 +567,54 @@ def test_column_channels_match_rounds_built_alone():
 def test_compiled_runs_read_the_table_and_count_as_signatures(monkeypatch, models, m_values):
     """A run of a fixed-train scheme that draws fewer rounds than exist
     never builds its rounds, and gives the p0 bytes and work counters of
-    building their slot signatures."""
+    building their slot signatures (oracles.round_channels)."""
     def unused(*args):
-        raise AssertionError("_round_channels called")
+        raise AssertionError("_sequential_channels called")
     for scheme in _COLUMN_SCHEMES:
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "_round_channels", unused)
+            patch.setattr(sim, "_sequential_channels", unused)
             res = run_rb(models, scheme, m_values, n_seeds=2, rng_seed=31)
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "_rounds", sim._round_channels)
+            patch.setattr(sim, "_rounds", round_channels)
             built = run_rb(models, scheme, m_values, n_seeds=2, rng_seed=31)
         assert _work(res) == _work(built), scheme
         assert [c.p0.tobytes() for c in res.curves] == [c.p0.tobytes() for c in built.curves]
 
 
+def test_minimal_idle_runs_read_the_table(monkeypatch):
+    """A minimal cross-drive run that draws fewer rounds than exist (18 of
+    24) reads its rounds from the minimal column table, never building
+    them, with the p0 bytes and work counters of building their slot
+    signatures (oracles.round_channels)."""
+    def unused(*args):
+        raise AssertionError("_sequential_channels called")
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_sequential_channels", unused)
+        res = run_idle_crossdrive([_LOSSY, _SLOW], "minimal", (1, 2, 3), 2, 31)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_rounds", round_channels)
+        built = run_idle_crossdrive([_LOSSY, _SLOW], "minimal", (1, 2, 3), 2, 31)
+    assert res.rounds == 18 and _work(res) == _work(built)
+    assert [c.p0.tobytes() for c in res.curves] == [c.p0.tobytes() for c in built.curves]
+
+
 def test_column_channel_tables_are_read_only_and_small():
     """Each fixed-train scheme's per-register table: 151 compiled columns
-    of 1,473 (column, fired subset) pairs, and 64 five-primitive columns
+    of 1,473 (column, fired subset) pairs, 64 five-primitive columns
     (parity and union of fired slots) of 438 for either five-primitive
-    scheme."""
+    scheme, and 25 minimal columns (one per Clifford id, column 0 unused)
+    of 49."""
     shapes = {"compiled": ((3, 151, 25), (3 * 1473, 4, 4)),
               "five-primitives": ((3, 64, 25), (3 * 438, 4, 4)),
-              "five-primitives-symmetric": ((3, 64, 25), (3 * 438, 4, 4))}
-    for scheme in _COLUMN_SCHEMES:
+              "five-primitives-symmetric": ((3, 64, 25), (3 * 438, 4, 4)),
+              "minimal": ((3, 25, 25), (3 * 49, 4, 4))}
+    for scheme in shapes:
         pairs, channels, lengths = sim._column_channels(tuple(_THREE), scheme)
         assert (pairs.shape, channels.shape) == shapes[scheme]
         assert lengths.shape == pairs.shape[1:2]
         assert channels.nbytes / 3 < 200_000
-        rows, gathered, _ = sim._rounds(tuple(_THREE), scheme, np.array([[2, 13]]),
-                                        np.array([1]))
+        ids = np.array([[2]] if scheme == "minimal" else [[2, 13]])
+        rows, gathered, _ = sim._rounds(tuple(_THREE), scheme, ids, np.array([1]))
         assert rows.shape == (1, 3)
         assert not any(a.flags.writeable for a in (pairs, channels, lengths, gathered))
 
