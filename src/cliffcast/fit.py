@@ -5,9 +5,9 @@ squares; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Each model
 is linear in all its parameters but one, so for every value of that one the
 linear parameters are solved in closed form inside their box, and the
 remaining 1-D cost is minimised on a fixed grid that is zoomed a fixed
-number of times (the decay fit caches its first grid, and prices its box
-edges only where the unconstrained optimum leaves the box).  The fits need
-only numpy, take a fixed number of steps, and always return the
+number of times (the decay fit caches its first grid, and tests its box
+only at each curve's first minimum, as an edge only adds to a cost).  The
+fits need only numpy, take a fixed number of steps, and always return the
 box-constrained optimum, so identical data always yields identical
 parameters and no fit fails for want of convergence.
 
@@ -107,27 +107,25 @@ _ZOOM_ENDS = {n: np.clip(np.arange(n)[:, None]
               for n in (_GRID_POINTS, _GRID_POINTS + 1)}
 
 
-def _minimise_profile(profile, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _minimise_profile(profile, grid: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Minimise a 1-D cost for several curves, given at once for sorted points.
 
     grid is a (curves, points) array, or one row of points for every curve.
     profile(t) returns the costs at the points t, a (curves, points) array,
-    and the linear parameters solved for each point, a tuple of such
-    arrays.  Each curve's best point is kept and the interval between its
-    neighbours re-gridded, _ZOOMS times, so no curve's cost rises from one
-    grid to the next.  Returns each curve's best point and its linear
-    parameters, as (curves,) and (parameters, curves) arrays.
+    the index of each curve's first least cost, and the linear parameters
+    solved there, a tuple of (curves,) arrays.  Each curve's best point is
+    kept and the interval between its neighbours re-gridded, _ZOOMS times,
+    so no curve's cost rises from one grid to the next.  Returns each
+    curve's best point and its linear parameters.
     """
-    cost, linear = profile(grid)
-    rows = np.arange(len(cost))[:, None]
+    _, best, linear = profile(grid)
+    rows = np.arange(best.size)
     for _ in range(_ZOOMS):
-        ends = _ZOOM_ENDS[grid.shape[-1]][:, cost.argmin(axis=1)]
-        ends = grid[rows, ends] if grid.ndim == 2 else grid[ends]
+        ends = _ZOOM_ENDS[grid.shape[-1]][:, best]
+        ends = grid[rows[:, None], ends] if grid.ndim == 2 else grid[ends]
         grid = ends[0] + (ends[1] - ends[0]) * _ZOOM_AT
-        cost, linear = profile(grid)
-    i = cost.argmin(axis=1)
-    rows = rows[:, 0]
-    return grid[rows, i], np.array([v[rows, i] for v in linear])
+        _, best, linear = profile(grid)
+    return grid[rows, best], linear
 
 
 def _curve(m_values, y_values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +159,10 @@ def _covariance(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
 
 def _exp_profile(m, y, w2):
     """The profile of weighted curves at the lengths m (y and w2 one row per
-    curve, or one curve): a function that gives, for each u = -log(decay),
-    the cost of the best (amplitude, offset) in their box, with those two
-    parameters.  u is a (curves, points) array, or one row of points for
-    every curve.
+    curve): a function that gives, for the u = -log(decay) of a
+    (curves, points) array or of one row for every curve, the cost of the
+    best (amplitude, offset) in their box, and each curve's first least
+    cost's index with those two parameters there.
 
     With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
     b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
@@ -172,10 +170,14 @@ def _exp_profile(m, y, w2):
     (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
     The optimum in the box is the unconstrained one where that lies inside,
     else the best of the four edges, each a 1-D problem solved by clipping.
-    The edges are priced only at the (curve, point) pairs whose optimum
-    leaves the box, so a grid that lies inside it everywhere skips them.
-    The sums over y alone are taken once per curve, and every weighted sum
-    is a stacked matrix-vector product with the curve's (lengths, 1) weights.
+    The box is tested only at each curve's first least unconstrained cost:
+    an edge adds a non-negative excess to a cost, so a first minimum inside
+    (with sxx > 0) is also the first least cost in the box, with the same
+    (a, b).  The edges are priced, at every point, only on a grid where some
+    curve's first minimum leaves the box; elsewhere a point outside keeps
+    its lower unconstrained cost.  The sums over y alone are taken once per
+    curve, and every weighted sum is a stacked matrix-vector product with
+    the curve's (lengths, 1) weights.
     """
     sw = w2.sum(axis=-1)[..., None, None]
     w2 = w2[..., None]
@@ -185,7 +187,7 @@ def _exp_profile(m, y, w2):
     minus_m = -m
     a_lo, a_hi = _AMPLITUDE_BOUNDS
     b_lo, b_hi = _OFFSET_BOUNDS
-    b_edges = np.array([[b_lo], [b_hi]])
+    b_edges = np.array([b_lo, b_hi])[:, None, None, None]
 
     def profile(u):
         # Every sum keeps its trailing axis of 1: (curves, points, 1).
@@ -197,35 +199,35 @@ def _exp_profile(m, y, w2):
         positive = sxx > 0
         a_opt = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=positive)
         cost = ((a_opt * dx - dy) ** 2 @ w2)[..., 0]
+        first = cost.argmin(axis=1)
+        # A call fits a handful of curves: test the box at each first minimum
+        # (flat indices at) in Python floats.
+        at = first + np.arange(0, cost.size, cost.shape[1])
+        a_at, s_at, x_at = (v.take(at).tolist() for v in (a_opt, sxx, x1bar))
+        b_at = [yb - a * (1.0 + x) for yb, a, x in zip(ybar.flat, a_at, x_at)]
+        if all(s > 0 and abs(a) <= a_hi and b_lo <= b <= b_hi for s, a, b in zip(s_at, a_at, b_at)):
+            return cost, first, (np.array(a_at), np.array(b_at))
+        # Some first minimum leaves the box: price each point's best in it,
+        # the unconstrained optimum if inside, else the cheapest edge.
         xbar = 1.0 + x1bar
-        b_opt = ybar - a_opt * xbar
+        a = np.empty((5,) + sxx.shape)
+        a[0], a[1], a[2], a[3:] = a_opt, a_lo, a_hi, 0.0
+        sx2 = sxx + sw * xbar**2
+        np.divide(sxy + sw * xbar * (ybar - b_edges), sx2, out=a[3:], where=sx2 > 0)
+        np.clip(a[3:], a_lo, a_hi, out=a[3:])
+        b = np.empty_like(a)
+        b[0], b[3], b[4] = ybar - a_opt * xbar, b_lo, b_hi
+        np.clip(ybar - a[1:3] * xbar, b_lo, b_hi, out=b[1:3])
+        excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=positive)
         # The amplitude box is symmetric, so |a| <= a_hi tests both its edges.
-        inside = (positive & (np.abs(a_opt) <= a_hi) & (b_lo <= b_opt) & (b_opt <= b_hi))[..., 0]
-        a_opt, b_opt = a_opt[..., 0], b_opt[..., 0]
-        if np.count_nonzero(inside) == inside.size:
-            return cost, (a_opt, b_opt)
-        # Flat indices of the (curve, point) pairs outside, and their curves.
-        j = np.flatnonzero(~inside)
-        row = j // inside.shape[-1]
-        sxx, sxy, xbar = sxx.take(j), sxy.take(j), xbar.take(j)
-        sw_j, ybar_j = sw.take(row), ybar.take(row)
-        # Candidates on the edges: a on each bound, then b.
-        a = np.empty((4, sxx.size))
-        b = np.empty((4, sxx.size))
-        a[0], a[1], a[2:] = a_lo, a_hi, 0.0
-        sx2 = sxx + sw_j * xbar**2
-        np.divide(sxy + sw_j * xbar * (ybar_j - b_edges), sx2, out=a[2:], where=sx2 > 0)
-        np.clip(a[2:], a_lo, a_hi, out=a[2:])
-        b[2], b[3] = b_lo, b_hi
-        np.clip(ybar_j - a[:2] * xbar, b_lo, b_hi, out=b[:2])
-        excess = sw_j * (b + a * xbar - ybar_j) ** 2 + np.divide(
-            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
-        best = np.argmin(excess, axis=0)
-        k = np.arange(sxx.size)
-        cost.put(j, cost.take(j) + excess[best, k])
-        a_opt.put(j, a[best, k])
-        b_opt.put(j, b[best, k])
-        return cost, (a_opt, b_opt)
+        inside = positive & (np.abs(a_opt) <= a_hi) & (b_lo <= b[0]) & (b[0] <= b_hi)
+        excess[0] = np.where(inside, 0.0, np.inf)
+        pick = excess.argmin(axis=0)[None]
+        cost = cost + np.take_along_axis(excess, pick, 0)[0, ..., 0]
+        first = cost.argmin(axis=1)
+        at = first + np.arange(0, cost.size, cost.shape[1])
+        return cost, first, tuple(np.take_along_axis(v, pick, 0).take(at) for v in (a, b))
 
     return profile
 
@@ -258,13 +260,15 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
     zoomed around each curve's best point.  The result is the
     box-constrained optimum also where it lies on the box; at_bound names
     the parameters that ended there.  Standard errors come from the
-    analytic Jacobian at the optimum.  An exactly flat curve short-circuits
-    to amplitude 0, decay 1.  Points are weighted by 1 / y_err (one row per
-    curve), a zero error taking max(1, the largest error of its curve):
-    beside errors below 1, as p0 standard errors are, such a point gets
-    weight 1.  A negative error is a ValueError, and so are fewer than 3
-    distinct lengths, which cannot fix three parameters.  Each curve's fit
-    is the one its one-curve call fit_exp_offset gives, to the bit.
+    analytic Jacobian at the optimum.  A curve whose values all lie within
+    1e-12 of its first short-circuits to amplitude 0, decay 1.  Points are
+    weighted by 1 / y_err (one row per curve), a zero error taking max(1,
+    the largest error of its curve): beside errors below 1, as p0 standard
+    errors are, such a point gets weight 1.  A negative error is a
+    ValueError, and so are a nonzero one outside [1e-100, 1e100], whose
+    weight could overflow or underflow, and fewer than 3 distinct lengths,
+    which cannot fix three parameters.  Each curve's fit is the one its
+    one-curve call fit_exp_offset gives, to the bit.
     """
     m, y = _curve(m_values, y_values, ndim=2)
     if (distinct := len(set(m.tolist()))) < 3:
@@ -277,6 +281,9 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
             raise ValueError("y_err must match y_values")
         if not np.all(np.isfinite(y_err) & (y_err >= 0)):
             raise ValueError("y_err must be finite and not negative")
+        if np.any((y_err > 0) & ((y_err < 1e-100) | (y_err > 1e100))):
+            raise ValueError("a nonzero y_err must lie in [1e-100, 1e100], so that its weight "
+                             "1 / y_err**2 neither overflows nor underflows")
         w = 1.0 / np.where(y_err > 0, y_err, np.max(y_err, axis=1, keepdims=True, initial=1.0))
     sloped = np.logical_or.reduce(np.abs(y - y[:, :1]) > 1e-12, axis=1)
     fits = iter(_fit_decays(m, y[sloped], w[sloped]) if np.count_nonzero(sloped) else ())
@@ -300,15 +307,10 @@ def _fit_decays(m, y, w) -> list[ExpFit]:
     jac *= w[..., None]
     err = np.sqrt(np.maximum(_covariance(jac, resid * w).diagonal(axis1=1, axis2=2), 0.0))
     rms = np.sqrt(np.add.reduce(resid**2, axis=1) / m.size)
-    fits = []
-    for amplitude, decay, offset, e, r in zip(a.tolist(), p.tolist(), b.tolist(), err.tolist(),
-                                              rms.tolist()):
-        at_bound = tuple(name for name, v, bounds in (("amplitude", amplitude, _AMPLITUDE_BOUNDS),
-                                                      ("decay", decay, _DECAY_BOUNDS),
-                                                      ("offset", offset, _OFFSET_BOUNDS))
-                         if v in bounds)
-        fits.append(ExpFit(amplitude, decay, offset, tuple(e), r, at_bound))
-    return fits
+    boxes = (("amplitude", _AMPLITUDE_BOUNDS), ("decay", _DECAY_BOUNDS), ("offset", _OFFSET_BOUNDS))
+    return [ExpFit(*fitted, tuple(e), r, tuple(name for (name, box), v in zip(boxes, fitted)
+                                               if v in box))
+            for *fitted, e, r in zip(a.tolist(), p.tolist(), b.tolist(), err.tolist(), rms.tolist())]
 
 
 def fidelity_from_decay(p: float) -> float:
@@ -364,14 +366,15 @@ def rate_step(p2_m: float, kappa: float, t21_ns: float, np_mean: float,
 
 def _leakage_profile(lam, m, p2):
     """Cost of the best plateau in [0, 1] for each rate lam, a (1, points)
-    array for _minimise_profile, with that plateau (the 1-D least-squares
-    solution, clipped)."""
+    array for _minimise_profile, with the first least cost's index and the
+    plateau there (the 1-D least-squares solution, clipped)."""
     z = -np.expm1(-lam[..., None] * m)
     szz = (z * z).sum(axis=-1)
     plateau = np.clip(np.divide(z @ p2, szz, out=np.zeros_like(szz), where=szz > 0),
                       *_PLATEAU_BOUNDS)
     cost = ((plateau[..., None] * z - p2) ** 2).sum(axis=-1)
-    return cost, (plateau,)
+    first = cost.argmin(axis=-1)
+    return cost, first, (plateau.take(first),)
 
 
 @lru_cache(maxsize=16)
@@ -406,9 +409,9 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     # Beyond 50 / (shortest positive length) every 1 - exp(-lam * m) is 1 to
     # double precision, so the cost no longer depends on lam.
     lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
-    rate, plateau = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
-                                      _first_rate_grid(float(lam_hi)))
-    rate, plateau = float(rate[0]), float(plateau[0, 0])
+    rate, (plateau,) = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
+                                         _first_rate_grid(float(lam_hi)))
+    rate, plateau = float(rate[0]), float(plateau[0])
     if plateau == 0.0:
         # Non-positive data: the best plateau is on its lower bound, where
         # the rate no longer changes the curve and only kappa = 0 is known.

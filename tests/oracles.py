@@ -54,7 +54,11 @@ box_linear_fit solves the decay fit's inner problem at one fixed decay in
 plain Python floats: the best (amplitude, offset) in their box, found by
 pricing every KKT candidate from its residuals.  exp_fit_per_curve is the
 decay fit as it ran one curve at a time, the bit-for-bit reference for the
-batched fit.fit_exp_offsets.
+batched fit.fit_exp_offsets.  exp_profile_every_point is the decay fit's
+profile as it ran before the box was tested only at each curve's first
+minimum: it tests every (curve, point) and prices the box edges at every
+point outside, so it is the box-constrained cost everywhere, the
+reference for fit._exp_profile at each curve's first minimum.
 
 lindblad_exchange propagates the full two-qubit density matrix under the
 Lindblad equation (flip-flop coupling plus amplitude damping on each qubit)
@@ -382,6 +386,78 @@ def box_linear_fit(u: float, m_values, y_values, w2_values) -> tuple[float, floa
         if -2.0 <= a <= 2.0 and -1.0 <= b <= 2.0:
             candidates.append((a, b))
     return min((cost(a, b), a, b) for a, b in candidates)
+
+
+def exp_profile_every_point(m, y, w2):
+    """The profile of weighted curves at the lengths m (y and w2 one row per
+    curve, or one curve): a function that gives, for each u = -log(decay),
+    the cost of the best (amplitude, offset) in their box, with those two
+    parameters.  u is a (curves, points) array, or one row of points for
+    every curve.
+
+    With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
+    b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
+    expm1 so that the centring loses nothing near decay 1).  Any other
+    (a, b) costs more by sxx (a - a_opt)**2 + sw (b + a xbar - ybar)**2.
+    The optimum in the box is the unconstrained one where that lies inside,
+    else the best of the four edges, each a 1-D problem solved by clipping.
+    The edges are priced only at the (curve, point) pairs whose optimum
+    leaves the box, so a grid that lies inside it everywhere skips them.
+    The sums over y alone are taken once per curve, and every weighted sum
+    is a stacked matrix-vector product with the curve's (lengths, 1) weights.
+    """
+    sw = w2.sum(axis=-1)[..., None, None]
+    w2 = w2[..., None]
+    ybar = y[..., None, :] @ w2 / sw
+    dy = y[..., None, :] - ybar
+    w2dy = w2 * dy.swapaxes(-1, -2)
+    minus_m = -m
+    a_lo, a_hi = _AMPLITUDE_BOUNDS
+    b_lo, b_hi = _OFFSET_BOUNDS
+    b_edges = np.array([[b_lo], [b_hi]])
+
+    def profile(u):
+        # Every sum keeps its trailing axis of 1: (curves, points, 1).
+        x1 = np.expm1(u[..., None] * minus_m)
+        x1bar = x1 @ w2 / sw
+        dx = x1 - x1bar
+        sxx = dx**2 @ w2
+        sxy = dx @ w2dy
+        positive = sxx > 0
+        a_opt = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=positive)
+        cost = ((a_opt * dx - dy) ** 2 @ w2)[..., 0]
+        xbar = 1.0 + x1bar
+        b_opt = ybar - a_opt * xbar
+        # The amplitude box is symmetric, so |a| <= a_hi tests both its edges.
+        inside = (positive & (np.abs(a_opt) <= a_hi) & (b_lo <= b_opt) & (b_opt <= b_hi))[..., 0]
+        a_opt, b_opt = a_opt[..., 0], b_opt[..., 0]
+        if np.count_nonzero(inside) == inside.size:
+            return cost, (a_opt, b_opt)
+        # Flat indices of the (curve, point) pairs outside, and their curves.
+        j = np.flatnonzero(~inside)
+        row = j // inside.shape[-1]
+        sxx, sxy, xbar = sxx.take(j), sxy.take(j), xbar.take(j)
+        sw_j, ybar_j = sw.take(row), ybar.take(row)
+        # Candidates on the edges: a on each bound, then b.
+        a = np.empty((4, sxx.size))
+        b = np.empty((4, sxx.size))
+        a[0], a[1], a[2:] = a_lo, a_hi, 0.0
+        sx2 = sxx + sw_j * xbar**2
+        np.divide(sxy + sw_j * xbar * (ybar_j - b_edges), sx2, out=a[2:], where=sx2 > 0)
+        np.clip(a[2:], a_lo, a_hi, out=a[2:])
+        b[2], b[3] = b_lo, b_hi
+        np.clip(ybar_j - a[:2] * xbar, b_lo, b_hi, out=b[:2])
+        excess = sw_j * (b + a * xbar - ybar_j) ** 2 + np.divide(
+            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=sxx > 0)
+        best = np.argmin(excess, axis=0)
+        k = np.arange(sxx.size)
+        cost.put(j, cost.take(j) + excess[best, k])
+        a_opt.put(j, a[best, k])
+        b_opt.put(j, b[best, k])
+        return cost, (a_opt, b_opt)
+
+    return profile
+
 
 
 def exp_fit_per_curve(m_values, y_values, y_err=None) -> ExpFit:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -25,6 +26,7 @@ from cliffcast.sim import QubitModel, run_rb
 from oracles import (
     box_linear_fit,
     exp_fit_per_curve,
+    exp_profile_every_point,
     iterate_rate_equation,
     least_squares_exp,
     least_squares_leakage,
@@ -64,21 +66,27 @@ def test_exp_fit_noiseless_roundtrip():
 
 
 def test_exp_fit_constant_data():
-    m = np.arange(10, dtype=float)
-    f = fit_exp_offset(m, np.full(10, 0.5))
-    assert f.amplitude == 0.0
-    assert f.decay == 1.0
-    assert f.offset == pytest.approx(0.5)
+    """Constant data, and a decay whose values all lie within 1e-12 of its
+    first value, are flat: amplitude 0, decay 1."""
+    near = np.arange(1, 129, dtype=float)
+    for m, y in ((np.arange(10, dtype=float), np.full(10, 0.5)),
+                 (near, 0.5 + 1e-13 * 0.9**near)):
+        f = fit_exp_offset(m, y)
+        assert f.amplitude == 0.0
+        assert f.decay == 1.0
+        assert f.offset == pytest.approx(0.5)
 
 
 def test_exp_fit_small_clean_decay_is_not_flat():
     """A decay of amplitude 4e-6 on an offset of 0.5 is not flat data: the
-    flat test takes no tolerance relative to the offset."""
+    flat test takes no tolerance relative to the offset.  Nor is one of
+    amplitude 1e-11, whose values leave 1e-12 of the first."""
     m = np.arange(1, 129, dtype=float)
-    f = fit_exp_offset(m, 0.5 + 4e-6 * 0.9**m)
-    assert f.decay == pytest.approx(0.9, abs=1e-6)
-    assert f.amplitude == pytest.approx(4e-6, rel=1e-4)
-    assert f.at_bound == ()
+    for amplitude in (4e-6, 1e-11):
+        f = fit_exp_offset(m, 0.5 + amplitude * 0.9**m)
+        assert f.decay == pytest.approx(0.9, abs=1e-6)
+        assert f.amplitude == pytest.approx(amplitude, rel=1e-4)
+        assert f.at_bound == ()
 
 
 def test_exp_fit_noisy_recovery_within_three_sigma():
@@ -134,9 +142,15 @@ def test_exp_fit_rejects_non_finite_errors(y_err):
 
 
 def test_exp_fit_rejects_negative_errors():
-    """A negative error is rejected (before: silently replaced like a zero)."""
+    """A negative error is rejected (before: silently replaced like a zero),
+    and so is a nonzero error whose weight 1 / y_err**2 overflows or
+    underflows (before: a NaN offset, amplitude and decay on their bounds)."""
     with pytest.raises(ValueError, match="y_err must be finite and not negative"):
         fit_exp_offset([1, 2, 4, 8], [1.0, 0.9, 0.8, 0.7], [0.1, -0.1, 0.1, 0.1])
+    m = np.array([1, 2, 4, 8, 16, 32], dtype=float)
+    for y_err in ([1e-3, 1e-3, 1e-200, 1e-3, 1e-3, 1e-3], [1e200] * 6):
+        with pytest.raises(ValueError, match=r"must lie in \[1e-100, 1e100\]"):
+            fit_exp_offset(m, 0.5 * 0.98**m + 0.5, y_err)
 
 
 def test_exp_fit_zero_error_takes_one_or_the_largest_error():
@@ -335,16 +349,18 @@ def _oracle_curves():
 
 def test_exp_profile_matches_the_box_oracle():
     """At u near 0 and on the first grid, where some optima leave the box
-    and some do not, the profile's cost is the oracle's within 1e-12
-    relative and its (amplitude, offset) the oracle's within 1e-12.  At
-    u = 0 the optimum is not unique, so there its parameters are priced."""
+    and some do not, the every-point profile's cost is the oracle's within
+    1e-12 relative and its (amplitude, offset) the oracle's within 1e-12.
+    At u = 0 the optimum is not unique, so there its parameters are priced.
+    The program's profile gives the oracle's cost and parameters at each
+    curve's first minimum, and no cost there above the oracle's anywhere."""
     for m, y, w2 in _oracle_curves():
         m, y = np.asarray(m, dtype=float), np.asarray(y, dtype=float)
         u = np.concatenate([[0.0, 1e-12, 1e-9, 1e-7], fit._first_decay_grid(float(m.max()))])
-        cost, (a, b) = fit._exp_profile(m, y, w2)(u)
+        cost, (a, b) = exp_profile_every_point(m, y, w2)(u)
         inside = 0
-        for i, ui in enumerate(u):
-            ref_cost, ref_a, ref_b = box_linear_fit(ui, m, y, w2)
+        ref = [box_linear_fit(ui, m, y, w2) for ui in u]
+        for i, (ui, (ref_cost, ref_a, ref_b)) in enumerate(zip(u, ref)):
             assert cost[i] == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
             if ui == 0.0:
                 assert ref_cost == pytest.approx(float(w2 @ (a[i] + b[i] - y) ** 2), rel=1e-12)
@@ -353,35 +369,87 @@ def test_exp_profile_matches_the_box_oracle():
             assert b[i] == pytest.approx(ref_b, abs=1e-12)
             inside += abs(ref_a) < 2.0 and -1.0 < ref_b < 2.0
         assert 0 < inside < u.size - 1
+        cost, (best,), ((a,), (b,)) = fit._exp_profile(m, y[None], w2[None])(u)
+        ref_cost, ref_a, ref_b = ref[best]
+        assert cost[0, best] == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+        assert cost[0, best] <= min(r[0] for r in ref) * (1 + 1e-12)
+        assert a == pytest.approx(ref_a, abs=1e-12)
+        assert b == pytest.approx(ref_b, abs=1e-12)
+
+
+def _watch_exp_profile(monkeypatch, watch):
+    """Make every decay fit call watch(m, y, w2, u, grid, out) on each grid u
+    its profile is given, grid counting a fit's grids from 0, its first, and
+    out being the profile's (cost, best, (a, b)) on u."""
+    exp_profile = fit._exp_profile
+
+    def watched_profile(m, y, w2):
+        profile, grids = exp_profile(m, y, w2), itertools.count()
+
+        def watched(u):
+            out = profile(u)
+            watch(m, y, w2, u, next(grids), out)
+            return out
+
+        return watched
+
+    monkeypatch.setattr(fit, "_exp_profile", watched_profile)
+
+
+def test_exp_profile_is_the_every_point_profile_at_each_first_minimum(monkeypatch):
+    """On every grid, first and zoomed, of the pinned fits and the batches,
+    the profile gives the every-point profile's first-minimum index, and
+    its cost and (amplitude, offset) there bit for bit, and elsewhere no
+    cost above the every-point profile's: the box is tested at each curve's
+    first minimum alone, and that is all _minimise_profile reads."""
+    grids = collections.Counter()
+
+    def watch(m, y, w2, u, grid, out):
+        cost, best, (a, b) = out
+        ref_cost, (ref_a, ref_b) = exp_profile_every_point(m, y, w2)(u)
+        rows = np.arange(len(y))
+        assert best.tolist() == ref_cost.argmin(axis=1).tolist()
+        for mine, ref in ((cost[rows, best], ref_cost), (a, ref_a), (b, ref_b)):
+            assert mine.tobytes() == ref[rows, best].tobytes()
+        assert np.all(cost <= ref_cost)
+        grids[grid > 0] += 1
+
+    _watch_exp_profile(monkeypatch, watch)
+    for m, y, err in _pinned_curves():
+        fit_exp_offset(m, y, y_err=err)
+    for m, y, err in _batches():
+        fit_exp_offsets(m, y, err)
+    assert grids == {False: 112 + 3, True: 8 * (112 + 3)}
 
 
 def test_exp_fit_digest_reaches_the_box_edges_on_zoomed_grids(monkeypatch):
-    """Counts the zoomed grids (every grid after a fit's first) on which some
-    point's best (amplitude, offset) lies on the box: the grids whose
-    optimum leaves the box at some point, so the profile prices the edges.
-    The pinned fits must keep reaching them, so that EXP_FIT_DIGEST covers
-    both the in-box and the edge branch of the profile."""
-    zoomed_on_box = 0
-    exp_profile = fit._exp_profile
+    """Counts the first and the zoomed grids (every grid after a fit's
+    first) on which the profile prices the box edges: the grids where some
+    curve's first least unconstrained cost leaves the box.  Only the edge
+    pricing calls np.take_along_axis, so fit's numpy is swapped for one that
+    notes those calls.  The pinned fits must keep reaching both kinds of
+    grid, so that EXP_FIT_DIGEST covers the in-box branch and the edge
+    branch of the profile on each."""
+    pricing, priced = [], collections.Counter()
 
-    def counting_profile(m, y, w2):
-        profile, grids = exp_profile(m, y, w2), itertools.count()
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-        def counted(u):
-            nonlocal zoomed_on_box
-            cost, linear = profile(u)
-            a, b = linear
-            on_box = np.any((np.abs(a) == 2.0) | (b == -1.0) | (b == 2.0))
-            zoomed_on_box += bool(next(grids) and on_box)
-            return cost, linear
+        def take_along_axis(self, *args):
+            pricing.append(args)
+            return np.take_along_axis(*args)
 
-        return counted
+    def watch(m, y, w2, u, grid, out):
+        priced[grid > 0] += bool(pricing)
+        pricing.clear()
 
-    monkeypatch.setattr(fit, "_exp_profile", counting_profile)
+    monkeypatch.setattr(fit, "np", Numpy())
+    _watch_exp_profile(monkeypatch, watch)
     for m, y, err in _pinned_curves():
         fit_exp_offset(m, y, y_err=err)
-    assert zoomed_on_box > 0
-    assert zoomed_on_box == 48
+    assert priced[False] > 0 and priced[True] > 0
+    assert priced == {False: 6, True: 48}
 
 
 def test_fidelity_from_decay_limits():
