@@ -49,16 +49,17 @@ counting whose product it is.  One lookup (`_first_columns`) finds a
 mask's first column that misses no target, the column of its first
 cover (the shortest and then lexicographically first train that fires
 every target): the lowest bit set in both the row of its low 12 bits
-and the row of its high 12 bits of two bitset tables (`_half_tables`).
-A first column of -1 stands for the all-identity round (only mask 0
-misses nothing of it), and a last column of 0 for the five-primitive
-round, which realizes any combination, so a combination costs at most
-5.  Cost queries (`min_broadcast_pulses`, the sampled census) read the
-column's length, plan queries its slot codes and firing subsets.  A
-cost depends only on the set of distinct non-identity targets, so the
-exact census reads `CENSUS_COUNTS`, the number of sets of each size at
-each cost, and weights each size by surjection counts instead of
-enumerating the 24^n combinations.
+and the row of its high 12 bits of one bitset table of 64-bit words
+(`_half_tables`), read as Python ints for a few masks and word by word
+for a batch.  A first column of -1 stands for the all-identity round
+(only mask 0 misses nothing of it), and a last column of 0 for the
+five-primitive round, which realizes any combination, so a combination
+costs at most 5.  Cost queries (`min_broadcast_pulses`, the sampled
+census) read the column's length, plan queries its slot codes and firing
+subsets.  A cost depends only on the set of distinct non-identity
+targets, so the exact census reads `CENSUS_COUNTS`, the number of sets
+of each size at each cost, and weights each size by surjection counts
+instead of enumerating the 24^n combinations.
 
 Verification
 ------------
@@ -398,25 +399,28 @@ def _cover_table():
     return table
 
 
-_LOOKUP_BLOCK = 1 << 16  # masks per lookup step: about 3 MB of temporaries
+_LOOKUP_BLOCK = 1 << 15  # masks per batch step: about 2 MB of temporaries
+_FEW_MASKS = 12  # up to this many masks, rows read as Python ints are quicker
 
 
 @lru_cache(maxsize=1)
-def _half_tables() -> tuple:
-    """(halves, first_bit), read-only.  halves[h, v] is the bitset, packed
-    little-endian into 19 bytes, of the _cover_table columns with no bit of
-    v among their bits 12h..12h + 11: row 0 holds every column, and row
-    v | 1 << b, for v < 1 << b, is row v less the columns with bit 12h + b.
-    first_bit[i, x] is 8 * i plus the lowest set bit of the byte x."""
-    columns = _cover_table()[0][:, None]
-    no_bit = np.packbits((columns >> np.arange(24) & 1) == 0, axis=0, bitorder="little").T
-    halves = np.packbits(np.ones((2, 1, len(columns)), dtype=bool), axis=2, bitorder="little")
+def _half_tables() -> np.ndarray:
+    """Read-only (2, 4096, 3) little-endian uint64 words: halves[h, v] is
+    the bitset, column j at bit j % 64 of word j // 64, of the _cover_table
+    columns with no bit of v among their bits 12h..12h + 11: row 0 holds
+    every column, and row v | 1 << b, for v < 1 << b, is row v less the
+    columns with bit 12h + b."""
+    columns = _cover_table()[0]
+    sets = np.zeros((25, 3 * 64), dtype=bool)  # every column, then those without bit b
+    sets[0, :len(columns)] = True
+    sets[1:, :len(columns)] = (columns >> np.arange(24)[:, None] & 1) == 0
+    sets = np.packbits(sets, axis=1, bitorder="little").view("<u8")
+    halves = np.empty((2, 4096, 3), dtype="<u8")
+    halves[:, 0] = sets[0]
     for b in range(12):
-        halves = np.concatenate([halves, halves & no_bit[b::12, None]], axis=1)
-    lowest = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    first_bit = (8 * np.arange(halves.shape[2])[:, None] + lowest.argmax(axis=1)).astype(np.uint8)
-    halves.flags.writeable = first_bit.flags.writeable = False
-    return halves, first_bit
+        np.bitwise_and(halves[:, :1 << b], sets[1 + b::12, None], out=halves[:, 1 << b:2 << b])
+    halves.flags.writeable = False
+    return halves
 
 
 def _first_columns(masks) -> np.ndarray:
@@ -424,16 +428,26 @@ def _first_columns(masks) -> np.ndarray:
     misses no target: the column of its first cover, the first column for
     mask 0, or the last column when no train of four pulses covers it.
     It is the lowest bit set in the rows of both 12-bit halves of the mask
-    (_half_tables); the last column, 0, is set in every row."""
-    (low, high), first_bit = _half_tables()
+    (_half_tables); the last column, 0, is set in every row, in word 2.
+    Up to _FEW_MASKS masks read their rows as Python ints.  A batch sums
+    each word's lowest bit as a float weighted 2**128, 2**64 or 1: bit b
+    of the first nonzero word, k, is the largest term, 2**E with E = 64 *
+    (2 - k) + b, and the sum is below 1.75 * 2**E, so its exponent is E."""
+    low, high = _half_tables()
     masks = np.asarray(masks, dtype=np.int64)
+    if len(masks) <= _FEW_MASKS:
+        covers = [int.from_bytes(low[m & 0xFFF].tobytes(), "little")
+                  & int.from_bytes(high[m >> 12].tobytes(), "little") for m in masks.tolist()]
+        return np.array([(x & -x).bit_length() - 1 for x in covers], dtype=np.intp)
     first = np.empty(len(masks), dtype=np.intp)
     for s in range(0, len(masks), _LOOKUP_BLOCK):
         block = masks[s:s + _LOOKUP_BLOCK]
         covers = low.take(block & 0xFFF, axis=0)
         covers &= high.take(block >> 12, axis=0)
-        byte = (covers != 0).argmax(axis=1)
-        first[s:s + _LOOKUP_BLOCK] = first_bit[byte, covers[np.arange(len(block)), byte]]
+        covers &= -covers
+        w0, w1, w2 = covers.T
+        e = np.frexp(w0 * 2.0**128 + w1 * 2.0**64 + w2)[1]  # E + 1
+        first[s:s + _LOOKUP_BLOCK] = e + 127 - ((e - 1) >> 6 << 7)
     return first
 
 
@@ -531,8 +545,8 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
 
     Deterministic for a given seed (counter-based Philox generator).
     """
-    _check_int(n, "n", 1)
-    if _check_int(samples, "samples") < 100:
+    n, samples = _check_int(n, "n", 1), _check_int(samples, "samples")
+    if samples < 100:
         raise ValueError("need at least 100 samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed", 0))))
     draws = rng.integers(1, 25, size=(samples, n))

@@ -32,6 +32,7 @@ from cliffcast.compiler import (
     min_broadcast_pulses,
     SLOT_PULSES,
     round_plans,
+    _FEW_MASKS,
     _LOOKUP_BLOCK,
     _cover_table,
     _first_columns,
@@ -315,7 +316,8 @@ def test_batched_cost_query_is_the_first_cover_length():
     """_mask_costs prices a batch as one first-cover query per mask would:
     all 2,048 sets of at most three non-identity targets, 5,000 ten-qubit
     Philox draws, and batches on each side of the 64-row edges the column
-    scan once chunked at and of the half-mask lookup's 65,536-mask step."""
+    scan once chunked at, of the switch from the one-mask reader to the
+    batch reader, and of the batch reader's 32,768-mask step."""
     small = [sum(1 << b for b in bits)
              for k in range(4) for bits in itertools.combinations(range(1, 24), k)]
     assert len(small) == 2_048
@@ -324,7 +326,8 @@ def test_batched_cost_query_is_the_first_cover_length():
              for row in rng.integers(1, 25, size=(5_000, 10)).tolist()]
     pool = [m for pair in zip(small, drawn) for m in pair]  # mask 0 first
     cost = {m: _first_cover_cost(m) for m in set(small + drawn)}
-    sizes = (0, 1, 63, 64, 65, 129, _LOOKUP_BLOCK - 1, _LOOKUP_BLOCK, _LOOKUP_BLOCK + 1)
+    sizes = (0, 1, _FEW_MASKS, _FEW_MASKS + 1, 63, 64, 65, 129,
+             _LOOKUP_BLOCK - 1, _LOOKUP_BLOCK, _LOOKUP_BLOCK + 1)
     batches = [small, drawn] + [list(itertools.islice(itertools.cycle(pool), size))
                                 for size in sizes]
     for masks in batches:
@@ -338,16 +341,27 @@ def test_batched_cost_query_is_the_first_cover_length():
 def test_half_mask_lookup_is_the_column_scan_on_every_mask():
     """_first_columns equals the oracle's argmin over all 151 cover columns
     on every one of the 2^23 target masks (bit 0, the identity, clear),
-    checked 2^20 masks at a time; its tables are read-only and hold under
-    200 KB."""
+    checked 2^20 masks at a time, and so does its one-mask reader on the
+    2,048 masks of at most three targets and on the first and last mask.
+    Its table is read-only and holds under 200 KB, and each of its 8,192
+    rows, read as a Python int as the one-mask reader reads it, holds the
+    columns with no bit of the row's half-mask."""
     columns = _cover_table()[0]
     for start in range(0, 1 << 24, 1 << 21):
         masks = np.arange(start, start + (1 << 21), 2, dtype=np.int64)
         assert np.array_equal(_first_columns(masks), first_columns_scan(masks, columns)), start
     tables = _half_tables()
     assert not any(table.flags.writeable for table in tables)
-    assert tables[0].shape == (2, 4_096, 19) and tables[0].dtype == np.uint8
+    assert tables[0].shape == (4_096, 3) and tables.dtype == np.dtype("<u8")
     assert sum(table.nbytes for table in tables) < 200_000
+    for h, rows in enumerate(tables):
+        for v, row in enumerate(rows):
+            want = sum(1 << j for j, c in enumerate(columns.tolist()) if not c >> 12 * h & v)
+            assert int.from_bytes(row.tobytes(), "little") == want, (h, v)
+    small = [sum(1 << b for b in bits)
+             for k in range(4) for bits in itertools.combinations(range(1, 24), k)]
+    for masks in [[m] for m in small] + [[0], [0xFFFFFE]]:
+        assert _first_columns(masks).tolist() == first_columns_scan(masks, columns).tolist(), masks
 
 
 def test_sampled_census_peak_memory_is_not_above_the_column_scan():
@@ -411,6 +425,18 @@ def test_mean_np_sampled_rejects_non_integer_counts(args, name):
         mean_np_sampled(*args)
     got = mean_np_sampled(np.int64(2), np.int32(1_000), np.uint8(3))
     assert got == mean_np_sampled(2, 1_000, 3)
+
+
+def test_mean_np_sampled_counts_in_python_ints():
+    """Numpy and bool counts give the stats of the Python ints they stand
+    for, in Python ints that json.dumps takes (before: numpy.int64 fields,
+    and a TypeError from numpy for n = True)."""
+    for args, ints in (((np.int64(6), np.int64(100), np.int64(1)), (6, 100, 1)),
+                       ((True, 100, 0), (1, 100, 0))):
+        got = mean_np_sampled(*args)
+        assert got == mean_np_sampled(*ints)
+        assert type(got.n) is int and type(got.samples) is int
+        json.dumps(vars(got))
 
 
 def test_mean_np_exact_rejects_a_non_integer_n():
