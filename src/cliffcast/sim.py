@@ -172,13 +172,15 @@ def _damping(dt: float, t1: float):
 # slots' matrices.
 #
 # One benchmarking pass (_benchmark) serves a whole run.  It draws every
-# sequence first, one (n_driven, m) block per seed and length in the
-# seeds' Philox order, reduces all of them at once over the compose table
-# and inverts the products in one recovery_clifford call.  A run that
+# sequence first, one Philox call per seed (the (n_driven, m) blocks of its
+# lengths in turn), reduces all of them at once over the compose table,
+# inverts the products in one recovery_clifford call and lays draws and
+# recoveries into rounds by one cached layout (_run_layout).  A run that
 # draws at least as many rounds as exist (24^n_driven, twice that for the
 # symmetric scheme) reads them from _every_round, built once per register,
 # scheme and driven count, by round index; any other finds its distinct
-# rounds with one lexsort of their parities and ids.  Both read their
+# rounds with one lexsort of their parities and packed ids (12 to an int64
+# word, as _packed_words packs slot signatures).  Both read their
 # channels through _rounds, from one of two sources: _column_channels for
 # a fixed-train round, by its column and each qubit's fired subset, and
 # _sequential_channels for a sequential one, which plans the rounds in one
@@ -208,6 +210,13 @@ _SIGNATURE_SLOTS = 12
 _SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
 
 
+def _packed_words(values: np.ndarray) -> list:
+    """values (..., w), each in 0..31, packed 12 to an int64 word: one
+    array over the leading axes per word, the first 12 values first."""
+    parts = (values[..., w:w + _SIGNATURE_SLOTS] for w in range(0, values.shape[-1], _SIGNATURE_SLOTS))
+    return [part @ _SIGNATURE_POWERS[:part.shape[-1]] for part in parts]
+
+
 @lru_cache(maxsize=64)
 def _slot_table(models: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(kinds, slots) of a register, both read-only.
@@ -235,15 +244,10 @@ def _sequential_channels(models: tuple, ids: np.ndarray) -> tuple:
     identity on."""
     kinds, slots = _slot_table(models)
     codes, fired, n_slots = compiler._sequential_plans(ids)
-    k, n, width = fired.shape
+    k, n, _ = fired.shape
     packed = 2 * codes[:, None] + fired
-    words = -(-width // _SIGNATURE_SLOTS)
-    keys = np.empty((1 + words, k * n), dtype=np.int64)
-    keys[0] = np.tile(kinds, k)
-    for w in range(words):
-        part = packed[..., w * _SIGNATURE_SLOTS:(w + 1) * _SIGNATURE_SLOTS]
-        keys[1 + w] = (part @ _SIGNATURE_POWERS[:part.shape[-1]]).ravel()
-    firsts, inverse = _unique_columns(keys)
+    firsts, inverse = _unique_columns(np.vstack([np.tile(kinds, k),
+                                                 *(word.ravel() for word in _packed_words(packed))]))
     r, q = np.divmod(firsts, n)
     count = n_slots[r]
     slots = slots.reshape(len(slots), -1, 4, 4)
@@ -339,6 +343,25 @@ def _block_plan(lengths: tuple) -> tuple:
     return src, tuple((2 * int(np.sum(lengths >> j + 1)), *split[j]) for j in bits)
 
 
+@lru_cache(maxsize=64)
+def _run_layout(m_values: tuple, n_driven: int, n_seeds: int) -> tuple:
+    """(gather, place, odd) of a run, read-only.  The run draws each seed's
+    Clifford ids in one call, as the (n_driven, m) blocks of its lengths in
+    turn, and follows all seeds' draws with one row of recoveries per
+    sequence.  Into those ids, gather reads the drawn rounds in _block_plan's
+    order, place every round of the run, and odd[r] is round r's place in
+    its sequence mod 2."""
+    lengths = m_values * n_seeds
+    blocks = np.split(np.arange(n_driven * sum(lengths)), n_driven * np.cumsum(lengths[:-1]))
+    drawn = np.concatenate([block.reshape(n_driven, -1) for block in blocks], axis=1).T
+    recovered = drawn.size + np.arange(len(lengths) * n_driven).reshape(-1, n_driven)
+    place = np.insert(drawn, np.cumsum(lengths), recovered, axis=0)
+    odd = np.concatenate([np.arange(m + 1) & 1 for m in lengths])
+    gather = drawn[_block_plan(lengths)[0]]
+    gather.flags.writeable = place.flags.writeable = odd.flags.writeable = False
+    return gather, place, odd
+
+
 def _chain_products(lengths: tuple, gather, op) -> np.ndarray:
     """Each sequence's product, later entries on the left, paired level by
     level: gather(src) stacks sequences of these lengths in _block_plan's
@@ -352,6 +375,14 @@ def _chain_products(lengths: tuple, gather, op) -> np.ndarray:
             out[later] = op(out[later], stack[keep + len(first):])
         stack = op(stack[1:keep:2], stack[0:keep:2])
     return out
+
+
+_COMPOSE_FLAT = _COMPOSE_TABLE.astype(np.intp).ravel()
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """The Cliffords 'earlier then later' of two id arrays, from a flat copy of the compose table."""
+    return _COMPOSE_FLAT.take(earlier * 25 + later)
 
 
 def _spawn_rngs(rng_seed: int, n_seeds: int):
@@ -370,7 +401,8 @@ def _seed_stderr(total: np.ndarray, total_sq: np.ndarray, n_seeds: int) -> np.nd
 def _unique_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first column of each distinct column, index of each column's
     distinct one) of a 2-d int array: one lexsort and a comparison of
-    sorted neighbours."""
+    sorted neighbours.  Callers pack their keys first (_packed_words), so
+    that a round or slot signature sorts on a few int64 rows."""
     order = np.lexsort(keys)
     new = np.ones(len(order), dtype=bool)
     np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0, out=new[1:])
@@ -386,7 +418,8 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     The first n_driven qubits run independent random sequences as in
     run_rb; the remaining ones are never routed, so they feel every pulse
     only through their cross_ratio.  The pass is described with the
-    benchmarking channels above.
+    benchmarking channels above: one draw per seed, laid into rounds by
+    one cached _run_layout, and distinct rounds found from packed keys.
     """
     if scheme not in RB_SCHEMES:
         raise ValueError(f"scheme must be one of {RB_SCHEMES}, got {scheme!r}")
@@ -403,18 +436,16 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
 
     # Every round of the run, one row of Clifford ids each, sequence after
     # sequence in seed order; the recovery round ends each sequence.
-    draws = np.concatenate([rng.integers(1, 25, size=(n_driven, m))
-                            for rng in _spawn_rngs(rng_seed, n_seeds) for m in m_values], axis=1).T
+    gather, place, odd = _run_layout(m_values, n_driven, n_seeds)
+    draws = np.concatenate([rng.integers(1, 25, size=n_driven * sum(m_values))
+                            for rng in _spawn_rngs(rng_seed, n_seeds)])
     # Each sequence's product, recovered as a sequence of one Clifford.
-    product = _chain_products(m_values * n_seeds, lambda src: draws[src],
-                              lambda later, earlier: _COMPOSE_TABLE[earlier, later])
-    recovery = recovery_clifford(product.reshape(-1, 1)).reshape(product.shape)
-    ids = np.insert(draws, np.cumsum(m_values * n_seeds), recovery, axis=0)
+    product = _chain_products(m_values * n_seeds, lambda _: draws.take(gather), _compose)
+    ids = np.concatenate([draws, recovery_clifford(product.reshape(-1, 1))]).take(place)
     # Only the symmetric five-primitive scheme alternates with the round
     # index; the other schemes share one channel per combination.
-    index = np.concatenate([np.arange(m + 1) for m in m_values] * n_seeds)
     periods = 2 if scheme == SCHEME_FIVE_SYMMETRIC else 1
-    parity = index & 1 if periods == 2 else np.zeros_like(index)
+    parity = odd if periods == 2 else np.zeros_like(odd)
 
     # A run that draws at least as many rounds as exist reads them all from
     # one table; any other reads only its distinct rounds.  inverse[i] is
@@ -424,7 +455,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
         rows, channels, n_slots = _every_round(models, scheme, n_driven)
         inverse = parity * 24**n_driven + (ids - 1) @ 24 ** np.arange(n_driven)
     else:
-        firsts, inverse = _unique_columns(np.vstack([parity, ids.T]))
+        firsts, inverse = _unique_columns(np.vstack([parity, *_packed_words(ids)]))
         rows, channels, n_slots = _rounds(models, scheme, ids[firsts], parity[firsts])
     used = np.bincount(inverse, minlength=len(rows))
 
@@ -432,8 +463,8 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     p0_sumsq = np.zeros((n, len(m_values)))
     for start in range(0, len(ids), len(ids) // n_seeds):
         # One seed at a time, so only its rounds' channels are ever gathered.
-        channel = _chain_products(tuple(m + 1 for m in m_values),
-                                  lambda src: channels[rows[inverse[start + src]]], np.matmul)
+        channel = _chain_products(tuple(m + 1 for m in m_values), lambda src: channels.take(
+            rows.take(inverse.take(start + src), axis=0), axis=0), np.matmul)
         val = (1.0 + (channel @ _GROUND_VECTOR)[..., 3, 0]).T / 2
         p0_sum += val
         p0_sumsq += val * val

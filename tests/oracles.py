@@ -76,10 +76,13 @@ cliffcast.sim.
 chain_product multiplies one stack of matrices pairwise, each level
 halving it, later ones on the left.  benchmark_per_sequence is
 sim._benchmark's pass as it ran before every sequence of a seed was
-reduced at once: its draws with one recovery_clifford call per (seed,
-length) block, then one chain_product of each sequence's round channels,
-read from the same round tables.  It is the bit-for-bit reference of the
-batched reduction, for p0, its seed scatter and the four work counters.
+reduced at once and before a run was laid out from one draw per seed:
+one draw and one recovery_clifford call per (seed, length) block, the
+distinct rounds found from one row per qubit's ids rather than packed
+keys, then one chain_product of each sequence's round channels, read
+from the same round tables.  It is the bit-for-bit reference of the
+batched reduction and the run layout, for p0, its seed scatter and the
+four work counters.
 
 round_channels builds any scheme's rounds as the simulator built them
 before the fixed-train schemes read theirs from column tables: one

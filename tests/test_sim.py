@@ -409,10 +409,13 @@ _PER_SEQUENCE_PATHS = {
     "idle-every-round": lambda scheme: (
         run_idle_crossdrive, [_LOSSLESS, _LOSSY], (1, 2, 2, 9, 31, 1030), 2),
     "idle-distinct": lambda scheme: (run_idle_crossdrive, [_SLOW, _LOSSY], (1, 2, 2), 1),
+    # Two packed key words a round, and 143 draws a seed.
+    "distinct-13": lambda scheme: (run_rb, [_LOSSY] * 13, (1, 3, 7), 2),
 }
 _PER_SEQUENCE_CASES = [(scheme, path) for path in _PER_SEQUENCE_PATHS for scheme in RB_SCHEMES
                        if not path.startswith("idle")
-                       or scheme in ("minimal", "five-primitives-symmetric")]
+                       or scheme in ("minimal", "five-primitives-symmetric")
+                       if scheme != "minimal" or path != "distinct-13"]  # minimal runs one qubit
 
 
 @pytest.mark.parametrize("scheme,path", _PER_SEQUENCE_CASES)
@@ -436,9 +439,11 @@ _SPECIAL_LENGTHS = sorted({v for k in range(12) for v in (2**k - 1, 2**k, 2**k +
 
 def test_chain_products_reduce_as_chain_product_and_recovery_clifford():
     """The block plan's level-by-level reduction of sequences laid end to
-    end gives each sequence's chain_product to the byte, and, over the
-    compose table, each one's recovery_clifford, for seeded length tuples in
-    1..2100 with powers of two and their neighbours."""
+    end gives each sequence's chain_product to the byte, and, by the compose
+    op _benchmark uses, each one's recovery_clifford, for seeded length
+    tuples in 1..2100 with powers of two and their neighbours.  The plan and
+    the run layout are cached and read-only; the layout places every id
+    once and gathers the drawn rounds in the plan's order."""
     rng = np.random.default_rng(2701)
     for _ in range(12):
         lengths = tuple(int(v) for v in rng.choice(
@@ -450,8 +455,7 @@ def test_chain_products_reduce_as_chain_product_and_recovery_clifford():
         for s in range(len(lengths)):
             assert got[s].tobytes() == chain_product(mats[starts[s]:starts[s + 1]]).tobytes()
         ids = rng.integers(1, 25, size=(starts[-1], 3))
-        got = sim._chain_products(lengths, lambda src: ids[src],
-                                  lambda later, earlier: clifford._COMPOSE_TABLE[earlier, later])
+        got = sim._chain_products(lengths, lambda src: ids[src], sim._compose)
         for s in range(len(lengths)):
             want = recovery_clifford(ids[starts[s]:starts[s + 1]].T)
             assert clifford._INVERSE_TABLE[got[s]].tolist() == want.tolist(), lengths
@@ -460,19 +464,31 @@ def test_chain_products_reduce_as_chain_product_and_recovery_clifford():
     src, levels = plan
     assert sorted(src.tolist()) == list(range(starts[-1]))
     assert not any(a.flags.writeable for a in (src, *(a for level in levels for a in level[1:])))
+    layout = sim._run_layout(lengths, 3, 2)
+    assert layout is sim._run_layout(lengths, 3, 2)
+    gather, place, odd = layout
+    assert not any(a.flags.writeable for a in layout)
+    assert sorted(place.ravel().tolist()) == list(range(place.size))
+    ends = np.cumsum([m + 1 for m in lengths * 2]) - 1
+    assert gather.tolist() == np.delete(place, ends, axis=0)[sim._block_plan(lengths * 2)[0]].tolist()
+    assert odd.tolist() == [i & 1 for m in lengths * 2 for i in range(m + 1)]
 
 
 def test_round_codes_do_not_wrap_at_the_word_boundary():
     """Two 17-qubit rounds whose base-24 codes differ by exactly 2^63 stay
     distinct: in one int64 word, doubled for the parity bit, both codes
-    would be 0, but a round's key is its parity and ids, one row each."""
+    would be 0, but a round's key is its parity and ids, one row each or
+    packed 12 to a word.  A third round, which differs from the first only
+    in its last qubit, differs only in its second packed word."""
     digits = [2**63 // 24**i % 24 for i in range(14)]
     a = [d + 1 for d in digits] + [1] * 3
     b = [1] * 17
-    ids = np.array([a, b, a, b])
-    firsts, inverse = sim._unique_columns(np.vstack([np.zeros(4, np.int64), ids.T]))
-    assert sorted(firsts.tolist()) == [0, 1]
-    assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+    ids = np.array([a, b, a, b, a[:16] + [2]])
+    for keys in (ids.T, sim._packed_words(ids)):
+        firsts, inverse = sim._unique_columns(np.vstack([np.zeros(5, np.int64), *keys]))
+        assert sorted(firsts.tolist()) == [0, 1, 4]
+        assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+        assert inverse[4] not in inverse[:4]
 
 
 def test_qubit_channel_cache_grows_by_signature_not_by_round():
