@@ -25,8 +25,8 @@ verification, the `rb` decay fits, the `leakfit` fit).
 The argument parser is built once per process, on the first call of `main`
 (not at import), and reused: parsing makes a fresh namespace each call and
 no default is mutable, so repeated in-process calls behave as fresh ones.
-Each call is parsed once, by its command's own parser; the top-level parser
-handles only help, unknown commands and leftover arguments.
+`_plain_args` reads a plain call through its command's own actions; any
+other call, help and every usage error included, goes to parse_args.
 """
 
 from __future__ import annotations
@@ -437,16 +437,51 @@ def _conflicting_flags(args) -> str | None:
     return None
 
 
+def _plain_args(sub, argv):
+    """parse_args(argv)'s namespace, read through the command's own actions,
+    for a plain line: a command of `sub`, then positionals and exact option
+    strings of store and store-const actions, each once, a store option's
+    value not starting with "-".  None for any other line, or where a type or
+    choice rejects a value, for parse_args to judge.  Never prints or exits."""
+    parser = sub.choices.get(argv[0]) if argv else None
+    if parser is None:
+        return None
+    pending = (a for a in parser._actions if not a.option_strings)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = parser._option_string_actions.get(token)
+            text = None if isinstance(action, argparse._StoreConstAction) else next(tokens, "-")
+        else:
+            action, text = next(pending, None), token
+        if action is None or action in given or text is not None and (text.startswith("-")
+                or (type(action), action.nargs) != (argparse._StoreAction, None)):
+            return None
+        given[action] = text
+    values = {**parser._defaults, **{a.dest: a.default for a in parser._actions
+                                     if argparse.SUPPRESS not in (a.dest, a.default)}}
+    try:
+        for action, text in given.items():
+            value = action.const if text is None else (action.type or str)(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        for action in (a for a in parser._actions if a not in given):
+            if action.required or not action.option_strings:  # missing, for parse_args
+                return None
+            if isinstance(action.default, str) and values.get(action.dest) is action.default:
+                values[action.dest] = (action.type or str)(action.default)
+    except Exception:  # a type that rejects its text, for parse_args to report
+        return None
+    return argparse.Namespace(**{sub.dest: argv[0], **values})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if argv and argv[0] in commands:  # the command's parser alone, as the top-level one calls it
-        namespace = argparse.Namespace(command=argv[0])
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], namespace)
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    args = _plain_args(sub, argv)
+    if args is None:  # help, usage errors and any other line, as parse_args reads it
         args = parser.parse_args(argv)
     conflict = _conflicting_flags(args)
     if conflict:

@@ -550,10 +550,13 @@ def mean_np_sampled(n: int, samples: int, seed: int) -> NpStats:
         raise ValueError("need at least 100 samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed", 0))))
     draws = rng.integers(1, 25, size=(samples, n))
-    # The rows' _target_masks without a copy: each draw c becomes bit c - 1
-    # in place, and bit 0 (the identity) is cleared from each row's union.
+    # The rows' _target_masks: each draw c becomes bit c - 1 in place, a copy
+    # of the first column ORs in the others, and bit 0 (the identity) is cleared.
     draws -= 1
-    masks = np.bitwise_or.reduce(np.left_shift(1, draws, out=draws), axis=1) & ~1
+    masks = np.left_shift(1, draws, out=draws)[:, 0].copy()
+    for column in draws.T[1:]:
+        masks |= column
+    masks &= ~1
     # A mask of zero is the all-identity round, charged one slot.
     costs = np.maximum(_mask_costs(masks), 1).astype(np.float64)
     mean = float(costs.mean())

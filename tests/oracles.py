@@ -108,10 +108,12 @@ simulate_amp_calibration.
 csv_text writes a CSV table value by value, one format call per float, the
 reference for the CLI's one-operation writer.
 
-cli_main_parse_args is cli.main as it parsed before each call was parsed
-once: the top-level parser's parse_args, whose subparser action runs the
-command's parser over the rest of argv, then the same command.  It is the
-reference for main's exit code, stdout and stderr on every argv.
+cli_main_parse_args is cli.main with every line parsed by the top-level
+parser's parse_args, whose subparser action runs the command's parser over
+the rest of argv, then the same command.  It is the reference for main's
+exit code, stdout and stderr on every argv, and it is also main's own path
+for every line that cli._plain_args declines: help, usage errors and any
+line that is not plain.
 """
 
 from __future__ import annotations

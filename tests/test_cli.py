@@ -151,13 +151,25 @@ PARSE_GRID = {
     "double dash before command": ["--", "compile", "2,13"],
     "conflicting stats flags": ["stats", "--n", "3", "--exact", "--samples", "5"],
     "conflicting compile flags": ["compile", "2,13", "--parity", "1"],
+    "repeated option": ["compile", "2,13", "--scheme", "compiled", "--scheme", "sequential"],
+    "repeated alias": ["compile", "2,13", "-o", "a", "--output", "b"],
+    "negative value": ["allxy", "--phase", "-0.1"],
+    "negative positional": ["compile", "-1"],
+    "dash value": ["compile", "2,13", "-o", "-"],
+    "empty positional": ["compile", ""],
+    "repeated flag": ["stats", "--n", "2", "--exact", "--exact"],
+    "missing value": ["rb", "--config"],
+    "help after options": ["calib", "--over", "1.01", "-h"],
+    "option as value": ["compile", "2,13", "-o", "--scheme"],
 }
 
 
 @pytest.mark.parametrize("case", PARSE_GRID)
-def test_main_parses_as_top_level_parse_args(case, tmp_path, capsys):
-    """main, which parses a command's arguments with its own parser alone,
-    gives the exit code, stdout and stderr of the top-level parse_args."""
+def test_main_parses_as_top_level_parse_args(case, tmp_path, capsys, monkeypatch):
+    """main, which reads a plain line through its command's own actions and
+    leaves any other to parse_args, gives the exit code, stdout and stderr
+    of the top-level parse_args.  Output files go to tmp_path."""
+    monkeypatch.chdir(tmp_path)
     rb = tmp_path / "rb.json"
     rb.write_text(json.dumps({"qubits": [{"t1_ns": 10000}], "scheme": "compiled",
                               "m_values": [1, 2, 4, 8], "n_seeds": 1, "rng_seed": 7}))

@@ -7,6 +7,12 @@ write no output file unless it succeeds; `leakfit` must print strict JSON,
 without NaN or Infinity, and succeed only when every data row has exactly
 two fields.
 
+`test_fuzz_plain_args` draws whole command lines instead, options with
+plain values and at most one odd piece (help, "=", "--", an abbreviation,
+a repeat, a negative number, an option as a value), and checks that `cli._plain_args` gives
+parse_args's namespace or declines, and that `main` ends exactly as the
+oracle `cli_main_parse_args`, which parses every line with parse_args.
+
 The draws are derandomized with a fixed example count, so the suite stays
 deterministic.  Which cases they reach follows the test's source, so an
 edit can move them: each test counts the exit codes of its runs and then
@@ -23,6 +29,7 @@ config, sequence lengths up to 16 with at most 2 seeds, `--points` up to
 50, `--n-max` up to 60, an exact `--n` up to 4 and up to 300 samples.
 """
 
+import argparse
 import collections
 import contextlib
 import io
@@ -34,9 +41,11 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcast.cli import main
+from cliffcast import cli
+from cliffcast.cli import build_parser, main
 from cliffcast.compiler import SCHEMES
 from cliffcast.sim import RB_SCHEMES
+from oracles import cli_main_parse_args
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -283,3 +292,72 @@ def _reject_constant(name):
 def test_fuzz_usage(argv):
     with tempfile.TemporaryDirectory() as d:
         _run(argv, d)
+
+
+# Each command's parser; each option string of its actions but help, mapped
+# to whether it is a flag (takes no value); and its number of positionals.
+(SUBPARSERS,) = [a for a in build_parser()._actions if a.dest == "command"]
+OPTIONS = {command: {s: a.nargs == 0 for a in p._actions if a.default != argparse.SUPPRESS
+                     for s in a.option_strings}
+           for command, p in SUBPARSERS.choices.items()}
+POSITIONALS = {command: sum(not a.option_strings for a in p._actions)
+               for command, p in SUBPARSERS.choices.items()}
+REQUIRED = {command: [a.option_strings[-1] for a in p._actions if a.required and a.option_strings]
+            for command, p in SUBPARSERS.choices.items()}
+# Values small enough that every command runs in milliseconds: the plain
+# ones parse as most options' types, the odd ones as few.
+PLAIN_VALUES = ["1", "2", "0.5"]
+ODD_VALUES = ["x", "", "compiled", "five-primitives-symmetric", "-1", "-0.1"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, distinct options (each with a plain value, but flags; a
+    required option in about half the draws that lack it) and its
+    positionals in a drawn order, and in about half the draws one odd piece
+    among them: an odd value, an option as a value, "--opt=v", "--op", a
+    repeated option, help, an extra or odd positional, or "--"."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[command]
+    names = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    names += [o for o in REQUIRED[command] if o not in names and draw(st.booleans())]
+    value = st.sampled_from(PLAIN_VALUES)
+    parts = [[o] if options[o] else [o, draw(value)] for o in names]
+    parts += [[draw(st.sampled_from(["2,13", "1"]))] for _ in range(POSITIONALS[command])]
+    if draw(st.booleans()):
+        option, odd = draw(st.sampled_from(sorted(options))), st.sampled_from(ODD_VALUES)
+        parts.append(draw(st.sampled_from([
+            [option, draw(odd)], [option, draw(st.sampled_from(sorted(options)))],
+            [f"{option}={draw(value)}"], [option[:-1]], *parts[:1],
+            ["-h"], ["--help"], ["2,13"], ["2,x"], ["-1"], [""], ["--"]])))
+    return [command, *sum(draw(st.permutations(parts)), [])]
+
+
+def _outcome(run, argv):
+    """(exit code, stdout, stderr) of run(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@_reaching("accepted", "declined")
+@FUZZ
+@given(argv=_argvs())
+def test_fuzz_plain_args(argv):
+    """The plain-line reader gives parse_args's namespace or None, and main
+    ends as main did with parse_args alone: same exit code, stdout and stderr."""
+    args = cli._plain_args(SUBPARSERS, argv)
+    REACHED["declined" if args is None else "accepted"] += 1
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)  # output files land here
+        try:
+            assert _outcome(main, argv) == _outcome(cli_main_parse_args, argv), argv
+        finally:
+            os.chdir(cwd)
