@@ -16,11 +16,11 @@ each qubit as one 4x4 Pauli-transfer matrix, applied to the qubit's Pauli
 vector (1, x, y, z).  That matrix depends only on the qubit's model and its
 slot signature: the pulse of each slot of the round plan
 (compiler.round_plans) and the slots the qubit fires, and is built once,
-as a product of the model's slot matrices.  A round of every scheme but
-sequential plays one fixed train (a column of compiler._column_table), so
-a model's matrix in it is one of 49 minimal, 438 five-primitive or 1,473
-compiled (column, fired subset) pairs, built once per register; a
-sequential run builds its own signatures'.  The slot matrices are built
+as a product of the model's slot matrices, by one builder (_plan_channels).
+A round of every scheme but sequential plays one fixed train (a column of
+compiler._column_table), so a model's matrix in it is one of 49 minimal,
+437 five-primitive or 1,473 compiled signatures, built once per register;
+a sequential run builds its own rounds'.  The slot matrices are built
 from apply_pulse and relax, the diagnostics from the rotations apply_pulse
 conjugates by (_conjugation) and the damping relax applies (_damping), so
 those stay the only definition of the physics.
@@ -84,7 +84,7 @@ class RBCurve:
     p0: np.ndarray
     p1: np.ndarray
     seeds: int
-    p0_stderr: np.ndarray | None = None  # seed-scatter standard error per point
+    p0_stderr: np.ndarray  # seed-scatter standard error per point
 
 
 @dataclass
@@ -181,15 +181,14 @@ def _damping(dt: float, t1: float):
 # scheme and driven count, by round index; any other finds its distinct
 # rounds with one lexsort of their parities and packed ids (12 to an int64
 # word, as _packed_words packs slot signatures).  Both read their
-# channels through _rounds, from one of two sources: _column_channels for
-# a fixed-train round, by its column and each qubit's fired subset, and
-# _sequential_channels for a sequential one, which plans the rounds in one
-# compiler._sequential_plans call, finds the distinct packed per-qubit
-# slot signatures with one lexsort and builds them together, one stacked
-# 4x4 product per slot.  Last, one seed at a time, the seed's round
-# channels are gathered in _block_plan's order and every sequence is
-# multiplied at once (_chain_products), each pairwise as it would be
-# multiplied alone, and applied to the ground state.
+# channels through _rounds, and one builder makes them all: _plan_channels
+# finds the distinct packed slot signatures of planned rounds with one
+# lexsort and builds them 256 at a time, one stacked 4x4 product per slot,
+# once per register for a fixed-train scheme's column table
+# (_column_channels) and once per run for sequential rounds.  Last, one
+# seed at a time, the seed's round channels are gathered in _block_plan's
+# order and every sequence is multiplied at once (_chain_products), each
+# pairwise as it would be multiplied alone, and applied to the ground state.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
@@ -203,8 +202,8 @@ def _slot_matrices(model: QubitModel) -> np.ndarray:
     return np.einsum("iab,bacrj->crij", _PAULIS, images).real / 2
 
 
-# A qubit's slot signature packs each slot of its sequential round as its
-# index 2 * code + fired among _slot_table's slots[kind], 0 only past the
+# A qubit's slot signature packs each slot of its round as 1 + 2 * code +
+# fired (1 + its index among _slot_table's slots[kind]), 0 only past the
 # round's end, 5 bits a slot and 12 slots per int64 word, after its kind.
 _SIGNATURE_SLOTS = 12
 _SIGNATURE_POWERS = 32 ** np.arange(_SIGNATURE_SLOTS, dtype=np.int64)
@@ -234,58 +233,44 @@ def _slot_table(models: tuple) -> tuple[np.ndarray, np.ndarray]:
     return kinds, slots
 
 
-def _sequential_channels(models: tuple, ids: np.ndarray) -> tuple:
-    """(rows, channels, n_slots) of k sequential rounds, given as rows of
-    Clifford ids, one per model (0 for a qubit that fires nothing):
-    channels[rows[r, q]] is qubit q's channel in round r, and n_slots[r] the
-    round's slot count.  One compiler._sequential_plans call plans the
-    rounds, one lexsort of the packed slot signatures finds the distinct
-    ones, and those are built together, each slot left-multiplied from the
-    identity on."""
-    kinds, slots = _slot_table(models)
-    codes, fired, n_slots = compiler._sequential_plans(ids)
-    k, n, _ = fired.shape
-    packed = 2 * codes[:, None] + fired
-    firsts, inverse = _unique_columns(np.vstack([np.tile(kinds, k),
-                                                 *(word.ravel() for word in _packed_words(packed))]))
-    r, q = np.divmod(firsts, n)
-    count = n_slots[r]
+def _plan_channels(slots: np.ndarray, kinds: np.ndarray, codes: np.ndarray, fired: np.ndarray,
+                   n_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, channels) of k rounds planned as compiler.round_plans plans
+    them, on qubits of these kinds: channels[rows[r, q]] is qubit q's channel
+    in round r.  The distinct slot signatures, longest first, are built 256
+    at a time, each slot left-multiplied onto the identity."""
+    k, n, width = fired.shape
+    inside = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0).astype(np.int8)
+    packed = (inside[:, None] + fired).reshape(k * n, width)
+    firsts, inverse = _unique_columns(np.vstack([np.tile(kinds, k), *_packed_words(packed),
+                                                 np.repeat(-n_slots, n)]))
     slots = slots.reshape(len(slots), -1, 4, 4)
-    channels = np.broadcast_to(np.eye(4), (len(firsts), 4, 4)).copy()
-    for s in range(int(count.max())):
-        on = np.flatnonzero(s < count)
-        channels[on] = slots[kinds[q[on]], packed[r[on], q[on], s]] @ channels[on]
-    return inverse.reshape(k, n), channels, n_slots
+    channels = np.empty((len(firsts), 4, 4))
+    for start in range(0, len(firsts), 256):
+        part, chunk = channels[start:start + 256], firsts[start:start + 256]
+        kind, steps = kinds[chunk % n], packed[chunk] - 1
+        part[:] = np.eye(4)
+        # Longest first: the signatures that play slot s are a prefix.
+        for s, on in enumerate(np.count_nonzero(steps >= 0, axis=0).tolist()):
+            part[:on] = slots[kind[:on], steps[:on, s]] @ part[:on]
+    return inverse.reshape(k, n), channels
 
 
 @lru_cache(maxsize=64)
 def _column_channels(models: tuple, scheme: str) -> tuple:
     """(pairs, channels, lengths) of a register's rounds of a fixed-train
-    scheme, read-only.  A qubit's channel in such a round depends only on
-    its model kind, the round's compiler._column_table column and the
-    subset of the column's slots that it fires: channels[pairs[k, col, c]]
-    is the channel of a qubit of the k-th kind (_slot_table) with Clifford
-    id c in a round of column col, one of 1,473 (column, fired subset)
-    pairs per kind compiled (about 189 KB), 438 five-primitive and 49
-    minimal, and lengths[col] the column's slot count.  Each is built slot
-    by slot, left-multiplied from the identity on, 256 pairs at a time so
-    as to hold little beside the table."""
+    scheme, read-only: channels[pairs[k, col, c]] is the channel of a qubit
+    of the k-th kind (_slot_table) with Clifford id c in a round of
+    compiler._column_table column col, and lengths[col] the column's slot
+    count.  _plan_channels builds them with the columns as its rounds and
+    each kind's 25 ids as its qubits: per kind, 1,473 compiled (about 189
+    KB), 437 five-primitive (column 32 plays column 0's empty slots) and
+    49 minimal."""
     _, slots = _slot_table(models)
     lengths, codes, fired = compiler._column_table(scheme)
-    width = codes.shape[1]
-    subsets = fired @ (1 << np.arange(width))
-    distinct, pairs = np.unique(np.arange(len(codes))[:, None] << width | subsets,
-                                return_inverse=True)
-    channels = np.empty((len(slots), len(distinct), 4, 4))
-    for start in range(0, len(distinct), 256):
-        chunk, part = distinct[start:start + 256], channels[:, start:start + 256]
-        column = chunk >> width
-        part[:] = np.eye(4)
-        for s in range(width):
-            on = np.flatnonzero(s < lengths[column])
-            part[:, on] = slots[:, codes[column[on], s], chunk[on] >> s & 1] @ part[:, on]
-    pairs = pairs.reshape(subsets.shape) + len(distinct) * np.arange(len(slots))[:, None, None]
-    channels = channels.reshape(-1, 4, 4)
+    kinds = np.repeat(np.arange(len(slots)), fired.shape[1])
+    rows, channels = _plan_channels(slots, kinds, codes, np.tile(fired, (1, len(slots), 1)), lengths)
+    pairs = rows.reshape(len(codes), len(slots), -1).transpose(1, 0, 2)
     pairs.flags.writeable = channels.flags.writeable = False
     return pairs, channels, lengths
 
@@ -293,14 +278,15 @@ def _column_channels(models: tuple, scheme: str) -> tuple:
 def _rounds(models: tuple, scheme: str, ids: np.ndarray,
             parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, channels, n_slots) of k rounds, given as rows of Clifford ids
-    and their parities, as _sequential_channels builds a sequential run's;
-    every other scheme's are read from _column_channels by round column.
-    Qubits past ids' columns read Clifford id 0, which fires nothing."""
-    kinds, _ = _slot_table(models)
+    and their parities: _plan_channels builds a sequential run's, every
+    other scheme's are read from _column_channels by round column.  Qubits
+    past ids' columns read Clifford id 0, which fires nothing."""
+    kinds, slots = _slot_table(models)
     padded = np.zeros((len(ids), len(kinds)), dtype=ids.dtype)
     padded[:, :ids.shape[1]] = ids
     if scheme == SCHEME_SEQUENTIAL:
-        return _sequential_channels(models, padded)
+        codes, fired, n_slots = compiler._sequential_plans(padded)
+        return (*_plan_channels(slots, kinds, codes, fired, n_slots), n_slots)
     # Both five-primitive schemes read one column table, so they share its channels.
     table = compiler.SCHEME_FIVE if scheme == SCHEME_FIVE_SYMMETRIC else scheme
     pairs, channels, lengths = _column_channels(models, table)
@@ -401,11 +387,14 @@ def _seed_stderr(total: np.ndarray, total_sq: np.ndarray, n_seeds: int) -> np.nd
 def _unique_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first column of each distinct column, index of each column's
     distinct one) of a 2-d int array: one lexsort and a comparison of
-    sorted neighbours.  Callers pack their keys first (_packed_words), so
-    that a round or slot signature sorts on a few int64 rows."""
+    sorted neighbours, row by row.  Callers pack their keys first
+    (_packed_words), so that a signature sorts on a few int64 rows."""
     order = np.lexsort(keys)
-    new = np.ones(len(order), dtype=bool)
-    np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0, out=new[1:])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for row in keys:
+        row = row.take(order)
+        new[1:] |= row[1:] != row[:-1]
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcast import clifford, fit, sim
+from cliffcast import clifford, compiler, fit, sim
 from cliffcast.clifford import Pulse, recovery_clifford
 from cliffcast.compiler import RB_SCHEMES
 from cliffcast.sim import (
@@ -547,16 +547,18 @@ _COLUMN_SCHEMES = ("five-primitives", "five-primitives-symmetric", "compiled")
 
 
 def test_column_channels_match_rounds_built_alone():
-    """Rounds of each fixed-train scheme read from its column table get the
-    channels and slot counts that building their slot signatures gives
-    (oracles.round_channels), bit for bit: 1..17 qubits of mixed models, up
-    to two of them idle (past ids' columns), identity targets, either
-    parity, all-identity rounds and five-primitive rounds, and one minimal
-    qubit with up to two idle.  An all-identity round reads one row per
-    qubit at both parities."""
+    """Rounds of each fixed-train scheme read from its column table, and
+    sequential rounds built alone, get the channels and slot counts that
+    building their slot signatures gives (oracles.round_channels), bit for
+    bit: 1..17 qubits of mixed models, up to two of them idle (past ids'
+    columns), identity targets, either parity, all-identity rounds and
+    five-primitive rounds, and one minimal qubit with up to two idle.  An
+    all-identity round reads one row per qubit at both parities.  Every
+    scheme but minimal reads more than 256 channels, so its channels span
+    _plan_channels' chunks."""
     rng = np.random.default_rng(24)
-    for scheme in (*_COLUMN_SCHEMES, "minimal"):
-        fallbacks = idle = 0
+    for scheme in (*_COLUMN_SCHEMES, "minimal", "sequential"):
+        fallbacks = idle = widest = 0
         for n in (1, 2, 3) * 4 if scheme == "minimal" else range(1, 18):
             models = tuple(_THREE[k] for k in rng.integers(0, 3, n))
             driven = 1 if scheme == "minimal" else n - int(rng.integers(0, min(n, 3)))
@@ -570,10 +572,14 @@ def test_column_channels_match_rounds_built_alone():
             assert channels[rows].tobytes() == alone_channels[alone_rows].tobytes()
             assert n_slots.tobytes() == alone_slots.tobytes()
             assert (rows[:4] == rows[0]).all()
-            assert n_slots[:4].tolist() == [{"compiled": 0, "minimal": 1}.get(scheme, 5)] * 4
+            empty = {"compiled": 0, "minimal": 1, "sequential": 0}.get(scheme, 5)
+            assert n_slots[:4].tolist() == [empty] * 4
             fallbacks += np.count_nonzero(n_slots == 5)
             idle += n - driven
-        assert (fallbacks > 1000 or scheme == "minimal") and idle > 10, scheme
+            widest = max(widest, len(channels))
+        exempt = scheme in ("minimal", "sequential")
+        assert (fallbacks > 1000 or exempt) and idle > 10, scheme
+        assert widest > 256 or scheme == "minimal", scheme
 
 
 @pytest.mark.parametrize("models,m_values", [
@@ -582,13 +588,15 @@ def test_column_channels_match_rounds_built_alone():
 ], ids=["eight-alike", "nine-mixed"])
 def test_compiled_runs_read_the_table_and_count_as_signatures(monkeypatch, models, m_values):
     """A run of a fixed-train scheme that draws fewer rounds than exist
-    never builds its rounds, and gives the p0 bytes and work counters of
-    building their slot signatures (oracles.round_channels)."""
+    never builds its rounds once the register's column table is built, and
+    gives the p0 bytes and work counters of building their slot signatures
+    (oracles.round_channels)."""
     def unused(*args):
-        raise AssertionError("_sequential_channels called")
+        raise AssertionError("_plan_channels called")
     for scheme in _COLUMN_SCHEMES:
+        sim._rounds(tuple(models), scheme, np.array([[1]]), np.array([0]))
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "_sequential_channels", unused)
+            patch.setattr(sim, "_plan_channels", unused)
             res = run_rb(models, scheme, m_values, n_seeds=2, rng_seed=31)
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_rounds", round_channels)
@@ -600,12 +608,13 @@ def test_compiled_runs_read_the_table_and_count_as_signatures(monkeypatch, model
 def test_minimal_idle_runs_read_the_table(monkeypatch):
     """A minimal cross-drive run that draws fewer rounds than exist (18 of
     24) reads its rounds from the minimal column table, never building
-    them, with the p0 bytes and work counters of building their slot
-    signatures (oracles.round_channels)."""
+    them once the table is built, with the p0 bytes and work counters of
+    building their slot signatures (oracles.round_channels)."""
     def unused(*args):
-        raise AssertionError("_sequential_channels called")
+        raise AssertionError("_plan_channels called")
+    sim._rounds((_LOSSY, _SLOW), "minimal", np.array([[1]]), np.array([0]))
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "_sequential_channels", unused)
+        patch.setattr(sim, "_plan_channels", unused)
         res = run_idle_crossdrive([_LOSSY, _SLOW], "minimal", (1, 2, 3), 2, 31)
     with monkeypatch.context() as patch:
         patch.setattr(sim, "_rounds", round_channels)
@@ -615,14 +624,16 @@ def test_minimal_idle_runs_read_the_table(monkeypatch):
 
 
 def test_column_channel_tables_are_read_only_and_small():
-    """Each fixed-train scheme's per-register table: 151 compiled columns
-    of 1,473 (column, fired subset) pairs, 64 five-primitive columns
-    (parity and union of fired slots) of 438 for either five-primitive
-    scheme, and 25 minimal columns (one per Clifford id, column 0 unused)
-    of 49."""
+    """Each fixed-train scheme's per-register table, one channel per kind
+    and distinct slot signature: 151 compiled columns of 1,473, 64
+    five-primitive columns (parity and union of fired slots) of 437 for
+    either five-primitive scheme, and 25 minimal columns (one per Clifford
+    id, column 0 unused) of 49.  The empty five-primitive column 32, at
+    parity 1, plays column 0's five empty slots, so the two share their
+    channels; _columns never picks column 32."""
     shapes = {"compiled": ((3, 151, 25), (3 * 1473, 4, 4)),
-              "five-primitives": ((3, 64, 25), (3 * 438, 4, 4)),
-              "five-primitives-symmetric": ((3, 64, 25), (3 * 438, 4, 4)),
+              "five-primitives": ((3, 64, 25), (3 * 437, 4, 4)),
+              "five-primitives-symmetric": ((3, 64, 25), (3 * 437, 4, 4)),
               "minimal": ((3, 25, 25), (3 * 49, 4, 4))}
     for scheme in shapes:
         pairs, channels, lengths = sim._column_channels(tuple(_THREE), scheme)
@@ -645,6 +656,23 @@ def test_five_primitive_schemes_share_one_channel_table():
     assert normal[1] is symmetric[1]
     assert (normal[0][0] == symmetric[0][0]).all()
     assert sim._column_channels.cache_info().currsize == 1
+
+
+def test_column_channel_build_holds_little_beside_its_table():
+    """A cold compiled table on 8 distinct models allocates at its peak
+    (tracemalloc) less than twice the channels it returns: _plan_channels
+    builds them 256 at a time, not all slots' matrices at once."""
+    models = tuple(QubitModel(t1_ns=7_000.0 + 500.0 * k, cross_ratio=0.01) for k in range(8))
+    compiler._cover_table()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, channels, _ = sim._column_channels.__wrapped__(models, "compiled")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert channels.shape == (8 * 1473, 4, 4)
+    assert peak < 2 * channels.nbytes, peak / channels.nbytes
 
 
 def test_wide_runs_retain_no_state():
