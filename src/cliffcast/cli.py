@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import itertools
@@ -159,7 +160,7 @@ def _unlimited_int_digits():
 
 _CONFIG_KEYS = {"qubits", "scheme", "m_values", "n_seeds", "rng_seed",
                 "csv_path", "summary_path"}
-_QUBIT_KEYS = {"t1_ns", "slot_ns", "cross_ratio", "over_ratio"}
+_QUBIT_KEYS = {f.name for f in dataclasses.fields(QubitModel)}
 
 
 def _load_rb_config(path: str) -> dict:
@@ -211,13 +212,10 @@ def _is_number(value, types=(int, float)) -> bool:
 
 
 def _qubit_model(entry: dict) -> QubitModel:
-    t1 = entry.get("t1_ns", None)
-    return QubitModel(
-        t1_ns=math.inf if t1 in (None, "inf") else float(t1),
-        slot_ns=float(entry.get("slot_ns", compiler.SLOT_NS)),
-        cross_ratio=float(entry.get("cross_ratio", 0.0)),
-        over_ratio=float(entry.get("over_ratio", 1.0)),
-    )
+    """The entry's fields as floats (a t1_ns of null as math.inf; float
+    reads "inf"), and the model's own defaults for the fields it leaves out."""
+    return QubitModel(**{key: math.inf if value is None else float(value)
+                         for key, value in entry.items()})
 
 
 def cmd_rb(args) -> list:
@@ -262,10 +260,6 @@ def cmd_rb(args) -> list:
                 raise NumericalError(
                     f"qubit {q}: decay fit amplitude ended on its bound "
                     f"({f.amplitude:g}), so these lengths do not determine the decay")
-            if not all(map(math.isfinite, f.stderr)):
-                raise NumericalError(
-                    f"qubit {q}: decay fit standard errors are not finite, "
-                    f"so these lengths do not determine the decay")
             fc = fit.fidelity_from_decay(f.decay)
             sigma_fc = f.stderr[1] / 2.0
             entry.update(

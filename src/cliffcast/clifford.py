@@ -17,9 +17,11 @@ Conventions
 
 Besides the minimal decompositions this module carries the five-primitive
 broadcast tables: a fixed ordered round (X90, Y90, X90, X-180, Y-180) from
-which every Clifford is obtained by firing a subset of the five slots, plus
-the mirrored round (X180, Y180, X-90, Y-90, X-90) whose subset table is
-derived here by exhaustive search and frozen below.
+which every Clifford is obtained by firing a subset of the five slots, with
+the paper's masks, plus the mirrored round (X180, Y180, X-90, Y-90, X-90),
+whose masks are derived at import: each Clifford's first firing subset in
+binary counting (`_first_subsets` over `_subset_products`, as for the
+compiler's cover table).
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ MINIMAL_DECOMPOSITIONS: dict[int, tuple[Pulse, ...]] = {
     24: (Pulse.X90, Pulse.Y90, Pulse.XM90),
 }
 
-# Five-primitive broadcast round and the per-Clifford firing masks
-# (bit i fires FIVE_PRIMITIVES[i]; masks realize the Clifford left to right).
+# Five-primitive round and the paper's firing masks (bit i fires slot i, left
+# to right), literal: ids 4, 10, 14 and 17 do not fire their first subsets.
 FIVE_PRIMITIVES: tuple[Pulse, ...] = (
     Pulse.X90,
     Pulse.Y90,
@@ -191,36 +193,6 @@ FIVE_PRIMITIVES_INVERTED: tuple[Pulse, ...] = (
     Pulse.YM90,
     Pulse.XM90,
 )
-
-# The first matching subset in binary order (bit 0 = first primitive), frozen;
-# tests/oracles.py::derive_inverted_masks regenerates them by subset search.
-FIVE_PRIMITIVE_MASKS_INVERTED: dict[int, tuple[int, ...]] = {
-    1: (0, 0, 0, 0, 0),
-    2: (1, 0, 0, 1, 1),
-    3: (0, 0, 1, 1, 0),
-    4: (1, 0, 0, 0, 0),
-    5: (0, 0, 0, 1, 1),
-    6: (1, 0, 1, 1, 0),
-    7: (0, 1, 0, 0, 0),
-    8: (1, 1, 0, 1, 1),
-    9: (0, 1, 1, 1, 0),
-    10: (1, 1, 0, 0, 0),
-    11: (0, 1, 0, 1, 1),
-    12: (1, 1, 1, 1, 0),
-    13: (1, 0, 0, 1, 0),
-    14: (0, 0, 1, 0, 0),
-    15: (1, 0, 1, 1, 1),
-    16: (0, 0, 0, 1, 0),
-    17: (1, 0, 1, 0, 0),
-    18: (0, 0, 1, 1, 1),
-    19: (1, 1, 0, 1, 0),
-    20: (0, 1, 1, 0, 0),
-    21: (1, 1, 1, 1, 1),
-    22: (0, 1, 0, 1, 0),
-    23: (1, 1, 1, 0, 0),
-    24: (0, 1, 1, 1, 1),
-}
-
 
 CANONICAL_UNITARIES: list[np.ndarray] = [sequence_unitary(MINIMAL_DECOMPOSITIONS[c])
                                          for c in range(1, 25)]
@@ -291,6 +263,34 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _COMPOSE_TABLE, _INVERSE_TABLE = _build_tables()
+
+
+def _subset_products(pulses) -> np.ndarray:
+    """prods[t, code - 1] of a (k, L) array of trains of Clifford ids: the
+    ordered product of train t's pulses whose bit (bit i = position i) is
+    set in code, each code the code without its top bit times the top pulse,
+    one compose-table gather per code.  A pulse of id 0 makes its subsets 0."""
+    pulses = np.asarray(pulses)
+    prods = np.ones((len(pulses), 1 << pulses.shape[1]), dtype=_COMPOSE_TABLE.dtype)
+    for code in range(1, prods.shape[1]):
+        top = code.bit_length() - 1
+        prods[:, code] = _COMPOSE_TABLE[prods[:, code ^ (1 << top)], pulses[:, top]]
+    return prods[:, 1:]
+
+
+def _first_subsets(prods) -> np.ndarray:
+    """first[t, c], (k, 25), for the subset products of _subset_products:
+    the first subset code of train t, in binary counting, whose product is
+    Clifford c; 0 for ids 0 and 1 and where no subset fires c."""
+    hit = prods[:, :, None] == np.arange(25)  # (train, subset code - 1, Clifford)
+    return np.where(hit.any(axis=1) & (np.arange(25) > 1), hit.argmax(axis=1) + 1, 0)
+
+
+# Reference: tests/oracles.py::derive_inverted_masks, from pulse unitaries.
+_MIRRORED_FIRST = _first_subsets(_subset_products(
+    [[clifford_of_pulses([p]) for p in FIVE_PRIMITIVES_INVERTED]]))[0].tolist()
+FIVE_PRIMITIVE_MASKS_INVERTED: dict[int, tuple[int, ...]] = {
+    c: tuple(_MIRRORED_FIRST[c] >> i & 1 for i in range(5)) for c in range(1, 25)}
 
 
 def compose(a: int, b: int) -> int:

@@ -45,8 +45,9 @@ subset of the train.  Its columns are the complements of the trains'
 target masks, distinct, in order of their first train and without those
 an earlier one dominates (149 of 375), each with its train's length and
 slot codes and, for each Clifford, the train's first subset in binary
-counting whose product it is.  One lookup (`_first_columns`) finds a
-mask's first column that misses no target, the column of its first
+counting whose product it is (`clifford._first_subsets`, which also
+derives the mirrored five-primitive masks).  One lookup (`_first_columns`)
+finds a mask's first column that misses no target, the column of its first
 cover (the shortest and then lexicographically first train that fires
 every target): the lowest bit set in both the row of its low 12 bits
 and the row of its high 12 bits of one bitset table of 64-bit words
@@ -101,6 +102,7 @@ from .clifford import (
     MINIMAL_DECOMPOSITIONS,
     Pulse,
     _check_int,
+    _first_subsets,
     sequence_clifford,
 )
 from .decomp import MAX_PULSES, SEARCH_BASIS, train_products
@@ -388,10 +390,8 @@ def _cover_table():
     codes = np.zeros((len(rows) + 2, FIVE_PRIMITIVES_BOUND), dtype=np.int64)
     codes[1:-1, :MAX_PULSES] = np.array([*_slot_codes(SEARCH_BASIS), 0])[trains[rows]]
     codes[-1] = _FIVE_COLUMNS[1][31]
-    hit = prods[rows, :, None] == np.arange(2, 25)  # (train, subset code - 1, Clifford - 2)
-    subset = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)  # the first, or none
     fired = np.zeros((len(codes), 25, FIVE_PRIMITIVES_BOUND), dtype=bool)
-    fired[1:-1, 2:] = subset[..., None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1
+    fired[1:-1] = _first_subsets(prods[rows])[..., None] >> np.arange(FIVE_PRIMITIVES_BOUND) & 1
     fired[-1] = _FIVE_COLUMNS[2][31]
     table = np.array([-1, *kept, 0]), np.count_nonzero(codes, axis=1), codes, fired
     for array in table:

@@ -21,11 +21,11 @@ scheduling convention handled by the compiler, not a search symbol).
 
 Optimal search
 --------------
-`train_products` is the one walk over the basis sequences: every train of
-1..4 basis pulses as a row of basis indices, with the Clifford fired by
-each subset of it, as two read-only arrays.  The decompositions and the
-compiler's cover table (its covers and per-qubit firing choices) are both
-read from it.
+`train_products` lists every train of 1..4 basis pulses as a row of basis
+indices, with the Clifford fired by each subset of it from the one subset
+walk, `clifford._subset_products`, as two read-only arrays.  The
+decompositions and the compiler's cover table (its covers and per-qubit
+firing choices) are both read from it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import _COMPOSE_TABLE, Pulse, _check_id, clifford_of_pulses
+from .clifford import Pulse, _check_id, _subset_products, clifford_of_pulses
 
 SEARCH_BASIS: tuple[Pulse, ...] = (
     Pulse.X180,
@@ -70,18 +70,11 @@ def train_products() -> tuple[np.ndarray, np.ndarray]:
     trains[t] are the basis indices of train t, -1 past its end;
     prods[t, code - 1] is the ordered product of the positions whose bit
     is set in code (bit k = position k), so code 2**len - 1 is the whole
-    train.  Each code extends the code without its top bit by the top
-    pulse, one compose-table gather over all trains per code; a padded
-    position is Clifford 0, which the compose table maps to 0, so a subset
-    reaching past a train's end fires 0."""
+    train (clifford._subset_products).  A padded position is Clifford 0,
+    so a subset reaching past a train's end fires 0."""
     trains = np.array([seq + (-1,) * (MAX_PULSES - n) for n in range(1, MAX_PULSES + 1)
                        for seq in itertools.product(range(len(SEARCH_BASIS)), repeat=n)])
-    pulses = np.array([*(clifford_of_pulses([p]) for p in SEARCH_BASIS), 0])[trains]
-    prods = np.ones((len(trains), 1 << MAX_PULSES), dtype=_COMPOSE_TABLE.dtype)
-    for code in range(1, 1 << MAX_PULSES):
-        top = code.bit_length() - 1
-        prods[:, code] = _COMPOSE_TABLE[prods[:, code ^ (1 << top)], pulses[:, top]]
-    prods = prods[:, 1:]
+    prods = _subset_products(np.array([*(clifford_of_pulses([p]) for p in SEARCH_BASIS), 0])[trains])
     trains.setflags(write=False)
     prods.setflags(write=False)
     return trains, prods

@@ -267,8 +267,8 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
     errors are, such a point gets weight 1.  A negative error is a
     ValueError, and so are a nonzero one outside [1e-100, 1e100], whose
     weight could overflow or underflow, and fewer than 3 distinct lengths,
-    which cannot fix three parameters.  Each curve's fit is the one its
-    one-curve call fit_exp_offset gives, to the bit.
+    which cannot fix three parameters, and so is a fit whose standard errors
+    are not finite, named by its row.  A curve fits to the bit as it does alone.
     """
     m, y = _curve(m_values, y_values, ndim=2)
     if (distinct := len(set(m.tolist()))) < 3:
@@ -286,14 +286,15 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
                              "1 / y_err**2 neither overflows nor underflows")
         w = 1.0 / np.where(y_err > 0, y_err, np.max(y_err, axis=1, keepdims=True, initial=1.0))
     sloped = np.logical_or.reduce(np.abs(y - y[:, :1]) > 1e-12, axis=1)
-    fits = iter(_fit_decays(m, y[sloped], w[sloped]) if np.count_nonzero(sloped) else ())
+    rows = np.flatnonzero(sloped)
+    fits = iter(_fit_decays(m, y[rows], w[rows], rows) if rows.size else ())
     return [next(fits) if s else ExpFit(0.0, 1.0, float(np.mean(row)), (0.0, 0.0, 0.0), 0.0,
                                         ("decay",))
             for s, row in zip(sloped.tolist(), y)]
 
 
-def _fit_decays(m, y, w) -> list[ExpFit]:
-    """fit_exp_offsets on curves that are not flat, with their weights."""
+def _fit_decays(m, y, w, rows) -> list[ExpFit]:
+    """fit_exp_offsets on curves that are not flat (rows of y_values), with their weights."""
     u_max = -math.log(_DECAY_BOUNDS[0])
     grid = _first_decay_grid(max(float(m.max()), 1.0))
     u, (a, b) = _minimise_profile(_exp_profile(m, y, w * w), grid)
@@ -306,6 +307,9 @@ def _fit_decays(m, y, w) -> list[ExpFit]:
     jac[..., 0], jac[..., 1], jac[..., 2] = x, a_col * m * p_col ** (m - 1.0), 1.0
     jac *= w[..., None]
     err = np.sqrt(np.maximum(_covariance(jac, resid * w).diagonal(axis1=1, axis2=2), 0.0))
+    if not (finite := np.isfinite(err).all(axis=1)).all():
+        raise ValueError(f"curve {rows[finite.argmin()]}: decay fit standard errors are not "
+                         "finite, so its points do not determine the decay")
     rms = np.sqrt(np.add.reduce(resid**2, axis=1) / m.size)
     boxes = (("amplitude", _AMPLITUDE_BOUNDS), ("decay", _DECAY_BOUNDS), ("offset", _OFFSET_BOUNDS))
     return [ExpFit(*fitted, tuple(e), r, tuple(name for (name, box), v in zip(boxes, fitted)

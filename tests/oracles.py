@@ -38,8 +38,9 @@ schedule_json_dict builds a schedule's JSON fields as a dict, so that
 json.dumps(indent=2) is the reference for Schedule.to_json's bytes.
 equal_up_to_phase is the tests' comparison of two 2x2 unitaries.
 
-derive_inverted_masks regenerates the mirrored round's frozen firing
-masks by subset search over pulse unitaries; verify_decomposition
+derive_inverted_masks regenerates the mirrored round's firing masks,
+which the package derives from its compose table, by subset search over
+pulse unitaries; verify_decomposition
 re-checks one decomposition against the canonical unitaries.
 
 iterate_rate_equation iterates the leakage balance round by round.

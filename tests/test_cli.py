@@ -658,6 +658,43 @@ def test_rb_null_output_paths_go_to_stdout(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_rb_fit_with_standard_errors_that_are_not_finite_is_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    """The fit's own check names the undetermined curve, qubit 1's here,
+    and the run is exit 4 with no output file: qubit 1's curve is replaced
+    by points whose errors span [1e-100, 1e100], after the flat, unfitted
+    curve of the lossless qubit 0."""
+    run_rb = sim.run_rb
+
+    def wide_errors(*args):
+        result = run_rb(*args)
+        m = np.array(result.curves[1].m_values, dtype=float)
+        result.curves[1].p0 = 0.5 * 0.98**m + 0.5
+        result.curves[1].p0_stderr = np.array([1e-100, 1e100, 1e-3, 1e-3, 1e-3, 1e-3])
+        return result
+
+    monkeypatch.setattr(sim, "run_rb", wide_errors)
+    cfg = {"qubits": [{}, {"t1_ns": 9000.0}], "scheme": "compiled",
+           "m_values": [1, 2, 4, 8, 16, 32], "n_seeds": 2, "rng_seed": 3,
+           "csv_path": str(tmp_path / "rb.csv"), "summary_path": str(tmp_path / "rb.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(["rb", "--config", str(tmp_path / "cfg.json")]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: curve 1: decay fit standard errors are not finite, "
+        "so its points do not determine the decay\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_rb_qubit_model_reads_the_model_fields_and_defaults():
+    """An rb qubit takes the model's own fields, each as a float, a t1_ns
+    of null or "inf" as infinite, and the model's defaults for the rest."""
+    assert cli._qubit_model({}) == sim.QubitModel()
+    for t1 in (None, "inf"):
+        model = cli._qubit_model({"t1_ns": t1, "over_ratio": 1, "slot_ns": 30})
+        assert model == sim.QubitModel(over_ratio=1.0, slot_ns=30.0)
+        assert type(model.over_ratio) is type(model.slot_ns) is float
+
+
 def test_rb_singular_fit_is_numerical_failure(tmp_path, capsys):
     """Four copies of one length leave the decay undetermined, so the run
     is exit 4 and writes nothing (before: exit 0 with a NaN

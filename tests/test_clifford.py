@@ -25,7 +25,7 @@ from cliffcast.clifford import (
     sequence_unitary,
 )
 from cliffcast.sim import apply_pulse
-from oracles import derive_inverted_masks, equal_up_to_phase, equatorial_rotation
+from oracles import _subset_cliffords, derive_inverted_masks, equal_up_to_phase, equatorial_rotation
 
 I2 = np.eye(2)
 
@@ -274,6 +274,35 @@ def test_inverted_masks_reproduce_cliffords():
 
 def test_inverted_mask_table_regenerates():
     assert derive_inverted_masks() == FIVE_PRIMITIVE_MASKS_INVERTED
+
+
+def test_inverted_mask_rows():
+    """Anchor rows of the derived table, and its shape: ids 1..24 in
+    order, each a 5-tuple of Python ints."""
+    assert five_primitive_mask(2, inverted=True) == (1, 0, 0, 1, 1)
+    assert five_primitive_mask(21, inverted=True) == (1, 1, 1, 1, 1)
+    assert list(FIVE_PRIMITIVE_MASKS_INVERTED) == list(range(1, 25))
+    assert all(len(mask) == 5 and all(type(b) is int for b in mask)
+               for mask in FIVE_PRIMITIVE_MASKS_INVERTED.values())
+
+
+def test_subset_walk_matches_unitaries_on_both_five_primitive_trains():
+    """The one subset walk on 5-pulse trains (the cover table reads only
+    trains of 1..4) against each subset's Clifford from its unitaries, and
+    the first-subset rule against the first such subset in binary counting.
+    Only the mirrored round's masks follow that rule; the paper's normal
+    table differs from it at ids 4, 10, 14 and 17."""
+    trains = (FIVE_PRIMITIVES, FIVE_PRIMITIVES_INVERTED)
+    prods = cl._subset_products([[clifford_of_pulses([p]) for p in t] for t in trains])
+    assert prods.shape == (2, 31)
+    assert [tuple(row) for row in prods.tolist()] == [_subset_cliffords(t) for t in trains]
+    first = cl._first_subsets(prods)
+    assert first[:, :2].tolist() == [[0, 0], [0, 0]]
+    for t, train in enumerate(trains):
+        cliffs = _subset_cliffords(train)
+        assert first[t, 2:].tolist() == [cliffs.index(c) + 1 for c in range(2, 25)]
+    normal = {c: tuple(int(first[0, c]) >> i & 1 for i in range(5)) for c in range(2, 25)}
+    assert [c for c in normal if normal[c] != FIVE_PRIMITIVE_MASKS[c]] == [4, 10, 14, 17]
 
 
 def test_inverted_round_inverts_normal_round():

@@ -153,6 +153,20 @@ def test_exp_fit_rejects_negative_errors():
             fit_exp_offset(m, 0.5 * 0.98**m + 0.5, y_err)
 
 
+def test_exp_fit_with_standard_errors_that_are_not_finite_names_its_curve():
+    """Errors spanning a wide range inside [1e-100, 1e100] leave the
+    decay undetermined (before: stderr (nan, nan, nan) with no flag).  The
+    fit raises and names the curve's row of y_values, counted across the
+    flat curve before it, which is not fitted."""
+    m = np.array([1, 2, 4, 8, 16, 32], dtype=float)
+    y = 0.5 * 0.98**m + 0.5
+    y_err = [1e-100, 1e100, 1e-3, 1e-3, 1e-3, 1e-3]
+    with pytest.raises(ValueError, match="^curve 1: decay fit standard errors are not finite"):
+        fit_exp_offsets(m, [np.full(6, 0.7), y], [[1e-3] * 6, y_err])
+    with pytest.raises(ValueError, match="^curve 0: "):
+        fit_exp_offset(m, y, y_err)
+
+
 def test_exp_fit_zero_error_takes_one_or_the_largest_error():
     """A zero error beside positive ones is replaced by max(1, the largest
     error): beside errors below 1 the point gets weight 1, beside larger
