@@ -218,8 +218,9 @@ def _exp_profile(m, y, w2):
         b = np.empty_like(a)
         b[0], b[3], b[4] = ybar - a_opt * xbar, b_lo, b_hi
         np.clip(ybar - a[1:3] * xbar, b_lo, b_hi, out=b[1:3])
-        excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
-            (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=positive)
+        with np.errstate(over="ignore"):  # an edge too far to price costs inf: it never wins
+            excess = sw * (b + a * xbar - ybar) ** 2 + np.divide(
+                (sxx * a - sxy) ** 2, sxx, out=np.zeros_like(a), where=positive)
         # The amplitude box is symmetric, so |a| <= a_hi tests both its edges.
         inside = positive & (np.abs(a_opt) <= a_hi) & (b_lo <= b[0]) & (b[0] <= b_hi)
         excess[0] = np.where(inside, 0.0, np.inf)

@@ -18,12 +18,12 @@ slot signature: the pulse of each slot of the round plan
 (compiler.round_plans) and the slots the qubit fires, and is built once,
 as a product of the model's slot matrices, by one builder (_plan_channels).
 A round of every scheme but sequential plays one fixed train (a column of
-compiler._column_table), so a model's matrix in it is one of 49 minimal,
-437 five-primitive or 1,473 compiled signatures, built once per register;
-a sequential run builds its own rounds'.  The slot matrices are built
-from apply_pulse and relax, the diagnostics from the rotations apply_pulse
-conjugates by (_conjugation) and the damping relax applies (_damping), so
-those stay the only definition of the physics.
+compiler._column_table) on any model, so its 49 minimal, 437 five-primitive
+or 1,473 compiled signatures are built once per set of models, all models
+in one stacked product; a sequential run builds its own rounds'.  The slot
+matrices are built from apply_pulse and relax, the diagnostics from the
+rotations apply_pulse conjugates by (_conjugation) and the damping relax
+applies (_damping), so those stay the only definition of the physics.
 
 Randomness: one counter-based Philox generator per seed, spawned from the
 root seed via SeedSequence, so seeds are independent and reproducible and
@@ -83,7 +83,6 @@ class RBCurve:
     m_values: tuple[int, ...]
     p0: np.ndarray
     p1: np.ndarray
-    seeds: int
     p0_stderr: np.ndarray  # seed-scatter standard error per point
 
 
@@ -180,15 +179,15 @@ def _damping(dt: float, t1: float):
 # symmetric scheme) reads them from _every_round, built once per register,
 # scheme and driven count, by round index; any other finds its distinct
 # rounds with one lexsort of their parities and packed ids (12 to an int64
-# word, as _packed_words packs slot signatures).  Both read their
-# channels through _rounds, and one builder makes them all: _plan_channels
-# finds the distinct packed slot signatures of planned rounds with one
-# lexsort and builds them 256 at a time, one stacked 4x4 product per slot,
-# once per register for a fixed-train scheme's column table
-# (_column_channels) and once per run for sequential rounds.  Last, one
-# seed at a time, the seed's round channels are gathered in _block_plan's
-# order and every sequence is multiplied at once (_chain_products), each
-# pairwise as it would be multiplied alone, and applied to the ground state.
+# word, as _packed_words packs slot signatures).  Both read their channels
+# through _rounds, and one builder makes them all: _plan_channels finds the
+# distinct packed slot signatures of planned rounds with one lexsort and
+# builds them 256 at a time, one stacked product per slot, once per set of
+# models for a fixed-train scheme's column table (_column_channels) and once
+# per run for sequential rounds.  Last, one seed at a time, the seed's round
+# channels are gathered in _block_plan's order and every sequence is
+# multiplied at once (_chain_products), each pairwise as it would be
+# multiplied alone, and applied to the ground state.
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GROUND_VECTOR = np.array([[1.0], [0.0], [0.0], [1.0]])  # a column: x = y = 0, z = 1
@@ -237,19 +236,19 @@ def _plan_channels(slots: np.ndarray, kinds: np.ndarray, codes: np.ndarray, fire
                    n_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, channels) of k rounds planned as compiler.round_plans plans
     them, on qubits of these kinds: channels[rows[r, q]] is qubit q's channel
-    in round r.  The distinct slot signatures, longest first, are built 256
-    at a time, each slot left-multiplied onto the identity."""
+    in round r, shaped as one slot matrix.  The distinct signatures, longest
+    first, are built 256 at a time, each slot multiplied on the left."""
     k, n, width = fired.shape
     inside = np.where(np.arange(width) < n_slots[:, None], 1 + 2 * codes, 0).astype(np.int8)
     packed = (inside[:, None] + fired).reshape(k * n, width)
     firsts, inverse = _unique_columns(np.vstack([np.tile(kinds, k), *_packed_words(packed),
                                                  np.repeat(-n_slots, n)]))
-    slots = slots.reshape(len(slots), -1, 4, 4)
-    channels = np.empty((len(firsts), 4, 4))
+    slots = slots.reshape(len(slots), -1, *slots.shape[3:])
+    channels = np.empty((len(firsts), *slots.shape[2:]))
     for start in range(0, len(firsts), 256):
         part, chunk = channels[start:start + 256], firsts[start:start + 256]
         kind, steps = kinds[chunk % n], packed[chunk] - 1
-        part[:] = np.eye(4)
+        part[:] = np.eye(slots.shape[-1])
         # Longest first: the signatures that play slot s are a prefix.
         for s, on in enumerate(np.count_nonzero(steps >= 0, axis=0).tolist()):
             part[:on] = slots[kind[:on], steps[:on, s]] @ part[:on]
@@ -258,19 +257,20 @@ def _plan_channels(slots: np.ndarray, kinds: np.ndarray, codes: np.ndarray, fire
 
 @lru_cache(maxsize=64)
 def _column_channels(models: tuple, scheme: str) -> tuple:
-    """(pairs, channels, lengths) of a register's rounds of a fixed-train
-    scheme, read-only: channels[pairs[k, col, c]] is the channel of a qubit
-    of the k-th kind (_slot_table) with Clifford id c in a round of
+    """(pairs, channels, lengths) of a fixed-train scheme's rounds on these
+    distinct models, read-only: channels[pairs[k, col, c]] is the channel
+    of a qubit of the k-th model with Clifford id c in a round of
     compiler._column_table column col, and lengths[col] the column's slot
-    count.  _plan_channels builds them with the columns as its rounds and
-    each kind's 25 ids as its qubits: per kind, 1,473 compiled (about 189
-    KB), 437 five-primitive (column 32 plays column 0's empty slots) and
-    49 minimal."""
+    count.  Signatures do not depend on the model, so _plan_channels sorts
+    them once, on 25 qubits (the ids) of one kind stacking every model's
+    slots: per model, 1,473 compiled (about 189 KB), 437 five-primitive
+    (column 32 plays column 0's empty slots) and 49 minimal."""
     _, slots = _slot_table(models)
     lengths, codes, fired = compiler._column_table(scheme)
-    kinds = np.repeat(np.arange(len(slots)), fired.shape[1])
-    rows, channels = _plan_channels(slots, kinds, codes, np.tile(fired, (1, len(slots), 1)), lengths)
-    pairs = rows.reshape(len(codes), len(slots), -1).transpose(1, 0, 2)
+    rows, stacked = _plan_channels(np.moveaxis(slots, 0, -3)[None], np.zeros(fired.shape[1], int),
+                                   codes, fired, lengths)
+    pairs = rows * len(slots) + np.arange(len(slots))[:, None, None]
+    channels = stacked.reshape(-1, *slots.shape[-2:])
     pairs.flags.writeable = channels.flags.writeable = False
     return pairs, channels, lengths
 
@@ -289,7 +289,7 @@ def _rounds(models: tuple, scheme: str, ids: np.ndarray,
         return (*_plan_channels(slots, kinds, codes, fired, n_slots), n_slots)
     # Both five-primitive schemes read one column table, so they share its channels.
     table = compiler.SCHEME_FIVE if scheme == SCHEME_FIVE_SYMMETRIC else scheme
-    pairs, channels, lengths = _column_channels(models, table)
+    pairs, channels, lengths = _column_channels(tuple(dict.fromkeys(models)), table)
     columns = compiler._columns(ids, scheme, parity)
     return pairs[kinds, columns[:, None], padded], channels, lengths[columns]
 
@@ -460,8 +460,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     p0 = p0_sum / n_seeds
     p0_err = _seed_stderr(p0_sum, p0_sumsq, n_seeds)
     curves = [
-        RBCurve(m_values=m_values, p0=p0[q].copy(), p1=1.0 - p0[q], seeds=n_seeds,
-                p0_stderr=p0_err[q].copy())
+        RBCurve(m_values=m_values, p0=p0[q].copy(), p1=1.0 - p0[q], p0_stderr=p0_err[q].copy())
         for q in range(n)
     ]
     return RBResult(

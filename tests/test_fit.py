@@ -157,7 +157,9 @@ def test_exp_fit_with_standard_errors_that_are_not_finite_names_its_curve():
     """Errors spanning a wide range inside [1e-100, 1e100] leave the
     decay undetermined (before: stderr (nan, nan, nan) with no flag).  The
     fit raises and names the curve's row of y_values, counted across the
-    flat curve before it, which is not fitted."""
+    flat curve before it, which is not fitted.  Behind an rb curve whose
+    first minimum leaves the box, its box edges are priced too: an edge
+    too far to price costs inf (before: RuntimeWarning, overflow)."""
     m = np.array([1, 2, 4, 8, 16, 32], dtype=float)
     y = 0.5 * 0.98**m + 0.5
     y_err = [1e-100, 1e100, 1e-3, 1e-3, 1e-3, 1e-3]
@@ -165,6 +167,10 @@ def test_exp_fit_with_standard_errors_that_are_not_finite_names_its_curve():
         fit_exp_offsets(m, [np.full(6, 0.7), y], [[1e-3] * 6, y_err])
     with pytest.raises(ValueError, match="^curve 0: "):
         fit_exp_offset(m, y, y_err)
+    rb = run_rb([QubitModel(t1_ns=10_000.0), QubitModel(t1_ns=9_000.0)], "compiled",
+                m.astype(int), 2, 3).curves[0]
+    with pytest.raises(ValueError, match="^curve 1: "):
+        fit_exp_offsets(m, [rb.p0, y], [rb.p0_stderr, y_err])
 
 
 def test_exp_fit_zero_error_takes_one_or_the_largest_error():

@@ -675,6 +675,23 @@ def test_column_channel_build_holds_little_beside_its_table():
     assert peak < 2 * channels.nbytes, peak / channels.nbytes
 
 
+def test_column_channel_table_sorts_one_copy_of_its_signatures(monkeypatch):
+    """A fixed train plays the same slot signature on every model, so a
+    cold compiled table sorts its 151 columns × 25 ids once, in one
+    _unique_columns call, on 1 distinct model as on 8."""
+    widths = []
+    def spy(keys):
+        widths.append(keys.shape[1])
+        return unique_columns(keys)
+    unique_columns = sim._unique_columns
+    monkeypatch.setattr(sim, "_unique_columns", spy)
+    for n in (1, 8):
+        models = tuple(QubitModel(t1_ns=7_000.0 + 500.0 * k, cross_ratio=0.01) for k in range(n))
+        widths.clear()
+        _, channels, _ = sim._column_channels.__wrapped__(models, "compiled")
+        assert widths == [151 * 25] and channels.shape == (n * 1473, 4, 4), n
+
+
 def test_wide_runs_retain_no_state():
     """Runs on fresh seeds keep nothing once they return: their compiled
     rounds are read from the per-register cover-column table
