@@ -19,7 +19,7 @@ slot signature: the pulse of each slot of the round plan
 as a product of the model's slot matrices, by one builder (_plan_channels).
 A round of every scheme but sequential plays one fixed train (a column of
 compiler._column_table) on any model, so its 49 minimal, 437 five-primitive
-or 1,473 compiled signatures are built once per set of models, all models
+or 1,473 compiled signatures are built once per register, all its models
 in one stacked product; a sequential run builds its own rounds'.  The slot
 matrices are built from apply_pulse and relax, the diagnostics from the
 rotations apply_pulse conjugates by (_conjugation) and the damping relax
@@ -182,10 +182,10 @@ def _damping(dt: float, t1: float):
 # word, as _packed_words packs slot signatures).  Both read their channels
 # through _rounds, and one builder makes them all: _plan_channels finds the
 # distinct packed slot signatures of planned rounds with one lexsort and
-# builds them 256 at a time, one stacked product per slot, once per set of
-# models for a fixed-train scheme's column table (_column_channels) and once
-# per run for sequential rounds.  Last, one seed at a time, the seed's round
-# channels are gathered in _block_plan's order and every sequence is
+# builds them 256 at a time, one stacked product per slot, once per
+# register for a fixed-train scheme's column table (_column_channels) and
+# once per run for sequential rounds.  Last, one seed at a time, the seed's
+# round channels are gathered in _block_plan's order and every sequence is
 # multiplied at once (_chain_products), each pairwise as it would be
 # multiplied alone, and applied to the ground state.
 
@@ -257,13 +257,13 @@ def _plan_channels(slots: np.ndarray, kinds: np.ndarray, codes: np.ndarray, fire
 
 @lru_cache(maxsize=64)
 def _column_channels(models: tuple, scheme: str) -> tuple:
-    """(pairs, channels, lengths) of a fixed-train scheme's rounds on these
-    distinct models, read-only: channels[pairs[k, col, c]] is the channel
-    of a qubit of the k-th model with Clifford id c in a round of
+    """(pairs, channels, lengths) of a register's rounds of a fixed-train
+    scheme, read-only: channels[pairs[k, col, c]] is the channel of a
+    qubit of the k-th kind (_slot_table) with Clifford id c in a round of
     compiler._column_table column col, and lengths[col] the column's slot
-    count.  Signatures do not depend on the model, so _plan_channels sorts
-    them once, on 25 qubits (the ids) of one kind stacking every model's
-    slots: per model, 1,473 compiled (about 189 KB), 437 five-primitive
+    count.  Signatures do not depend on the kind, so _plan_channels sorts
+    them once, on 25 qubits (the ids) of one kind stacking every kind's
+    slots: per kind, 1,473 compiled (about 189 KB), 437 five-primitive
     (column 32 plays column 0's empty slots) and 49 minimal."""
     _, slots = _slot_table(models)
     lengths, codes, fired = compiler._column_table(scheme)
@@ -289,7 +289,7 @@ def _rounds(models: tuple, scheme: str, ids: np.ndarray,
         return (*_plan_channels(slots, kinds, codes, fired, n_slots), n_slots)
     # Both five-primitive schemes read one column table, so they share its channels.
     table = compiler.SCHEME_FIVE if scheme == SCHEME_FIVE_SYMMETRIC else scheme
-    pairs, channels, lengths = _column_channels(tuple(dict.fromkeys(models)), table)
+    pairs, channels, lengths = _column_channels(models, table)
     columns = compiler._columns(ids, scheme, parity)
     return pairs[kinds, columns[:, None], padded], channels, lengths[columns]
 
