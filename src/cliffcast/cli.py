@@ -25,8 +25,8 @@ verification, the `rb` decay fits, the `leakfit` fit).
 The argument parser is built once per process, on the first call of `main`
 (not at import), and reused: parsing makes a fresh namespace each call and
 no default is mutable, so repeated in-process calls behave as fresh ones.
-`_plain_args` reads a plain call through its command's own actions; any
-other call, help and every usage error included, goes to parse_args.
+`_plain_args` reads a line of option values through its command's own
+actions; parse_args reads any other line: flags, help and usage errors.
 """
 
 from __future__ import annotations
@@ -59,26 +59,34 @@ class NumericalError(Exception):
 
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write (path, text) pairs, a path of None or "-" meaning stdout.  Files
-    go to temporary siblings, renamed over their targets once all are
-    complete, so a failed write leaves none of them; stdout comes last.
+    go to temporary siblings of their real paths, renamed over them once all
+    are complete, so a failed write leaves none of them and a symlink stays a
+    link; a target that is not a regular file, such as a FIFO, is written in
+    place after the renames, as shell > writes it.  stdout comes last.
     Two outputs to one file, or one to a directory, are rejected before
     anything is written."""
-    files = [(path, f"{path}.{os.getpid()}-{i}.tmp", text)
-             for i, (path, text) in enumerate(outputs) if path not in (None, "-")]
-    targets = [os.path.realpath(path) for path, _, _ in files]
-    if len(set(targets)) < len(targets):
+    files = [(path, os.path.realpath(path), text)
+             for path, text in outputs if path not in (None, "-")]
+    if len({real for _, real, _ in files}) < len(files):
         raise ValueError(f"two outputs name one file: {files[-1][0]}")
     for path, _, _ in files:
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    in_place = {path: text for path, _, text in files
+                if os.path.exists(path) and not os.path.isfile(path)}
+    staged = [(path, real, f"{real}.{os.getpid()}-{i}.tmp", text)
+              for i, (path, real, text) in enumerate(files) if path not in in_place]
     try:
-        for path, tmp, text in files:
+        for path, _, tmp, text in staged:
             with open(tmp, "w", newline="") as f:
                 f.write(text)
-        for path, tmp, _ in files:
-            os.replace(tmp, path)
+        for path, real, tmp, _ in staged:
+            os.replace(tmp, real)
+        for path, text in in_place.items():
+            with open(path, "w", newline="") as f:
+                f.write(text)
     except OSError as exc:
-        for _, tmp, _ in files:
+        for _, _, tmp, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise ValueError(f"cannot write {path}: {exc.strerror}")
@@ -433,10 +441,10 @@ def _conflicting_flags(args) -> str | None:
 
 def _plain_args(sub, argv):
     """parse_args(argv)'s namespace, read through the command's own actions,
-    for a plain line: a command of `sub`, then positionals and exact option
-    strings of store and store-const actions, each once, a store option's
-    value not starting with "-".  None for any other line, or where a type or
-    choice rejects a value, for parse_args to judge.  Never prints or exits."""
+    for a line of option values: a command of `sub`, then positionals and
+    exact option strings of store actions, each once with one value not
+    starting with "-".  None for any other line, flags included, or where a
+    type or choice rejects a value, for parse_args to judge.  Never prints or exits."""
     parser = sub.choices.get(argv[0]) if argv else None
     if parser is None:
         return None
@@ -444,30 +452,24 @@ def _plain_args(sub, argv):
     given, tokens = {}, iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
-            action = parser._option_string_actions.get(token)
-            text = None if isinstance(action, argparse._StoreConstAction) else next(tokens, "-")
+            action, text = parser._option_string_actions.get(token), next(tokens, "-")
         else:
             action, text = next(pending, None), token
-        if action is None or action in given or text is not None and (text.startswith("-")
+        if (action is None or action in given or text.startswith("-")
                 or (type(action), action.nargs) != (argparse._StoreAction, None)):
             return None
         given[action] = text
-    values = {**parser._defaults, **{a.dest: a.default for a in parser._actions
-                                     if argparse.SUPPRESS not in (a.dest, a.default)}}
+    if any(a.required or not a.option_strings for a in parser._actions if a not in given):
+        return None  # missing, for parse_args
     try:
-        for action, text in given.items():
-            value = action.const if text is None else (action.type or str)(text)
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = value
-        for action in (a for a in parser._actions if a not in given):
-            if action.required or not action.option_strings:  # missing, for parse_args
-                return None
-            if isinstance(action.default, str) and values.get(action.dest) is action.default:
-                values[action.dest] = (action.type or str)(action.default)
+        values = {a.dest: (a.type or str)(text) for a, text in given.items()}
     except Exception:  # a type that rejects its text, for parse_args to report
         return None
-    return argparse.Namespace(**{sub.dest: argv[0], **values})
+    if any(a.choices is not None and values[a.dest] not in a.choices for a in given):
+        return None
+    defaults = {a.dest: a.default for a in parser._actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    return argparse.Namespace(**{sub.dest: argv[0], **parser._defaults, **defaults, **values})
 
 
 def main(argv=None) -> int:

@@ -412,7 +412,7 @@ def _benchmark(models: list, n_driven: int, scheme: str, m_values, n_seeds: int,
     """
     if scheme not in RB_SCHEMES:
         raise ValueError(f"scheme must be one of {RB_SCHEMES}, got {scheme!r}")
-    _check_int(n_seeds, "n_seeds", 1)
+    n_seeds, rng_seed = _check_int(n_seeds, "n_seeds", 1), _check_int(rng_seed, "rng_seed", 0)
     m_values = tuple(_check_int(m, "sequence length") for m in m_values)
     if not m_values:
         raise ValueError("need at least one sequence length")

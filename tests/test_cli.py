@@ -658,6 +658,38 @@ def test_rb_null_output_paths_go_to_stdout(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    """An output path that is a symlink stays a link, and its target gets
+    the bytes: the file is staged beside the real path and renamed over it."""
+    assert run_cli(["compile", "2,13"]) == 0
+    want = capsys.readouterr().out
+    (tmp_path / "link.json").symlink_to("target.json")
+    assert run_cli(["compile", "2,13", "-o", str(tmp_path / "link.json")]) == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "target.json").read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    """An output path that is a FIFO stays a FIFO, and its reader gets the
+    bytes, as from the shell's >.  The read end is opened without blocking
+    first, so the write does not wait for a reader."""
+    assert run_cli(["compile", "2,13"]) == 0
+    want = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(["compile", "2,13", "-o", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got.decode() == want
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
 def test_rb_fit_with_standard_errors_that_are_not_finite_is_numerical_failure(
         tmp_path, capsys, monkeypatch):
     """The fit's own check names the undetermined curve, qubit 1's here,

@@ -101,7 +101,9 @@ def test_census_counts():
 
 def test_max_length_four():
     for c in range(1, 25):
-        assert max(len(d.pulses) for d in enumerate_decompositions(c)) <= 4
+        decomps = enumerate_decompositions(c)
+        assert all(len(d) == len(d.pulses) for d in decomps)
+        assert max(len(d) for d in decomps) <= 4
 
 
 def test_bad_id_rejected():

@@ -284,6 +284,7 @@ def test_benchmark_takes_numpy_integer_counts():
     got = run_rb(models, "minimal", np.array([2, 3]), np.int64(2), np.int32(1))
     assert got.curves[0].m_values == (2, 3)
     assert all(type(m) is int for m in got.curves[0].m_values)
+    assert type(got.n_seeds) is int and type(got.rng_seed) is int
     assert got.curves[0].p0.tobytes() == want.curves[0].p0.tobytes()
 
 
