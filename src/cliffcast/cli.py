@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -62,9 +63,12 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     go to temporary siblings of their real paths, renamed over them once all
     are complete, so a failed write leaves none of them and a symlink stays a
     link; a target that is not a regular file, such as a FIFO, is written in
-    place after the renames, as shell > writes it.  stdout comes last.
-    Two outputs to one file, or one to a directory, are rejected before
-    anything is written."""
+    place after the renames, as shell > writes it.  An existing regular
+    target's permission bits are copied onto its staged file; like any
+    write-then-rename, the rename replaces a hard-linked target, whose other
+    links keep the old bytes (writing in place would give up all or none).
+    stdout comes last.  Two outputs to one file, or one to a directory, are
+    rejected before anything is written."""
     files = [(path, os.path.realpath(path), text)
              for path, text in outputs if path not in (None, "-")]
     if len({real for _, real, _ in files}) < len(files):
@@ -77,9 +81,11 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     staged = [(path, real, f"{real}.{os.getpid()}-{i}.tmp", text)
               for i, (path, real, text) in enumerate(files) if path not in in_place]
     try:
-        for path, _, tmp, text in staged:
+        for path, real, tmp, text in staged:
             with open(tmp, "w", newline="") as f:
                 f.write(text)
+            with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
+                shutil.copymode(real, tmp)
         for path, real, tmp, _ in staged:
             os.replace(tmp, real)
         for path, text in in_place.items():

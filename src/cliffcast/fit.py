@@ -14,7 +14,9 @@ parameters and no fit fails for want of convergence.
 fit_exp_offsets fits a (curves, lengths) array in one batched pass, each
 curve zooming around its own best point and a zero error taking max(1, the
 largest error of its own curve), so a curve's fit is the same to the bit in
-any batch; fit_exp_offset and the leakage fit are one-row calls.
+any batch.  A lone sloped curve, as in every fit_exp_offset call, and the
+leakage fit's one curve are fitted on 1-d arrays without the batch axis, by
+the same profile, zoom and error arithmetic, so again to the bit.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ def _minimise_profile(profile, grid: np.ndarray) -> tuple[np.ndarray, tuple]:
     grid is a (curves, points) array, or one row of points for every curve.
     profile(t) returns the costs at the points t, a (curves, points) array,
     the index of each curve's first least cost, and the linear parameters
-    solved there, a tuple of (curves,) arrays.  Each curve's best point is
+    solved there, a tuple with one value per curve in each.  A profile of
+    one curve without the batch axis gives (points,) costs and a scalar
+    index instead, and its grid stays 1-d.  Each curve's best point is
     kept and the interval between its neighbours re-gridded, _ZOOMS times,
     so no curve's cost rises from one grid to the next.  Returns each
     curve's best point and its linear parameters.
@@ -125,7 +129,7 @@ def _minimise_profile(profile, grid: np.ndarray) -> tuple[np.ndarray, tuple]:
         ends = grid[rows[:, None], ends] if grid.ndim == 2 else grid[ends]
         grid = ends[0] + (ends[1] - ends[0]) * _ZOOM_AT
         _, best, linear = profile(grid)
-    return grid[rows, best], linear
+    return (grid[rows, best] if grid.ndim == 2 else grid[best]), linear
 
 
 def _curve(m_values, y_values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +166,9 @@ def _exp_profile(m, y, w2):
     curve): a function that gives, for the u = -log(decay) of a
     (curves, points) array or of one row for every curve, the cost of the
     best (amplitude, offset) in their box, and each curve's first least
-    cost's index with those two parameters there.
+    cost's index with those two parameters there, a list or array of one
+    value per curve each.  One curve may come without the batch axis (1-d
+    y, w2 and u): then the costs are 1-d and the index a scalar.
 
     With x = exp(-u m), the unconstrained 2x2 optimum is a = sxy / sxx,
     b = ybar - a xbar (weighted means and centred sums; x - 1 is taken from
@@ -187,10 +193,10 @@ def _exp_profile(m, y, w2):
     minus_m = -m
     a_lo, a_hi = _AMPLITUDE_BOUNDS
     b_lo, b_hi = _OFFSET_BOUNDS
-    b_edges = np.array([b_lo, b_hi])[:, None, None, None]
+    b_edges = np.array(_OFFSET_BOUNDS).reshape((2,) + (1,) * (y.ndim + 1))
 
     def profile(u):
-        # Every sum keeps its trailing axis of 1: (curves, points, 1).
+        # Every sum keeps its trailing axis of 1: ([curves,] points, 1).
         x1 = np.expm1(u[..., None] * minus_m)
         x1bar = x1 @ w2 / sw
         dx = x1 - x1bar
@@ -199,14 +205,21 @@ def _exp_profile(m, y, w2):
         positive = sxx > 0
         a_opt = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=positive)
         cost = ((a_opt * dx - dy) ** 2 @ w2)[..., 0]
-        first = cost.argmin(axis=1)
-        # A call fits a handful of curves: test the box at each first minimum
-        # (flat indices at) in Python floats.
-        at = first + np.arange(0, cost.size, cost.shape[1])
-        a_at, s_at, x_at = (v.take(at).tolist() for v in (a_opt, sxx, x1bar))
-        b_at = [yb - a * (1.0 + x) for yb, a, x in zip(ybar.flat, a_at, x_at)]
-        if all(s > 0 and abs(a) <= a_hi and b_lo <= b <= b_hi for s, a, b in zip(s_at, a_at, b_at)):
-            return cost, first, (np.array(a_at), np.array(b_at))
+        first = cost.argmin(axis=-1)
+        # A call fits a handful of curves: test the box at each first minimum,
+        # read at its flat index k, in Python floats, and keep the lists, as
+        # only the last grid's parameters are read.
+        a_at, b_at, points = [], [], cost.shape[-1]
+        for c, i in enumerate(first.flat):
+            k = c * points + i
+            a = a_opt.item(k)
+            b = ybar.item(c) - a * (1.0 + x1bar.item(k))
+            if not (sxx.item(k) > 0 and abs(a) <= a_hi and b_lo <= b <= b_hi):
+                break
+            a_at.append(a)
+            b_at.append(b)
+        else:
+            return cost, first, (a_at, b_at)
         # Some first minimum leaves the box: price each point's best in it,
         # the unconstrained optimum if inside, else the cheapest edge.
         xbar = 1.0 + x1bar
@@ -226,8 +239,8 @@ def _exp_profile(m, y, w2):
         excess[0] = np.where(inside, 0.0, np.inf)
         pick = excess.argmin(axis=0)[None]
         cost = cost + np.take_along_axis(excess, pick, 0)[0, ..., 0]
-        first = cost.argmin(axis=1)
-        at = first + np.arange(0, cost.size, cost.shape[1])
+        first = cost.argmin(axis=-1)
+        at = first + np.arange(0, cost.size, cost.shape[-1])
         return cost, first, tuple(np.take_along_axis(v, pick, 0).take(at) for v in (a, b))
 
     return profile
@@ -288,34 +301,40 @@ def fit_exp_offsets(m_values, y_values, y_err=None) -> list[ExpFit]:
         w = 1.0 / np.where(y_err > 0, y_err, np.max(y_err, axis=1, keepdims=True, initial=1.0))
     sloped = np.logical_or.reduce(np.abs(y - y[:, :1]) > 1e-12, axis=1)
     rows = np.flatnonzero(sloped)
-    fits = iter(_fit_decays(m, y[rows], w[rows], rows) if rows.size else ())
+    pick = rows[0] if rows.size == 1 else rows  # a lone sloped curve drops the batch axis
+    fits = iter(_fit_decays(m, y[pick], w[pick], rows) if rows.size else ())
     return [next(fits) if s else ExpFit(0.0, 1.0, float(np.mean(row)), (0.0, 0.0, 0.0), 0.0,
                                         ("decay",))
             for s, row in zip(sloped.tolist(), y)]
 
 
 def _fit_decays(m, y, w, rows) -> list[ExpFit]:
-    """fit_exp_offsets on curves that are not flat (rows of y_values), with their weights."""
+    """fit_exp_offsets on curves that are not flat (the rows of y_values at
+    rows), with their weights: a (curves, lengths) batch, or one curve
+    without the batch axis."""
     u_max = -math.log(_DECAY_BOUNDS[0])
     grid = _first_decay_grid(max(float(m.max()), 1.0))
     u, (a, b) = _minimise_profile(_exp_profile(m, y, w * w), grid)
     # math.exp: np.exp over the batch can differ from it in the last bit.
-    p = np.array([math.exp(-v) if v < u_max else _DECAY_BOUNDS[0] for v in u.tolist()])
-    a_col, p_col = a[:, None], p[:, None]
+    p = [math.exp(-v) if v < u_max else _DECAY_BOUNDS[0] for v in np.ravel(u).tolist()]
+    a, p, b = (np.array(v).reshape(np.shape(u)) for v in (a, p, b))
+    a_col, p_col = a[..., None], p[..., None]
     x = p_col**m
-    resid = a_col * x + b[:, None] - y
+    resid = a_col * x + b[..., None] - y
     jac = np.empty(y.shape + (3,))
     jac[..., 0], jac[..., 1], jac[..., 2] = x, a_col * m * p_col ** (m - 1.0), 1.0
     jac *= w[..., None]
-    err = np.sqrt(np.maximum(_covariance(jac, resid * w).diagonal(axis1=1, axis2=2), 0.0))
-    if not (finite := np.isfinite(err).all(axis=1)).all():
-        raise ValueError(f"curve {rows[finite.argmin()]}: decay fit standard errors are not "
-                         "finite, so its points do not determine the decay")
-    rms = np.sqrt(np.add.reduce(resid**2, axis=1) / m.size)
+    err = np.sqrt(np.maximum(_covariance(jac, resid * w).diagonal(axis1=-2, axis2=-1), 0.0))
+    if not np.isfinite(err).all():
+        raise ValueError(f"curve {rows[np.isfinite(err).all(axis=-1).argmin()]}: decay fit "
+                         "standard errors are not finite, so its points do not determine "
+                         "the decay")
+    rms = np.sqrt(np.add.reduce(resid**2, axis=-1) / m.size)
     boxes = (("amplitude", _AMPLITUDE_BOUNDS), ("decay", _DECAY_BOUNDS), ("offset", _OFFSET_BOUNDS))
     return [ExpFit(*fitted, tuple(e), r, tuple(name for (name, box), v in zip(boxes, fitted)
                                                if v in box))
-            for *fitted, e, r in zip(a.tolist(), p.tolist(), b.tolist(), err.tolist(), rms.tolist())]
+            for *fitted, e, r in zip(*(np.ravel(v).tolist() for v in (a, p, b)),
+                                     err.reshape(-1, 3).tolist(), np.ravel(rms).tolist())]
 
 
 def fidelity_from_decay(p: float) -> float:
@@ -370,9 +389,10 @@ def rate_step(p2_m: float, kappa: float, t21_ns: float, np_mean: float,
 
 
 def _leakage_profile(lam, m, p2):
-    """Cost of the best plateau in [0, 1] for each rate lam, a (1, points)
-    array for _minimise_profile, with the first least cost's index and the
-    plateau there (the 1-D least-squares solution, clipped)."""
+    """Cost of the best plateau in [0, 1] for each rate lam, a 1-d array of
+    points for _minimise_profile (one curve, no batch axis), with the first
+    least cost's index and the plateau there (the 1-D least-squares
+    solution, clipped)."""
     z = -np.expm1(-lam[..., None] * m)
     szz = (z * z).sum(axis=-1)
     plateau = np.clip(np.divide(z @ p2, szz, out=np.zeros_like(szz), where=szz > 0),
@@ -384,8 +404,8 @@ def _leakage_profile(lam, m, p2):
 
 @lru_cache(maxsize=16)
 def _first_rate_grid(lam_hi: float) -> np.ndarray:
-    """One row, geometric from _RATE_MIN to lam_hi (read-only)."""
-    grid = np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS)[None]
+    """1-d, geometric from _RATE_MIN to lam_hi (read-only)."""
+    grid = np.geomspace(_RATE_MIN, lam_hi, _GRID_POINTS)
     grid.flags.writeable = False
     return grid
 
@@ -416,7 +436,7 @@ def fit_leakage(m_values, p2_values, np_mean: float, tp_ns: float) -> LeakageFit
     lam_hi = 50.0 / (positive.min() if positive.size else 1.0)
     rate, (plateau,) = _minimise_profile(lambda t: _leakage_profile(t, m, p2),
                                          _first_rate_grid(float(lam_hi)))
-    rate, plateau = float(rate[0]), float(plateau[0])
+    rate, plateau = float(rate), float(plateau)
     if plateau == 0.0:
         # Non-positive data: the best plateau is on its lower bound, where
         # the rate no longer changes the curve and only kappa = 0 is known.

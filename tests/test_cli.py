@@ -670,6 +670,20 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
+def test_output_over_an_existing_file_keeps_its_mode(tmp_path, capsys):
+    """An existing output file keeps its permission bits and gets the new
+    bytes: its mode is copied onto the staged file before the rename."""
+    assert run_cli(["compile", "2,13"]) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    out.chmod(0o600)
+    assert run_cli(["compile", "2,13", "-o", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert out.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
     """An output path that is a FIFO stays a FIFO, and its reader gets the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cliffcast import fit
 from cliffcast.fit import (
+    ExpFit,
     PopCalib,
     extract_populations,
     fidelity_from_decay,
@@ -329,6 +330,32 @@ def test_batched_exp_fit_is_the_per_curve_fit_bit_for_bit():
     assert flat == 3 and weighted == 2
 
 
+def test_batch_with_one_sloped_row_is_its_one_row_call_bit_for_bit():
+    """A batch whose other rows are flat fits its one sloped row alone: in
+    each place beside two flat rows, weighted and unweighted, that row
+    equals its one-row call and the per-curve oracle bit for bit, and the
+    flat rows keep their flat fit."""
+    flat = ExpFit(0.0, 1.0, 0.75, (0.0, 0.0, 0.0), 0.0, ("decay",))
+    curves = [(c.m_values, c.p0, e) for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M, 2, 3).curves[:2]
+              for e in (None, c.p0_stderr)]
+    curves += [(c.m_values, c.p0, None)
+               for c in run_rb(WIDE_QUBITS, "compiled", WIDE_M[:6], 1, 7).curves[:2]]
+    fitted = 0
+    for m, curve, e in curves:
+        for row in range(3):
+            y = np.full((3, len(m)), 0.75)
+            y[row] = curve
+            err = None if e is None else np.full(y.shape, 0.01)
+            if e is not None:
+                err[row] = e
+            fits = fit_exp_offsets(m, y, err)
+            assert _fit_bytes(fits[row]) == _fit_bytes(exp_fit_per_curve(m, curve, e))
+            assert _fit_bytes(fits[row]) == _fit_bytes(fit_exp_offset(m, curve, e))
+            assert fits[:row] + fits[row + 1:] == [flat, flat]
+            fitted += fits[row].decay != 1.0
+    assert fitted == 6 * 3
+
+
 def test_stacked_covariance_falls_back_per_curve():
     """One singular curve in a stack makes inv raise for the whole stack;
     each curve then gets its own covariance, the regular ones to the bit,
@@ -400,7 +427,9 @@ def test_exp_profile_matches_the_box_oracle():
 def _watch_exp_profile(monkeypatch, watch):
     """Make every decay fit call watch(m, y, w2, u, grid, out) on each grid u
     its profile is given, grid counting a fit's grids from 0, its first, and
-    out being the profile's (cost, best, (a, b)) on u."""
+    out being the profile's (cost, best, (a, b)) on u, with a and b as
+    arrays.  A lone curve, fitted without the batch axis, is watched as a
+    one-row batch."""
     exp_profile = fit._exp_profile
 
     def watched_profile(m, y, w2):
@@ -408,7 +437,12 @@ def _watch_exp_profile(monkeypatch, watch):
 
         def watched(u):
             out = profile(u)
-            watch(m, y, w2, u, next(grids), out)
+            cost, best, linear = out
+            rows, weights = y, w2
+            if y.ndim == 1:
+                rows, weights, cost, best = y[None], w2[None], cost[None], np.reshape(best, 1)
+            watch(m, rows, weights, u, next(grids),
+                  (cost, best, tuple(np.reshape(v, best.shape) for v in linear)))
             return out
 
         return watched
@@ -642,6 +676,36 @@ def test_fit_leakage_matches_scipy(kappa, t21, seed):
     assert (lf.kappa, lf.t21_ns) == pytest.approx(values, rel=1e-3)
     assert lf.stderr == pytest.approx(errors, rel=1e-3)
     assert float(np.sum((lf(m) - p2) ** 2)) <= cost * (1 + 1e-10)
+
+
+def _leakage_curves():
+    """Seeded leakage curves: 18 noisy saturation curves over kappa, T21 and
+    two noise levels, then a non-positive curve and a flat-zero one."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4242)))
+    m = np.array([0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 800], dtype=float)
+    for kappa, t21 in itertools.product((0.5e-6, 1e-6, 4.1e-6), (5_000.0, 12_000.0, 40_000.0)):
+        clean = leakage_model(m, kappa, t21, 1.875, 20.0)
+        for noise in (1e-4, 3e-2):
+            yield m, clean + rng.normal(0.0, noise * clean.max(), m.size)
+    yield m, -np.abs(rng.normal(0.0, 1e-6, m.size))
+    yield m, np.zeros(m.size)
+
+
+# SHA-256 over the LeakageFit fields (six floats' bytes, then the
+# unidentifiable flag) of the 20 fits of _leakage_curves, recorded before
+# a lone curve's fit dropped its batch axis.
+LEAKAGE_FIT_DIGEST = "c8eba4d80fc7d5602bb7d36346cc9163bab487c15e43e26d41cc20df0f482beb"
+
+
+def test_leakage_fit_bytes_are_pinned():
+    h = hashlib.sha256()
+    fits = [fit_leakage(m, p2, 1.875, 20.0) for m, p2 in _leakage_curves()]
+    for f in fits:
+        h.update(np.array([f.kappa, f.t21_ns, f.np_mean, f.tp_ns, *f.stderr]).tobytes())
+        h.update(bytes([f.unidentifiable]))
+    assert len(fits) == 20
+    assert [f.unidentifiable for f in fits] == [False] * 18 + [True] * 2
+    assert h.hexdigest() == LEAKAGE_FIT_DIGEST
 
 
 def test_extract_populations_pure_states():
